@@ -15,68 +15,14 @@ from math import comb
 
 from .errors import (CasePreconditionViolated, DegenerateAZero,
                      IdentityFailed, TruncationTooShort, UnexpectedPole)
-from .exactmath import (FunctionField, HbarSeries, Poly, RatFn, local_expand,
-                        parse_element, poly_gcd, split_linear_factors,
-                        substitute)
-from .exactmath.fields import _generators
-from .isodeform import _cap
+from .exactmath import (FunctionField, Poly, RatFn, local_expand, poly_gcd,
+                        split_linear_factors)
+from .hamflow import hbar_matrix_series, hbar_series
 from .laxsystem import Mat2, assemble
 from .spectralcurve import (CurveFn, ONE_BRANCH, TWO_BRANCH, classical_curve,
                             uniformize)
 from .toprec import PoleBasisForm, _branch_ints, eo_differentials, \
     symplectic_invariants
-
-
-# --- hbar expansion of matrices along a flow --------------------------------
-
-def hbar_matrix_series(mat, flow, order, tname, extra=None):
-    """Expand a matrix of tower-coefficient rational functions in hbar.
-
-    The Darboux symbols are replaced by the truncated series of `flow`, the
-    time by itself, and any further symbols by the constants in `extra`.
-    Returns [Mat2 of RatFn-in-x over flow.field] for hbar^0 .. hbar^order.
-    """
-    prec = order + 1
-    E = flow.field
-    vals, one_h = _flow_vals(flow, prec, tname, extra)
-
-    out = None
-    for e in mat.entries():
-        nser = _poly_series(e.num, vals, one_h, prec, E)
-        dser = _poly_series(e.den, vals, one_h, prec, E)
-        ent = nser * dser.inverse()
-        cols = [ent.coeff(j) for j in range(prec)]
-        out = [[] for _ in range(prec)] if out is None else out
-        for j in range(prec):
-            out[j].append(cols[j])
-    return [Mat2(*entries) for entries in out]
-
-
-def _flow_vals(flow, prec, tname, extra):
-    # substitute() demands an assignment for every tower generator
-    E = flow.field
-    zE = E.zero()
-    vals = {name: HbarSeries.constant(g, prec, zE)
-            for name, g in _generators(E).items()}
-    vals[tname] = HbarSeries.constant(parse_element(tname, E), prec, zE)
-    vals[getattr(flow, "qname", "q")] = _cap(flow.q, prec)
-    vals[getattr(flow, "pname", "p")] = _cap(flow.p, prec)
-    if extra:
-        for name, v in extra.items():
-            vals[name] = HbarSeries.constant(E.coerce(v), prec, zE)
-    return vals, HbarSeries.constant(E.one(), prec, zE)
-
-
-def _poly_series(p, vals, one_h, prec, E):
-    """Polynomial over the tower -> HbarSeries of RatFn over E."""
-    var = p.var
-    cs = [substitute(c, vals, one_h) for c in p.coeffs]
-    zR = RatFn.zero(E, var)
-    out = []
-    for j in range(prec):
-        cj = [s.coeff(j) for s in cs]
-        out.append(RatFn(Poly(E, cj, var)))
-    return HbarSeries(0, out, prec, zR)
 
 
 def beta_factor(aux):
@@ -242,11 +188,10 @@ def m_series(iso, flow, order, extra=None, zvar="z", uname="u", check=True):
     the growth case allows it), with the entry-wise degree bounds in the two
     classified growth cases.
     """
-    lser = hbar_matrix_series(assemble(iso.lax), flow, order, iso.tname,
-                              extra)
+    lser = hbar_matrix_series(assemble(iso.lax), flow, order, extra)
     beta_t, ahat_t = beta_factor(iso.aux)
-    aser = hbar_matrix_series(ahat_t, flow, order, iso.tname, extra)
-    beta_E = _constant_in_hbar(beta_t, flow, order, iso.tname, extra)
+    aser = hbar_matrix_series(ahat_t, flow, order, extra)
+    beta_E = _constant_in_hbar(hbar_series(RatFn(beta_t), flow, order, extra))
 
     curve = classical_curve(lser[0], aser[0])
     U = uniformize(curve, zvar, uname)
@@ -269,16 +214,11 @@ def m_series(iso, flow, order, extra=None, zvar="z", uname="u", check=True):
     return mser
 
 
-def _constant_in_hbar(beta_t, flow, order, tname, extra):
+def _constant_in_hbar(ser):
     # the cleared denominator must not pick up hbar terms through the flow
-    prec = order + 1
-    E = flow.field
-    vals, one_h = _flow_vals(flow, prec, tname, extra)
-    ser = _poly_series(beta_t, vals, one_h, prec, E)
-    for j in range(1, prec):
-        if ser.coeff(j):
-            raise CasePreconditionViolated(
-                "denominator of the auxiliary matrix depends on hbar")
+    if any(ser.coeff(j) for j in range(1, ser.prec)):
+        raise CasePreconditionViolated(
+            "denominator of the auxiliary matrix depends on hbar")
     return ser.coeff(0)
 
 
@@ -846,69 +786,6 @@ def _compositions(k, n):
     for head in range(k + 1):
         for rest in _compositions(k - head, n - 1):
             yield (head,) + rest
-
-
-# --- the two-point identity on the canonical linear models -------------------
-
-def two_point_identity(U):
-    """Exact check that the canonical linear auxiliary model on this cover
-    reproduces the Bergman kernel:
-
-        Tr(M0(z1) M0(z2)) x'(z1) x'(z2) / (x(z1)-x(z2))^2 = 1/(z1-z2)^2,
-
-    plus the sheet-reflected consistency Tr(M0(z) M0(sigma z)) = 0.  The
-    model has A^(0) = [[0, 1], [x-a, 0]] (one branchpoint) or
-    [[0, x-b], [x-a, 0]] (two); linearity of A^(0) in x is what makes the
-    identity hold.
-    """
-    E = U.field
-    zvar = U.zvar
-    z = RatFn.gen(E, zvar)
-    one = RatFn.one(E, zvar)
-    half = RatFn.const(E, E.one() / E.coerce(2), zvar)
-    if U.kind == ONE_BRANCH:
-        ytld = z
-        a12 = one
-        a21 = z * z
-    else:
-        rad = (U.b - U.a) / E.coerce(4)
-        ytld = (z - one / z) * rad
-        a12 = (z - one) ** 2 * rad / z
-        a21 = (z + one) ** 2 * rad / z
-    den = ytld + ytld
-    m = [[half, -a12 / den], [-a21 / den, half]]
-
-    F1 = FunctionField(E, "z1")
-    F2 = FunctionField(F1, "z2")
-    z1 = F2.coerce(F1.gen())
-    z2 = F2.gen()
-    xp = U.x.deriv()
-    tr = None
-    for r in range(2):
-        for c in range(2):
-            piece = _eval_at(m[r][c], z1) * _eval_at(m[c][r], z2)
-            tr = piece if tr is None else tr + piece
-    x1 = _eval_at(U.x, z1)
-    x2 = _eval_at(U.x, z2)
-    lhs = tr * _eval_at(xp, z1) * _eval_at(xp, z2) * (z1 - z2) ** 2
-    if lhs != (x1 - x2) ** 2:
-        raise IdentityFailed(
-            "two-point identity fails on the %s model" % U.kind)
-
-    w = F1.gen()
-    sw = F1.one() / w if U.kind == TWO_BRANCH else -w
-    refl = None
-    for r in range(2):
-        for c in range(2):
-            piece = _eval_at(m[r][c], w) * _eval_at(m[c][r], sw)
-            refl = piece if refl is None else refl + piece
-    if refl:
-        raise IdentityFailed(
-            "sheet-reflected trace does not vanish on the %s model" % U.kind)
-    fmt = E.to_str
-    return {"kind": U.kind, "a": fmt(U.a),
-            "b": fmt(U.b) if U.b is not None else None,
-            "pass": True, "sigma_limit": True}
 
 
 # --- the verification battery ------------------------------------------------

@@ -1,5 +1,7 @@
-"""Exact scalar arithmetic: polynomials, rational functions, local series,
-and the Q -> Q(t) -> Q(t)[u] field tower.  No floating point anywhere."""
+"""Exact scalar arithmetic: polynomials, rational functions, the
+Q -> Q(t) -> Q(t)[u] field tower, and one truncated Laurent series type
+(Series) for both Laurent windows at a point and hbar expansions; LocalSeries
+and HbarSeries are other names for it.  No floating point anywhere."""
 
 from .fields import (ExtElem, FunctionField, QQ, QuadraticExtension,
                      RationalField, parse_element, partial_derivation,
@@ -8,13 +10,13 @@ from .poly import Poly, poly_gcd, poly_sqrt, squarefree_decomposition
 from .ratfn import (RatFn, local_expand, partial_fractions, recombine,
                     residue, residue_sum_check, roots_in_field,
                     split_linear_factors)
-from .series import HbarSeries, INF, LocalSeries
+from .series import HbarSeries, INF, LocalSeries, Series
 
 __all__ = [
     "ExtElem", "FunctionField", "HbarSeries", "INF", "LocalSeries", "Poly",
-    "QQ", "QuadraticExtension", "RatFn", "RationalField", "local_expand",
-    "parse_element", "partial_derivation", "partial_fractions", "poly_gcd",
-    "poly_sqrt", "recombine", "residue", "residue_sum_check",
-    "roots_in_field", "split_linear_factors", "squarefree_decomposition",
-    "substitute",
+    "QQ", "QuadraticExtension", "RatFn", "RationalField", "Series",
+    "local_expand", "parse_element", "partial_derivation",
+    "partial_fractions", "poly_gcd", "poly_sqrt", "recombine", "residue",
+    "residue_sum_check", "roots_in_field", "split_linear_factors",
+    "squarefree_decomposition", "substitute",
 ]

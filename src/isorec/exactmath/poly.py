@@ -8,8 +8,6 @@ carry the ring operators. Everything here is immutable and exact.
 
 from __future__ import annotations
 
-from ..errors import IrreducibleDenominator
-
 __all__ = [
     "Poly",
     "poly_gcd",
@@ -48,14 +46,6 @@ class Poly:
     def gen(cls, field, var="x"):
         """The polynomial `var` itself."""
         return cls(field, [field.zero(), field.one()], var, normalize=False)
-
-    @classmethod
-    def from_roots(cls, field, roots, var="x"):
-        p = cls.const(field, field.one(), var)
-        x = cls.gen(field, var)
-        for r in roots:
-            p = p * (x - cls.const(field, field.coerce(r), var))
-        return p
 
     # --- structure ---------------------------------------------------------
 
@@ -277,16 +267,6 @@ class Poly:
         if lc == self.field.one():
             return self, lc
         return self / lc, lc
-
-    def shift_mul_x(self, k):
-        """Multiply by var**k (k >= 0)."""
-        if not self.coeffs or k == 0:
-            return self
-        return Poly(self.field, [self.field.zero()] * k + list(self.coeffs), self.var, normalize=False)
-
-    def reversed_coeffs(self):
-        """Coefficients of x^deg * self(1/x)."""
-        return Poly(self.field, list(reversed(self.coeffs)), self.var)
 
     # --- display -----------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..errors import IrreducibleDenominator, TruncationTooShort
 from .poly import Poly, poly_gcd, squarefree_decomposition
-from .series import INF, LocalSeries
+from .series import INF, Series
 
 
 class RatFn:
@@ -240,20 +240,6 @@ class RatFn:
 # root finding in the coefficient field
 
 
-def _order_at(p, a):
-    """Multiplicity of the root a in the polynomial p (0 if regular)."""
-    field = p.field
-    one = Poly(field, [-a, field.one()], p.var)
-    n = 0
-    while p and p.degree() >= 1:
-        q, r = divmod(p, one)
-        if r:
-            break
-        p = q
-        n += 1
-    return n
-
-
 def _strip_root(p, a):
     """Divide out (x - a) as often as possible; return (quotient, order)."""
     field = p.field
@@ -370,7 +356,7 @@ def local_expand(f, p, K):
     """
     field = f.field
     if not f:
-        return LocalSeries(field, p, K + 1, [], K + 1)
+        return Series(K + 1, [], K + 1, field.zero(), p)
     if p is INF:
         v = f.den.degree() - f.num.degree()
         nn = Poly(field, list(reversed(f.num.coeffs)), f.var)
@@ -387,11 +373,12 @@ def local_expand(f, p, K):
             raise TruncationTooShort(
                 "window to order %s cannot hold a pole of order %s" % (K, -v))
         # the function vanishes to order v > K: the window is honestly zero
-        return LocalSeries(field, p, K + 1, [], K + 1)
+        return Series(K + 1, [], K + 1, field.zero(), p)
     terms = K - v + 1
     expand_at = field.zero() if p is INF else a
-    ns = LocalSeries(field, p, 0, nn.taylor_at(expand_at, terms), terms)
-    ds = LocalSeries(field, p, 0, dd.taylor_at(expand_at, terms), terms)
+    zero = field.zero()
+    ns = Series(0, nn.taylor_at(expand_at, terms), terms, zero, p)
+    ds = Series(0, dd.taylor_at(expand_at, terms), terms, zero, p)
     return (ns * ds.inverse()).shift(v)
 
 
@@ -406,8 +393,8 @@ def residue(f, p):
             return field.zero()
         return -local_expand(f, INF, 1).coeff(1)
     p = field.coerce(p)
-    an = _order_at(f.num, p)
-    ad = _order_at(f.den, p)
+    an = _strip_root(f.num, p)[1]
+    ad = _strip_root(f.den, p)[1]
     if an >= ad:
         return field.zero()
     return local_expand(f, p, -1).coeff(-1)
@@ -428,7 +415,7 @@ def partial_fractions(f, hints=()):
     if f.den.degree() > 0 and rem:
         tail = RatFn(rem, f.den)
         for pole, mult in roots_in_field(f.den, hints):
-            if _order_at(tail.den, pole) == 0:
+            if _strip_root(tail.den, pole)[1] == 0:
                 continue  # the reduced fraction lost this pole
             window = local_expand(tail, pole, -1)
             for j in range(1, mult + 1):

@@ -1,11 +1,12 @@
-"""Truncated series carriers.
+"""Truncated Laurent series.
 
-LocalSeries is a Laurent expansion at a finite point or at infinity, with an
-optional ramification index 2 so half-integer exponents (in the base
-uniformizer) stay integral in the stored one.  HbarSeries is a truncated power
-series in a formal parameter whose coefficients live in an arbitrary ring.
+One type serves both expansions of the chain: Laurent windows at a point of
+the x-line or z-line (the point is tagged, INF for infinity) and power series
+in the formal expansion parameter hbar (no point).  Coefficients live in any
+ring the caller supplies, together with its zero; products keep the order
+a*b of their factors, so matrix coefficients work too.
 
-Both types refuse to answer coefficient queries beyond their guaranteed
+Series refuse to answer coefficient queries beyond their guaranteed
 precision: silent zeros are how truncation bugs hide.
 """
 
@@ -31,44 +32,46 @@ class _Infinity:
 INF = _Infinity()
 
 
-class LocalSeries:
+class Series:
     """Finite window of a Laurent expansion.
 
     Exponents count powers of the local uniformizer: (x - p) at a finite
-    point p, 1/x at infinity.  With ram == 2 the stored exponent k stands
-    for uniformizer^(k/2).  `prec` is the first exponent that is *not*
-    known; everything from `kmin` up to prec - 1 is guaranteed.
+    point p, 1/x at INF, hbar when `point` is None.  `prec` is the first
+    exponent that is *not* known; everything from `kmin` up to prec - 1 is
+    guaranteed, and exponents below kmin are known zeros.  `zero` is the
+    coefficient ring's zero.
     """
 
-    __slots__ = ("field", "point", "ram", "kmin", "coeffs", "prec")
+    __slots__ = ("kmin", "coeffs", "prec", "zero", "point")
 
-    def __init__(self, field, point, kmin, coeffs, prec, ram=1):
-        if ram not in (1, 2):
-            raise ValueError("ramification index must be 1 or 2")
-        coeffs = [field.coerce(c) for c in coeffs]
+    def __init__(self, kmin, coeffs, prec, zero, point=None):
+        coeffs = list(coeffs)
         if kmin + len(coeffs) > prec:
             raise ValueError("more coefficients than the precision admits")
         # pad the window up to prec with explicit zeros
         while kmin + len(coeffs) < prec:
-            coeffs.append(field.zero())
+            coeffs.append(zero)
         # strip known-zero leading terms so kmin is informative
         while coeffs and not coeffs[0]:
             coeffs.pop(0)
             kmin += 1
         if not coeffs:
             kmin = prec
-        self.field = field
-        self.point = point
-        self.ram = ram
         self.kmin = kmin
         self.coeffs = coeffs
         self.prec = prec
+        self.zero = zero
+        self.point = point
+
+    @classmethod
+    def constant(cls, value, prec, zero):
+        """The hbar series value + O(hbar^prec)."""
+        return cls(0, [value], prec, zero)
+
+    def _like(self, kmin, coeffs, prec):
+        return Series(kmin, coeffs, prec, self.zero, self.point)
 
     # -- basics ---------------------------------------------------------
-
-    def is_zero(self):
-        """True when every known coefficient vanishes (to this precision)."""
-        return not self.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -87,7 +90,7 @@ class LocalSeries:
                 "coefficient at exponent %s requested, series only known below %s"
                 % (k, self.prec))
         if k < self.kmin:
-            return self.field.zero()
+            return self.zero
         return self.coeffs[k - self.kmin]
 
     def known_items(self):
@@ -95,45 +98,38 @@ class LocalSeries:
         return [(self.kmin + i, c) for i, c in enumerate(self.coeffs) if c]
 
     def _same_point(self, other):
-        if (self.point is INF) != (other.point is INF):
-            return False
-        return self.point is INF or self.point == other.point
+        a, b = self.point, other.point
+        return a is b or (a is not INF and b is not INF and a == b)
 
-    def _check_compatible(self, other):
-        if self.field != other.field or self.ram != other.ram \
-                or not self._same_point(other):
+    def _check_point(self, other):
+        if not self._same_point(other):
             raise ValueError("series live at different points")
 
     # -- ring operations --------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, LocalSeries):
+        if isinstance(other, Series):
+            self._check_point(other)
             return other
-        c = self.field.coerce(other)
-        return LocalSeries(self.field, self.point, 0, [c], self.prec,
-                           ram=self.ram)
+        return self._like(0, [other], self.prec)
 
     def __add__(self, other):
         other = self._coerce(other)
-        self._check_compatible(other)
         prec = min(self.prec, other.prec)
         kmin = min(self.kmin, other.kmin, prec)
-        zero = self.field.zero()
-        out = [zero] * (prec - kmin)
+        out = [self.zero] * (prec - kmin)
         for src in (self, other):
             for i, c in enumerate(src.coeffs):
                 k = src.kmin + i
                 if k < prec:
                     out[k - kmin] = out[k - kmin] + c
-        return LocalSeries(self.field, self.point, kmin, out, prec,
-                           ram=self.ram)
+        return self._like(kmin, out, prec)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return LocalSeries(self.field, self.point, self.kmin,
-                           [-c for c in self.coeffs], self.prec, ram=self.ram)
+        return self._like(self.kmin, [-c for c in self.coeffs], self.prec)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -142,59 +138,51 @@ class LocalSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, LocalSeries):
-            c = self.field.coerce(other)
-            return LocalSeries(self.field, self.point, self.kmin,
-                               [c * x for x in self.coeffs], self.prec,
-                               ram=self.ram)
-        self._check_compatible(other)
+        if not isinstance(other, Series):
+            return self._like(self.kmin, [c * other for c in self.coeffs],
+                              self.prec)
+        self._check_point(other)
         # a zero factor is exact up to its guaranteed order
-        if not self.coeffs or not other.coeffs:
-            prec = min(self.prec + other.kmin, other.prec + self.kmin)
-            return LocalSeries(self.field, self.point, prec, [], prec,
-                               ram=self.ram)
         prec = min(self.prec + other.kmin, other.prec + self.kmin)
+        if not self.coeffs or not other.coeffs:
+            return self._like(prec, [], prec)
         kmin = self.kmin + other.kmin
-        zero = self.field.zero()
-        out = [zero] * (prec - kmin)
+        out = [self.zero] * (prec - kmin)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
             for j, b in enumerate(other.coeffs):
-                k = kmin + i + j
-                if k >= prec:
+                if kmin + i + j >= prec:
                     break
                 out[i + j] = out[i + j] + a * b
-        return LocalSeries(self.field, self.point, kmin, out, prec,
-                           ram=self.ram)
+        return self._like(kmin, out, prec)
 
     def __rmul__(self, other):
-        return self.__mul__(other)
+        # scalar * series, with the scalar acting on the left of each term
+        return self._like(self.kmin, [other * c for c in self.coeffs],
+                          self.prec)
 
     def inverse(self):
         """Multiplicative inverse, precise to prec - 2*kmin exponents."""
         if not self.coeffs:
             raise ZeroDivisionError("inverting a series with no known nonzero term")
-        lead = self.coeffs[0]
-        inv_lead = self.field.one() / lead
+        inv_lead = 1 / self.coeffs[0]
         n = self.prec - self.kmin
-        zero = self.field.zero()
-        out = [zero] * n
+        out = [self.zero] * n
         out[0] = inv_lead
         for k in range(1, n):
-            acc = zero
+            acc = self.zero
             for j in range(1, min(k, len(self.coeffs) - 1) + 1):
                 acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -inv_lead * acc
+            out[k] = -(inv_lead * acc)
         kmin = -self.kmin
-        return LocalSeries(self.field, self.point, kmin, out, kmin + n,
-                           ram=self.ram)
+        return self._like(kmin, out, kmin + n)
 
     def __truediv__(self, other):
-        if isinstance(other, LocalSeries):
+        if isinstance(other, Series):
             return self * other.inverse()
-        c = self.field.coerce(other)
-        return self * (self.field.one() / c)
+        return self._like(self.kmin, [c / other for c in self.coeffs],
+                          self.prec)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -202,8 +190,7 @@ class LocalSeries:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = LocalSeries(self.field, self.point, 0, [self.field.one()],
-                             self.prec - self.kmin, ram=self.ram)
+        result = self._like(0, [self.zero + 1], self.prec - self.kmin)
         base = self
         while n:
             if n & 1:
@@ -219,229 +206,43 @@ class LocalSeries:
             raise TruncationTooShort(
                 "cannot extend precision from %s to %s" % (self.prec, prec))
         if prec <= self.kmin:
-            return LocalSeries(self.field, self.point, prec, [], prec,
-                               ram=self.ram)
-        return LocalSeries(self.field, self.point, self.kmin,
-                           self.coeffs[:prec - self.kmin], prec, ram=self.ram)
+            return self._like(prec, [], prec)
+        return self._like(self.kmin, self.coeffs[:prec - self.kmin], prec)
 
     def shift(self, d):
         """Multiply by uniformizer^d (exponent shift)."""
-        return LocalSeries(self.field, self.point, self.kmin + d,
-                           list(self.coeffs), self.prec + d, ram=self.ram)
+        return self._like(self.kmin + d, self.coeffs, self.prec + d)
 
     def deriv(self):
-        """Termwise derivative with respect to the stored uniformizer."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            k = self.kmin + i
-            out.append(self.field.coerce(k) * c)
-        return LocalSeries(self.field, self.point, self.kmin - 1, out,
-                           self.prec - 1, ram=self.ram)
+        """Termwise derivative with respect to the uniformizer."""
+        out = [c * (self.kmin + i) for i, c in enumerate(self.coeffs)]
+        return self._like(self.kmin - 1, out, self.prec - 1)
 
-    def map_coeffs(self, fn, field=None):
-        field = field or self.field
-        return LocalSeries(field, self.point, self.kmin,
-                           [fn(c) for c in self.coeffs], self.prec,
-                           ram=self.ram)
-
-    def with_ram(self, ram):
-        """Re-express in a uniformizer whose square is the current one."""
-        if ram == self.ram:
-            return self
-        if self.ram != 1 or ram != 2:
-            raise ValueError("only ram 1 -> 2 conversion is supported")
-        zero = self.field.zero()
-        out = []
-        for c in self.coeffs:
-            out.append(c)
-            out.append(zero)
-        if out:
-            out.pop()  # exponent 2*prec - 1 is unknown
-        return LocalSeries(self.field, self.point, 2 * self.kmin, out,
-                           2 * self.prec - 1, ram=2)
+    def map_coeffs(self, fn):
+        return self._like(self.kmin, [fn(c) for c in self.coeffs], self.prec)
 
     def __eq__(self, other):
-        if not isinstance(other, LocalSeries):
+        if not isinstance(other, Series):
             return NotImplemented
-        return (self.field == other.field and self._same_point(other)
-                and self.ram == other.ram and self.prec == other.prec
+        return (self._same_point(other) and self.prec == other.prec
                 and self.kmin == other.kmin and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.point, self.ram, self.kmin, self.prec,
+        return hash((self.point, self.kmin, self.prec,
                      tuple(str(c) for c in self.coeffs)))
 
     def __repr__(self):
         if not self.coeffs:
             return "O(%s)" % self._mono(self.prec)
-        parts = []
-        for k, c in self.known_items():
-            parts.append("(%s)*%s" % (c, self._mono(k)))
+        parts = ["(%s)*%s" % (c, self._mono(k)) for k, c in self.known_items()]
         return " + ".join(parts) + " + O(%s)" % self._mono(self.prec)
 
     def _mono(self, k):
-        base = "w" if self.point is not INF else "1/x"
-        if self.ram == 2:
-            return "%s^(%s/2)" % (base, k)
-        return "%s^%s" % (base, k)
+        if self.point is None:
+            return "hbar^%s" % k
+        return "%s^%s" % ("1/x" if self.point is INF else "w", k)
 
 
-class HbarSeries:
-    """Truncated power series in a formal expansion parameter.
-
-    Coefficients live in whatever ring the caller supplies; the ring's zero
-    must be passed explicitly since there is no field object to ask.
-    `prec` is the first unknown exponent.  Exponents below kmin are known
-    zeros; at or above prec they are errors.
-    """
-
-    __slots__ = ("kmin", "coeffs", "prec", "zero")
-
-    def __init__(self, kmin, coeffs, prec, zero):
-        coeffs = list(coeffs)
-        if kmin + len(coeffs) > prec:
-            raise ValueError("more coefficients than the precision admits")
-        while kmin + len(coeffs) < prec:
-            coeffs.append(zero)
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            kmin += 1
-        if not coeffs:
-            kmin = prec
-        self.kmin = kmin
-        self.coeffs = coeffs
-        self.prec = prec
-        self.zero = zero
-
-    @classmethod
-    def constant(cls, value, prec, zero):
-        return cls(0, [value], prec, zero)
-
-    def coeff(self, k):
-        if k >= self.prec:
-            raise TruncationTooShort(
-                "order-%s coefficient requested, series truncated at %s"
-                % (k, self.prec))
-        if k < self.kmin:
-            return self.zero
-        return self.coeffs[k - self.kmin]
-
-    def known_items(self):
-        return [(self.kmin + i, c) for i, c in enumerate(self.coeffs) if c]
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, HbarSeries):
-            return other
-        return HbarSeries(0, [other], self.prec, self.zero)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        prec = min(self.prec, other.prec)
-        kmin = min(self.kmin, other.kmin, prec)
-        out = [self.zero] * (prec - kmin)
-        for src in (self, other):
-            for i, c in enumerate(src.coeffs):
-                k = src.kmin + i
-                if k < prec:
-                    out[k - kmin] = out[k - kmin] + c
-        return HbarSeries(kmin, out, prec, self.zero)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        return HbarSeries(self.kmin, [-c for c in self.coeffs], self.prec,
-                          self.zero)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, HbarSeries):
-            return HbarSeries(self.kmin, [c * other for c in self.coeffs],
-                              self.prec, self.zero)
-        if not self.coeffs or not other.coeffs:
-            prec = min(self.prec + other.kmin, other.prec + self.kmin)
-            return HbarSeries(prec, [], prec, self.zero)
-        prec = min(self.prec + other.kmin, other.prec + self.kmin)
-        kmin = self.kmin + other.kmin
-        out = [self.zero] * (prec - kmin)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if kmin + i + j >= prec:
-                    break
-                out[i + j] = out[i + j] + a * b
-        return HbarSeries(kmin, out, prec, self.zero)
-
-    def __rmul__(self, other):
-        # scalar * series, with the scalar acting on the left of each term
-        return HbarSeries(self.kmin, [other * c for c in self.coeffs],
-                          self.prec, self.zero)
-
-    def shift(self, d):
-        return HbarSeries(self.kmin + d, list(self.coeffs), self.prec + d,
-                          self.zero)
-
-    def truncate(self, prec):
-        if prec > self.prec:
-            raise TruncationTooShort(
-                "cannot extend precision from %s to %s" % (self.prec, prec))
-        if prec <= self.kmin:
-            return HbarSeries(prec, [], prec, self.zero)
-        return HbarSeries(self.kmin, self.coeffs[:prec - self.kmin], prec,
-                          self.zero)
-
-    def map_coeffs(self, fn, zero=None):
-        zero = self.zero if zero is None else zero
-        return HbarSeries(self.kmin, [fn(c) for c in self.coeffs], self.prec,
-                          zero)
-
-    def __truediv__(self, other):
-        if isinstance(other, HbarSeries):
-            return self * other.inverse()
-        return self.map_coeffs(lambda c: c / other)
-
-    def inverse(self, inv_lead=None):
-        """Inverse assuming the leading coefficient is invertible.
-
-        Works for coefficient rings with true division; for others pass the
-        precomputed inverse of the leading coefficient.
-        """
-        if not self.coeffs:
-            raise ZeroDivisionError("inverting a zero series")
-        lead = self.coeffs[0]
-        if inv_lead is None:
-            inv_lead = lead.inverse() if hasattr(lead, "inverse") else 1 / lead
-        n = self.prec - self.kmin
-        out = [self.zero] * n
-        out[0] = inv_lead
-        for k in range(1, n):
-            acc = self.zero
-            for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -(inv_lead * acc)
-        kmin = -self.kmin
-        return HbarSeries(kmin, out, kmin + n, self.zero)
-
-    def __eq__(self, other):
-        if not isinstance(other, HbarSeries):
-            return NotImplemented
-        return (self.kmin == other.kmin and self.prec == other.prec
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.kmin, self.prec, tuple(str(c) for c in self.coeffs)))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "O(hbar^%s)" % self.prec
-        parts = ["(%s)*hbar^%s" % (c, k) for k, c in self.known_items()]
-        return " + ".join(parts) + " + O(hbar^%s)" % self.prec
+# plain aliases, not subclasses: isobench wraps Series methods through the
+# class namespace under both names and builds constants via HbarSeries
+LocalSeries = HbarSeries = Series

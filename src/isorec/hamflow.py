@@ -9,15 +9,20 @@ as truncated series q = sum q_k h^k, p = sum p_k h^k.  The leading order is
 a critical point of H in (p, q); each next order is a 2x2 linear solve
 against the Hessian there.  Coefficients stay in Q(t) or a single quadratic
 extension Q(t)[u]/(u^2 - r(t)) — the derivation knows u' = r' u / (2r).
+
+flow_values is the one way to evaluate a tower element along a flow;
+hbar_series and hbar_matrix_series build on it to expand rational functions
+and matrices in x, as isodeform and detcheck need.
 """
 
 from __future__ import annotations
 
-from .errors import SingularHessian, UnsolvableInTower
-from .exactmath import (HbarSeries, QuadraticExtension, partial_derivation,
-                        split_linear_factors, squarefree_decomposition,
-                        substitute)
+from .errors import OrderMismatch, SingularHessian, UnsolvableInTower
+from .exactmath import (Poly, QuadraticExtension, RatFn, Series,
+                        partial_derivation, split_linear_factors,
+                        squarefree_decomposition, substitute)
 from .exactmath.fields import FunctionField, _generators
+from .laxsystem import Mat2
 
 
 class LeadingOrder:
@@ -198,14 +203,63 @@ def _eval_poly(p, value, field):
     return acc
 
 
-def _values_at(E, prec):
+def _cap(series, prec):
+    if series.prec < prec:
+        raise OrderMismatch(
+            "flow known to order %s, residual requested to order %s"
+            % (series.prec - 1, prec - 1))
+    if series.prec > prec:
+        return series.truncate(prec)
+    return series
+
+
+def flow_values(flow, prec, extra=None):
+    """Assignment that makes substitute() evaluate along a flow.
+
+    `flow` is anything with .q, .p, .field and optional .qname/.pname.
+    Every generator of flow.field stands for itself, the Darboux pair for
+    the flow's series cut to hbar^(prec-1), and `extra` assigns constants
+    to any further symbols.  Returns (values, one) for
+    substitute(elem, values, one), which then yields an hbar series.
+    """
+    E = flow.field
     zE = E.zero()
 
     def const(v):
-        return HbarSeries.constant(v, prec, zE)
+        return Series.constant(v, prec, zE)
 
     vals = {name: const(g) for name, g in _generators(E).items()}
-    return vals, const(E.one()), zE
+    vals[getattr(flow, "qname", "q")] = _cap(flow.q, prec)
+    vals[getattr(flow, "pname", "p")] = _cap(flow.p, prec)
+    for name, v in (extra or {}).items():
+        vals[name] = const(E.coerce(v))
+    return vals, const(E.one())
+
+
+def hbar_series(f, flow, order, extra=None):
+    """A rational function in x over the (q, p) tower, along the flow.
+
+    Returns an hbar series through hbar^order whose coefficients are
+    rational functions in x over flow.field.
+    """
+    prec = order + 1
+    E = flow.field
+    vals, one = flow_values(flow, prec, extra)
+    zero = RatFn.zero(E, f.var)
+
+    def expand(p):
+        cs = [substitute(c, vals, one) for c in p.coeffs]
+        return Series(0, [RatFn(Poly(E, [s.coeff(j) for s in cs], p.var))
+                          for j in range(prec)], prec, zero)
+
+    num = expand(f.num)
+    return num if f.is_poly() else num * expand(f.den).inverse()
+
+
+def hbar_matrix_series(mat, flow, order, extra=None):
+    """hbar_series of every entry: [Mat2] for hbar^0 .. hbar^order."""
+    cols = [hbar_series(e, flow, order, extra) for e in mat.entries()]
+    return [Mat2(*(s.coeff(j) for s in cols)) for j in range(order + 1)]
 
 
 def extend_flow(H, lead, order=4):
@@ -239,9 +293,11 @@ def extend_flow(H, lead, order=4):
     zE = E2.zero()
     for k in range(1, order + 1):
         prec = k + 1
-        vals, one_h, _ = _values_at(E2, prec)
-        vals[qname] = HbarSeries(0, list(qc), prec, zE)
-        vals[pname] = HbarSeries(0, list(pc), prec, zE)
+        # q_k and p_k enter as zeros, so the order-k coefficients below are
+        # the part of the order-k equations they do not touch
+        known = FlowSeries(E2, Series(0, qc, prec, zE), Series(0, pc, prec, zE),
+                           qname, pname, k - 1, lead)
+        vals, one_h = flow_values(known, prec)
         rp = substitute(Hp, vals, one_h).coeff(k)
         rq = substitute(Hq, vals, one_h).coeff(k)
         b1 = E2.diff(qc[k - 1]) - rp
@@ -252,8 +308,8 @@ def extend_flow(H, lead, order=4):
         pc.append(pk)
         qc.append(qk)
     prec = order + 1
-    q_s = HbarSeries(0, qc, prec, zE)
-    p_s = HbarSeries(0, pc, prec, zE)
+    q_s = Series(0, qc, prec, zE)
+    p_s = Series(0, pc, prec, zE)
     return FlowSeries(E2, q_s, p_s, qname, pname, order, lead)
 
 
@@ -263,10 +319,7 @@ def hamilton_residuals(H, flow):
     Both series vanish identically through the flow's order.
     """
     E = flow.field
-    prec = flow.order + 1
-    vals, one_h, _ = _values_at(E, prec)
-    vals[flow.qname] = flow.q
-    vals[flow.pname] = flow.p
+    vals, one_h = flow_values(flow, flow.order + 1)
     Hp = H.deriv()
     Hq = partial_derivation(_split_tower(H)[3], flow.qname)(H)
     dq = flow.q.map_coeffs(E.diff).shift(1)
@@ -285,9 +338,7 @@ def energy_drift(H, flow):
     """
     E = flow.field
     prec = flow.order + 1
-    vals, one_h, _ = _values_at(E, prec)
-    vals[flow.qname] = flow.q
-    vals[flow.pname] = flow.p
+    vals, one_h = flow_values(flow, prec)
     base, _, _, F = _split_tower(H)
     along = substitute(H, vals, one_h)
     total = along.map_coeffs(E.diff)
@@ -295,6 +346,6 @@ def energy_drift(H, flow):
         Ht = partial_derivation(F, base.var)(H)
         expl = substitute(Ht, vals, one_h)
     else:
-        expl = HbarSeries(prec, [], prec, E.zero())
+        expl = Series(prec, [], prec, E.zero())
     drift = total - expl
     return drift.truncate(flow.order)

@@ -18,10 +18,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (CasePreconditionViolated, IdentityFailed, NoDeformation,
-                     OrderMismatch, PlanMismatch)
-from .exactmath import (HbarSeries, Poly, RatFn, parse_element,
-                        partial_derivation, poly_gcd, substitute)
+                     PlanMismatch)
+from .exactmath import (Poly, RatFn, Series, parse_element,
+                        partial_derivation, poly_gcd)
 from .exactmath.fields import FunctionField
+from .hamflow import hbar_matrix_series
 from .laxsystem import SIGMA3, Mat2, PoleData, Sl2Lax, assemble
 
 CASE_SIMPLE_POLE = 1
@@ -433,40 +434,6 @@ def gauge_normalize(iso, plan, weights=None, qname="q", pname="p"):
 # compatibility to a given order in the expansion parameter
 
 
-def _cap(series, prec):
-    if series.prec < prec:
-        raise OrderMismatch(
-            "flow known to order %s, residual requested to order %s"
-            % (series.prec - 1, prec - 1))
-    if series.prec > prec:
-        return series.truncate(prec)
-    return series
-
-
-def _padd(a, b, zero):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(x + y)
-    return out
-
-
-def _psub(a, b, zero):
-    return _padd(a, [-c for c in b], zero)
-
-
-def _pmul(a, b, zero):
-    if not a or not b:
-        return []
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 def compatibility_residual(iso, flow, order, extra=None):
     """h dL/dt - h dA/dx - [A, L] with the Darboux pair fed by `flow`.
 
@@ -479,93 +446,15 @@ def compatibility_residual(iso, flow, order, extra=None):
     equations there.
     """
     prec = order + 1
-    E = flow.field
-    qn = getattr(flow, "qname", "q")
-    pn = getattr(flow, "pname", "p")
-    q_s = _cap(flow.q, prec)
-    p_s = _cap(flow.p, prec)
-    zE = E.zero()
+    zero = Mat2.zero(RatFn.zero(flow.field, iso.lax.var))
 
-    def const(v):
-        return HbarSeries.constant(v, prec, zE)
+    def along(mat):
+        return Series(0, hbar_matrix_series(mat, flow, order, extra), prec,
+                      zero)
 
-    tE = parse_element(iso.tname, E)
-    vals = {iso.tname: const(tE), qn: q_s, pn: p_s}
-    if extra:
-        for name, v in extra.items():
-            vals[name] = const(E.coerce(v))
-    one_h = const(E.one())
-
-    L = assemble(iso.lax)
-    A = iso.aux
-    field, var = iso.lax.field, iso.lax.var
-
-    # clear every denominator at once: residual * P^2 is polynomial in x
-    P = Poly.one(field, var)
-    for e in L.entries() + A.entries():
-        g = poly_gcd(P, e.den)
-        P = P * (e.den // g)
-
-    def numerator(e):
-        ne = e * RatFn(P)
-        if not ne.is_poly():
-            raise ValueError("common denominator failed to clear %r" % (e,))
-        return ne.as_poly()
-
-    def sub(p):
-        return [substitute(c, vals, one_h) for c in p.coeffs]
-
-    NL = [sub(numerator(e)) for e in L.entries()]
-    NA = [sub(numerator(e)) for e in A.entries()]
-    Ps = sub(P)
-    Px = sub(P.deriv())
-    zero_h = HbarSeries(prec, [], prec, zE)
-
-    def ddt(coeffs):
-        return [c.map_coeffs(E.diff) for c in coeffs]
-
-    def ddx(coeffs):
-        return [c * (i + 1) for i, c in enumerate(coeffs[1:])]
-
-    def hshift(coeffs):
-        return [c.shift(1) for c in coeffs]
-
-    Pt = ddt(Ps)
-    a, b, c, d = range(4)
-
-    def mul(i, j):
-        return _pmul(i, j, zero_h)
-
-    # [A, L] entrywise on the cleared numerators
-    comm_a = _psub(_padd(mul(NA[a], NL[a]), mul(NA[b], NL[c]), zero_h),
-                   _padd(mul(NL[a], NA[a]), mul(NL[b], NA[c]), zero_h),
-                   zero_h)
-    comm_b = _psub(_padd(mul(NA[a], NL[b]), mul(NA[b], NL[d]), zero_h),
-                   _padd(mul(NL[a], NA[b]), mul(NL[b], NA[d]), zero_h),
-                   zero_h)
-    comm_c = _psub(_padd(mul(NA[c], NL[a]), mul(NA[d], NL[c]), zero_h),
-                   _padd(mul(NL[c], NA[a]), mul(NL[d], NA[c]), zero_h),
-                   zero_h)
-    comm_d = _psub(_padd(mul(NA[c], NL[b]), mul(NA[d], NL[d]), zero_h),
-                   _padd(mul(NL[c], NA[b]), mul(NL[d], NA[d]), zero_h),
-                   zero_h)
-    comms = [comm_a, comm_b, comm_c, comm_d]
-
-    res = []
-    for k in range(4):
-        t_term = _psub(mul(ddt(NL[k]), Ps), mul(NL[k], Pt), zero_h)
-        x_term = _psub(mul(ddx(NA[k]), Ps), mul(NA[k], Px), zero_h)
-        res.append(_psub(_psub(hshift(t_term), hshift(x_term), zero_h),
-                         comms[k], zero_h))
-
-    den_E = Poly(E, [s.coeff(0) for s in Ps], var)
-    den2 = den_E * den_E
-    z_out = Mat2.zero(RatFn.zero(E, var))
-    mats = []
-    for j in range(prec):
-        entries = []
-        for k in range(4):
-            cj = [s.coeff(j) if j < s.prec else zE for s in res[k]]
-            entries.append(RatFn(Poly(E, cj, var), den2))
-        mats.append(Mat2(*entries))
-    return HbarSeries(0, mats, prec, z_out)
+    L = along(assemble(iso.lax))
+    A = along(iso.aux)
+    dL = L.map_coeffs(lambda m: m.map(lambda e: e.tderiv()))
+    dA = A.map_coeffs(lambda m: m.map(lambda e: e.deriv()))
+    res = (dL - dA).shift(1) - (A * L - L * A)
+    return res.truncate(prec)

@@ -78,9 +78,6 @@ class Mat2:
         # scalar * matrix
         return self.map(lambda e: other * e)
 
-    def scale(self, s):
-        return self.map(lambda e: e * s)
-
     def trace(self):
         return self.a + self.d
 
@@ -343,10 +340,6 @@ def hamiltonians(system):
                 % (pole,))
         entries[(nu, order)] = c
     return HamiltonianSet(system.field, system.poles, entries, system.var)
-
-
-def classify_casimirs(hams):
-    return hams.classify()
 
 
 def auxiliary_matrix(system, nu, i, sigma=None, beta=None):

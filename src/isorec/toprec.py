@@ -27,7 +27,7 @@ import itertools
 
 from .errors import (NonSimpleBranchpoint, InvalidPoleStructure,
                      UnexpectedPole)
-from .exactmath import (FunctionField, LocalSeries, RatFn, local_expand,
+from .exactmath import (FunctionField, RatFn, Series, local_expand,
                         partial_fractions)
 from .spectralcurve import ONE_BRANCH
 
@@ -200,7 +200,7 @@ class BranchWindow:
     """
 
     __slots__ = ("kind", "field", "s", "point", "prec", "sig", "sig_prime",
-                 "dinv", "phi", "_xi_cache", "_sig_pows")
+                 "dinv", "_xi_cache", "_sig_pows")
 
     def __init__(self, U, s, prec):
         E = U.field
@@ -212,10 +212,11 @@ class BranchWindow:
         one = E.one()
         if U.kind == ONE_BRANCH:
             # sigma(z) = -z: wt = -w exactly
-            self.sig = LocalSeries(E, self.point, 1, [-one], prec + 2)
+            self.sig = Series(1, [-one], prec + 2, E.zero(), self.point)
         else:
             # sigma(z) = 1/z: wt = -s w/(s+w)
-            base = LocalSeries(E, self.point, 0, [self.point, one], prec + 1)
+            base = Series(0, [self.point, one], prec + 1, E.zero(),
+                          self.point)
             self.sig = (base.inverse() * (-self.point)).shift(1)
         self.sig_prime = self.sig.deriv()
         dd = local_expand((U.y * U.x.deriv()) * 4, self.point, prec)
@@ -224,7 +225,6 @@ class BranchWindow:
                 "omega01(z) - omega01(sigma z) vanishes to order %s at z=%s "
                 "(order 2 required)" % (dd.valuation() if dd else "all", s))
         self.dinv = dd.inverse()
-        self.phi = None  # filled lazily by symplectic_invariants
         self._xi_cache = {}
         self._sig_pows = {1: self.sig}
 
@@ -237,7 +237,8 @@ class BranchWindow:
 
     def monomial(self, k, c=None):
         one = self.field.one() if c is None else c
-        return LocalSeries(self.field, self.point, k, [one], k + 3 * self.prec)
+        return Series(k, [one], k + 3 * self.prec, self.field.zero(),
+                      self.point)
 
     def xi(self, s2, k, sheet):
         """Window of dz/(z-s2)^k at z = s+w (sheet 0) or sigma(z) (sheet 1).
@@ -252,8 +253,8 @@ class BranchWindow:
             if s2 == self.s:
                 out = self.monomial(-k)
             else:
-                base = LocalSeries(E, self.point, 0,
-                                   [self.point - E.coerce(s2), one], self.prec)
+                base = Series(0, [self.point - E.coerce(s2), one], self.prec,
+                              E.zero(), self.point)
                 out = base.inverse() ** k
         else:
             if s2 == self.s:

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from isorec.errors import IrreducibleDenominator, TruncationTooShort
 from isorec.exactmath import (
-    INF, FunctionField, HbarSeries, LocalSeries, Poly, QQ,
+    INF, FunctionField, HbarSeries, Poly, QQ,
     QuadraticExtension, RatFn, local_expand, parse_element,
     partial_fractions, poly_gcd, poly_sqrt, recombine, residue,
     residue_sum_check, roots_in_field, squarefree_decomposition,
 )
+from isorec.laxsystem import Mat2
 
 Qt = FunctionField(QQ, "t")
 
@@ -333,13 +334,17 @@ def test_hbar_series_inverse():
     assert [inv.coeff(k) for k in range(4)] == [1, 1, 1, 1]
 
 
-def test_local_series_ramification():
-    s = LocalSeries(QQ, INF, 1, [Fraction(2), Fraction(3)], 3)
-    r = s.with_ram(2)
-    assert r.ram == 2
-    assert r.coeff(2) == 2 and r.coeff(3) == 0 and r.coeff(4) == 3
-    with pytest.raises(TruncationTooShort):
-        r.coeff(5)
+def test_series_product_keeps_coefficient_order():
+    # matrix coefficients do not commute: (A + B h)(C + D h) has h term AD + BC
+    def m(*entries):
+        return Mat2(*(Fraction(e) for e in entries))
+
+    A, B, C, D = m(1, 2, 0, 1), m(0, 1, 1, 0), m(1, 0, 3, 1), m(2, 0, 0, -1)
+    assert A * D + B * C != D * A + C * B
+    zero = m(0, 0, 0, 0)
+    prod = HbarSeries(0, [A, B], 2, zero) * HbarSeries(0, [C, D], 2, zero)
+    assert prod.coeff(0) == A * C
+    assert prod.coeff(1) == A * D + B * C
 
 
 def test_local_series_inverse_precision():

@@ -8,6 +8,7 @@ from isorec.errors import (CasePreconditionViolated, NoDeformation,
                            OrderMismatch, PlanMismatch)
 from isorec.exactmath import (QQ, FunctionField, HbarSeries,
                               QuadraticExtension, parse_element)
+from isorec.hamflow import extend_flow, leading_order
 from isorec.isodeform import (CASE_HIGHER_POLE, CASE_INFINITY,
                               CASE_SIMPLE_POLE, DeformCase,
                               build_isosystem, compatibility_residual,
@@ -342,6 +343,18 @@ def test_compatibility_detects_wrong_leading_point():
     p = HbarSeries(1, [], 1, E.zero())
     res = compatibility_residual(iso, _Flow(E, q, p), 0)
     assert res
+
+
+def test_compatibility_through_hbar4_painleve1():
+    iso = build_isosystem(painleve1_isospectral(), beta="q")
+    H = parse_element("-2*p^2 + 2*q^3 + 4*t*q", iso.lax.field)
+    flow = extend_flow(H, leading_order(H), 4)
+    assert not compatibility_residual(iso, flow, 4)
+    # a wrong q_3 leaves the lower orders alone and shows at its own order
+    flow.q.coeffs[3] = flow.q.coeffs[3] + flow.field.one()
+    res = compatibility_residual(iso, flow, 4)
+    assert not any(res.coeff(k) for k in range(3))
+    assert res.coeff(3)
 
 
 def test_hamiltonian_of_deformed_painleve1():

@@ -10,8 +10,8 @@ from isorec.errors import (DegenerateOrbit, IndexOutOfRange, NonGenericOrbit,
 from isorec.exactmath import (FunctionField, HbarSeries, Poly, QQ, RatFn,
                               parse_element)
 from isorec.laxsystem import (Mat2, PoleData, SIGMA3, SIGMA_PLUS, Sl2Lax,
-                              assemble, auxiliary_matrix, classify_casimirs,
-                              darboux, from_quadratic, hamiltonians,
+                              assemble, auxiliary_matrix, darboux,
+                              from_quadratic, hamiltonians,
                               orbit_representative)
 
 
@@ -146,7 +146,7 @@ def test_reassembly_invariant():
 
 
 def test_classify_painleve1():
-    flags = classify_casimirs(hamiltonians(painleve1()))
+    flags = hamiltonians(painleve1()).classify()
     assert flags[(0, 2)] == "casimir"
     assert flags[(0, 3)] == "casimir"
     assert flags[(0, 0)] == "dynamical"
