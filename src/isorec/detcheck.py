@@ -4,10 +4,12 @@ that identifies those correlators with the topological-recursion
 differentials of the classical spectral curve.
 
 Everything is exact.  The square root of -det A^(0) is never a symbol: it is
-realized on the rational double cover as -alpha*y, which turns every formula
-here into plain rational-function arithmetic.  Multi-variable correlators are
-kept in a separated form (products of one-variable functions over powers of
-x(z_i) - x(z_j)) so that no computation ever enters a nested field tower.
+realized as -alpha*y in the double cover E(x)[y]/(y^2 - Q) of the classical
+curve (ClassicalCurve.cover), which turns every formula here into
+rational-function arithmetic on its two components.  Multi-variable
+correlators are kept in a separated form (products of one-variable functions
+over powers of x(z_i) - x(z_j)) so that no computation ever enters a nested
+field tower.
 """
 
 import itertools
@@ -15,14 +17,15 @@ from math import comb
 
 from .errors import (CasePreconditionViolated, DegenerateAZero,
                      IdentityFailed, TruncationTooShort, UnexpectedPole)
-from .exactmath import (FunctionField, Poly, RatFn, local_expand, poly_gcd,
+from .exactmath import (ExtElem, FunctionField, Poly, RatFn, evaluate,
+                        local_expand, partial_derivation, poly_gcd,
                         split_linear_factors)
 from .hamflow import hbar_matrix_series, hbar_series
 from .laxsystem import Mat2, assemble
-from .spectralcurve import (CurveFn, ONE_BRANCH, TWO_BRANCH, classical_curve,
+from .spectralcurve import (ONE_BRANCH, TWO_BRANCH, classical_curve, pullback,
                             uniformize)
-from .toprec import PoleBasisForm, _branch_ints, eo_differentials, \
-    symplectic_invariants
+from .toprec import (PoleBasisForm, _branch_ints, adjacent_transpositions,
+                     eo_differentials, symplectic_invariants)
 
 
 def beta_factor(aux):
@@ -64,27 +67,25 @@ def m_zero(A0, curve=None):
     if curve is None:
         curve = classical_curve(A0)
     E, var = curve.field, curve.var
-    L0 = curve.L0
     half = RatFn.const(E, E.one() / E.coerce(2), var)
+    zero = RatFn.zero(E, var)
     den = curve.Q + curve.Q
-    ents = []
-    for i, e in enumerate(L0.entries()):
-        f = half if i in (0, 3) else RatFn.zero(E, var)
-        ents.append(CurveFn(curve, f, -e / den))
-    return Mat2(*ents)
+    return Mat2(*(ExtElem(curve.cover, half if i in (0, 3) else zero, -e / den)
+                  for i, e in enumerate(curve.L0.entries())))
 
 
-def m_next(k, history, ahat, beta, curve):
+def m_next(k, history, ahat, beta, curve, dt):
     """One step of the recursion determining M^(k) from M^(0..k-1).
 
     `history` holds the earlier coefficients, `ahat` the polynomial
-    auxiliary matrix coefficients (both Mat2 of CurveFn), `beta` the cleared
-    denominator as a RatFn over the scalar field.  The commutator equation
+    auxiliary matrix coefficients (both Mat2 over curve.cover), `beta` the
+    cleared denominator as a RatFn over the scalar field, `dt` the time
+    derivation of curve.cover at fixed x.  The commutator equation
     [A-hat^(0), M^(k)] = RHS fixes M^(k) up to its diagonal trace part, and
     the order-k projector identity supplies the missing scalar equation.
     """
     E, var = curve.field, curve.var
-    rhs = history[k - 1].map(lambda e: e.dt() * beta)
+    rhs = history[k - 1].map(lambda e: dt(e) * beta)
     for j in range(k):
         am = ahat[k - j] * history[j]
         ma = history[j] * ahat[k - j]
@@ -106,7 +107,7 @@ def m_next(k, history, ahat, beta, curve):
         r4 = piece if r4 is None else r4 + piece
 
     alpha = curve.alpha if curve.alpha is not None else RatFn.one(E, var)
-    s_root = CurveFn(curve, RatFn.zero(E, var), -alpha)
+    s_root = ExtElem(curve.cover, RatFn.zero(E, var), -alpha)
     half = RatFn.const(E, E.one() / E.coerce(2), var)
     dinv = (-a0.det()).inverse()
     m1 = (a * r1 + c * r2) * half
@@ -124,9 +125,9 @@ def m_next(k, history, ahat, beta, curve):
 class MSeries:
     """Truncated hbar-expansion of the projector-valued solution M.
 
-    mats[k] is M^(k) as Mat2 of CurveFn; lax and ahat carry L^(k) and the
-    cleared auxiliary coefficients on the same cover, so correlators can be
-    formed without leaving the representation.
+    mats[k] is M^(k) as a Mat2 over curve.cover; lax and ahat carry L^(k)
+    and the cleared auxiliary coefficients on the same cover, so correlators
+    can be formed without leaving the representation.
     """
 
     __slots__ = ("curve", "U", "order", "mats", "lax", "ahat", "beta")
@@ -164,7 +165,7 @@ class MSeries:
     def sheet_defect(self, k):
         """M^(k)(z) + M^(k)(sigma z) minus its required value (I or 0)."""
         m = self.coeff(k)
-        both = m + m.map(lambda e: e.conj())
+        both = m + m.map(lambda e: e.conjugate())
         if k == 0:
             return Mat2(both.a - 1, both.b, both.c, both.d - 1)
         return both
@@ -174,27 +175,27 @@ class MSeries:
         out = []
         for k, m in enumerate(self.mats):
             out.append({"k": k, "entries": [
-                {"f": e.f.to_str(fmt), "g": e.g.to_str(fmt)}
+                {"f": e.a.to_str(fmt), "g": e.b.to_str(fmt)}
                 for e in m.entries()]})
         return {"order": self.order, "mats": out}
 
 
-def m_series(iso, flow, order, extra=None, zvar="z", uname="u", check=True):
+def m_series(iso, flow, order):
     """Drive the whole construction: expand (L, A-hat) along the flow, build
     the classical curve and its cover, then recurse M^(0) .. M^(order).
 
-    With check=True the a-posteriori singularity statements are verified:
-    poles of every M^(k) only over branchpoints (and over x = infinity when
-    the growth case allows it), with the entry-wise degree bounds in the two
+    The a-posteriori singularity statements are then verified: poles of
+    every M^(k) only over branchpoints (and over x = infinity when the
+    growth case allows it), with the entry-wise degree bounds in the two
     classified growth cases.
     """
-    lser = hbar_matrix_series(assemble(iso.lax), flow, order, extra)
+    lser = hbar_matrix_series(assemble(iso.lax), flow, order)
     beta_t, ahat_t = beta_factor(iso.aux)
-    aser = hbar_matrix_series(ahat_t, flow, order, extra)
-    beta_E = _constant_in_hbar(hbar_series(RatFn(beta_t), flow, order, extra))
+    aser = hbar_matrix_series(ahat_t, flow, order)
+    beta_E = _constant_in_hbar(hbar_series(RatFn(beta_t), flow, order))
 
     curve = classical_curve(lser[0], aser[0])
-    U = uniformize(curve, zvar, uname)
+    U = uniformize(curve)
     if U.field is not curve.field:
         up = U.field.coerce
         lser = [m.map(lambda e: e.map_coeffs(up, U.field)) for m in lser]
@@ -202,15 +203,15 @@ def m_series(iso, flow, order, extra=None, zvar="z", uname="u", check=True):
         beta_E = beta_E.map_coeffs(up, U.field)
         curve = classical_curve(lser[0], aser[0])
 
-    lift = lambda m: m.map(lambda e: CurveFn(curve, e))
-    acf = [lift(m) for m in aser]
-    lcf = [lift(m) for m in lser]
+    K = curve.cover
+    acf = [m.map(K.coerce) for m in aser]
+    lcf = [m.map(K.coerce) for m in lser]
+    dt = partial_derivation(K, iso.tname)
     mats = [m_zero(aser[0], curve)]
     for k in range(1, order + 1):
-        mats.append(m_next(k, mats, acf, beta_E, curve))
+        mats.append(m_next(k, mats, acf, beta_E, curve, dt))
     mser = MSeries(curve, U, order, mats, lcf, acf, beta_E)
-    if check:
-        check_singularities(mser)
+    check_singularities(mser)
     return mser
 
 
@@ -227,7 +228,7 @@ def check_singularities(mser):
     U = mser.U
     E = U.field
     d0 = -mser.ahat[0].det()
-    degd = d0.f.num.degree() if d0.f.is_poly() else None
+    degd = d0.a.num.degree() if d0.a.is_poly() else None
     growth = None
     if degd == 2 and U.kind == TWO_BRANCH:
         growth = "bounded"
@@ -240,7 +241,7 @@ def check_singularities(mser):
 
     for k, m in enumerate(mser.mats):
         for ent in m.entries():
-            fz = ent.to_z(U)
+            fz = pullback(ent, U)
             if not fz:
                 continue
             roots, rest = split_linear_factors(fz.den, hints=allowed)
@@ -307,17 +308,16 @@ class ProductForm:
         return self + other.scaled(-self.U.field.one())
 
     def evaluate(self, args):
-        """Plug in one value per slot.  Values may be scalars of the field
-        or elements of a rational-function tower over it."""
+        """Plug in one scalar of the field per slot."""
         E = self.U.field
         if len(args) != self.n:
             raise ValueError("expected %d arguments" % self.n)
-        xs = [_eval_at(self.U.x, a) for a in args]
+        xs = [self.U.x(a) for a in args]
         tot = None
         for coef, facs, coup in self.terms:
             v = None
             for f, arg in zip(facs, args):
-                fv = _eval_at(f, arg)
+                fv = f(arg)
                 v = fv if v is None else v * fv
             v = v * coef if v is not None else coef
             for (i, j), e in coup.items():
@@ -337,9 +337,12 @@ class ProductForm:
             nf = tuple(facs[perm[i]] for i in range(self.n))
             nc = {}
             for (i, j), e in coup.items():
-                key = (inv[i], inv[j])
-                key = key if key[0] < key[1] else (key[1], key[0])
-                nc[key] = nc.get(key, 0) + e
+                i, j = inv[i], inv[j]
+                if i > j:
+                    # (x_j - x_i)^e = (-1)^e (x_i - x_j)^e
+                    i, j = j, i
+                    coef = -coef if e % 2 else coef
+                nc[(i, j)] = e
             out.add(coef, nf, nc)
         return out
 
@@ -353,11 +356,11 @@ class ProductForm:
             return False
         return _sep_zero(self.U.field, self._cleared())
 
-    def _probe(self, shift=0):
+    def _probe(self):
         # small primes: never branch z-points, never x-equal in pairs
         E = self.U.field
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-        args = [E.coerce(b) for b in primes[shift:shift + self.n]]
+        args = [E.coerce(b) for b in primes[:self.n]]
         return self.evaluate(args)
 
     def _cleared(self):
@@ -429,22 +432,21 @@ class ProductForm:
 
     # -- extraction onto the branchpoint pole basis -----------------------
 
-    def to_pbf(self, verify=True):
+    def to_pbf(self):
         """Decompose over the pole basis, with proof of zero remainder.
 
         Extraction walks the slots from the last to the first, expanding
         around each branch z-point; couplings contribute Taylor factors
-        whose coefficients are rational in the remaining slots.  With
-        verify=True the extracted form is subtracted back and the
-        difference is checked to vanish identically.
+        whose coefficients are rational in the remaining slots.  The
+        extracted form is then subtracted back and the difference is
+        checked to vanish identically.
         """
         pbf = self._extract()
-        if verify:
-            diff = self - _pbf_product(pbf, self.U, self.n)
-            if not diff.is_zero():
-                raise UnexpectedPole(
-                    "a correlator coefficient does not reduce to the "
-                    "branchpoint pole basis")
+        diff = self - _pbf_product(pbf, self.U, self.n)
+        if not diff.is_zero():
+            raise UnexpectedPole(
+                "a correlator coefficient does not reduce to the "
+                "branchpoint pole basis")
         return pbf
 
     def _extract(self):
@@ -627,13 +629,6 @@ def _pbf_product(pbf, U, n):
     return out
 
 
-def _eval_at(f, v):
-    if isinstance(v, RatFn):
-        B = v.field
-        return f.map_coeffs(B.coerce, B)(v)
-    return f(v)
-
-
 # --- connected correlators ---------------------------------------------------
 
 class CorrelatorSeries:
@@ -665,10 +660,6 @@ class CorrelatorSeries:
                 "W_%d computed for orders 0..%d" % (n, self.order))
         return self.wn[(n, k)]
 
-    def wtilde(self, g, n):
-        """The (g, n) coefficient in the genus grading k = 2g - 2 + n."""
-        return self.form(n, 2 * g - 2 + n)
-
     def pole_basis(self, n, k):
         """Decomposition over the branchpoint basis, with zero remainder."""
         if (n, k) not in self._basis:
@@ -680,6 +671,13 @@ class CorrelatorSeries:
             self._basis[(n, k)] = pbf
         return self._basis[(n, k)]
 
+    def _basis_json(self, n, k):
+        try:
+            return {"kind": "pole-basis",
+                    "rows": self.pole_basis(n, k).to_json()}
+        except UnexpectedPole as err:
+            return {"kind": "no-basis", "reason": str(err)}
+
     def to_json(self):
         E = self.U.field
         out = {"order": self.order, "nmax": self.nmax, "correlators": {}}
@@ -687,9 +685,7 @@ class CorrelatorSeries:
         for k in ks:
             tag = "1,%d" % k
             if k >= 1 and (k - 1) % 2 == 0:
-                out["correlators"][tag] = {
-                    "kind": "pole-basis", "rows": self.pole_basis(1, k)
-                    .to_json()}
+                out["correlators"][tag] = self._basis_json(1, k)
             else:
                 out["correlators"][tag] = {
                     "kind": "closed",
@@ -701,9 +697,7 @@ class CorrelatorSeries:
                     "kind": "two-point",
                     "diagonal": "double pole, matches the Bergman kernel"}
             elif (k - n) % 2 == 0 and k >= 1:
-                out["correlators"][tag] = {
-                    "kind": "pole-basis",
-                    "rows": self.pole_basis(n, k).to_json()}
+                out["correlators"][tag] = self._basis_json(n, k)
             else:
                 out["correlators"][tag] = {
                     "kind": "vanishing" if not self.wn[(n, k)].terms
@@ -711,7 +705,7 @@ class CorrelatorSeries:
         return out
 
 
-def correlators(mser, nmax, order=None):
+def correlators(mser, nmax):
     """Traces of products of M against the cyclic coupling denominators.
 
     W_1 = Tr(L M) dx / hbar; for n >= 2 the correlator is
@@ -719,12 +713,7 @@ def correlators(mser, nmax, order=None):
     the cyclic product of differences.  Coefficients are returned times
     prod x'(z_i), i.e. as coefficients of prod dz_i.
     """
-    if order is None:
-        order = mser.order
-    if order > mser.order:
-        raise TruncationTooShort(
-            "M computed to order %d, correlators to %d requested"
-            % (mser.order, order))
+    order = mser.order
     U = mser.U
     E = U.field
     xp = U.x.deriv()
@@ -775,7 +764,7 @@ def correlators(mser, nmax, order=None):
 
 
 def _matrix_on_cover(m, U):
-    e = [x.to_z(U) for x in m.entries()]
+    e = [pullback(x, U) for x in m.entries()]
     return [[e[0], e[1]], [e[2], e[3]]]
 
 
@@ -790,7 +779,7 @@ def _compositions(k, n):
 
 # --- the verification battery ------------------------------------------------
 
-def verify_tt(mser, cors, eo=None):
+def verify_tt(mser, cors):
     """Run the six defining checks and the recursion comparison.
 
     Returns a JSON-ready report: per-clause {pass, witnesses}, the
@@ -815,18 +804,15 @@ def verify_tt(mser, cors, eo=None):
             zero_known[(n, k)] = (not f) if n == 1 else f.is_zero()
         return zero_known[(n, k)]
 
-    # symmetry of every multi-variable coefficient (probes on the separated
-    # form; the extracted basis rows get the exact check below)
+    # exact symmetry of every multi-variable coefficient
     for (n, k) in sorted(cors.wn):
         pf = cors.wn[(n, k)]
-        base = pf._probe()
-        for perm in itertools.permutations(range(n)):
-            shuffled = pf.permuted(list(perm))._probe()
-            if shuffled != base:
+        for tau in adjacent_transpositions(n):
+            if not (pf - pf.permuted(tau)).is_zero():
                 clauses["2"]["pass"] = False
                 clauses["2"]["witnesses"].append(
-                    {"n": n, "k": k, "perm": list(perm),
-                     "reason": "asymmetric sample value"})
+                    {"n": n, "k": k, "perm": tau,
+                     "reason": "not symmetric under the transposition"})
                 break
 
     # parity: orders of the wrong parity vanish identically
@@ -873,8 +859,8 @@ def verify_tt(mser, cors, eo=None):
             {"n": 2, "k": 0, "reason": "W_2^(0) differs from the Bergman "
              "kernel"})
 
-    stable = [(g, n) for (g, n) in _stable_rows(cors)]
-    if eo is None and stable:
+    stable = list(_stable_rows(cors))
+    if stable:
         gmax = max(g for g, _ in stable)
         nmax = max(n for _, n in stable)
         eo = eo_differentials(U.flipped(), max(gmax, 0), max(nmax, 1))
@@ -930,13 +916,13 @@ def _bergman_match(mser, cors):
     F2 = FunctionField(F1, "z2")
     z1 = F2.coerce(F1.gen())
     z2 = F2.gen()
-    x1 = _eval_at(U.x, z1)
-    x2 = _eval_at(U.x, z2)
+    x1 = evaluate(U.x, z1, F1)
+    x2 = evaluate(U.x, z2, F1)
     num = None
     for coef, facs, coup in pf.terms:
         if coup != {(0, 1): 2}:
             return False
-        v = _eval_at(facs[0], z1) * _eval_at(facs[1], z2) * coef
+        v = evaluate(facs[0], z1, F1) * evaluate(facs[1], z2, F1) * coef
         num = v if num is None else num + v
     if num is None:
         return False
@@ -949,7 +935,7 @@ def _bergman_match(mser, cors):
     refl = None
     for r in range(2):
         for c in range(2):
-            piece = _eval_at(mz0[r][c], w) * _eval_at(mz0[c][r], sw)
+            piece = evaluate(mz0[r][c], w, E) * evaluate(mz0[c][r], sw, E)
             refl = piece if refl is None else refl + piece
     return not refl
 

@@ -4,19 +4,19 @@ Q -> Q(t) -> Q(t)[u] field tower, and one truncated Laurent series type
 and HbarSeries are other names for it.  No floating point anywhere."""
 
 from .fields import (ExtElem, FunctionField, QQ, QuadraticExtension,
-                     RationalField, parse_element, partial_derivation,
-                     substitute)
+                     RationalField, adjoin_roots, parse_element,
+                     partial_derivation, substitute)
 from .poly import Poly, poly_gcd, poly_sqrt, squarefree_decomposition
-from .ratfn import (RatFn, local_expand, partial_fractions, recombine,
-                    residue, residue_sum_check, roots_in_field,
+from .ratfn import (RatFn, evaluate, local_expand, partial_fractions,
+                    recombine, residue, residue_sum_check, roots_in_field,
                     split_linear_factors)
 from .series import HbarSeries, INF, LocalSeries, Series
 
 __all__ = [
     "ExtElem", "FunctionField", "HbarSeries", "INF", "LocalSeries", "Poly",
     "QQ", "QuadraticExtension", "RatFn", "RationalField", "Series",
-    "local_expand", "parse_element", "partial_derivation",
-    "partial_fractions", "poly_gcd", "poly_sqrt", "recombine", "residue",
-    "residue_sum_check", "roots_in_field", "split_linear_factors",
-    "squarefree_decomposition", "substitute",
+    "adjoin_roots", "evaluate", "local_expand", "parse_element",
+    "partial_derivation", "partial_fractions", "poly_gcd", "poly_sqrt",
+    "recombine", "residue", "residue_sum_check", "roots_in_field",
+    "split_linear_factors", "squarefree_decomposition", "substitute",
 ]

@@ -375,6 +375,25 @@ class QuadraticExtension:
                                 self.base.to_str(self.r))
 
 
+def adjoin_roots(quad, uname):
+    """Both roots of a monic irreducible quadratic X^2 + bX + c over E.
+
+    Adjoins u with u^2 = -c when b = 0, else u^2 = b^2 - 4c.  Returns
+    (extension, modulus, (minus, plus)) with the roots -u and u, or
+    (-b - u)/2 and (-b + u)/2.
+    """
+    E = quad.field
+    b, c = quad.coeff(1), quad.coeff(0)
+    modulus = b * b - E.coerce(4) * c if b else -c
+    ext = QuadraticExtension(E, modulus, uname)
+    u = ext.u()
+    if not b:
+        return ext, modulus, (-u, u)
+    half = ext.one() / ext.coerce(2)
+    bb = ext.coerce(b)
+    return ext, modulus, ((-bb - u) * half, (-bb + u) * half)
+
+
 # ---------------------------------------------------------------------------
 # derivations along a chosen tower variable, and substitution
 
@@ -421,8 +440,9 @@ def substitute(elem, values, one):
     if isinstance(elem, RatFn):
         x = values[elem.var]
         num = _subst_poly(elem.num, x, values, one)
-        den = _subst_poly(elem.den, x, values, one)
-        return num / den
+        if elem.is_poly():
+            return num  # RatFn keeps a constant denominator at 1
+        return num / _subst_poly(elem.den, x, values, one)
     return elem * one
 
 

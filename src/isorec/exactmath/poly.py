@@ -56,9 +56,6 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def is_const(self):
-        return len(self.coeffs) <= 1
-
     def leading(self):
         if not self.coeffs:
             return self.field.zero()

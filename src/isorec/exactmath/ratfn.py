@@ -54,10 +54,6 @@ class RatFn:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_poly(cls, p):
-        return cls(p)
-
-    @classmethod
     def const(cls, field, c, var):
         return cls(Poly.const(field, c, var))
 
@@ -234,6 +230,14 @@ class RatFn:
 
     def __repr__(self):
         return "RatFn(%s)" % self.to_str()
+
+
+def evaluate(f, value, ring):
+    """f(value) for a value over `ring`: f's coefficients are coerced into
+    `ring` first, so a constant f also lands there."""
+    if f.field != ring:
+        f = f.map_coeffs(ring.coerce, ring)
+    return f(value)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ and matrices in x, as isodeform and detcheck need.
 from __future__ import annotations
 
 from .errors import OrderMismatch, SingularHessian, UnsolvableInTower
-from .exactmath import (Poly, QuadraticExtension, RatFn, Series,
+from .exactmath import (Poly, RatFn, Series, adjoin_roots, evaluate,
                         partial_derivation, split_linear_factors,
                         squarefree_decomposition, substitute)
 from .exactmath.fields import FunctionField, _generators
@@ -116,21 +116,8 @@ def _factor_roots(poly, root, uname):
     if quad is None:
         raise UnsolvableInTower(
             "no critical point within one quadratic extension of %r" % (E,))
-    b = quad.coeff(1)
-    c = quad.coeff(0)
-    two = E.coerce(2)
-    if not b:
-        r = -c  # monic: q^2 + c = 0  ->  q^2 = -c
-        ext = QuadraticExtension(E, r, uname)
-        u = ext.u()
-        val = u if root == "plus" else -u
-        return val, ext, r
-    disc = b * b - E.coerce(4) * c
-    ext = QuadraticExtension(E, disc, uname)
-    u = ext.u()
-    pick = u if root == "plus" else -u
-    val = (pick - ext.coerce(b)) / ext.coerce(two)
-    return val, ext, disc
+    ext, modulus, (minus, plus) = adjoin_roots(quad, uname)
+    return (plus if root == "plus" else minus), ext, modulus
 
 
 def leading_order(H, root="plus", uname="u"):
@@ -158,7 +145,7 @@ def leading_order(H, root="plus", uname="u"):
                 "critical locus is a curve, not a point")
         q0, field, modulus = _factor_roots(g.num, root, uname)
         try:
-            p0 = _eval_ratfn(psol, q0, field)
+            p0 = evaluate(psol, q0, field)
         except ZeroDivisionError:
             raise UnsolvableInTower(
                 "eliminated momentum has a pole at the critical point")
@@ -173,7 +160,7 @@ def leading_order(H, root="plus", uname="u"):
                 "dH/dp is a nonzero constant: no critical point")
         # dH/dp depends on q only: root it, then solve dH/dq for p
         q0, field, modulus = _factor_roots(cq.num, root, uname)
-        hq_at = Hq.map_coeffs(lambda e: _eval_ratfn(e, q0, field), field)
+        hq_at = Hq.map_coeffs(lambda e: evaluate(e, q0, field), field)
         if not hq_at:
             raise UnsolvableInTower("critical locus is a curve, not a point")
         p0, field2, modulus2 = _factor_roots(hq_at.num, root, uname)
@@ -189,20 +176,6 @@ def leading_order(H, root="plus", uname="u"):
         % np_.degree())
 
 
-def _eval_ratfn(f, value, field):
-    """Evaluate a RatFn at a point of a (possibly larger) field."""
-    num = _eval_poly(f.num, value, field)
-    den = _eval_poly(f.den, value, field)
-    return num / den
-
-
-def _eval_poly(p, value, field):
-    acc = field.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * value + field.coerce(c)
-    return acc
-
-
 def _cap(series, prec):
     if series.prec < prec:
         raise OrderMismatch(
@@ -213,13 +186,12 @@ def _cap(series, prec):
     return series
 
 
-def flow_values(flow, prec, extra=None):
+def flow_values(flow, prec):
     """Assignment that makes substitute() evaluate along a flow.
 
     `flow` is anything with .q, .p, .field and optional .qname/.pname.
-    Every generator of flow.field stands for itself, the Darboux pair for
-    the flow's series cut to hbar^(prec-1), and `extra` assigns constants
-    to any further symbols.  Returns (values, one) for
+    Every generator of flow.field stands for itself and the Darboux pair
+    for the flow's series cut to hbar^(prec-1).  Returns (values, one) for
     substitute(elem, values, one), which then yields an hbar series.
     """
     E = flow.field
@@ -231,12 +203,10 @@ def flow_values(flow, prec, extra=None):
     vals = {name: const(g) for name, g in _generators(E).items()}
     vals[getattr(flow, "qname", "q")] = _cap(flow.q, prec)
     vals[getattr(flow, "pname", "p")] = _cap(flow.p, prec)
-    for name, v in (extra or {}).items():
-        vals[name] = const(E.coerce(v))
     return vals, const(E.one())
 
 
-def hbar_series(f, flow, order, extra=None):
+def hbar_series(f, flow, order):
     """A rational function in x over the (q, p) tower, along the flow.
 
     Returns an hbar series through hbar^order whose coefficients are
@@ -244,7 +214,7 @@ def hbar_series(f, flow, order, extra=None):
     """
     prec = order + 1
     E = flow.field
-    vals, one = flow_values(flow, prec, extra)
+    vals, one = flow_values(flow, prec)
     zero = RatFn.zero(E, f.var)
 
     def expand(p):
@@ -256,9 +226,9 @@ def hbar_series(f, flow, order, extra=None):
     return num if f.is_poly() else num * expand(f.den).inverse()
 
 
-def hbar_matrix_series(mat, flow, order, extra=None):
+def hbar_matrix_series(mat, flow, order):
     """hbar_series of every entry: [Mat2] for hbar^0 .. hbar^order."""
-    cols = [hbar_series(e, flow, order, extra) for e in mat.entries()]
+    cols = [hbar_series(e, flow, order) for e in mat.entries()]
     return [Mat2(*(s.coeff(j) for s in cols)) for j in range(order + 1)]
 
 

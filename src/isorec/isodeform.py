@@ -391,7 +391,7 @@ def _monomial_weight(e, weights):
     return None if not e else Fraction(0)
 
 
-def gauge_normalize(iso, plan, weights=None, qname="q", pname="p"):
+def gauge_normalize(iso, plan, qname="q", pname="p"):
     """Check the plan's homogeneity entry by entry and mark the system.
 
     The exact matrices already are the post-gauge normal form (the
@@ -409,8 +409,6 @@ def gauge_normalize(iso, plan, weights=None, qname="q", pname="p"):
                            "rank %s" % (plan.rank, kind_rank))
     table = {iso.lax.var: plan.d_x, iso.tname: plan.d_t,
              qname: plan.d_q, pname: plan.d_p}
-    if weights:
-        table.update(weights)
     r0 = iso.lax.poles.r0
     d_x = plan.d_x
     if plan.rank == 2:
@@ -434,13 +432,12 @@ def gauge_normalize(iso, plan, weights=None, qname="q", pname="p"):
 # compatibility to a given order in the expansion parameter
 
 
-def compatibility_residual(iso, flow, order, extra=None):
+def compatibility_residual(iso, flow, order):
     """h dL/dt - h dA/dx - [A, L] with the Darboux pair fed by `flow`.
 
     `flow` supplies truncated series q, p over a differential field that
     contains the time (anything with .q, .p, .field and optional
-    .qname/.pname works); `extra` assigns constants to any further symbols
-    of the scalar tower.  Returns the residual as a truncated series whose
+    .qname/.pname works).  Returns the residual as a truncated series whose
     coefficients are matrices of rational functions in x; it vanishes
     identically through the requested order iff the flow solves Hamilton's
     equations there.
@@ -449,7 +446,7 @@ def compatibility_residual(iso, flow, order, extra=None):
     zero = Mat2.zero(RatFn.zero(flow.field, iso.lax.var))
 
     def along(mat):
-        return Series(0, hbar_matrix_series(mat, flow, order, extra), prec,
+        return Series(0, hbar_matrix_series(mat, flow, order), prec,
                       zero)
 
     L = along(assemble(iso.lax))

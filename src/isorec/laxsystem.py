@@ -45,10 +45,6 @@ class Mat2:
     def sigma_plus(cls, one, zero):
         return cls(zero, one, zero, zero)
 
-    @classmethod
-    def sigma_minus(cls, one, zero):
-        return cls(zero, zero, -one, zero)
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 

@@ -9,6 +9,11 @@ branchpoints, and genus 0 limits it to the reduced forms
 
 Both are uniformized by degree-2 rational maps x(z) with involution sigma
 exchanging the sheets.  Sheet 1 is the one where y ~ +sqrt(Q) as z -> inf.
+
+Functions f(x) + g(x) y on the double cover are elements of the quadratic
+extension E(x)[y]/(y^2 - Q) held as ClassicalCurve.cover: conjugate() swaps
+the sheets, cover.diff is d/dx with y' = Q'/(2Q) y, and pullback() takes them
+to rational functions of z.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from __future__ import annotations
 from .errors import (ConfluentBranchpoints, HigherGenus, NilpotentLeading,
                      NoBranchpoints, NotHolomorphicAtBranch, NotProportional,
                      UnsolvableInTower)
-from .exactmath import (Poly, QuadraticExtension, RatFn, squarefree_decomposition,
+from .exactmath import (ExtElem, Poly, QuadraticExtension, RatFn,
+                        adjoin_roots, evaluate, squarefree_decomposition,
                         split_linear_factors, substitute)
 from .exactmath.fields import FunctionField, _generators
 from .laxsystem import assemble
@@ -30,11 +36,12 @@ class ClassicalCurve:
 
     `reduced` is monic squarefree (the odd part of Q), `square` a rational
     function, `c` a scalar; alpha is the proportionality A0 = alpha * L0
-    when an auxiliary matrix was supplied.
+    when an auxiliary matrix was supplied.  `cover` is the double cover,
+    field[var][y]/(y^2 - Q).
     """
 
     __slots__ = ("field", "var", "Q", "square", "reduced", "c", "alpha",
-                 "L0", "A0")
+                 "L0", "A0", "cover")
 
     def __init__(self, field, var, Q, square, reduced, c, alpha, L0, A0):
         self.field = field
@@ -46,6 +53,7 @@ class ClassicalCurve:
         self.alpha = alpha
         self.L0 = L0
         self.A0 = A0
+        self.cover = QuadraticExtension(FunctionField(field, var), Q, "y")
 
     def __repr__(self):
         return "ClassicalCurve(y^2 = %s)" % (self.Q,)
@@ -143,19 +151,14 @@ class Uniformization:
         if self.apply_sigma(y) != -y:
             raise ValueError("y is not involution-odd")
         num = x.deriv().num
+        zg = Poly.gen(field, zvar)
         for s in self.branch_zpoints:
-            num, rem = _strip_once(num, s)
+            num, rem = divmod(num, zg - s)
             if rem:
                 raise ValueError("dx does not vanish at branch z-point %s"
                                  % field.to_str(s))
         if num.degree() != 0:
             raise ValueError("dx vanishes away from the branch z-points")
-
-    def sigma_point(self, z0):
-        """Image of a scalar point under the sheet involution."""
-        if self.kind == TWO_BRANCH:
-            return self.field.one() / z0
-        return -z0
 
     def flipped(self):
         """The same covering with the two sheets relabelled (y -> -y)."""
@@ -187,38 +190,13 @@ class Uniformization:
         return "Uniformization(%s, x=%s)" % (self.kind, self.x)
 
 
-def _strip_once(p, r):
-    """Divide one factor (z - r) out of p: (quotient, remainder-scalar)."""
-    field = p.field
-    out = []
-    acc = field.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * r + c
-        out.append(acc)
-    rem = out.pop()
-    out.reverse()
-    return Poly(field, out, p.var), rem
-
-
 def _two_roots(red, E, uname):
     """Both roots of a monic squarefree quadratic, extending at most once."""
     roots, rest = split_linear_factors(red)
     if len(roots) == 2:
-        vals = [r for r, _ in roots]
-        return vals[0], vals[1], E, None
-    beta = red.coeff(1)
-    gamma = red.coeff(0)
-    if not beta:
-        r = -gamma
-        ext = QuadraticExtension(E, r, uname)
-        u = ext.u()
-        return -u, u, ext, r
-    disc = beta * beta - E.coerce(4) * gamma
-    ext = QuadraticExtension(E, disc, uname)
-    u = ext.u()
-    half = ext.one() / ext.coerce(2)
-    bb = ext.coerce(beta)
-    return (-bb - u) * half, (-bb + u) * half, ext, disc
+        return roots[0][0], roots[1][0], E, None
+    ext, modulus, (minus, plus) = adjoin_roots(red, uname)
+    return minus, plus, ext, modulus
 
 
 def uniformize(curve, zvar="z", uname="u"):
@@ -282,13 +260,13 @@ def uniformize(curve, zvar="z", uname="u"):
                           uname if modulus is not None else None)
 
 
-def curve_from_system(iso, lead, qname="q", pname="p", extra=None):
+def curve_from_system(iso, lead, qname="q", pname="p"):
     """classical_curve of an isomonodromic system at its leading flow."""
-    L0, A0 = leading_matrices(iso, lead, qname, pname, extra)
+    L0, A0 = leading_matrices(iso, lead, qname, pname)
     return classical_curve(L0, A0)
 
 
-def leading_matrices(iso, lead, qname="q", pname="p", extra=None):
+def leading_matrices(iso, lead, qname="q", pname="p"):
     """Substitute the leading Darboux values into (L, A).
 
     `lead` is anything with .field, .q0, .p0 (a hamflow LeadingOrder).
@@ -298,9 +276,6 @@ def leading_matrices(iso, lead, qname="q", pname="p", extra=None):
     scal = dict(_generators(E2))
     scal[qname] = lead.q0
     scal[pname] = lead.p0
-    if extra:
-        for name, v in extra.items():
-            scal[name] = E2.coerce(v)
     one = E2.one()
 
     def down(m):
@@ -311,10 +286,13 @@ def leading_matrices(iso, lead, qname="q", pname="p", extra=None):
 
 
 def pullback(f, U):
-    """f(x(z)): substitute the parametrization into a function of x."""
-    if f.field != U.field:
-        f = f.map_coeffs(U.field.coerce, U.field)
-    return f(U.x)
+    """f(x(z)): substitute the parametrization into a function of x.
+
+    An element f + g y of the double cover goes to f(x(z)) + g(x(z)) y(z).
+    """
+    if isinstance(f, ExtElem):
+        return pullback(f.a, U) + pullback(f.b, U) * U.y
+    return evaluate(f, U.x, U.field)
 
 
 def omega01(curve, U):
@@ -331,138 +309,14 @@ def omega01(curve, U):
     return w
 
 
-def bergman(E, z1="z1", z2="z2"):
+def bergman(E):
     """The genus-0 Bergman kernel dz1 dz2 / (z1 - z2)^2.
 
     Returned as the scalar coefficient: a rational function of z2 over
     E(z1).  Symmetric, double pole on the diagonal, no residue.
     """
-    F1 = FunctionField(E, z1)
-    F2 = FunctionField(F1, z2)
+    F1 = FunctionField(E, "z1")
+    F2 = FunctionField(F1, "z2")
     w1 = F2.coerce(F1.gen())
     diff = F2.gen() - w1
     return F2.one() / (diff * diff)
-
-
-class CurveFn:
-    """f(x) + g(x) y as a function on the double cover, y^2 = Q(x).
-
-    Closed under the field operations; conj() swaps the sheets.  dx() and
-    dt() differentiate using y' = Q'/(2Q) y in the respective variable.
-    """
-
-    __slots__ = ("curve", "f", "g")
-
-    def __init__(self, curve, f, g=None):
-        zero = RatFn.zero(curve.field, curve.var)
-        self.curve = curve
-        self.f = zero + f if not isinstance(f, RatFn) else f
-        if g is None:
-            g = zero
-        self.g = zero + g if not isinstance(g, RatFn) else g
-
-    @classmethod
-    def sheet_root(cls, curve):
-        """The function y itself."""
-        one = RatFn.one(curve.field, curve.var)
-        return cls(curve, one - one, one)
-
-    def _coerce(self, other):
-        if isinstance(other, CurveFn):
-            if other.curve is self.curve or other.curve.Q == self.curve.Q:
-                return other
-            return NotImplemented
-        try:
-            return CurveFn(self.curve, self.f + other - self.f)
-        except TypeError:
-            return NotImplemented
-
-    def __bool__(self):
-        return bool(self.f) or bool(self.g)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.f == o.f and self.g == o.g
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return CurveFn(self.curve, self.f + o.f, self.g + o.g)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CurveFn(self.curve, -self.f, -self.g)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return CurveFn(self.curve, self.f - o.f, self.g - o.g)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        Q = self.curve.Q
-        return CurveFn(self.curve,
-                       self.f * o.f + self.g * o.g * Q,
-                       self.f * o.g + self.g * o.f)
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return CurveFn(self.curve, self.f, -self.g)
-
-    def norm(self):
-        """(f + g y)(f - g y) = f^2 - g^2 Q, a function of x alone."""
-        return self.f * self.f - self.g * self.g * self.curve.Q
-
-    def inverse(self):
-        n = self.norm()
-        if not n:
-            raise ZeroDivisionError(
-                "f^2 = g^2 Q: the function vanishes on one sheet")
-        ni = n.inverse()
-        return CurveFn(self.curve, self.f * ni, -self.g * ni)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def dx(self):
-        Q = self.curve.Q
-        gy = self.g.deriv() + self.g * Q.deriv() / (Q + Q)
-        return CurveFn(self.curve, self.f.deriv(), gy)
-
-    def dt(self):
-        """Partial derivative in the scalar field's time, at fixed x."""
-        E = self.curve.field
-        Q = self.curve.Q
-        ft = self.f.tderiv(E.diff)
-        gt = self.g.tderiv(E.diff) + self.g * Q.tderiv(E.diff) / (Q + Q)
-        return CurveFn(self.curve, ft, gt)
-
-    def to_z(self, U):
-        return pullback(self.f, U) + pullback(self.g, U) * U.y
-
-    def to_str(self):
-        fmt = self.curve.field.to_str
-        return "(%s) + (%s)*y" % (self.f.to_str(fmt), self.g.to_str(fmt))
-
-    def __repr__(self):
-        return "CurveFn(%s)" % self.to_str()

@@ -24,6 +24,7 @@ anti-invariance on top of that.
 """
 
 import itertools
+from math import comb
 
 from .errors import (NonSimpleBranchpoint, InvalidPoleStructure,
                      UnexpectedPole)
@@ -32,11 +33,16 @@ from .exactmath import (FunctionField, RatFn, Series, local_expand,
 from .spectralcurve import ONE_BRANCH
 
 
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+def adjacent_transpositions(n):
+    """The swaps of slots i and i+1 as permutation lists.
+
+    They generate the symmetric group, so a form invariant under each of
+    them is invariant under every permutation.
+    """
+    for i in range(n - 1):
+        tau = list(range(n))
+        tau[i], tau[i + 1] = i + 1, i
+        yield tau
 
 
 def sigma_slot_image(kind, s, k):
@@ -55,7 +61,7 @@ def sigma_slot_image(kind, s, k):
     sign = -((-s) ** k)
     out = []
     for j in range(k - 1):
-        c = sign * _binom(k - 2, j) * s ** (k - 2 - j)
+        c = sign * comb(k - 2, j) * s ** (k - 2 - j)
         out.append((k - j, c))
     return out
 
@@ -113,10 +119,8 @@ class PoleBasisForm:
         return out
 
     def is_symmetric(self):
-        for perm in itertools.permutations(range(self.n)):
-            if self.permuted(perm).table != self.table:
-                return False
-        return True
+        return all(self.permuted(tau).table == self.table
+                   for tau in adjacent_transpositions(self.n))
 
     def involution_image(self, kind, i):
         """Substitute z_i -> sigma(z_i), staying inside the basis."""
@@ -272,7 +276,7 @@ class BranchWindow:
         return self.sig_prime * gap.inverse() ** 2
 
 
-def recursion_kernel(U, z0name="z0"):
+def recursion_kernel(U):
     """K(z0,z) as a rational function: the coefficient of dz0/dz.
 
     K = (1/(z0-z) - 1/(z0-sigma z)) / (2 (omega01(z) - omega01(sigma z)))
@@ -280,9 +284,8 @@ def recursion_kernel(U, z0name="z0"):
     """
     E = U.field
     Fz = FunctionField(E, U.zvar)
-    F0 = FunctionField(Fz, z0name)
-    one = RatFn.one(Fz, z0name)
-    z0 = RatFn.gen(Fz, z0name)
+    one = RatFn.one(Fz, "z0")
+    z0 = RatFn.gen(Fz, "z0")
     z = RatFn.gen(E, U.zvar)
     sz = U.apply_sigma(RatFn.one(E, U.zvar) * z)
     den = (U.y * U.x.deriv()) * 4
@@ -392,12 +395,12 @@ def _residue_contributions(win, omegas, g, n, table, prec):
                     del table[key]
 
 
-def eo_differentials(U, gmax, nmax, check=True):
+def eo_differentials(U, gmax, nmax):
     """Run the recursion; returns a RecursionResult holding every stable
     omega_{g,n} with 2g-2+n <= 2*gmax-2+nmax and g <= gmax.
 
-    With check=True each computed form is verified to be symmetric,
-    residue-free, and anti-invariant under the involution in each slot.
+    Each computed form is verified to be symmetric, residue-free, and
+    anti-invariant under the involution in each slot.
     """
     if gmax < 0 or nmax < 1:
         raise ValueError("need gmax >= 0 and nmax >= 1")
@@ -415,8 +418,7 @@ def eo_differentials(U, gmax, nmax, check=True):
             for win in wins:
                 _residue_contributions(win, omegas, g, n, table, prec)
             form = PoleBasisForm(E, n, table)
-            if check:
-                _verify_form(form, U.kind, g, n)
+            _verify_form(form, U.kind, g, n)
             omegas[(g, n)] = form
     return RecursionResult(U, gmax, nmax, prec, omegas)
 

@@ -1,19 +1,23 @@
 """The names the benchmark reaches into must exist in isorec.
 
-isobench/tracing.py wraps isorec functions and methods by name, and the
-benchmark's correctness gate builds constant hbar series through
-HbarSeries.constant.  A refactor that renames or moves one of them breaks
-the traced run or the gate; these tests fail first.
+isobench/tracing.py wraps isorec functions and methods by name, the
+workloads call the pipeline stages, and the benchmark's correctness gate
+builds constant hbar series through HbarSeries.constant.  A refactor that
+renames, moves or drops a parameter of one of them breaks the benchmark;
+these tests fail first.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
 from isorec.exactmath import HbarSeries
 
-TRACING = Path(__file__).resolve().parents[1] / "isobench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "isobench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
@@ -42,3 +46,61 @@ def test_every_trace_target_resolves():
 def test_gate_constant_series():
     s = HbarSeries.constant(Fraction(3), 2, Fraction(0))
     assert s.coeff(0) == 3 and s.coeff(1) == 0
+
+
+def _isorec_names(tree):
+    """Names bound by ``from isorec... import ...``, mapped to the objects."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "isorec":
+            owner = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = getattr(owner, alias.name)
+    return names
+
+
+def _resolve(expr, names):
+    """(dotted name, object) of a call target rooted at an isorec name."""
+    if isinstance(expr, ast.Name):
+        return (expr.id, names[expr.id]) if expr.id in names else None
+    if isinstance(expr, ast.Attribute):
+        base = _resolve(expr.value, names)
+        if base is not None:
+            dotted, obj = base
+            return dotted + "." + expr.attr, getattr(obj, expr.attr)
+    return None
+
+
+def _bench_calls(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = _isorec_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            target = _resolve(node.func, names)
+            if target is not None and callable(target[1]):
+                yield target[0], target[1], node
+
+
+def test_bench_calls_match_signatures():
+    bad = []
+    seen = set()
+    for path in (BENCH / "workloads.py", BENCH / "gate.py"):
+        for dotted, fn, call in _bench_calls(path):
+            seen.add(dotted)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            kwargs = {k.arg: None for k in call.keywords if k.arg is not None}
+            sig = inspect.signature(fn)
+            try:
+                if starred:
+                    sig.bind_partial(**kwargs)
+                else:
+                    sig.bind(*[None] * len(call.args), **kwargs)
+            except TypeError as err:
+                bad.append("%s:%d %s: %s" % (path.name, call.lineno, dotted,
+                                             err))
+    assert not bad, "; ".join(bad)
+    assert {"detcheck.m_series", "detcheck.correlators", "detcheck.verify_tt",
+            "hamflow.extend_flow", "isodeform.compatibility_residual",
+            "spectralcurve.curve_from_system", "toprec.eo_differentials",
+            "HbarSeries.constant", "substitute"} <= seen

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from isorec.errors import (ConfluentBranchpoints, HigherGenus,
                            NilpotentLeading, NoBranchpoints, NotProportional)
-from isorec.exactmath import QQ, FunctionField, parse_element
+from isorec.exactmath import (QQ, ExtElem, FunctionField, parse_element,
+                              partial_derivation)
 from isorec.hamflow import extend_flow, leading_order
 from isorec.isodeform import build_isosystem
 from isorec.laxsystem import Mat2, PoleData, SIGMA_PLUS, Sl2Lax
-from isorec.spectralcurve import (CurveFn, ONE_BRANCH, TWO_BRANCH, bergman,
+from isorec.spectralcurve import (ONE_BRANCH, TWO_BRANCH, bergman,
                                   classical_curve, curve_from_system,
                                   leading_matrices, omega01, pullback,
                                   uniformize)
@@ -233,50 +234,52 @@ def curve_x2():
 
 def test_curvefn_norm_and_inverse():
     C = curve_x2()
+    K = C.cover
     Fx = FunctionField(C.field, C.var)
-    f = CurveFn(C, Fx.gen(), Fx.one())
-    n = f * f.conj()
-    assert not n.g
-    assert n.f == Fx.gen() ** 2 - C.Q
+    f = ExtElem(K, Fx.gen(), Fx.one())
+    n = f * f.conjugate()
+    assert not n.b
+    assert n.a == Fx.gen() ** 2 - C.Q
     inv = f.inverse()
-    assert f * inv == CurveFn(C, Fx.one())
+    assert f * inv == K.coerce(Fx.one())
 
 
 def test_curvefn_square_of_y():
     C = curve_x2()
-    y = CurveFn.sheet_root(C)
+    y = C.cover.u()
     ysq = y * y
-    assert not ysq.g
-    assert ysq.f == C.Q
+    assert not ysq.b
+    assert ysq.a == C.Q
 
 
 def test_curvefn_dx_leibniz_and_y():
     C = curve_x2()
+    K = C.cover
     Fx = FunctionField(C.field, C.var)
-    y = CurveFn.sheet_root(C)
-    f = CurveFn(C, Fx.gen() ** 2, Fx.gen())
-    lhs = (f * y).dx()
-    rhs = f.dx() * y + f * y.dx()
+    y = K.u()
+    f = ExtElem(K, Fx.gen() ** 2, Fx.gen())
+    lhs = K.diff(f * y)
+    rhs = K.diff(f) * y + f * K.diff(y)
     assert lhs == rhs
     # (y^2)' = Q' both ways
-    assert (y * y).dx().f == C.Q.deriv()
+    assert K.diff(y * y).a == C.Q.deriv()
 
 
 def test_curvefn_dt_of_y():
     C = curve_x2()
-    y = CurveFn.sheet_root(C)
-    dy = y.dt()
+    y = C.cover.u()
+    dy = partial_derivation(C.cover, "t")(y)
     # y_t = Q_t/(2y) = (Q_t/(2Q)) y with Q_t = 4
     Fx = FunctionField(C.field, C.var)
-    assert not dy.f
-    assert dy.g == Fx.coerce(2) / C.Q
+    assert not dy.a
+    assert dy.b == Fx.coerce(2) / C.Q
 
 
 def test_curvefn_to_z_matches_uniformization():
     C = curve_x2()
     U = uniformize(C)
-    y = CurveFn.sheet_root(C)
-    assert y.to_z(U) == U.y
+    y = C.cover.u()
+    assert pullback(y, U) == U.y
     Fx = FunctionField(C.field, C.var)
-    f = CurveFn(C, Fx.gen(), Fx.one())
-    assert f.to_z(U) == U.x + U.y
+    f = ExtElem(C.cover, Fx.gen(), Fx.one())
+    assert pullback(f, U) == U.x + U.y

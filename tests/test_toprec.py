@@ -1,8 +1,9 @@
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isorec.errors import (InvalidPoleStructure, NonSimpleBranchpoint,
@@ -293,6 +294,26 @@ def test_form_checks_catch_tampering():
     assert not bad.is_symmetric()
     worse = PoleBasisForm(QQ, 1, {((0, 1),): Fraction(1)})
     assert worse.has_residue_term()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 4), st.lists(
+    st.tuples(st.lists(st.sampled_from([(0, 2), (0, 4), (1, 2)]),
+                       min_size=4, max_size=4),
+              st.integers(-2, 2)), max_size=4), st.booleans())
+@example(3, [([(0, 2), (0, 2), (0, 4), (0, 2)], 1)], False)
+@example(4, [([(0, 2), (0, 2), (0, 2), (1, 2)], 1)], False)
+def test_symmetry_verdict_matches_all_permutations(n, terms, symmetrize):
+    table = {}
+    for key, c in terms:
+        key = tuple(key[:n])
+        perms = itertools.permutations(key) if symmetrize else [key]
+        for perm in perms:
+            table[perm] = table.get(perm, 0) + Fraction(c)
+    form = PoleBasisForm(QQ, n, table)
+    brute = all(form.permuted(p).table == form.table
+                for p in itertools.permutations(range(n)))
+    assert form.is_symmetric() == brute
 
 
 def test_evaluate_is_plain_pole_sum():
