@@ -9,7 +9,9 @@ curve (ClassicalCurve.cover), which turns every formula here into
 rational-function arithmetic on its two components.  Multi-variable
 correlators are kept in a separated form (products of one-variable functions
 over powers of x(z_i) - x(z_j)) so that no computation ever enters a nested
-field tower.
+field tower; their exact zero test is written once for both uniformization
+kinds, in terms of x(z) alone.  Whatever depends on the kind (the
+involution, the branch z-points) is read off the Uniformization.
 """
 
 import itertools
@@ -17,14 +19,13 @@ from math import comb
 
 from .errors import (CasePreconditionViolated, DegenerateAZero,
                      IdentityFailed, TruncationTooShort, UnexpectedPole)
-from .exactmath import (ExtElem, FunctionField, Poly, RatFn, evaluate,
-                        local_expand, partial_derivation, poly_gcd,
-                        split_linear_factors)
+from .exactmath import (ExtElem, Poly, RatFn, local_expand,
+                        partial_derivation, poly_gcd, split_linear_factors)
 from .hamflow import hbar_matrix_series, hbar_series
 from .laxsystem import Mat2, assemble
 from .spectralcurve import (ONE_BRANCH, TWO_BRANCH, classical_curve, pullback,
                             uniformize)
-from .toprec import (PoleBasisForm, _branch_ints, adjacent_transpositions,
+from .toprec import (PoleBasisForm, adjacent_transpositions,
                      eo_differentials, symplectic_invariants)
 
 
@@ -234,7 +235,7 @@ def check_singularities(mser):
         growth = "bounded"
     elif degd == 1 and U.kind == ONE_BRANCH:
         growth = "half"
-    allowed = list(_branch_ints(U))
+    allowed = list(U.branch_ints)
     if U.kind == TWO_BRANCH and growth is None:
         allowed.append(0)
     targets = [E.coerce(s) for s in allowed]
@@ -364,71 +365,47 @@ class ProductForm:
         return self.evaluate(args)
 
     def _cleared(self):
-        """Common-denominator form: a list of (coef, [Poly per slot])."""
-        E = self.U.field
+        """Common-denominator form: a list of (coef, [Poly per slot]).
+
+        Every term is brought up to the largest power of each coupling with
+        (x_i - x_j)^d = sum_a C(d, a) x_i^a (-x_j)^(d-a), the powers of x
+        going into the slot factors; each slot is then cleared against the
+        least common multiple of its grown factors' denominators.
+        """
         U = self.U
-        n = self.n
-        some = self.terms[0][1][0]
-        var = some.var
-        dens = [Poly.one(E, var) for _ in range(n)]
+        E = U.field
         emax = {}
-        for _, facs, coup in self.terms:
-            for i, f in enumerate(facs):
-                g = poly_gcd(dens[i], f.den)
-                dens[i] = dens[i] * (f.den // g)
+        for _, _, coup in self.terms:
             for p, e in coup.items():
                 emax[p] = max(emax.get(p, 0), e)
-        delta = 1 if U.kind == TWO_BRANCH else 0
-        xsep = _xpair_sep(U, var)
-        zg = Poly.gen(E, var)
-        xpows = {}
-
-        def xpow(d):
-            if d not in xpows:
-                if d == 0:
-                    xpows[d] = [(E.one(), 0, 0)]
-                else:
-                    prev = xpow(d - 1)
-                    acc = {}
-                    for c1, a1, b1 in prev:
-                        for c2, a2, b2 in xsep:
-                            key = (a1 + a2, b1 + b2)
-                            cur = acc.get(key)
-                            v = c1 * c2
-                            acc[key] = v if cur is None else cur + v
-                    xpows[d] = [(c, a, b) for (a, b), c in acc.items() if c]
-            return xpows[d]
-
-        out = []
+        xpows = [U.x ** a for a in range(max(emax.values(), default=0) + 1)]
+        grown = []
         for coef, facs, coup in self.terms:
-            polys = [facs[i].num * (dens[i] // facs[i].den)
-                     for i in range(n)]
-            if delta:
-                zextra = [0] * n
-                for (i, j), e in coup.items():
-                    zextra[i] += e
-                    zextra[j] += e
-                for i, ze in enumerate(zextra):
-                    if ze:
-                        polys[i] = polys[i] * zg ** ze
-            base = [(coef, polys)]
-            for p in sorted(emax):
-                d = emax[p] - coup.get(p, 0)
+            base = [(coef, facs)]
+            for (i, j), e in sorted(emax.items()):
+                d = e - coup.get((i, j), 0)
                 if d == 0:
                     continue
-                i, j = p
-                grown = []
-                for cf, pl in base:
-                    for c, ai, bj in xpow(d):
-                        pl2 = list(pl)
-                        if ai:
-                            pl2[i] = pl2[i] * zg ** ai
-                        if bj:
-                            pl2[j] = pl2[j] * zg ** bj
-                        grown.append((cf * c, pl2))
-                base = grown
-            out.extend(base)
-        return out
+                split = []
+                for cf, fs in base:
+                    for a in range(d + 1):
+                        fs2 = list(fs)
+                        if a:
+                            fs2[i] = fs2[i] * xpows[a]
+                        if a < d:
+                            fs2[j] = fs2[j] * xpows[d - a]
+                        split.append(
+                            (cf * E.coerce(comb(d, a) * (-1) ** (d - a)),
+                             fs2))
+                base = split
+            grown.extend(base)
+        dens = [Poly.one(E, U.zvar) for _ in range(self.n)]
+        for _, facs in grown:
+            for i, f in enumerate(facs):
+                dens[i] = dens[i] * (f.den // poly_gcd(dens[i], f.den))
+        return [(coef, [f.num * (dens[i] // f.den)
+                        for i, f in enumerate(facs)])
+                for coef, facs in grown]
 
     # -- extraction onto the branchpoint pole basis -----------------------
 
@@ -458,9 +435,9 @@ class ProductForm:
                 f = piece if f is None else f + piece
             if f is None or not f:
                 return PoleBasisForm(E, 1)
-            return PoleBasisForm.from_ratfn(f, _branch_ints(self.U))
+            return PoleBasisForm.from_ratfn(f, self.U.branch_ints)
         out = PoleBasisForm(E, self.n)
-        for s in _branch_ints(self.U):
+        for s in self.U.branch_ints:
             for (k, sub) in self._slices_at(s):
                 for key, c in sub._extract().table.items():
                     out.add_term(key + ((s, k),), c)
@@ -476,9 +453,7 @@ class ProductForm:
         E = U.field
         top = self.n - 1
         sE = E.coerce(s)
-        xs = U.x(RatFn.const(E, sE, U.zvar))
-        xs = xs.num.coeff(0) / xs.den.coeff(0)
-        xa = U.x - xs
+        xa = U.x - U.x(sE)
         slices = {}
         coup_cache = {}
         for coef, facs, coup in self.terms:
@@ -529,53 +504,21 @@ def _coupling_series(U, sE, e, mmax):
     """Taylor data of 1/(x(z_other) - x(z))^e around z = branch point.
 
     Entry m lists (gamma, pi) pairs meaning gamma / (x(z_other) - x(s))^pi
-    as the coefficient of (z - s)^m.
+    as the coefficient of (z - s)^m.  With d = x(z) - x(s), which vanishes
+    to second order, the expansion is sum_i C(e+i-1, i) d^i / (.)^(e+i).
     """
     E = U.field
-    loc = local_expand(U.x, sE, mmax if mmax > 0 else 1)
-    bb = [E.zero()] * (mmax + 1)
-    for j in range(1, mmax + 1):
-        if j <= mmax:
-            bb[j] = loc.coeff(j)
-    pows = [[E.one()] + [E.zero()] * mmax]
-    for _ in range(mmax // 2):
-        pows.append(_trunc_mul(pows[-1], bb, mmax + 1, E))
+    d = U.x - U.x(sE)
+    pows = [local_expand(d ** i, sE, mmax) for i in range(mmax // 2 + 1)]
     out = []
     for m in range(mmax + 1):
         opts = []
-        for i in range(min(m // 2, len(pows) - 1) + 1):
-            if m < len(pows[i]) and pows[i][m]:
-                gamma = E.coerce(comb(e + i - 1, i)) * pows[i][m]
-                opts.append((gamma, e + i))
+        for i in range(m // 2 + 1):
+            c = pows[i].coeff(m)
+            if c:
+                opts.append((E.coerce(comb(e + i - 1, i)) * c, e + i))
         out.append(opts)
     return out
-
-
-def _trunc_mul(a, b, n, E):
-    out = [E.zero()] * n
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= n:
-                break
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _xpair_sep(U, var):
-    """x(z_i) - x(z_j) cleared of z-units, as [(c, deg_i, deg_j)] monomials.
-
-    One branchpoint: z_i^2 - z_j^2.  Two: ((b-a)/4)(z_i - z_j)(z_i z_j - 1),
-    the unit being (z_i z_j)^-1.
-    """
-    E = U.field
-    one = E.one()
-    if U.kind == ONE_BRANCH:
-        return [(one, 2, 0), (-one, 0, 2)]
-    rad = (U.b - U.a) / E.coerce(4)
-    return [(rad, 2, 1), (-rad, 1, 0), (-rad, 1, 2), (rad, 0, 1)]
 
 
 def _sep_zero(E, terms):
@@ -665,7 +608,7 @@ class CorrelatorSeries:
         if (n, k) not in self._basis:
             f = self.form(n, k)
             if n == 1:
-                pbf = PoleBasisForm.from_ratfn(f, _branch_ints(self.U))
+                pbf = PoleBasisForm.from_ratfn(f, self.U.branch_ints)
             else:
                 pbf = f.to_pbf()
             self._basis[(n, k)] = pbf
@@ -784,14 +727,16 @@ def verify_tt(mser, cors):
 
     Returns a JSON-ready report: per-clause {pass, witnesses}, the
     differential-by-differential equality table, and an overall verdict.
-    The comparison side is computed on the sheet-flipped cover, where the
-    leading one-form -y dx of the correlators becomes y dx.
+    The leading one-form of the correlators is -y dx, so they are
+    compared with the recursion on the sheet-flipped cover; relabelling the
+    sheets multiplies omega_{g,n} by (-1)^n, so the recursion runs on U
+    and its tables are scaled by that sign.
     """
     U = mser.U
     E = U.field
     clauses = {str(i): {"pass": True, "witnesses": []} for i in range(1, 7)}
 
-    fmtpoint = [E.to_str(E.coerce(s)) for s in _branch_ints(U)]
+    fmtpoint = [E.to_str(s) for s in U.branch_zpoints]
     clauses["1"]["certificate"] = {
         "kind": U.kind, "branch_zpoints": fmtpoint,
         "reduced_degree": mser.curve.reduced.degree()}
@@ -863,7 +808,7 @@ def verify_tt(mser, cors):
     if stable:
         gmax = max(g for g, _ in stable)
         nmax = max(n for _, n in stable)
-        eo = eo_differentials(U.flipped(), max(gmax, 0), max(nmax, 1))
+        eo = eo_differentials(U, max(gmax, 0), max(nmax, 1))
 
     xp = U.x.deriv()
     lead = cors.w1.get(-1)
@@ -878,7 +823,8 @@ def verify_tt(mser, cors):
             tr_rows[key] = {"pass": False,
                             "reason": "no basis decomposition"}
             continue
-        tr_rows[key] = {"pass": mine == eo.omega(g, n)}
+        want = eo.omega(g, n).scaled(E.coerce((-1) ** n))
+        tr_rows[key] = {"pass": mine == want}
 
     ok = all(c["pass"] for c in clauses.values()) \
         and all(r["pass"] for r in tr_rows.values())
@@ -904,38 +850,30 @@ def _stable_rows(cors):
 
 
 def _bergman_match(mser, cors):
-    """W_2^(0) x' x' (z1 - z2)^2 = (x1 - x2)^2 term, checked exactly,
-    together with the vanishing of the sheet-reflected trace that makes the
-    diagonal double pole the whole singularity."""
+    """W_2^(0) (z1 - z2)^2 = 1, checked exactly, together with the vanishing
+    of the sheet-reflected trace that makes the diagonal double pole the
+    whole singularity."""
     U = mser.U
-    E = U.field
     pf = cors.wn.get((2, 0))
     if pf is None:
         return True
-    F1 = FunctionField(E, "z1")
-    F2 = FunctionField(F1, "z2")
-    z1 = F2.coerce(F1.gen())
-    z2 = F2.gen()
-    x1 = evaluate(U.x, z1, F1)
-    x2 = evaluate(U.x, z2, F1)
-    num = None
-    for coef, facs, coup in pf.terms:
-        if coup != {(0, 1): 2}:
-            return False
-        v = evaluate(facs[0], z1, F1) * evaluate(facs[1], z2, F1) * coef
-        num = v if num is None else num + v
-    if num is None:
-        return False
-    if num * (z1 - z2) ** 2 != (x1 - x2) ** 2:
+    z = RatFn.gen(U.field, U.zvar)
+    one = RatFn.one(U.field, U.zvar)
+    two = U.field.coerce(2)
+    check = ProductForm(U, 2)
+    for coef, (f1, f2), coup in pf.terms:
+        check.add(coef, [f1 * z * z, f2], coup)
+        check.add(-coef * two, [f1 * z, f2 * z], coup)
+        check.add(coef, [f1, f2 * z * z], coup)
+    check.add(-U.field.one(), [one, one])
+    if not check.is_zero():
         return False
 
     mz0 = _matrix_on_cover(mser.mats[0], U)
-    w = F1.gen()
-    sw = F1.one() / w if U.kind == TWO_BRANCH else -w
     refl = None
     for r in range(2):
         for c in range(2):
-            piece = evaluate(mz0[r][c], w, E) * evaluate(mz0[c][r], sw, E)
+            piece = mz0[r][c] * U.apply_sigma(mz0[c][r])
             refl = piece if refl is None else refl + piece
     return not refl
 

@@ -297,16 +297,6 @@ def _peel_roots(g, hints):
     return roots, g
 
 
-def _roots_of_squarefree(g, hints):
-    """All roots of a squarefree polynomial, or raise IrreducibleDenominator."""
-    roots, leftover = _peel_roots(g, hints)
-    if leftover.degree() >= 1:
-        raise IrreducibleDenominator(
-            "factor %s does not split over the working field"
-            % leftover.to_str())
-    return roots
-
-
 def split_linear_factors(p, hints=()):
     """Partial factorization: ([(root, mult), ...], rootless remainder).
 
@@ -336,16 +326,12 @@ def roots_in_field(p, hints=()):
     integer divisor test).  Raises IrreducibleDenominator when p does not
     split into linear factors over its own coefficient field.
     """
-    if p.degree() <= 0:
-        return []
-    field = p.field
-    out = []
-    _, factors = squarefree_decomposition(p)
-    for g, mult in factors:
-        for r in _roots_of_squarefree(g, hints):
-            out.append((r, mult))
-    out.sort(key=lambda rm: (field.to_str(rm[0]), rm[1]))
-    return out
+    roots, rest = split_linear_factors(p, hints)
+    if rest.degree() > 0:
+        raise IrreducibleDenominator(
+            "factor %s does not split over the working field"
+            % rest.to_str())
+    return roots
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def _split_tower(H):
     return Fq.base, Fq.var, H.var, FunctionField(Fq, H.var)
 
 
-def _factor_roots(poly, root, uname):
+def _factor_roots(poly, root):
     """Roots of a univariate Poly over E, escalating by at most one
     quadratic extension.  Returns (value, field, modulus)."""
     E = poly.field
@@ -116,11 +116,11 @@ def _factor_roots(poly, root, uname):
     if quad is None:
         raise UnsolvableInTower(
             "no critical point within one quadratic extension of %r" % (E,))
-    ext, modulus, (minus, plus) = adjoin_roots(quad, uname)
+    ext, modulus, (minus, plus) = adjoin_roots(quad, "u")
     return (plus if root == "plus" else minus), ext, modulus
 
 
-def leading_order(H, root="plus", uname="u"):
+def leading_order(H, root="plus"):
     """Critical point of H in the Darboux pair, over Q(t) or one
     quadratic extension.
 
@@ -143,13 +143,13 @@ def leading_order(H, root="plus", uname="u"):
         if not g:
             raise UnsolvableInTower(
                 "critical locus is a curve, not a point")
-        q0, field, modulus = _factor_roots(g.num, root, uname)
+        q0, field, modulus = _factor_roots(g.num, root)
         try:
             p0 = evaluate(psol, q0, field)
         except ZeroDivisionError:
             raise UnsolvableInTower(
                 "eliminated momentum has a pole at the critical point")
-        return LeadingOrder(field, p0, q0, modulus, uname, root)
+        return LeadingOrder(field, p0, q0, modulus, root=root)
 
     if np_.degree() == 0:
         cq = np_.coeff(0)
@@ -159,17 +159,17 @@ def leading_order(H, root="plus", uname="u"):
             raise UnsolvableInTower(
                 "dH/dp is a nonzero constant: no critical point")
         # dH/dp depends on q only: root it, then solve dH/dq for p
-        q0, field, modulus = _factor_roots(cq.num, root, uname)
+        q0, field, modulus = _factor_roots(cq.num, root)
         hq_at = Hq.map_coeffs(lambda e: evaluate(e, q0, field), field)
         if not hq_at:
             raise UnsolvableInTower("critical locus is a curve, not a point")
-        p0, field2, modulus2 = _factor_roots(hq_at.num, root, uname)
+        p0, field2, modulus2 = _factor_roots(hq_at.num, root)
         if modulus is not None and modulus2 is not None:
             raise UnsolvableInTower(
                 "critical point needs two independent extensions")
         out_field = field2 if modulus2 is not None else field
-        return LeadingOrder(out_field, p0, q0, modulus or modulus2, uname,
-                            root)
+        return LeadingOrder(out_field, p0, q0, modulus or modulus2,
+                            root=root)
 
     raise UnsolvableInTower(
         "dH/dp has degree %s in p; supply the critical point explicitly"

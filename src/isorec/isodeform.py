@@ -141,7 +141,7 @@ def _time_element(field, tname):
         return wrapped, wrapped.gen(), True
 
 
-def build_isosystem(system, case=None, sigma=None, beta=None, tname="t"):
+def build_isosystem(system, case=None, sigma=None, beta=None):
     """De-autonomize an Sl2Lax along the given case.
 
     The returned pair satisfies dL/dt|explicit = dA/dx identically (checked
@@ -153,7 +153,7 @@ def build_isosystem(system, case=None, sigma=None, beta=None, tname="t"):
     if case is None:
         case = select_case(system.poles)
     r = case.validate(system.poles)
-    field, t, wrapped = _time_element(system.field, tname)
+    field, t, wrapped = _time_element(system.field, "t")
     if wrapped:
         system = system.map_scalars(field.coerce, field)
     if isinstance(beta, str):
@@ -221,7 +221,7 @@ def build_isosystem(system, case=None, sigma=None, beta=None, tname="t"):
         Lx = assemble(lax)
         aux = aux + Lx.map(lambda e: e * shift)
 
-    iso = IsoSystem(lax, aux, tname, case, sigma, beta)
+    iso = IsoSystem(lax, aux, "t", case, sigma, beta)
     if not sigma:
         res = explicit_time_residual(iso)
         if res:
@@ -391,7 +391,7 @@ def _monomial_weight(e, weights):
     return None if not e else Fraction(0)
 
 
-def gauge_normalize(iso, plan, qname="q", pname="p"):
+def gauge_normalize(iso, plan):
     """Check the plan's homogeneity entry by entry and mark the system.
 
     The exact matrices already are the post-gauge normal form (the
@@ -408,7 +408,7 @@ def gauge_normalize(iso, plan, qname="q", pname="p"):
         raise PlanMismatch("plan was drawn for rank %s, system leads with "
                            "rank %s" % (plan.rank, kind_rank))
     table = {iso.lax.var: plan.d_x, iso.tname: plan.d_t,
-             qname: plan.d_q, pname: plan.d_p}
+             "q": plan.d_q, "p": plan.d_p}
     r0 = iso.lax.poles.r0
     d_x = plan.d_x
     if plan.rank == 2:

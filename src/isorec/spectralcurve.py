@@ -9,6 +9,8 @@ branchpoints, and genus 0 limits it to the reduced forms
 
 Both are uniformized by degree-2 rational maps x(z) with involution sigma
 exchanging the sheets.  Sheet 1 is the one where y ~ +sqrt(Q) as z -> inf.
+Uniformization is the one owner of what depends on the kind: sigma as a
+rational function of z and the branch z-points.
 
 Functions f(x) + g(x) y on the double cover are elements of the quadratic
 extension E(x)[y]/(y^2 - Q) held as ClassicalCurve.cover: conjugate() swaps
@@ -122,11 +124,13 @@ class Uniformization:
     kind TWO_BRANCH: x(z) = (a+b)/2 + ((b-a)/4)(z + 1/z), sigma(z) = 1/z,
     branch z-points +1, -1.  kind ONE_BRANCH: x(z) = a + z^2,
     sigma(z) = -z, branch z-point 0 (the second branchpoint is
-    x = infinity).  y(z) is rational; y(sigma(z)) = -y(z).
+    x = infinity).  y(z) is rational; y(sigma(z)) = -y(z).  `sigma` is the
+    involution as a RatFn of z, `branch_ints` the branch z-points as ints
+    and `branch_zpoints` the same points in the field.
     """
 
-    __slots__ = ("kind", "field", "zvar", "a", "b", "x", "y",
-                 "branch_zpoints", "modulus", "uname")
+    __slots__ = ("kind", "field", "zvar", "a", "b", "x", "y", "sigma",
+                 "branch_ints", "branch_zpoints", "modulus", "uname")
 
     def __init__(self, kind, field, zvar, a, b, x, y, modulus=None,
                  uname=None):
@@ -139,13 +143,17 @@ class Uniformization:
         self.y = y
         self.modulus = modulus
         self.uname = uname
+        z = RatFn.gen(field, zvar)
         if kind == TWO_BRANCH:
             if a == b:
                 raise ConfluentBranchpoints(
                     "branchpoints coincide at %s" % field.to_str(a))
-            self.branch_zpoints = (field.one(), -field.one())
+            self.sigma = z.inverse()
+            self.branch_ints = (1, -1)
         else:
-            self.branch_zpoints = (field.zero(),)
+            self.sigma = -z
+            self.branch_ints = (0,)
+        self.branch_zpoints = tuple(field.coerce(s) for s in self.branch_ints)
         if self.apply_sigma(x) != x:
             raise ValueError("x is not involution-invariant")
         if self.apply_sigma(y) != -y:
@@ -160,18 +168,9 @@ class Uniformization:
         if num.degree() != 0:
             raise ValueError("dx vanishes away from the branch z-points")
 
-    def flipped(self):
-        """The same covering with the two sheets relabelled (y -> -y)."""
-        return Uniformization(self.kind, self.field, self.zvar, self.a,
-                              self.b, self.x, -self.y, modulus=self.modulus,
-                              uname=self.uname)
-
     def apply_sigma(self, f):
         """Pull a rational function of z back through sigma."""
-        zf = FunctionField(self.field, self.zvar)
-        z = zf.gen()
-        w = zf.one() / z if self.kind == TWO_BRANCH else -z
-        return f(w)
+        return f(self.sigma)
 
     def to_json(self):
         fmt = self.field.to_str
@@ -190,16 +189,16 @@ class Uniformization:
         return "Uniformization(%s, x=%s)" % (self.kind, self.x)
 
 
-def _two_roots(red, E, uname):
+def _two_roots(red, E):
     """Both roots of a monic squarefree quadratic, extending at most once."""
     roots, rest = split_linear_factors(red)
     if len(roots) == 2:
         return roots[0][0], roots[1][0], E, None
-    ext, modulus, (minus, plus) = adjoin_roots(red, uname)
+    ext, modulus, (minus, plus) = adjoin_roots(red, "u")
     return minus, plus, ext, modulus
 
 
-def uniformize(curve, zvar="z", uname="u"):
+def uniformize(curve):
     """Exact rational parametrization of the reduced curve.
 
     This is the one place the scalar field may grow: quadratic branchpoints
@@ -218,7 +217,7 @@ def uniformize(curve, zvar="z", uname="u"):
             % deg)
     modulus = None
     if deg == 2:
-        a, b, E2, modulus = _two_roots(red, E, uname)
+        a, b, E2, modulus = _two_roots(red, E)
     else:
         a = -red.coeff(0)
         b = None
@@ -230,7 +229,7 @@ def uniformize(curve, zvar="z", uname="u"):
             raise UnsolvableInTower(
                 "leading coefficient %s is not a square over the extended "
                 "field" % E.to_str(curve.c))
-        E2 = QuadraticExtension(E, c, uname)
+        E2 = QuadraticExtension(E, c, "u")
         modulus = c
         yc = E2.u()
         if b is not None:
@@ -238,7 +237,7 @@ def uniformize(curve, zvar="z", uname="u"):
         else:
             a = E2.coerce(a)
 
-    zf = FunctionField(E2, zvar)
+    zf = FunctionField(E2, "z")
     z = zf.gen()
     one = zf.one()
     if deg == 2:
@@ -256,17 +255,17 @@ def uniformize(curve, zvar="z", uname="u"):
         sq = sq.map_coeffs(E2.coerce, E2)
     y = sq(x) * yc * ysqrt
     kind = TWO_BRANCH if deg == 2 else ONE_BRANCH
-    return Uniformization(kind, E2, zvar, a, b, x, y, modulus,
-                          uname if modulus is not None else None)
+    return Uniformization(kind, E2, "z", a, b, x, y, modulus,
+                          "u" if modulus is not None else None)
 
 
-def curve_from_system(iso, lead, qname="q", pname="p"):
+def curve_from_system(iso, lead):
     """classical_curve of an isomonodromic system at its leading flow."""
-    L0, A0 = leading_matrices(iso, lead, qname, pname)
+    L0, A0 = leading_matrices(iso, lead)
     return classical_curve(L0, A0)
 
 
-def leading_matrices(iso, lead, qname="q", pname="p"):
+def leading_matrices(iso, lead):
     """Substitute the leading Darboux values into (L, A).
 
     `lead` is anything with .field, .q0, .p0 (a hamflow LeadingOrder).
@@ -274,8 +273,8 @@ def leading_matrices(iso, lead, qname="q", pname="p"):
     """
     E2 = lead.field
     scal = dict(_generators(E2))
-    scal[qname] = lead.q0
-    scal[pname] = lead.p0
+    scal["q"] = lead.q0
+    scal["p"] = lead.p0
     one = E2.one()
 
     def down(m):

@@ -197,31 +197,23 @@ def xi_ratfn(field, var, s, k):
 class BranchWindow:
     """Exact Laurent windows at one branch z-point.
 
-    Caches the local data the recursion needs: wt = sigma(z)-s and its
-    derivative, the inverse of 4 y x' (whose double zero at the branch point
-    is the simplicity requirement), and the basis expansions xi_{s',k} seen
-    from this point on either sheet.
+    Caches the local data the recursion needs: wt = sigma(z)-s, expanded
+    from the uniformization's sigma, and its derivative, the inverse of
+    4 y x' (whose double zero at the branch point is the simplicity
+    requirement), and the basis expansions xi_{s',k} seen from this point
+    on either sheet.
     """
 
-    __slots__ = ("kind", "field", "s", "point", "prec", "sig", "sig_prime",
-                 "dinv", "_xi_cache", "_sig_pows")
+    __slots__ = ("field", "s", "point", "prec", "sig", "sig_prime", "dinv",
+                 "_xi_cache", "_sig_pows")
 
     def __init__(self, U, s, prec):
         E = U.field
-        self.kind = U.kind
         self.field = E
         self.s = s
         self.point = E.coerce(s)
         self.prec = prec
-        one = E.one()
-        if U.kind == ONE_BRANCH:
-            # sigma(z) = -z: wt = -w exactly
-            self.sig = Series(1, [-one], prec + 2, E.zero(), self.point)
-        else:
-            # sigma(z) = 1/z: wt = -s w/(s+w)
-            base = Series(0, [self.point, one], prec + 1, E.zero(),
-                          self.point)
-            self.sig = (base.inverse() * (-self.point)).shift(1)
+        self.sig = local_expand(U.sigma - self.point, self.point, prec + 1)
         self.sig_prime = self.sig.deriv()
         dd = local_expand((U.y * U.x.deriv()) * 4, self.point, prec)
         if (not dd) or dd.valuation() != 2:
@@ -287,9 +279,8 @@ def recursion_kernel(U):
     one = RatFn.one(Fz, "z0")
     z0 = RatFn.gen(Fz, "z0")
     z = RatFn.gen(E, U.zvar)
-    sz = U.apply_sigma(RatFn.one(E, U.zvar) * z)
     den = (U.y * U.x.deriv()) * 4
-    num = one / (z0 - one * z) - one / (z0 - one * sz)
+    num = one / (z0 - one * z) - one / (z0 - one * U.sigma)
     return num * (one / (one * den))
 
 
@@ -407,7 +398,7 @@ def eo_differentials(U, gmax, nmax):
     chi_max = 2 * gmax - 2 + nmax
     prec = 2 * (3 * gmax - 2 + nmax) + 4
     E = U.field
-    wins = [BranchWindow(U, s, prec) for s in _branch_ints(U)]
+    wins = [BranchWindow(U, s, prec) for s in U.branch_ints]
     omegas = {}
     for chi in range(1, chi_max + 1):
         for g in range(gmax + 1):
@@ -421,12 +412,6 @@ def eo_differentials(U, gmax, nmax):
             _verify_form(form, U.kind, g, n)
             omegas[(g, n)] = form
     return RecursionResult(U, gmax, nmax, prec, omegas)
-
-
-def _branch_ints(U):
-    if U.kind == ONE_BRANCH:
-        return [0]
-    return [1, -1]
 
 
 def _verify_form(form, kind, g, n):
@@ -453,8 +438,7 @@ def symplectic_invariants(result):
     E = U.field
     out = {}
     phi = {}
-    for s in _branch_ints(U):
-        point = E.coerce(s)
+    for s, point in zip(U.branch_ints, U.branch_zpoints):
         ydx = local_expand(U.y * U.x.deriv(), point, result.prec)
         terms = {}
         for j, c in ydx.known_items():

@@ -1,22 +1,28 @@
 """The determinantal side on Painleve I through hbar^2: the projector-valued
-series M on the double cover and the correlators built from its traces."""
+series M on the double cover and the correlators built from its traces; the
+exact zero test of separated forms on both uniformization kinds; and the
+tau-function identity H_4 = -dF_2/dt."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from isorec.detcheck import ProductForm, correlators, m_series
-from isorec.exactmath import QQ, FunctionField, RatFn, parse_element
-from isorec.hamflow import extend_flow, leading_order
+from isorec.detcheck import (CorrelatorSeries, ProductForm, _bergman_match,
+                             _sep_zero, correlators, m_series, tau_series)
+from isorec.exactmath import (QQ, FunctionField, RatFn, parse_element,
+                              substitute)
+from isorec.hamflow import extend_flow, flow_values, leading_order
 from isorec.isodeform import build_isosystem
 from isorec.laxsystem import Mat2, PoleData, SIGMA_PLUS, Sl2Lax
-from isorec.spectralcurve import classical_curve, uniformize
+from isorec.spectralcurve import (classical_curve, curve_from_system,
+                                  uniformize)
+from isorec.toprec import PoleBasisForm, eo_differentials, xi_ratfn
 
 ORDER = 2
 
 
-@pytest.fixture(scope="module")
-def p1():
+def p1_system():
     F = QQ
     for name in ("t", "q", "p"):
         F = FunctionField(F, name)
@@ -28,7 +34,19 @@ def p1():
     }
     seed = Sl2Lax(F, PoleData((), (), 2, SIGMA_PLUS), coeffs)
     iso = build_isosystem(seed, beta="q")
-    H = parse_element("-2*p^2 + 2*q^3 + 4*t*q", F)
+    return iso, parse_element("-2*p^2 + 2*q^3 + 4*t*q", F)
+
+
+def curve_U(q_text):
+    """Uniformization of y^2 = Q(x) over Q."""
+    one = RatFn.one(QQ, "x")
+    Q = parse_element(q_text, FunctionField(QQ, "x"))
+    return uniformize(classical_curve(Mat2(0 * one, Q, one, 0 * one)))
+
+
+@pytest.fixture(scope="module")
+def p1():
+    iso, H = p1_system()
     flow = extend_flow(H, leading_order(H), ORDER)
     mser = m_series(iso, flow, ORDER)
     return mser, correlators(mser, nmax=2)
@@ -82,3 +100,82 @@ def test_product_form_transposition_check():
     # (f(z1) g(z2) - g(z1) f(z2)) / (x1 - x2) is symmetric
     pf.add(Fraction(-1), [g, f], {(0, 1): 1})
     assert (pf - pf.permuted([1, 0])).is_zero()
+
+
+# --- the exact zero test on both uniformization kinds ------------------------
+
+@pytest.mark.parametrize("q_text", ["x", "(x-1)*(x-3)"])
+def test_cyclic_coupling_identity_is_zero(q_text):
+    # 1/((x0-x1)(x1-x2)) + 1/((x1-x2)(x2-x0)) + 1/((x2-x0)(x0-x1)) = 0,
+    # times a slot factor 1/z that shares the pole of x on two-branch curves
+    U = curve_U(q_text)
+    z = RatFn.gen(QQ, U.zvar)
+    one = RatFn.one(QQ, U.zvar)
+    facs = [one / z, one, z]
+    terms = [(Fraction(1), {(0, 1): 1, (1, 2): 1}),
+             (Fraction(-1), {(1, 2): 1, (0, 2): 1}),
+             (Fraction(-1), {(0, 2): 1, (0, 1): 1})]
+    pf = ProductForm(U, 3)
+    for coef, coup in terms:
+        pf.add(coef, facs, coup)
+    assert pf.is_zero()
+    for pair in itertools.combinations(terms, 2):
+        part = ProductForm(U, 3)
+        for coef, coup in pair:
+            part.add(coef, facs, coup)
+        assert not part.is_zero()
+        assert not _sep_zero(U.field, part._cleared())
+
+
+@pytest.mark.parametrize("q_text,table", [
+    ("x", {((0, 2), (0, 4)): Fraction(1), ((0, 4), (0, 2)): Fraction(1),
+           ((0, 3), (0, 3)): Fraction(-2, 3)}),
+    ("(x-1)*(x-3)", {((1, 2), (-1, 2)): Fraction(1),
+                     ((-1, 3), (1, 2)): Fraction(1, 2),
+                     ((1, 4), (1, 3)): Fraction(-5)}),
+])
+def test_pole_basis_round_trip_through_coupling(q_text, table):
+    # sum c xi(z0) xi(z1) = sum c (x0 - x1)^2 xi(z0) xi(z1) / (x0 - x1)^2,
+    # with the square expanded as sum_a C(2,a) x0^a (-x1)^(2-a)
+    U = curve_U(q_text)
+    pf = ProductForm(U, 2)
+    for ((s0, k0), (s1, k1)), c in table.items():
+        xi0 = xi_ratfn(QQ, U.zvar, s0, k0)
+        xi1 = xi_ratfn(QQ, U.zvar, s1, k1)
+        for a, w in ((0, 1), (1, -2), (2, 1)):
+            pf.add(c * w, [xi0 * U.x ** a, xi1 * U.x ** (2 - a)],
+                   {(0, 1): 2})
+    assert pf.to_pbf() == PoleBasisForm(QQ, 2, table)
+
+
+def _with_two_point(cors, pf):
+    wn = dict(cors.wn)
+    wn[(2, 0)] = pf
+    return CorrelatorSeries(cors.U, cors.order, cors.nmax, cors.w1, wn)
+
+
+def test_bergman_match_rejects_altered_two_point(p1):
+    mser, cors = p1
+    assert _bergman_match(mser, cors)
+    pf = cors.wn[(2, 0)]
+    E = mser.U.field
+    assert not _bergman_match(mser, _with_two_point(cors,
+                                                    pf.scaled(E.coerce(2))))
+    dropped = ProductForm(pf.U, 2, pf.terms[1:])
+    assert not _bergman_match(mser, _with_two_point(cors, dropped))
+
+
+# --- the tau function ------------------------------------------------------------
+
+
+def test_hamiltonian_is_minus_dt_log_tau_at_genus_2():
+    # H_4, the hbar^4 coefficient of H along the flow, equals -dF_2/dt
+    iso, H = p1_system()
+    lead = leading_order(H)
+    flow = extend_flow(H, lead, 4)
+    vals, one = flow_values(flow, 5)
+    h4 = substitute(H, vals, one).coeff(4)
+    U = uniformize(curve_from_system(iso, lead))
+    tau = tau_series(eo_differentials(U, 2, 1))
+    assert h4
+    assert h4 == -tau.d_dt()[2]
