@@ -26,7 +26,7 @@ from .laxsystem import Mat2, assemble
 from .spectralcurve import (ONE_BRANCH, TWO_BRANCH, classical_curve, pullback,
                             uniformize)
 from .toprec import (PoleBasisForm, adjacent_transpositions,
-                     eo_differentials, symplectic_invariants)
+                     eo_differentials, symplectic_invariants, xi_ratfn)
 
 
 def beta_factor(aux):
@@ -564,11 +564,8 @@ def _pbf_product(pbf, U, n):
     """A PoleBasisForm as a ProductForm (products of basis one-forms)."""
     E = U.field
     out = ProductForm(U, n)
-    zg = RatFn.gen(E, U.zvar)
-    one = RatFn.one(E, U.zvar)
     for key, c in pbf.table.items():
-        facs = [one / (zg - s * one) ** k for s, k in key]
-        out.add(c, facs, {})
+        out.add(c, [xi_ratfn(E, U.zvar, s, k) for s, k in key], {})
     return out
 
 

@@ -18,23 +18,39 @@ from fractions import Fraction
 from .poly import Poly, poly_sqrt
 from .ratfn import RatFn
 
-_DIVISOR_BOUND = 10 ** 8
+def _integer_roots(q):
+    """The integer roots of a squarefree monic polynomial q over Z.
 
+    Sturm's theorem counts the distinct real roots in a half-open bracket
+    (a, b].  Brackets with integer ends inside the Cauchy bound are halved
+    while they hold a root, down to width one; the only integer in (a, a+1]
+    is a+1, and it is tested exactly.
+    """
+    chain = [q, q.deriv()]
+    while chain[-1].degree() > 0:
+        rem = chain[-2] % chain[-1]
+        if not rem:
+            break
+        chain.append(-rem)
 
-def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    if n > _DIVISOR_BOUND:
-        # too big to sieve honestly; try only the cheap candidates
-        return [1, n]
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
+    def changes(x):
+        signs = [v > 0 for v in (p(Fraction(x)) for p in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = int(1 + max(abs(c) for c in q.coeffs))  # Cauchy: |root| < bound
+    out = []
+    brackets = [(-bound, bound, changes(-bound), changes(bound))]
+    while brackets:
+        a, b, va, vb = brackets.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            if not q(Fraction(b)):
+                out.append(b)
+            continue
+        mid = (a + b) // 2
+        vm = changes(mid)
+        brackets += [(a, mid, va, vm), (mid, b, vm, vb)]
     return sorted(out)
 
 
@@ -81,22 +97,20 @@ class RationalField:
             return Fraction(rn, rd)
         return None
 
-    def root_candidates(self, coeffs):
-        """Rational-root candidates p/q for a polynomial over Q."""
+    def rational_roots(self, coeffs):
+        """The distinct rational roots of a squarefree polynomial over Q.
+
+        With integer coefficients a_0..a_n, the integer-monic transform
+        a_n^(n-1) p(y/a_n) has leading coefficient 1, so its rational roots
+        are integers y, and the roots of p are the y/a_n.
+        """
         fracs = [self.coerce(c) for c in coeffs]
-        lcm = 1
-        for c in fracs:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+        lcm = math.lcm(*(c.denominator for c in fracs))
         ints = [int(c * lcm) for c in fracs]
-        while ints and ints[0] == 0:
-            ints.pop(0)
-        if not ints:
-            return
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                c = Fraction(p, q)
-                yield c
-                yield -c
+        n, lead = len(ints) - 1, ints[-1]
+        monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])]
+        q = Poly(self, [Fraction(c) for c in monic] + [self.one()])
+        return [Fraction(y, lead) for y in _integer_roots(q)]
 
     def to_str(self, e):
         return str(self.coerce(e))

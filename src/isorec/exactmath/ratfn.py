@@ -273,14 +273,11 @@ def _peel_roots(g, hints):
     if g.degree() >= 1 and not g.constant():
         g, _ = _strip_root(g, field.zero())
         roots.append(field.zero())
-    candidates = getattr(field, "root_candidates", None)
-    if candidates is not None and g.degree() > 2:
-        for c in candidates(g.coeffs):
-            if g.degree() < 1:
-                break
-            if not g(c):
-                g, _ = _strip_root(g, c)
-                roots.append(c)
+    rational_roots = getattr(field, "rational_roots", None)
+    if rational_roots is not None and g.degree() > 2:
+        for c in rational_roots(g.coeffs):
+            g, _ = _strip_root(g, c)
+            roots.append(c)
     if g.degree() == 1:
         roots.append(-g.coeff(0) / g.coeff(1))
         g = Poly.one(field, g.var)
@@ -322,8 +319,8 @@ def roots_in_field(p, hints=()):
     """Roots of p with multiplicities, as [(root, mult), ...].
 
     hints are candidate roots tried before any systematic search; the field
-    may additionally expose root_candidates() (the rationals do, via the
-    integer divisor test).  Raises IrreducibleDenominator when p does not
+    may additionally expose rational_roots() (the rationals do, by exact
+    real-root isolation).  Raises IrreducibleDenominator when p does not
     split into linear factors over its own coefficient field.
     """
     roots, rest = split_linear_factors(p, hints)

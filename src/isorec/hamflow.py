@@ -35,12 +35,12 @@ class LeadingOrder:
 
     __slots__ = ("field", "p0", "q0", "modulus", "uname", "root")
 
-    def __init__(self, field, p0, q0, modulus=None, uname="u", root="plus"):
+    def __init__(self, field, p0, q0, modulus=None, root="plus"):
         self.field = field
         self.p0 = field.coerce(p0)
         self.q0 = field.coerce(q0)
         self.modulus = modulus
-        self.uname = uname
+        self.uname = "u"
         self.root = root
 
     def __repr__(self):

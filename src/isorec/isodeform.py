@@ -132,12 +132,12 @@ class IsoSystem:
                 % (self.case, self.tname, self.normalized))
 
 
-def _time_element(field, tname):
-    """Locate the time symbol in the scalar tower, extending it on demand."""
+def _time_element(field):
+    """Locate the time symbol t in the scalar tower, extending it on demand."""
     try:
-        return field, parse_element(tname, field), False
+        return field, parse_element("t", field), False
     except ValueError:
-        wrapped = FunctionField(field, tname)
+        wrapped = FunctionField(field, "t")
         return wrapped, wrapped.gen(), True
 
 
@@ -153,7 +153,7 @@ def build_isosystem(system, case=None, sigma=None, beta=None):
     if case is None:
         case = select_case(system.poles)
     r = case.validate(system.poles)
-    field, t, wrapped = _time_element(system.field, "t")
+    field, t, wrapped = _time_element(system.field)
     if wrapped:
         system = system.map_scalars(field.coerce, field)
     if isinstance(beta, str):

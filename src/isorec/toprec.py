@@ -11,26 +11,34 @@ entries are plain ints.  omega_{0,1} = y dx and the Bergman kernel
 omega_{0,2} = dz1 dz2/(z1-z2)^2 stay implicit; they enter the recursion
 through closed-form local expansions, never through the table.
 
-The residue at a branch point s is taken on exact Laurent windows in
-w = z - s.  Writing wt = sigma(z) - s, the recursion kernel numerator
-expands as
+The recursion runs in coefficient form.  Near a branch point s, with
+w = z - s and wt = sigma(z) - s, the kernel numerator expands as
 
     1/(z0-z) - 1/(z0-sigma(z)) = sum_{m>=1} (w^m - wt^m) / (z0-s)^(m+1),
 
-so every residue lands directly on basis elements in the z0 slot.  Poles of
-order one never arise (m starts at 1): computed forms are residue-free by
-construction, and the invariant checks verify symmetry and involution
-anti-invariance on top of that.
+so every residue lands directly on basis elements in the z0 slot.  Each
+term of the bracket is a field scalar times f_a(z) f_b(sigma z), where a
+factor f is a basis element or one term of omega_{0,2}'s expansion, and the
+residue of K(z0,z) f_a(z) f_b(sigma z) is a fixed vector over the basis
+elements dz0/(z0-s)^(m+1) that depends only on the curve.  BranchWindow
+computes that residue row once per pair of factors from exact Laurent
+windows; a form's table is then a contraction, scalar times row, summed
+into dicts.  Poles of order one never arise (m starts at 1): computed forms
+are residue-free by construction, and the invariant checks verify symmetry
+and involution anti-invariance on top of that.
 """
 
 import itertools
 from math import comb
 
 from .errors import (NonSimpleBranchpoint, InvalidPoleStructure,
-                     UnexpectedPole)
+                     TruncationTooShort, UnexpectedPole)
 from .exactmath import (FunctionField, RatFn, Series, local_expand,
                         partial_fractions)
 from .spectralcurve import ONE_BRANCH
+
+# factor-id tag of the m-th term of omega_{0,2}'s expansion at a branch point
+W02 = "w02"
 
 
 def adjacent_transpositions(n):
@@ -195,17 +203,26 @@ def xi_ratfn(field, var, s, k):
 
 
 class BranchWindow:
-    """Exact Laurent windows at one branch z-point.
+    """Residue rows at one branch z-point.
 
-    Caches the local data the recursion needs: wt = sigma(z)-s, expanded
-    from the uniformization's sigma, and its derivative, the inverse of
-    4 y x' (whose double zero at the branch point is the simplicity
-    requirement), and the basis expansions xi_{s',k} seen from this point
-    on either sheet.
+    Every term of the recursion's bracket is a product of two factors, one
+    at z = s + w (sheet 0) and one at sigma(z) (sheet 1), times a field
+    scalar.  A factor is a basis element (s', k), i.e. dz/(z-s')^k, or the
+    m-th term (W02, m) of omega_{0,2}'s expansion about the branch point,
+    w^m dz without its scalar m+1.  The residue of K(z0,z) times such a
+    product depends only on the curve and the two factor ids, so it is
+    computed once per run and kept as a residue row: the pairs (m, r_m) with
+
+        Res_{z->s} K(z0,z) f_a(z) f_b(sigma z) = sum_m r_m dz0/(z0-s)^(m+1).
+
+    The windows behind a row are wt = sigma(z)-s, expanded from the
+    uniformization's sigma, and its derivative; the inverse of 4 y x'
+    (whose double zero at the branch point is the simplicity requirement);
+    and the factors seen from this point on either sheet.
     """
 
     __slots__ = ("field", "s", "point", "prec", "sig", "sig_prime", "dinv",
-                 "_xi_cache", "_sig_pows")
+                 "_factors", "_sig_pows", "_left", "_rows")
 
     def __init__(self, U, s, prec):
         E = U.field
@@ -221,8 +238,10 @@ class BranchWindow:
                 "omega01(z) - omega01(sigma z) vanishes to order %s at z=%s "
                 "(order 2 required)" % (dd.valuation() if dd else "all", s))
         self.dinv = dd.inverse()
-        self._xi_cache = {}
+        self._factors = {}
         self._sig_pows = {1: self.sig}
+        self._left = {}
+        self._rows = {}
 
     def sig_pow(self, m):
         out = self._sig_pows.get(m)
@@ -231,41 +250,87 @@ class BranchWindow:
             self._sig_pows[m] = out
         return out
 
-    def monomial(self, k, c=None):
-        one = self.field.one() if c is None else c
-        return Series(k, [one], k + 3 * self.prec, self.field.zero(),
-                      self.point)
+    def monomial(self, k):
+        return Series(k, [self.field.one()], k + 3 * self.prec,
+                      self.field.zero(), self.point)
 
     def xi(self, s2, k, sheet):
         """Window of dz/(z-s2)^k at z = s+w (sheet 0) or sigma(z) (sheet 1).
 
         Sheet 1 includes the Jacobian d(sigma z)/dw.
         """
-        got = self._xi_cache.get((s2, k, sheet))
-        if got is not None:
-            return got
         E, one = self.field, self.field.one()
         if sheet == 0:
             if s2 == self.s:
-                out = self.monomial(-k)
-            else:
-                base = Series(0, [self.point - E.coerce(s2), one], self.prec,
-                              E.zero(), self.point)
-                out = base.inverse() ** k
+                return self.monomial(-k)
+            base = Series(0, [self.point - E.coerce(s2), one], self.prec,
+                          E.zero(), self.point)
+            return base.inverse() ** k
+        if s2 == self.s:
+            out = self.sig.inverse() ** k
         else:
-            if s2 == self.s:
-                out = self.sig.inverse() ** k
+            shifted = self.sig + (self.point - E.coerce(s2))
+            out = shifted.inverse() ** k
+        return out * self.sig_prime
+
+    def factor(self, fid, sheet):
+        """Window of the factor fid on the given sheet, cached."""
+        out = self._factors.get((fid, sheet))
+        if out is None:
+            tag, k = fid
+            if tag != W02:
+                out = self.xi(tag, k, sheet)
+            elif sheet == 0:
+                out = self.monomial(k)
             else:
-                shifted = self.sig + (self.point - E.coerce(s2))
-                out = shifted.inverse() ** k
-            out = out * self.sig_prime
-        self._xi_cache[(s2, k, sheet)] = out
+                out = self.sig_pow(k) * self.sig_prime if k else self.sig_prime
+            self._factors[(fid, sheet)] = out
         return out
 
     def bergman_diag(self):
         """omega_{0,2}(z, sigma z) / dz^2 as a window: wt'/(w - wt)^2."""
         gap = self.monomial(1) - self.sig
         return self.sig_prime * gap.inverse() ** 2
+
+    def residue_row(self, a, b):
+        """The residue row of f_a(z) f_b(sigma z); a = b = None stands for
+        omega_{0,2}(z, sigma z).
+
+        With S = f_a f_b / (4 y x') and the kernel numerator expanded as
+        sum_{m>=1} (w^m - wt^m)/(z0-s)^(m+1), the row holds
+        r_m = S_{-1-m} - sum_j (wt^m)_j S_{-1-j} for every nonzero r_m.
+        """
+        row = self._rows.get((a, b))
+        if row is not None:
+            return row
+        if a is None:
+            S = self.bergman_diag() * self.dinv
+        else:
+            left = self._left.get(a)
+            if left is None:
+                left = self._left[a] = self.factor(a, 0) * self.dinv
+            right = self.factor(b, 1)
+            # at valuation >= -1 no m >= 1 reaches the residue
+            S = left * right if left.kmin + right.kmin < -1 else None
+        row = []
+        for m in range(1, -S.kmin if S else 0):
+            sm = self.sig_pow(m)
+            # exponent -1 of wt^m S must lie inside its known window
+            known = min(sm.prec + S.kmin, S.prec + sm.kmin)
+            if known <= -1:
+                raise TruncationTooShort(
+                    "residue of wt^%d S needs exponent -1, known below %d"
+                    % (m, known))
+            r = S.coeff(-1 - m)
+            for j, c in enumerate(sm.coeffs, sm.kmin):
+                if -1 - j < S.kmin:
+                    break
+                if c:
+                    r = r - c * S.coeffs[-1 - j - S.kmin]
+            if r:
+                row.append((m, r))
+        self._rows[(a, b)] = row
+        return row
 
 
 def recursion_kernel(U):
@@ -309,53 +374,43 @@ class RecursionResult:
         return out
 
 
-def _factor_terms(win, omegas, g, positions, sheet, prec):
-    """Series terms of omega_{g,1+len(positions)} with its first slot on the
-    given sheet and the remaining slots at free outer variables.
+def _factor_terms(win, omegas, g, positions):
+    """Factors of omega_{g,1+len(positions)} with its first slot at the
+    branch point and the remaining slots at free outer variables.
 
-    Yields (series, {position: (s, k)}) pairs; omega_{0,2} with one free
-    variable expands through its pole at the branch point, contributing basis
-    orders m+2 at the free slot.
+    Returns (factor id, scalar, {position: (s, k)}) triples; omega_{0,2}
+    with one free variable expands through its pole at the branch point,
+    contributing basis orders m+2 at the free slot.
     """
     if g == 0 and len(positions) == 1:
         j = positions[0]
-        out = []
-        for m in range(prec):
-            if sheet == 0:
-                ser = win.monomial(m, win.field.coerce(m + 1))
-            else:
-                if m == 0:
-                    ser = win.sig_prime * (m + 1)
-                else:
-                    ser = win.sig_pow(m) * win.sig_prime * (m + 1)
-            out.append((ser, {j: (win.s, m + 2)}))
-        return out
+        return [((W02, m), win.field.coerce(m + 1), {j: (win.s, m + 2)})
+                for m in range(win.prec)]
     stored = omegas.get((g, 1 + len(positions)))
-    if stored is None or not stored:
+    if not stored:
         return []
-    out = []
-    for key, c in stored.table.items():
-        ser = win.xi(key[0][0], key[0][1], sheet) * c
-        jkeys = {p: key[1 + i] for i, p in enumerate(positions)}
-        out.append((ser, jkeys))
-    return out
+    return [(key[0], c, {p: key[1 + i] for i, p in enumerate(positions)})
+            for key, c in stored.table.items()]
 
 
-def _residue_contributions(win, omegas, g, n, table, prec):
-    """Add Res_{z->s} K(z0,z) [ ... ] to the coefficient table of omega_{g,n}."""
+def _residue_contributions(win, omegas, g, n, table):
+    """Add Res_{z->s} K(z0,z) [ ... ] to the coefficient table of omega_{g,n}.
+
+    Each bracket term is a pair of factor ids with a scalar and the keys of
+    its free slots; it adds scalar * r_m at ((s, m+1),) + free keys for every
+    entry (m, r_m) of the pair's residue row.
+    """
     positions = list(range(1, n))
     terms = []
     if g >= 1:
         if (g - 1, n + 1) == (0, 2):
-            terms.append((win.bergman_diag(), {}))
+            terms.append((win.residue_row(None, None), win.field.one(), {}))
         else:
             stored = omegas.get((g - 1, n + 1))
             if stored:
                 for key, c in stored.table.items():
-                    ser = win.xi(key[0][0], key[0][1], 0) \
-                        * win.xi(key[1][0], key[1][1], 1) * c
                     jkeys = {p: key[2 + i] for i, p in enumerate(positions)}
-                    terms.append((ser, jkeys))
+                    terms.append((win.residue_row(key[0], key[1]), c, jkeys))
     for g1 in range(g + 1):
         g2 = g - g1
         for r in range(len(positions) + 1):
@@ -363,27 +418,22 @@ def _residue_contributions(win, omegas, g, n, table, prec):
                 I2 = tuple(p for p in positions if p not in I1)
                 if (g1 == 0 and not I1) or (g2 == 0 and not I2):
                     continue  # omega_{0,1} factors are excluded
-                for s1, j1 in _factor_terms(win, omegas, g1, list(I1), 0, prec):
-                    for s2, j2 in _factor_terms(win, omegas, g2, list(I2), 1, prec):
-                        merged = dict(j1)
-                        merged.update(j2)
-                        terms.append((s1 * s2, merged))
-    for ser, jkeys in terms:
-        S = ser * win.dinv
-        if not S:
-            continue
+                right = _factor_terms(win, omegas, g2, list(I2))
+                for a, c1, j1 in _factor_terms(win, omegas, g1, list(I1)):
+                    for b, c2, j2 in right:
+                        row = win.residue_row(a, b)
+                        if row:
+                            terms.append((row, c1 * c2, {**j1, **j2}))
+    for row, c, jkeys in terms:
         rest = tuple(jkeys[p] for p in positions)
-        top = -1 - S.valuation()
-        for m in range(1, top + 1):
-            r = S.coeff(-1 - m) - (win.sig_pow(m) * S).coeff(-1)
-            if r:
-                key = ((win.s, m + 1),) + rest
-                cur = table.get(key)
-                r = r if cur is None else cur + r
-                if r:
-                    table[key] = r
-                else:
-                    del table[key]
+        for m, r in row:
+            key = ((win.s, m + 1),) + rest
+            cur = table.get(key)
+            v = c * r if cur is None else cur + c * r
+            if v:
+                table[key] = v
+            else:
+                del table[key]
 
 
 def eo_differentials(U, gmax, nmax):
@@ -407,7 +457,7 @@ def eo_differentials(U, gmax, nmax):
                 continue
             table = {}
             for win in wins:
-                _residue_contributions(win, omegas, g, n, table, prec)
+                _residue_contributions(win, omegas, g, n, table)
             form = PoleBasisForm(E, n, table)
             _verify_form(form, U.kind, g, n)
             omegas[(g, n)] = form

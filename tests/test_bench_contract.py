@@ -4,7 +4,8 @@ isobench/tracing.py wraps isorec functions and methods by name, the
 workloads call the pipeline stages, and the benchmark's correctness gate
 builds constant hbar series through HbarSeries.constant.  A refactor that
 renames, moves or drops a parameter of one of them breaks the benchmark;
-these tests fail first.
+these tests fail first.  The two recursion workloads also run here, and
+their outputs must match the digests the benchmark has committed.
 """
 
 import ast
@@ -14,14 +15,17 @@ import inspect
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from isorec.exactmath import HbarSeries
 
 BENCH = Path(__file__).resolve().parents[1] / "isobench"
-TRACING = BENCH / "tracing.py"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("isobench_tracing", TRACING)
+def load_bench(name):
+    """The benchmark module isobench/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location("isobench_" + name,
+                                                  BENCH / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -29,7 +33,7 @@ def load_tracing():
 
 def test_every_trace_target_resolves():
     missing = []
-    for stem, modname, attr, _ in load_tracing().TARGETS:
+    for stem, modname, attr, _ in load_bench("tracing").TARGETS:
         owner = importlib.import_module(modname)
         clsname, _, name = attr.rpartition(".")
         if clsname:
@@ -104,3 +108,12 @@ def test_bench_calls_match_signatures():
             "hamflow.extend_flow", "isodeform.compatibility_residual",
             "spectralcurve.curve_from_system", "toprec.eo_differentials",
             "HbarSeries.constant", "substitute"} <= seen
+
+
+@pytest.mark.parametrize("workload", ["airy-g0n7", "twobranch-g2n1"])
+def test_recursion_matches_committed_digest(workload):
+    workloads, gate = load_bench("workloads"), load_bench("gate")
+    out = {}
+    workloads.run(workload, workloads.build(workload), out)
+    want = gate.load_digests()[workload]["RecursionResult"]
+    assert gate.digest(out["eo"].to_json()) == want

@@ -298,6 +298,26 @@ def test_roots_with_multiplicity():
     assert roots_in_field(p) == [(Fraction(-3, 2), 1), (Fraction(1), 2)]
 
 
+def test_roots_beyond_the_old_divisor_bound():
+    # the constant term 2*10007*10009 exceeds 10^8
+    x = Poly.gen(QQ, "x")
+    p = (x - 10007) * (x - 10009) * (x - 2)
+    assert roots_in_field(p) == [(Fraction(10007), 1), (Fraction(10009), 1),
+                                 (Fraction(2), 1)]
+    q = (3 * x - 10007) * (x + 100000007) * (2 * x - 1) * (x - 5)
+    assert sorted(r for r, _ in roots_in_field(q)) == [
+        -100000007, Fraction(1, 2), 5, Fraction(10007, 3)]
+
+
+def test_non_splitting_cubic_still_refused():
+    # three real roots, none rational
+    x = Poly.gen(QQ, "x")
+    with pytest.raises(IrreducibleDenominator):
+        roots_in_field(x ** 3 - 3 * x - 1)
+    with pytest.raises(IrreducibleDenominator):
+        roots_in_field((x - 10007) * (x ** 3 - 10009))
+
+
 def test_roots_via_quadratic_over_function_field():
     t = Qt.gen()
     x = Poly.gen(Qt, "x")

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -150,6 +152,83 @@ def test_airy_flipped_sheet_negates_odd_chi():
     assert table_of(res.omega(1, 2)) == AIRY_12
 
 
+# --- Witten-Kontsevich oracle: the DVV (Virasoro) recursion -------------------
+
+
+def dfact(m):
+    return math.prod(range(m, 0, -2))  # (-1)!! = 1
+
+
+@functools.lru_cache(maxsize=None)
+def psi_integral(g, ds):
+    """<tau_{d_1} ... tau_{d_n}>_g for a sorted tuple ds.
+
+    Dijkgraaf-Verlinde-Verlinde on the largest index d = k+1:
+    (2k+3)!! <tau_{k+1} tau_D>_g
+      = sum_j (2k+2d_j+1)!!/(2d_j-1)!! <tau_D with d_j -> d_j+k>_g
+      + 1/2 sum_{r+s=k-1} (2r+1)!!(2s+1)!! (<tau_r tau_s tau_D>_{g-1}
+          + sum_{g1+g2=g, I+J=D} <tau_r tau_I>_{g1} <tau_s tau_J>_{g2}).
+    """
+    n = len(ds)
+    if g < 0 or not ds or ds[0] < 0 or sum(ds) != 3 * g - 3 + n:
+        return Fraction(0)
+    if (g, ds) in ((0, (0, 0, 0)), (1, (1,))):
+        return Fraction(1) if g == 0 else Fraction(1, 24)
+    k, rest = ds[-1] - 1, ds[:-1]
+    total = Fraction(0)
+    for j, d in enumerate(rest):
+        bumped = tuple(sorted(rest[:j] + (d + k,) + rest[j + 1:]))
+        total += (Fraction(dfact(2 * k + 2 * d + 1), dfact(2 * d - 1))
+                  * psi_integral(g, bumped))
+    for r in range(k):
+        s = k - 1 - r
+        w = Fraction(dfact(2 * r + 1) * dfact(2 * s + 1), 2)
+        total += w * psi_integral(g - 1, tuple(sorted(rest + (r, s))))
+        for mask in range(2 ** len(rest)):
+            I = tuple(d for i, d in enumerate(rest) if mask >> i & 1)
+            J = tuple(d for i, d in enumerate(rest) if not mask >> i & 1)
+            for g1 in range(g + 1):
+                total += (w * psi_integral(g1, tuple(sorted(I + (r,))))
+                          * psi_integral(g - g1, tuple(sorted(J + (s,)))))
+    return total / dfact(2 * k + 3)
+
+
+def compositions(total, n):
+    if n == 1:
+        yield (total,)
+        return
+    for d in range(total + 1):
+        for rest in compositions(total - d, n - 1):
+            yield (d,) + rest
+
+
+def test_dvv_known_values():
+    assert psi_integral(1, (1, 1)) == Fraction(1, 24)
+    assert psi_integral(2, (4,)) == Fraction(1, 1152)
+    assert psi_integral(3, (7,)) == Fraction(1, 82944)
+    assert psi_integral(2, (2, 3)) == Fraction(29, 5760)
+    assert psi_integral(0, (0, 0, 0, 1, 1)) == 2
+
+
+def test_airy_matches_dvv_intersection_numbers():
+    # The coefficient of prod dz_i/z_i^(2d_i+2) in omega_{g,n} is
+    # c <tau_{d_1}...tau_{d_n}>_g prod (2d_i+1)!!, with c = (-1/2)^(2g-2+n)
+    # fixed by omega_{0,3} (<tau_0^3>_0 = 1) and omega_{1,1} (<tau_1>_1 = 1/24).
+    assert AIRY_03[0][1] == "-1/2" and AIRY_11[0][1] == "-1/16"
+    res = eo_differentials(airy_U(), 3, 2)
+    assert set(res.omegas) == {(g, n) for g in range(4) for n in range(1, 9)
+                               if 0 < 2 * g - 2 + n <= 6}
+    for (g, n), form in res.omegas.items():
+        c = Fraction(-1, 2) ** (2 * g - 2 + n)
+        want = {}
+        for ds in compositions(3 * g - 3 + n, n):
+            v = psi_integral(g, tuple(sorted(ds)))
+            if v:
+                want[tuple((0, 2 * d + 2) for d in ds)] = (
+                    c * v * math.prod(dfact(2 * d + 1) for d in ds))
+        assert form.table == want, (g, n)
+
+
 def test_airy_pole_orders_saturate_bound(airy_run):
     for (g, n), form in airy_run.omegas.items():
         assert form.max_order() == 2 * (3 * g - 2 + n)
@@ -178,6 +257,15 @@ def test_twobranch_frozen_tables():
     assert table_of(res.omega(1, 1)) == TWOBRANCH_11
     for form in res.omegas.values():
         assert form.max_order() <= 2 * (3 * 1 - 2 + 1) + 2
+
+
+def test_twobranch_gaussian_F2():
+    # y^2 = (x-1)(x-3) is the Gaussian curve y^2 = x^2 - 4t at t = 1/4 with y
+    # scaled by 2: F_g = B_{2g}/(2g(2g-2)) t^(2-2g) 2^(2-2g), so F_2 = -1/60
+    res = eo_differentials(twobranch_U(), 2, 2)
+    assert set(res.omegas) == {(0, 3), (0, 4), (0, 5), (0, 6), (1, 1),
+                               (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)}
+    assert symplectic_invariants(res) == {2: Fraction(-1, 60)}
 
 
 # --- independent single-point samples ----------------------------------------
