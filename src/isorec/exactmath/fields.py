@@ -182,6 +182,8 @@ class FunctionField:
         return self.coerce(e).to_str(self.base.to_str)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, FunctionField)
                 and self.base == other.base and self.var == other.var)
 
@@ -376,6 +378,8 @@ class QuadraticExtension:
         return s.replace("+ -", "- ")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, QuadraticExtension)
                 and self.base == other.base and self.uname == other.uname
                 and self.r == other.r)

@@ -51,23 +51,33 @@ class RatFn:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _reduced(cls, num, den):
+        """Wrap num/den that is already canonical: coprime, den monic, and
+        den = 1 when num = 0.  The arithmetic below keeps its operands in
+        this form, so it never needs the full gcd of __init__."""
+        f = object.__new__(cls)
+        f.num = num
+        f.den = den
+        return f
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def const(cls, field, c, var):
-        return cls(Poly.const(field, c, var))
+        return cls._reduced(Poly.const(field, c, var), Poly.one(field, var))
 
     @classmethod
     def gen(cls, field, var):
-        return cls(Poly.gen(field, var))
+        return cls._reduced(Poly.gen(field, var), Poly.one(field, var))
 
     @classmethod
     def zero(cls, field, var):
-        return cls(Poly.zero(field, var))
+        return cls._reduced(Poly.zero(field, var), Poly.one(field, var))
 
     @classmethod
     def one(cls, field, var):
-        return cls(Poly.one(field, var))
+        return cls._reduced(Poly.one(field, var), Poly.one(field, var))
 
     # -- structure ---------------------------------------------------------
 
@@ -113,7 +123,7 @@ class RatFn:
             # of our coefficient field; fall through to field coercion
         if isinstance(other, Poly) and other.field == self.field \
                 and other.var == self.var:
-            return RatFn(other)
+            return RatFn._reduced(other, Poly.one(other.field, other.var))
         try:
             c = self.field.coerce(other)
         except (TypeError, ValueError):
@@ -132,27 +142,62 @@ class RatFn:
                 return lifted
         return NotImplemented
 
+    def _sum(self, c, d):
+        """self + c/d for canonical c/d, reducing only by gcds of factors of
+        the denominators (Henrici; Knuth, TAOCP 2, 4.5.1)."""
+        a, b = self.num, self.den
+        if b.degree() == 0 and d.degree() == 0:
+            return RatFn._reduced(a + c, b)
+        if b == d:
+            t = a + c
+            g = poly_gcd(t, b)
+            return RatFn._reduced(t // g, b // g)
+        g = poly_gcd(b, d)
+        if g.degree() == 0:
+            return RatFn._reduced(a * d + c * b, b * d)
+        # t = 0 would mean a/b = -c/d, and canonical forms then have b = d
+        bg = b // g
+        t = a * (d // g) + c * bg
+        g2 = poly_gcd(t, g)
+        return RatFn._reduced(t // g2, bg * (d // g2))
+
+    def _product(self, c, d):
+        """self * c/d for canonical c/d: a and d lose gcd(a, d), c and b
+        lose gcd(c, b), and the products are then coprime."""
+        a, b = self.num, self.den
+        if not a:
+            return self
+        if not c:
+            return RatFn._reduced(c, d)
+        if a.degree() > 0 and d.degree() > 0:
+            g = poly_gcd(a, d)
+            if g.degree() > 0:
+                a, d = a // g, d // g
+        if c.degree() > 0 and b.degree() > 0:
+            g = poly_gcd(c, b)
+            if g.degree() > 0:
+                c, b = c // g, b // g
+        return RatFn._reduced(a * c, b * d)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             s = self._lift_into(other)
             return NotImplemented if s is NotImplemented else s + other
-        return RatFn(self.num * o.den + o.num * self.den,
-                     self.den * o.den)
+        return self._sum(o.num, o.den)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return RatFn(-self.num, self.den)
+        return RatFn._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             s = self._lift_into(other)
             return NotImplemented if s is NotImplemented else s - other
-        return RatFn(self.num * o.den - o.num * self.den,
-                     self.den * o.den)
+        return self._sum(-o.num, o.den)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -162,7 +207,7 @@ class RatFn:
         if o is NotImplemented:
             s = self._lift_into(other)
             return NotImplemented if s is NotImplemented else s * other
-        return RatFn(self.num * o.num, self.den * o.den)
+        return self._product(o.num, o.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -174,7 +219,8 @@ class RatFn:
             return NotImplemented if s is NotImplemented else s / other
         if not o:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFn(self.num * o.den, self.den * o.num)
+        o = o.inverse()
+        return self._product(o.num, o.den)
 
     def __rtruediv__(self, other):
         return self.inverse().__mul__(other)
@@ -182,12 +228,16 @@ class RatFn:
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverting the zero rational function")
-        return RatFn(self.den, self.num)
+        num, den = self.den, self.num
+        lc = den.leading()
+        if lc != den.field.one():
+            num, den = num / lc, den / lc
+        return RatFn._reduced(num, den)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFn(self.num ** n, self.den ** n)
+        return RatFn._reduced(self.num ** n, self.den ** n)
 
     # -- calculus -----------------------------------------------------------
 

@@ -372,3 +372,118 @@ def test_local_series_inverse_precision():
     inv = s.inverse()
     assert inv.coeff(0) == 1 and inv.coeff(1) == -1
     assert all(inv.coeff(k) == 0 for k in range(2, 5))
+
+
+
+# --- the canonical-in, canonical-out kernels ------------------------------------
+#
+# Every RatFn result must be the fraction RatFn(num, den) normalizes from the
+# unreduced cross products, over Q, Q(t) and Q(t)[u].
+
+KERNEL_FIELDS = {
+    # field, scalars, factor pool, most factors in a numerator or denominator
+    "Q": (QQ, ["1", "-2", "1/3"], ["x", "x - 1", "x + 2"], 2),
+    "Q(t)": (Qt, ["1", "t", "-1/t", "(t + 1)/(t - 2)"],
+             ["x", "x - t", "x^2 - t^2", "t*x - 1"], 1),
+    "Q(t)[u]": (QuadraticExtension(Qt, Qt.gen(), "u"), ["1", "u", "-t"],
+                ["x", "x - u", "x^2 - t"], 1),
+}
+
+
+def _kernel_pools(name):
+    F, scalars, factors, most = KERNEL_FIELDS[name]
+    Fx = FunctionField(F, "x")
+    return (Fx, [parse_element(s, F) for s in scalars],
+            [parse_element(f, Fx) for f in factors], most)
+
+
+KERNEL_POOLS = {name: _kernel_pools(name) for name in KERNEL_FIELDS}
+
+
+@st.composite
+def kernel_fractions(draw, name):
+    """(c*P + e)/D over the named field, with P and D products of factors
+    from one small pool, so that operands often share denominator factors
+    and sums often cancel.  The pools stay small over the towers, where the
+    full gcd of the reference fraction swells quickly with the degree."""
+    Fx, scalars, factors, most = KERNEL_POOLS[name]
+    pool = st.lists(st.sampled_from(factors), max_size=most)
+    num, den = Fx.one(), Fx.one()
+    for f in draw(pool):
+        num = num * f
+    for f in draw(pool):
+        den = den * f
+    c = draw(st.sampled_from(scalars))
+    e = draw(st.sampled_from([0 * c] + scalars))
+    return (c * num + e) / den
+
+
+def assert_canonical(f):
+    assert f.den.leading() == f.field.one()
+    assert poly_gcd(f.num, f.den).degree() == 0 if f else f.den.degree() == 0
+
+
+def naive_results(f, g, k):
+    """The seven kernels, each as RatFn(num, den) from unreduced products."""
+    a, b, c, d = f.num, f.den, g.num, g.den
+    out = {"add": (f + g, RatFn(a * d + c * b, b * d)),
+           "sub": (f - g, RatFn(a * d - c * b, b * d)),
+           "mul": (f * g, RatFn(a * c, b * d)),
+           "neg": (-f, RatFn(-a, b)),
+           "pow": (f ** k, RatFn(a ** k, b ** k))}
+    if g:
+        out["div"] = (f / g, RatFn(a * d, b * c))
+    if f:
+        out["inverse"] = (f.inverse(), RatFn(b, a))
+        out["negpow"] = (f ** -k, RatFn(b ** k, a ** k))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_kernels_match_cross_products(name):
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_fractions(name), kernel_fractions(name), st.integers(0, 3))
+    def check(f, g, k):
+        for op, (got, want) in naive_results(f, g, k).items():
+            assert (got.num, got.den) == (want.num, want.den), op
+            assert_canonical(got)
+    check()
+
+
+def test_kernel_explicit_cases():
+    x = X()
+    one = RatFn.one(QQ, "x")
+    # shared denominator factor x: the sum reduces by gcd(2x, x)
+    s = one / (x * (x - 1)) + one / (x * (x + 1))
+    assert (s.num, s.den) == (Poly(QQ, [2]), Poly(QQ, [-1, 0, 1]))
+    assert_canonical(s)
+    # equal denominators whose numerators cancel the whole denominator
+    s = x / (x - 1) - one / (x - 1)
+    assert s == 1 and s.den.degree() == 0
+    # cancellation to zero leaves the denominator 1
+    for z in ((x + 2) / (x - 3) - (x + 2) / (x - 3),
+              one / x + (-one) / x, (x / 3) * 0, 0 * (one / (x - 1))):
+        assert not z and z.den == Poly.one(QQ, "x")
+    # constant denominators are folded into the numerator
+    f = RatFn(Poly(QQ, [1, 1]), Poly(QQ, [3]))
+    assert f.den == Poly.one(QQ, "x") and f.num == Poly(QQ, [Fraction(1, 3)] * 2)
+    g = f * 6 + f / 2
+    assert g.num == Poly(QQ, [Fraction(13, 6)] * 2) and g.den.degree() == 0
+    # the inverse of a non-monic numerator becomes monic
+    h = (2 * x + 4).inverse()
+    assert (h.num, h.den) == (Poly(QQ, [Fraction(1, 2)]), Poly(QQ, [2, 1]))
+
+
+def test_separately_built_fields_agree():
+    Qt2 = FunctionField(QQ, "t")
+    assert Qt2 == Qt and Qt2 is not Qt
+    K1 = QuadraticExtension(Qt, Qt.gen(), "u")
+    K2 = QuadraticExtension(Qt2, Qt2.gen(), "u")
+    assert K1 == K2 and K1 is not K2
+    assert K2.coerce(K1.u()) * K1.u() == K2.coerce(Qt2.gen())
+    F1, F2 = FunctionField(K1, "x"), FunctionField(K2, "x")
+    assert F1 == F2
+    e1 = parse_element("1/(x - u)", F1)
+    e2 = parse_element("x - u", F2)
+    assert F2.coerce(e1) is e1
+    assert e1 * e2 == F1.one() and e2 * e1 == F2.one()
