@@ -115,7 +115,7 @@ def m_next(k, history, ahat, beta, curve, dt):
     m2 = (b * r1 - a * r2) * half
     m3 = (a * r3 - c * r1) * half
     if r4 is not None:
-        sr4 = s_root * r4
+        sr4 = -(s_root * r4)
         m1 = m1 + a * sr4
         m2 = m2 + b * sr4
         m3 = m3 + c * sr4

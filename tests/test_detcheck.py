@@ -64,10 +64,17 @@ def test_projector_defect_vanishes(p1, k):
     assert not p1[0].projector_defect(k)
 
 
-@pytest.mark.xfail(strict=True, reason="M^2 = M fails at hbar^2 by a scalar "
-                   "multiple of the identity (ROADMAP Open item 1)")
-def test_projector_defect_vanishes_at_order_2(p1):
-    assert not p1[0].projector_defect(2)
+@pytest.fixture(scope="module")
+def p1_order3():
+    iso, H = p1_system()
+    return m_series(iso, extend_flow(H, leading_order(H), 3), 3)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_projector_defect_vanishes_through_order_3(p1_order3, k):
+    # M^2 = M order by order; the projector-identity scalar enters m_next
+    # with the sign that makes the order-2 defect 2(M^(1))^2 cancel
+    assert not p1_order3.projector_defect(k)
 
 
 def test_m_entries_live_on_the_cover(p1):
@@ -79,9 +86,15 @@ def test_m_entries_live_on_the_cover(p1):
 
 
 def test_correlator_json_records_missing_basis(p1):
-    blob = p1[1].to_json()["correlators"]
+    mser, cors = p1
+    blob = cors.to_json()["correlators"]
     assert blob["1,1"]["kind"] == "pole-basis"
-    assert blob["2,2"] == {
+    assert blob["2,2"]["kind"] == "pole-basis"
+    # a two-point entry with a pole away from the branchpoint has no basis
+    z = RatFn.gen(cors.U.field, cors.U.zvar)
+    pf = ProductForm(cors.U, 2)
+    pf.add(cors.U.field.one(), [1 / (z - 1), 1 / (z - 1)], {})
+    assert _with_two_point(cors, pf, 2).to_json()["correlators"]["2,2"] == {
         "kind": "no-basis",
         "reason": "a correlator coefficient does not reduce to the "
                   "branchpoint pole basis"}
@@ -148,9 +161,9 @@ def test_pole_basis_round_trip_through_coupling(q_text, table):
     assert pf.to_pbf() == PoleBasisForm(QQ, 2, table)
 
 
-def _with_two_point(cors, pf):
+def _with_two_point(cors, pf, k=0):
     wn = dict(cors.wn)
-    wn[(2, 0)] = pf
+    wn[(2, k)] = pf
     return CorrelatorSeries(cors.U, cors.order, cors.nmax, cors.w1, wn)
 
 
