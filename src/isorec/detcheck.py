@@ -18,7 +18,8 @@ import itertools
 from math import comb
 
 from .errors import (CasePreconditionViolated, DegenerateAZero,
-                     IdentityFailed, TruncationTooShort, UnexpectedPole)
+                     IdentityFailed, IndexOutOfRange, TruncationTooShort,
+                     UnexpectedPole)
 from .exactmath import (ExtElem, Poly, RatFn, local_expand,
                         partial_derivation, poly_gcd, split_linear_factors)
 from .hamflow import hbar_matrix_series, hbar_series
@@ -895,6 +896,15 @@ class TauSeries:
         self.caveat = "each genus coefficient is defined up to a constant"
 
     def coeff(self, power):
+        """F_g, the coefficient of hbar^power with power = 2g - 2."""
+        if power % 2 or power < 2:
+            raise IndexOutOfRange(
+                "log tau holds F_g at even powers 2g - 2 with g >= 2, "
+                "not at hbar^%d" % power)
+        if power not in self.terms:
+            raise TruncationTooShort(
+                "F_%d lies past the genera of the recursion"
+                % (power // 2 + 1))
         return self.terms[power]
 
     def d_dt(self):

@@ -32,7 +32,8 @@ class PoleCollision(IsorecError):
 
 
 class IndexOutOfRange(IsorecError):
-    """A (nu, i) Hamiltonian/auxiliary index outside the declared ranges."""
+    """An index outside its declared range: a (nu, i) Hamiltonian or
+    auxiliary index, or an hbar power that carries no term."""
 
 
 class DegenerateOrbit(IsorecError):

@@ -470,11 +470,12 @@ def _verify_form(form, kind, g, n):
             "omega_{%d,%d} acquired a first-order pole" % (g, n))
     if not form.is_symmetric():
         raise InvalidPoleStructure("omega_{%d,%d} is not symmetric" % (g, n))
-    minus = form.scaled(-form.field.one())
-    for i in range(n):
-        if form.involution_image(kind, i) != minus:
-            raise InvalidPoleStructure(
-                "omega_{%d,%d} is not anti-invariant in slot %d" % (g, n, i))
+    # Slot 0 is enough: for a symmetric form, sigma in slot i is the swap
+    # of slots 0 and i, then sigma in slot 0, then the swap back.
+    if form.involution_image(kind, 0) != form.scaled(-form.field.one()):
+        raise InvalidPoleStructure(
+            "omega_{%d,%d} is not anti-invariant under the involution"
+            % (g, n))
 
 
 def symplectic_invariants(result):

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from isorec.detcheck import (CorrelatorSeries, ProductForm, _bergman_match,
+from isorec.errors import IndexOutOfRange, TruncationTooShort
+
+from isorec.detcheck import (CorrelatorSeries, TauSeries, ProductForm, _bergman_match,
                              _sep_zero, correlators, m_series, tau_series)
 from isorec.exactmath import (QQ, FunctionField, RatFn, parse_element,
                               substitute)
@@ -192,3 +194,21 @@ def test_hamiltonian_is_minus_dt_log_tau_at_genus_2():
     tau = tau_series(eo_differentials(U, 2, 1))
     assert h4
     assert h4 == -tau.d_dt()[2]
+
+
+def _twobranch_tau():
+    # F_2 = -1/60 on y^2 = (x-1)(x-3), the Gaussian-model value
+    return tau_series(eo_differentials(curve_U("(x-1)*(x-3)"), 2, 1))
+
+
+def test_tau_coeff_past_gmax_is_truncation():
+    tau = _twobranch_tau()
+    assert tau.coeff(2) == Fraction(-1, 60)
+    with pytest.raises(TruncationTooShort):
+        tau.coeff(4)
+
+
+@pytest.mark.parametrize("power", [3, 1, -1, -2, 0])
+def test_tau_coeff_odd_or_unstable_power_is_out_of_range(power):
+    with pytest.raises(IndexOutOfRange):
+        _twobranch_tau().coeff(power)

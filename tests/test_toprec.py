@@ -18,7 +18,8 @@ from isorec.laxsystem import Mat2, PoleData, SIGMA_PLUS, Sl2Lax
 from isorec.spectralcurve import (ONE_BRANCH, TWO_BRANCH, Uniformization,
                                   classical_curve, curve_from_system,
                                   uniformize)
-from isorec.toprec import (BranchWindow, PoleBasisForm, eo_differentials,
+from isorec.toprec import (BranchWindow, PoleBasisForm, _verify_form,
+                           eo_differentials,
                            recursion_kernel, sigma_slot_image,
                            symplectic_invariants, xi_ratfn)
 
@@ -385,6 +386,47 @@ def test_form_checks_catch_tampering():
     assert not bad.is_symmetric()
     worse = PoleBasisForm(QQ, 1, {((0, 1),): Fraction(1)})
     assert worse.has_residue_term()
+
+
+def test_verify_form_checks_anti_invariance_once():
+    # on the one-branch kind sigma maps xi_{0,k} to (-1)^(k+1) xi_{0,k}
+    accepted = PoleBasisForm(QQ, 2, {((0, 2), (0, 4)): Fraction(1),
+                                     ((0, 4), (0, 2)): Fraction(1),
+                                     ((0, 2), (0, 2)): Fraction(3)})
+    _verify_form(accepted, ONE_BRANCH, 0, 2)
+    # anti-invariant in slot 0, but not symmetric
+    lopsided = PoleBasisForm(QQ, 2, {((0, 2), (0, 3)): Fraction(1)})
+    assert lopsided.involution_image(ONE_BRANCH, 0) == \
+        lopsided.scaled(Fraction(-1))
+    with pytest.raises(InvalidPoleStructure, match="not symmetric"):
+        _verify_form(lopsided, ONE_BRANCH, 0, 2)
+    # symmetric, but invariant rather than anti-invariant
+    even = PoleBasisForm(QQ, 2, {((0, 3), (0, 3)): Fraction(1)})
+    assert even.is_symmetric()
+    with pytest.raises(InvalidPoleStructure, match="anti-invariant"):
+        _verify_form(even, ONE_BRANCH, 0, 2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([ONE_BRANCH, TWO_BRANCH]), st.integers(2, 3),
+       st.lists(st.tuples(st.lists(st.sampled_from([2, 3, 4]), min_size=3,
+                                   max_size=3),
+                          st.lists(st.sampled_from([1, -1]), min_size=3,
+                                   max_size=3),
+                          st.integers(-2, 2)), min_size=1, max_size=3))
+def test_slot_zero_anti_invariance_decides_every_slot(kind, n, terms):
+    # for a symmetric form, anti-invariance in slot 0 is anti-invariance
+    table = {}
+    for orders, points, c in terms:
+        points = points if kind == TWO_BRANCH else [0, 0, 0]
+        key = tuple(zip(points[:n], orders[:n]))
+        for perm in itertools.permutations(key):
+            table[perm] = table.get(perm, 0) + Fraction(c)
+    form = PoleBasisForm(QQ, n, table)
+    assert form.is_symmetric()
+    minus = form.scaled(Fraction(-1))
+    assert (form.involution_image(kind, 0) == minus) == all(
+        form.involution_image(kind, i) == minus for i in range(n))
 
 
 @settings(deadline=None, max_examples=60)
