@@ -4,8 +4,9 @@ isobench/tracing.py wraps isorec functions and methods by name, the
 workloads call the pipeline stages, and the benchmark's correctness gate
 builds constant hbar series through HbarSeries.constant.  A refactor that
 renames, moves or drops a parameter of one of them breaks the benchmark;
-these tests fail first.  The two recursion workloads also run here, and
-their outputs must match the digests the benchmark has committed.
+these tests fail first.  The workloads also run here: their outputs must
+match the digests the benchmark has committed, and on p1 every check of the
+correctness gate that fails must be a known failure.
 """
 
 import ast
@@ -117,3 +118,16 @@ def test_recursion_matches_committed_digest(workload):
     workloads.run(workload, workloads.build(workload), out)
     want = gate.load_digests()[workload]["RecursionResult"]
     assert gate.digest(out["eo"].to_json()) == want
+
+
+def test_p1_matches_committed_digests():
+    workloads, gate = load_bench("workloads"), load_bench("gate")
+    inputs = workloads.build("p1")
+    out = dict(inputs)
+    workloads.run("p1", inputs, out)
+    want = gate.load_digests()["p1"]
+    for key, name in (("flow", "FlowSeries"), ("eo", "RecursionResult"),
+                      ("tau", "TauSeries")):
+        assert gate.digest(out[key].to_json()) == want[name], name
+    failed = {v["name"] for v in gate.evaluate("p1", out) if not v["pass"]}
+    assert failed <= gate.KNOWN_FAILURES["p1"]

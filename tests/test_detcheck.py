@@ -196,6 +196,19 @@ def test_hamiltonian_is_minus_dt_log_tau_at_genus_2():
     assert h4 == -tau.d_dt()[2]
 
 
+def test_hamiltonian_is_minus_dt_log_tau_at_genus_3():
+    # H_6 = -dF_3/dt, with F_3 = -245/(3538944 t^5) in closed form
+    iso, H = p1_system()
+    lead = leading_order(H)
+    flow = extend_flow(H, lead, 6)
+    vals, one = flow_values(flow, 7)
+    h6 = substitute(H, vals, one).coeff(6)
+    U = uniformize(curve_from_system(iso, lead))
+    tau = tau_series(eo_differentials(U, 3, 1))
+    assert tau.coeff(4) == parse_element("-245/(3538944*t^5)", U.field)
+    assert h6 == -tau.d_dt()[4]
+
+
 def _twobranch_tau():
     # F_2 = -1/60 on y^2 = (x-1)(x-3), the Gaussian-model value
     return tau_series(eo_differentials(curve_U("(x-1)*(x-3)"), 2, 1))
