@@ -1,17 +1,16 @@
-"""The determinantal side on Painleve I through hbar^2: the projector-valued
+"""The determinantal side on Painleve I through hbar^3: the projector-valued
 series M on the double cover and the correlators built from its traces; the
 exact zero test of separated forms on both uniformization kinds; and the
-tau-function identity H_4 = -dF_2/dt."""
+tau-function identities H_4 = -dF_2/dt and H_6 = -dF_3/dt."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from isorec.errors import IndexOutOfRange, TruncationTooShort
-
-from isorec.detcheck import (CorrelatorSeries, TauSeries, ProductForm, _bergman_match,
+from isorec.detcheck import (CorrelatorSeries, ProductForm, _bergman_match,
                              _sep_zero, correlators, m_series, tau_series)
+from isorec.errors import IndexOutOfRange, TruncationTooShort
 from isorec.exactmath import (QQ, FunctionField, RatFn, parse_element,
                               substitute)
 from isorec.hamflow import extend_flow, flow_values, leading_order
@@ -88,7 +87,7 @@ def test_m_entries_live_on_the_cover(p1):
 
 
 def test_correlator_json_records_missing_basis(p1):
-    mser, cors = p1
+    _, cors = p1
     blob = cors.to_json()["correlators"]
     assert blob["1,1"]["kind"] == "pole-basis"
     assert blob["2,2"]["kind"] == "pole-basis"

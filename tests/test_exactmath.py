@@ -374,7 +374,6 @@ def test_local_series_inverse_precision():
     assert all(inv.coeff(k) == 0 for k in range(2, 5))
 
 
-
 # --- the canonical-in, canonical-out kernels ------------------------------------
 #
 # Every RatFn result must be the fraction RatFn(num, den) normalizes from the
@@ -420,11 +419,15 @@ def kernel_fractions(draw, name):
 
 def assert_canonical(f):
     assert f.den.leading() == f.field.one()
-    assert poly_gcd(f.num, f.den).degree() == 0 if f else f.den.degree() == 0
+    if f:
+        assert poly_gcd(f.num, f.den).degree() == 0
+    else:
+        assert f.den.degree() == 0
 
 
 def naive_results(f, g, k):
-    """The seven kernels, each as RatFn(num, den) from unreduced products."""
+    """Each kernel's result, next to RatFn(num, den) built from the
+    unreduced products."""
     a, b, c, d = f.num, f.den, g.num, g.den
     out = {"add": (f + g, RatFn(a * d + c * b, b * d)),
            "sub": (f - g, RatFn(a * d - c * b, b * d)),

@@ -19,9 +19,8 @@ from isorec.spectralcurve import (ONE_BRANCH, TWO_BRANCH, Uniformization,
                                   classical_curve, curve_from_system,
                                   uniformize)
 from isorec.toprec import (BranchWindow, PoleBasisForm, _verify_form,
-                           eo_differentials,
-                           recursion_kernel, sigma_slot_image,
-                           symplectic_invariants, xi_ratfn)
+                           eo_differentials, recursion_kernel,
+                           sigma_slot_image, symplectic_invariants, xi_ratfn)
 
 
 def curve_from_Q(text):
