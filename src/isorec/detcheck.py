@@ -145,7 +145,7 @@ class MSeries:
 
     def coeff(self, k):
         if k < 0:
-            raise IndexError("matrix orders start at 0")
+            raise IndexOutOfRange("M has orders k >= 0, not %d" % k)
         if k > self.order:
             raise TruncationTooShort(
                 "M computed to order %d, order %d requested"
@@ -591,6 +591,11 @@ class CorrelatorSeries:
         self._basis = {}
 
     def form(self, n, k):
+        first = -1 if n == 1 else 0
+        if n < 1 or k < first:
+            raise IndexOutOfRange(
+                "W_n has n >= 1 and orders k >= %d, not W_%d^(%d)"
+                % (first, n, k))
         if n == 1:
             if k not in self.w1:
                 raise TruncationTooShort(
@@ -598,7 +603,8 @@ class CorrelatorSeries:
             return self.w1[k]
         if (n, k) not in self.wn:
             raise TruncationTooShort(
-                "W_%d computed for orders 0..%d" % (n, self.order))
+                "W_n computed for 2 <= n <= %d at orders 0..%d"
+                % (self.nmax, self.order))
         return self.wn[(n, k)]
 
     def pole_basis(self, n, k):

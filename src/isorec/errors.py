@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
-Every failure mode of the pipeline gets its own class so callers (and the
-command-line front end, which maps them to exit codes) can react precisely.
-All of them derive from IsorecError.
+Every failure mode of the pipeline gets its own class so callers can react
+precisely; a command-line front end can map them to exit codes.  All of them
+derive from IsorecError.
 """
 
 
@@ -38,10 +38,6 @@ class IndexOutOfRange(IsorecError):
 
 class DegenerateOrbit(IsorecError):
     """The (2,1) entry of L vanishes identically; no spectral coordinates."""
-
-
-class NonGenericOrbit(IsorecError):
-    """The orbit normal form needs an entry that vanishes for this input."""
 
 
 class InvalidPoleStructure(IsorecError):
@@ -83,10 +79,6 @@ class HigherGenus(IsorecError):
 
 class NoBranchpoints(IsorecError):
     """y is already rational; there is nothing for the recursion to do."""
-
-
-class NotHolomorphicAtBranch(IsorecError):
-    """The candidate one-form has a pole at a branch point."""
 
 
 class ConfluentBranchpoints(IsorecError):

@@ -3,14 +3,16 @@
 Three constructions turn a commuting-flow system into an isomonodromic one
 with a genuine time t: move a simple pole (Case 1), weight the top polar
 coefficient of a higher pole (Case 2), or shift by the leading matrix at
-infinity (Case 3).  In every case the auxiliary matrix is linear,
-A = (Mx + B)/p(x) with deg p <= 1, and the explicit time dependence obeys
+infinity (Case 3).  In every case the auxiliary matrix A is the flow
+generator of laxsystem.auxiliary_matrix scaled by a constant, so it is
+linear, A = (Mx + B)/p(x) with deg p <= 1, and the explicit time dependence
+obeys
 
     dL/dt|explicit = dA/dx.
 
 The module also computes the rational scaling exponents (d_x, d_t, the
 Hamiltonian degree table, Darboux weights) that make the pair homogeneous in
-the expansion parameter, and verifies the homogeneity entry by entry.
+the expansion parameter.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from fractions import Fraction
 
 from .errors import (CasePreconditionViolated, IdentityFailed, NoDeformation,
                      PlanMismatch)
-from .exactmath import (Poly, RatFn, Series, parse_element,
-                        partial_derivation, poly_gcd)
+from .exactmath import RatFn, Series, parse_element, partial_derivation
 from .exactmath.fields import FunctionField
 from .hamflow import hbar_matrix_series
-from .laxsystem import SIGMA3, Mat2, PoleData, Sl2Lax, assemble
+from .laxsystem import (SIGMA3, Mat2, PoleData, Sl2Lax, assemble,
+                        auxiliary_matrix)
 
 CASE_SIMPLE_POLE = 1
 CASE_HIGHER_POLE = 2
@@ -105,19 +107,15 @@ def select_case(poles):
 
 class IsoSystem:
     """An isomonodromic pair: the time-embedded Lax matrix and its linear
-    companion A(x,t), plus the construction data that produced them."""
+    companion A(x,t), plus the case that produced them."""
 
-    __slots__ = ("lax", "aux", "tname", "case", "sigma", "beta", "normalized")
+    __slots__ = ("lax", "aux", "tname", "case")
 
-    def __init__(self, lax, aux, tname, case, sigma=None, beta=None,
-                 normalized=False):
+    def __init__(self, lax, aux, tname, case):
         self.lax = lax
         self.aux = aux
         self.tname = tname
         self.case = case
-        self.sigma = sigma
-        self.beta = beta
-        self.normalized = normalized
 
     @property
     def field(self):
@@ -128,8 +126,7 @@ class IsoSystem:
         return self.lax.var
 
     def __repr__(self):
-        return ("IsoSystem(case=%r, t=%s, normalized=%s)"
-                % (self.case, self.tname, self.normalized))
+        return "IsoSystem(case=%r, t=%s)" % (self.case, self.tname)
 
 
 def _time_element(field):
@@ -141,14 +138,15 @@ def _time_element(field):
         return wrapped, wrapped.gen(), True
 
 
-def build_isosystem(system, case=None, sigma=None, beta=None):
+def build_isosystem(system, case=None, beta=None):
     """De-autonomize an Sl2Lax along the given case.
 
-    The returned pair satisfies dL/dt|explicit = dA/dx identically (checked
-    at construction).  `beta` shifts A along the stabilizer of the leading
-    matrix; `sigma` (finite-pole cases only) adds (sigma/2)(x-a)^{i-1} L(x),
-    which leaves the canonical linear normalization, so the identity check
-    is skipped and the caller owns the compatibility bookkeeping.
+    A is the flow generator of the case scaled by a constant: -L_{nu,1}/(x-t)
+    for a pole moved to t, L_{nu,r}/(x-a) for a weighted pole of order r,
+    and 2x L_{0,r0} + 2 L_{0,r0-1} at infinity.  `beta` adds 2 beta times
+    the leading matrix (the kind matrix when r0 = -1), the stabilizer
+    direction.  The pair satisfies dL/dt|explicit = dA/dx identically,
+    which is checked here.
     """
     if case is None:
         case = select_case(system.poles)
@@ -158,76 +156,42 @@ def build_isosystem(system, case=None, sigma=None, beta=None):
         system = system.map_scalars(field.coerce, field)
     if isinstance(beta, str):
         beta = parse_element(beta, field)
-    if isinstance(sigma, str):
-        sigma = parse_element(sigma, field)
 
-    var = system.var
     poles = system.poles
-    x = Poly.gen(field, var)
-    zero_r = RatFn.zero(field, var)
     two = field.coerce(2)
-
-    def lift(m, factor=None):
-        out = m.map(lambda e: RatFn.const(field, e, var))
-        return out if factor is None else out.map(lambda e: e * factor)
-
+    half = field.one() / two
     if case.kind == CASE_SIMPLE_POLE:
         points = list(poles.points)
         points[case.nu - 1] = t
         new_poles = PoleData(points, poles.orders, poles.r0, poles.kind)
-        lax = Sl2Lax(field, new_poles, system.coeffs, var, system.normalized)
-        lin = RatFn(Poly(field, [-t, field.one()], var))
-        aux = lift(system.coeff(case.nu, 1), -lin.inverse())
-        pole_point = t
+        lax = Sl2Lax(field, new_poles, system.coeffs, system.var)
+        aux = auxiliary_matrix(lax, case.nu, 1) * half
     elif case.kind == CASE_HIGHER_POLE:
         top = system.coeff(case.nu, r)
         coeffs = dict(system.coeffs)
-        shifted = system.coeff(case.nu, 2) - top.map(lambda e: e * t)
-        if shifted:
-            coeffs[(case.nu, 2)] = shifted
-        else:
-            coeffs.pop((case.nu, 2), None)
+        coeffs[(case.nu, 2)] = (system.coeff(case.nu, 2)
+                                - top.map(lambda e: e * t))
         lax = system.with_coeffs(coeffs)
-        a = poles.points[case.nu - 1]
-        lin = RatFn(Poly(field, [-field.coerce(a), field.one()], var))
-        aux = lift(top, lin.inverse())
-        pole_point = a
+        # from the seed: for r = 2 the deformed lax has a shifted L_{nu,2}
+        aux = auxiliary_matrix(system, case.nu, r) * -half
     else:
         top = system.coeff(0, poles.r0)
         coeffs = dict(system.coeffs)
-        shifted = system.coeff(0, 0) + top.map(lambda e: e * (two * t))
-        if shifted:
-            coeffs[(0, 0)] = shifted
-        else:
-            coeffs.pop((0, 0), None)
+        coeffs[(0, 0)] = system.coeff(0, 0) + top.map(lambda e: e * (two * t))
         lax = system.with_coeffs(coeffs)
-        aux = (lift(top, RatFn(x) * two)
-               + lift(system.coeff(0, poles.r0 - 1), RatFn.one(field, var) * two))
-        pole_point = None
+        aux = auxiliary_matrix(system, 0, poles.r0 - 2)
 
     if beta:
         stab = lax.leading() if poles.r0 >= 0 else lax.kind_matrix()
         b2 = field.coerce(beta) * two
-        aux = aux + stab.map(lambda e: RatFn.const(field, e * b2, var))
+        aux = aux + stab.map(lambda e: RatFn.const(field, e * b2, lax.var))
 
-    if sigma:
-        if case.kind == CASE_INFINITY:
-            raise CasePreconditionViolated(
-                "the sigma shift applies to finite-pole cases only")
-        s_half = field.coerce(sigma) / two
-        lin = RatFn(Poly(field, [-field.coerce(pole_point), field.one()],
-                         var))
-        shift = lin ** (r - 1) * RatFn.const(field, s_half, var)
-        Lx = assemble(lax)
-        aux = aux + Lx.map(lambda e: e * shift)
-
-    iso = IsoSystem(lax, aux, "t", case, sigma, beta)
-    if not sigma:
-        res = explicit_time_residual(iso)
-        if res:
-            raise IdentityFailed(
-                "de-autonomization identity dL/dt|expl = dA/dx failed: %r"
-                % (res,))
+    iso = IsoSystem(lax, aux, "t", case)
+    res = explicit_time_residual(iso)
+    if res:
+        raise IdentityFailed(
+            "de-autonomization identity dL/dt|expl = dA/dx failed: %r"
+            % (res,))
     return iso
 
 
@@ -238,41 +202,6 @@ def explicit_time_residual(iso):
     dL = L.map(lambda e: e.tderiv(dt))
     dA = iso.aux.map(lambda e: e.deriv())
     return dL - dA
-
-
-def linear_form(aux):
-    """Present A as ((M x + B), p) with deg p <= 1, A = (Mx+B)/p.
-
-    Raises ValueError when A is not of that shape (e.g. after a sigma
-    shift); this is the syntactic check of the linear-companion property.
-    """
-    entries = aux.entries()
-    field = entries[0].field
-    var = entries[0].var
-    den = Poly.one(field, var)
-    for e in entries:
-        g = poly_gcd(den, e.den)
-        den = den * (e.den // g)
-    if den.degree() > 1:
-        raise ValueError(
-            "companion matrix has a denominator of degree %s, expected <= 1"
-            % den.degree())
-    mats = []
-    for want in (1, 0):
-        row = []
-        for e in entries:
-            ne = e * RatFn(den)
-            if not ne.is_poly():
-                raise ValueError("denominator %s does not clear entry %s"
-                                 % (den, e))
-            p = ne.as_poly()
-            if p.degree() > 1:
-                raise ValueError(
-                    "companion numerator has degree %s, expected <= 1"
-                    % p.degree())
-            row.append(p.coeff(want))
-        mats.append(Mat2(*row))
-    return mats[0], mats[1], den
 
 
 class ScalingPlan:
@@ -361,71 +290,6 @@ def scaling_plan(poles, case=None):
         d_t = r0 * d_x
         main = (0, r0 - 2)
     return ScalingPlan(d_x, d_t, degrees, d_q, d_p, rank, main, case)
-
-
-def _monomial_weight(e, weights):
-    """Common weight of every monomial of e, or None when e = 0.
-
-    Raises PlanMismatch on the first inhomogeneity; constants weigh 0 and
-    symbols absent from the table default to weight 0.
-    """
-    if isinstance(e, RatFn):
-        wn = _monomial_weight(e.num, weights)
-        if wn is None:
-            return None
-        return wn - _monomial_weight(e.den, weights)
-    if isinstance(e, Poly):
-        step = weights.get(e.var, Fraction(0))
-        found = None
-        for i, c in enumerate(e.coeffs):
-            wc = _monomial_weight(c, weights)
-            if wc is None:
-                continue
-            total = wc + i * step
-            if found is None:
-                found = total
-            elif found != total:
-                raise PlanMismatch(
-                    "mixed weights %s and %s inside %s" % (found, total, e))
-        return found
-    return None if not e else Fraction(0)
-
-
-def gauge_normalize(iso, plan):
-    """Check the plan's homogeneity entry by entry and mark the system.
-
-    The exact matrices already are the post-gauge normal form (the
-    expansion parameter enters only through the flow series), so the gauge
-    step amounts to verifying that each entry of L carries the weight the
-    conjugation diag(h^s, h^-s) expects: for a rank-2 leading matrix the
-    diagonal weighs r0 d_x and the corners (r0 +- 1) d_x; for rank 1 the
-    diagonal weighs (2 r0 - 1) d_x / 2 and the corners r0 d_x and
-    (r0 - 1) d_x.  The r0 = -1 plan is all-zero, which every entry matches
-    trivially; the parameter bookkeeping there lives in the flows alone.
-    """
-    kind_rank = 2 if iso.lax.poles.kind == SIGMA3 else 1
-    if plan.rank != kind_rank:
-        raise PlanMismatch("plan was drawn for rank %s, system leads with "
-                           "rank %s" % (plan.rank, kind_rank))
-    table = {iso.lax.var: plan.d_x, iso.tname: plan.d_t,
-             "q": plan.d_q, "p": plan.d_p}
-    r0 = iso.lax.poles.r0
-    d_x = plan.d_x
-    if plan.rank == 2:
-        diag, up, low = r0 * d_x, (r0 + 1) * d_x, (r0 - 1) * d_x
-    else:
-        diag = Fraction(2 * r0 - 1, 2) * d_x
-        up, low = r0 * d_x, (r0 - 1) * d_x
-    L = assemble(iso.lax)
-    for name, entry, want in (("(1,1)", L.a, diag), ("(1,2)", L.b, up),
-                              ("(2,1)", L.c, low), ("(2,2)", L.d, diag)):
-        got = _monomial_weight(entry, table)
-        if got is not None and got != want:
-            raise PlanMismatch(
-                "entry %s weighs %s, the gauge expects %s"
-                % (name, got, want))
-    return IsoSystem(iso.lax, iso.aux, iso.tname, iso.case, iso.sigma,
-                     iso.beta, normalized=True)
 
 
 # --------------------------------------------------------------------------

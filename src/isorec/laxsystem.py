@@ -6,15 +6,14 @@ An Sl2Lax is a traceless 2x2 matrix of rational functions
 
 given by its coefficient matrices over an exact scalar field.  This module
 extracts the spectral invariants of Tr L(x)^2 (Hamiltonians and Casimirs),
-the auxiliary matrices generating the commuting flows, spectral Darboux
-coordinates, normalized orbit representatives, and the companion-form system
-attached to a hyperelliptic curve y^2 = Q(x).
+the auxiliary matrices generating the commuting flows, and the spectral
+Darboux coordinates.
 """
 
 from __future__ import annotations
 
 from .errors import (DegenerateOrbit, IndexOutOfRange, InvalidPoleStructure,
-                     NonGenericOrbit, PoleCollision)
+                     PoleCollision)
 from .exactmath import Poly, RatFn, partial_fractions, roots_in_field
 
 
@@ -106,9 +105,9 @@ SIGMA_PLUS = "sigma_plus"
 class PoleData:
     """Pole structure: finite points with orders, plus the order at infinity.
 
-    kind names the normalized leading matrix L_{0,r0}; when r0 = -1 it names
-    instead the fixed residue at infinity (so sigma3 there means
-    sum_nu L_{nu,1} = -sigma3).
+    kind names the standard form of the leading matrix L_{0,r0}; when
+    r0 = -1 it names instead the fixed residue at infinity (so sigma3 there
+    means sum_nu L_{nu,1} = -sigma3).
     """
 
     __slots__ = ("points", "orders", "r0", "kind")
@@ -163,16 +162,13 @@ class Sl2Lax:
 
     coeffs maps (nu, i) to a trace-free Mat2 of scalars: nu = 0 indexes the
     polynomial part (0 <= i <= r0), nu >= 1 the polar part at
-    points[nu-1] (1 <= i <= r_nu).  `normalized` records whether the
-    leading matrix equals the declared kind exactly (companion-form seeds
-    from a bare curve generally are not).
+    points[nu-1] (1 <= i <= r_nu).
     """
 
-    def __init__(self, field, poles, coeffs, var="x", normalized=False):
+    def __init__(self, field, poles, coeffs, var="x"):
         self.field = field
         self.poles = poles
         self.var = var
-        self.normalized = normalized
         clean = {}
         for key, m in coeffs.items():
             nu, i = key
@@ -220,17 +216,15 @@ class Sl2Lax:
             total = total + self.coeff(nu, 1)
         return -total
 
-    def with_coeffs(self, coeffs, normalized=None):
-        return Sl2Lax(self.field, self.poles, coeffs, self.var,
-                      self.normalized if normalized is None else normalized)
+    def with_coeffs(self, coeffs):
+        return Sl2Lax(self.field, self.poles, coeffs, self.var)
 
     def map_scalars(self, fn, field=None):
         """Apply fn to every matrix entry of every coefficient."""
         f = field if field is not None else self.field
-        out = Sl2Lax(f, self.poles,
-                     {k: m.map(fn) for k, m in self.coeffs.items()},
-                     self.var, self.normalized)
-        return out
+        return Sl2Lax(f, self.poles,
+                      {k: m.map(fn) for k, m in self.coeffs.items()},
+                      self.var)
 
 
 def assemble(system):
@@ -338,23 +332,21 @@ def hamiltonians(system):
     return HamiltonianSet(system.field, system.poles, entries, system.var)
 
 
-def auxiliary_matrix(system, nu, i, sigma=None, beta=None):
-    """The flow generator A_{2,nu,i}, with optional sigma and beta shifts.
+def auxiliary_matrix(system, nu, i):
+    """The flow generator A_{2,nu,i}.
 
-    Base matrix: 2 [x^{-i-1} L]_+ at infinity, -2 [(x-a_nu)^{i-1} L]_- at a
-    finite pole.  The sigma shift adds (sigma/2) (x-a_nu)^{i-1} L(x); the
-    beta shift adds beta * 2 L_{0,r0} (the stabilizer direction).
+    2 [x^{-i-1} L]_+ at infinity (nu = 0), -2 [(x-a_nu)^{i-1} L]_- at a
+    finite pole.
     """
     field, var = system.field, system.var
-    r0 = system.poles.r0
     x = Poly.gen(field, var)
-    zero_r = RatFn.zero(field, var)
-    total = Mat2.zero(zero_r)
+    total = Mat2.zero(RatFn.zero(field, var))
 
     def lift(m, factor):
         return m.map(lambda e: RatFn.const(field, e, var) * factor)
 
     if nu == 0:
+        r0 = system.poles.r0
         if not 0 <= i <= r0 - 1:
             raise IndexOutOfRange(
                 "flow index (0, %s) needs 0 <= %s <= r0-1 = %s"
@@ -363,58 +355,29 @@ def auxiliary_matrix(system, nu, i, sigma=None, beta=None):
             m = system.coeff(0, j)
             if m:
                 total = total + lift(m, RatFn(x ** (j - i - 1)) * 2)
-        if sigma:
-            raise IndexOutOfRange(
-                "the sigma shift tunes finite-pole flows only")
-    else:
-        if not 1 <= nu <= system.poles.n:
-            raise IndexOutOfRange("no finite pole with index %s" % nu)
-        r_nu = system.poles.orders[nu - 1]
-        if not 1 <= i <= r_nu:
-            raise IndexOutOfRange(
-                "flow index (%s, %s) needs 1 <= %s <= %s" % (nu, i, i, r_nu))
-        a = system.poles.points[nu - 1]
-        lin = RatFn(Poly(field, [-a, field.one()], var))
-        # polar part of (x-a)^{i-1} L at a: only j >= i survives
-        for j in range(i, r_nu + 1):
-            m = system.coeff(nu, j)
-            if m:
-                total = total - lift(m, lin ** (i - 1 - j) * 2)
-        if sigma:
-            s = field.coerce(sigma)
-            half = field.one() / field.coerce(2)
-            Lx = assemble(system)
-            shift = lin ** (i - 1) * RatFn.const(field, s * half, var)
-            total = total + Lx.map(lambda e: e * shift)
-    if beta:
-        b = field.coerce(beta)
-        stab = system.leading() if r0 >= 0 else system.kind_matrix()
-        total = total + lift(stab, RatFn.const(field, b + b, var))
+        return total
+    if not 1 <= nu <= system.poles.n:
+        raise IndexOutOfRange("no finite pole with index %s" % nu)
+    r_nu = system.poles.orders[nu - 1]
+    if not 1 <= i <= r_nu:
+        raise IndexOutOfRange(
+            "flow index (%s, %s) needs 1 <= %s <= %s" % (nu, i, i, r_nu))
+    a = system.poles.points[nu - 1]
+    lin = RatFn(Poly(field, [-a, field.one()], var))
+    # polar part of (x-a)^{i-1} L at a: only j >= i survives
+    for j in range(i, r_nu + 1):
+        m = system.coeff(nu, j)
+        if m:
+            total = total - lift(m, lin ** (i - 1 - j) * 2)
     return total
 
 
-class DarbouxChart:
-    """Spectral Darboux pairs (q_i, p_i): q_i the zeros of entry (2,1) of
-    L(x), p_i the value of entry (1,1) there."""
-
-    def __init__(self, pairs):
-        self.pairs = list(pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __getitem__(self, k):
-        return self.pairs[k]
-
-    def __repr__(self):
-        return "DarbouxChart(%r)" % (self.pairs,)
-
-
 def darboux(system, hints=()):
-    """Extract the spectral Darboux chart from the (2,1) entry of L."""
+    """The spectral Darboux pairs (q_i, p_i) of L, as a list.
+
+    q_i are the zeros of entry (2,1) of L(x) and p_i is the value of entry
+    (1,1) there.
+    """
     L = assemble(system)
     if not L.c:
         raise DegenerateOrbit("entry (2,1) of L(x) vanishes identically")
@@ -434,75 +397,4 @@ def darboux(system, hints=()):
         raise DegenerateOrbit(
             "found %s chart points, pole structure demands %s"
             % (len(pairs), expected))
-    return DarbouxChart(pairs)
-
-
-def orbit_representative(system, target):
-    """Normalize the coefficient matrix at `target` = (nu, i) by a constant
-    conjugation in the stabilizer of the leading matrix.
-
-    sigma3 leading: the stabilizer torus diag(l, 1/l) acts through l^2 only,
-    so entry (1,2) of the target is scaled to 1 without leaving the field.
-    sigma_plus leading: the stabilizer is unipotent, which can clear the
-    diagonal of the target but cannot rescale entry (2,1); that entry must
-    already be 1.
-    """
-    m = system.coeff(*target)
-    kind = system.poles.kind
-    one = system.field.one()
-    if kind == SIGMA3:
-        if not m.b:
-            raise NonGenericOrbit(
-                "target entry (1,2) vanishes; torus cannot normalize it")
-        mu = one / m.b
-
-        def conj(mat):
-            return Mat2(mat.a, mat.b * mu, mat.c / mu, mat.d)
-    else:
-        if not m.c:
-            raise NonGenericOrbit(
-                "target entry (2,1) vanishes; unipotent cannot normalize it")
-        if m.c != one:
-            raise NonGenericOrbit(
-                "entry (2,1) of the target is %s; the unipotent stabilizer "
-                "of sigma_plus cannot rescale it to 1" % (m.c,))
-        s = -m.a / m.c
-
-        def conj(mat):
-            return Mat2(mat.a + s * mat.c,
-                        mat.b - (s + s) * mat.a - s * s * mat.c,
-                        mat.c,
-                        mat.d - s * mat.c)
-    out = {k: conj(mat) for k, mat in system.coeffs.items()}
-    return system.with_coeffs(out, normalized=True)
-
-
-def from_quadratic(Q):
-    """Companion-form system for the hyperelliptic curve y^2 = Q(x).
-
-    Returns an Sl2Lax with assemble(L) = [[0, Q],[1, 0]], so that
-    det L = -Q and the characteristic polynomial is y^2 - Q.
-    """
-    if not Q:
-        raise InvalidPoleStructure("the zero curve has no pole structure")
-    field, var = Q.field, Q.var
-    one, z = field.one(), field.zero()
-    polypart, terms = partial_fractions(Q)
-    r0 = max(polypart.degree(), 0)
-    points = []
-    orders = {}
-    for pole, order, _ in terms:
-        if pole not in orders:
-            points.append(pole)
-        orders[pole] = max(orders.get(pole, 0), order)
-    coeffs = {}
-    for i in range(r0 + 1):
-        b = polypart.coeff(i)
-        m = Mat2(z, b, one if i == 0 else z, z)
-        coeffs[(0, i)] = m
-    for pole, order, c in terms:
-        nu = points.index(pole) + 1
-        coeffs[(nu, order)] = Mat2(z, c, z, z)
-    poles = PoleData(points, [orders[p] for p in points], r0, SIGMA_PLUS)
-    normalized = r0 >= 1 and polypart.leading() == one
-    return Sl2Lax(field, poles, coeffs, var, normalized=normalized)
+    return pairs

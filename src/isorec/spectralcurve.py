@@ -21,8 +21,7 @@ to rational functions of z.
 from __future__ import annotations
 
 from .errors import (ConfluentBranchpoints, HigherGenus, NilpotentLeading,
-                     NoBranchpoints, NotHolomorphicAtBranch, NotProportional,
-                     UnsolvableInTower)
+                     NoBranchpoints, NotProportional, UnsolvableInTower)
 from .exactmath import (ExtElem, Poly, QuadraticExtension, RatFn,
                         adjoin_roots, evaluate, squarefree_decomposition,
                         split_linear_factors, substitute)
@@ -293,29 +292,3 @@ def pullback(f, U):
         return pullback(f.a, U) + pullback(f.b, U) * U.y
     return evaluate(f, U.x, U.field)
 
-
-def omega01(curve, U):
-    """The one-form y dx, as the coefficient of dz.
-
-    Must be holomorphic at the branch z-points (the admissibility condition
-    on spectral curves); a pole there is a hard error.
-    """
-    w = U.y * U.x.deriv()
-    for s in U.branch_zpoints:
-        if not w.den(s):
-            raise NotHolomorphicAtBranch(
-                "y dx has a pole at branch z-point %s" % U.field.to_str(s))
-    return w
-
-
-def bergman(E):
-    """The genus-0 Bergman kernel dz1 dz2 / (z1 - z2)^2.
-
-    Returned as the scalar coefficient: a rational function of z2 over
-    E(z1).  Symmetric, double pole on the diagonal, no residue.
-    """
-    F1 = FunctionField(E, "z1")
-    F2 = FunctionField(F1, "z2")
-    w1 = F2.coerce(F1.gen())
-    diff = F2.gen() - w1
-    return F2.one() / (diff * diff)

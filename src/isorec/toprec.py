@@ -33,8 +33,7 @@ from math import comb
 
 from .errors import (NonSimpleBranchpoint, InvalidPoleStructure,
                      TruncationTooShort, UnexpectedPole)
-from .exactmath import (FunctionField, RatFn, Series, local_expand,
-                        partial_fractions)
+from .exactmath import RatFn, Series, local_expand, partial_fractions
 from .spectralcurve import ONE_BRANCH
 
 # factor-id tag of the m-th term of omega_{0,2}'s expansion at a branch point
@@ -235,8 +234,9 @@ class BranchWindow:
         dd = local_expand((U.y * U.x.deriv()) * 4, self.point, prec)
         if (not dd) or dd.valuation() != 2:
             raise NonSimpleBranchpoint(
-                "omega01(z) - omega01(sigma z) vanishes to order %s at z=%s "
-                "(order 2 required)" % (dd.valuation() if dd else "all", s))
+                "omega_{0,1}(z) - omega_{0,1}(sigma z) vanishes to order %s "
+                "at z=%s (order 2 required)"
+                % (dd.valuation() if dd else "all", s))
         self.dinv = dd.inverse()
         self._factors = {}
         self._sig_pows = {1: self.sig}
@@ -331,22 +331,6 @@ class BranchWindow:
                 row.append((m, r))
         self._rows[(a, b)] = row
         return row
-
-
-def recursion_kernel(U):
-    """K(z0,z) as a rational function: the coefficient of dz0/dz.
-
-    K = (1/(z0-z) - 1/(z0-sigma z)) / (2 (omega01(z) - omega01(sigma z)))
-      = (1/(z0-z) - 1/(z0-sigma z)) / (4 y(z) x'(z)).
-    """
-    E = U.field
-    Fz = FunctionField(E, U.zvar)
-    one = RatFn.one(Fz, "z0")
-    z0 = RatFn.gen(Fz, "z0")
-    z = RatFn.gen(E, U.zvar)
-    den = (U.y * U.x.deriv()) * 4
-    num = one / (z0 - one * z) - one / (z0 - one * U.sigma)
-    return num * (one / (one * den))
 
 
 class RecursionResult:

@@ -1,7 +1,7 @@
 """The determinantal side on Painleve I through hbar^3: the projector-valued
 series M on the double cover and the correlators built from its traces; the
 exact zero test of separated forms on both uniformization kinds; and the
-tau-function identities H_4 = -dF_2/dt and H_6 = -dF_3/dt."""
+tau-function identities H_2 = -dF_1/dt, H_4 = -dF_2/dt and H_6 = -dF_3/dt."""
 
 import itertools
 from fractions import Fraction
@@ -76,6 +76,26 @@ def test_projector_defect_vanishes_through_order_3(p1_order3, k):
     # M^2 = M order by order; the projector-identity scalar enters m_next
     # with the sign that makes the order-2 defect 2(M^(1))^2 cancel
     assert not p1_order3.projector_defect(k)
+
+
+def test_m_coeff_below_order_0_is_out_of_range(p1):
+    mser, _ = p1
+    with pytest.raises(IndexOutOfRange):
+        mser.coeff(-1)
+    with pytest.raises(TruncationTooShort):
+        mser.coeff(ORDER + 1)
+
+
+@pytest.mark.parametrize("n,k", [(0, 0), (-1, 1), (1, -2), (2, -1)])
+def test_correlator_form_below_first_order_is_out_of_range(p1, n, k):
+    with pytest.raises(IndexOutOfRange):
+        p1[1].form(n, k)
+
+
+@pytest.mark.parametrize("n,k", [(1, ORDER), (2, ORDER + 1), (3, 0)])
+def test_correlator_form_past_order_is_truncation(p1, n, k):
+    with pytest.raises(TruncationTooShort):
+        p1[1].form(n, k)
 
 
 def test_m_entries_live_on_the_cover(p1):
@@ -180,6 +200,15 @@ def test_bergman_match_rejects_altered_two_point(p1):
 
 
 # --- the tau function ------------------------------------------------------------
+
+
+def test_hamiltonian_is_minus_dt_log_tau_at_genus_1():
+    # H_2 = -dF_1/dt with F_1 = -(1/48) log t, so H_2 = 1/(48 t) exactly
+    _, H = p1_system()
+    flow = extend_flow(H, leading_order(H), 3)
+    vals, one = flow_values(flow, 4)
+    h2 = substitute(H, vals, one).coeff(2)
+    assert h2 == parse_element("1/(48*t)", flow.field)
 
 
 def test_hamiltonian_is_minus_dt_log_tau_at_genus_2():

@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isorec.detcheck import beta_factor
 from isorec.errors import (CasePreconditionViolated, NoDeformation,
-                           OrderMismatch, PlanMismatch)
+                           OrderMismatch)
 from isorec.exactmath import (QQ, FunctionField, HbarSeries,
                               QuadraticExtension, parse_element)
 from isorec.hamflow import extend_flow, leading_order
 from isorec.isodeform import (CASE_HIGHER_POLE, CASE_INFINITY,
                               CASE_SIMPLE_POLE, DeformCase,
                               build_isosystem, compatibility_residual,
-                              explicit_time_residual, gauge_normalize,
-                              linear_form, scaling_plan, select_case)
+                              explicit_time_residual, scaling_plan,
+                              select_case)
 from isorec.laxsystem import (SIGMA3, SIGMA_PLUS, Mat2, PoleData, Sl2Lax,
                               assemble, hamiltonians)
 
@@ -119,9 +120,10 @@ def test_build_moving_pole():
     t = parse_element("t", iso.lax.field)
     assert iso.lax.poles.points[2] == t
     assert iso.lax.poles.points[:2] == (Fraction(0), Fraction(1))
-    M, B, p = linear_form(iso.aux)
+    p, ahat = beta_factor(iso.aux)
     assert p.degree() == 1
-    assert not M  # residue term only: A = B/(x-t)
+    # residue term only: A = B/(x-t)
+    assert all(e.as_poly().degree() <= 0 for e in ahat.entries())
 
 
 def test_build_weighted_pole_identity():
@@ -137,19 +139,6 @@ def test_build_weighted_pole_identity():
     got = iso.lax.coeff(1, 2)
     t = parse_element("t", F)
     assert got == top - top.map(lambda e: e * t)
-
-
-def test_sigma_shift_leaves_linear_family():
-    F = tower("t")
-    top = mat(F, (("1", "0"), ("0", "-1")))
-    low = mat(F, (("0", "3"), ("2", "0")))
-    pd = PoleData((Fraction(0),), (2,), 0, SIGMA3)
-    sys = Sl2Lax(F, pd, {(0, 0): Mat2.sigma3(F.one(), F.zero()),
-                         (1, 2): top, (1, 1): low})
-    iso = build_isosystem(sys, case=DeformCase(CASE_HIGHER_POLE, 1),
-                          sigma=2)
-    with pytest.raises(ValueError):
-        linear_form(iso.aux)
 
 
 @st.composite
@@ -176,8 +165,9 @@ def test_identity_for_random_simple_poles(sys, nu):
         return
     iso = build_isosystem(sys, case=DeformCase(CASE_SIMPLE_POLE, nu))
     assert not explicit_time_residual(iso)
-    M, B, p = linear_form(iso.aux)
+    p, ahat = beta_factor(iso.aux)
     assert p.degree() <= 1
+    assert all(e.as_poly().degree() <= 1 for e in ahat.entries())
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,8 +182,9 @@ def test_identity_for_random_infinity_case(vals):
     sys = Sl2Lax(F, PoleData((), (), 2, SIGMA3), coeffs)
     iso = build_isosystem(sys)
     assert not explicit_time_residual(iso)
-    M, B, p = linear_form(iso.aux)
+    p, ahat = beta_factor(iso.aux)
     assert p.degree() == 0
+    assert all(e.as_poly().degree() <= 1 for e in ahat.entries())
 
 
 # --- scaling plans -------------------------------------------------------------
@@ -253,50 +244,6 @@ def test_plan_json_shape():
     assert blob["d_x"] == "2/5"
     assert blob["d_t"] == "4/5"
     assert blob["hamiltonian_degrees"]["0,0"] == "6/5"
-
-
-# --- gauge normalization --------------------------------------------------------
-
-
-def test_gauge_painleve1_homogeneous():
-    iso = build_isosystem(painleve1_isospectral(), beta="q")
-    plan = scaling_plan(iso.lax.poles, iso.case)
-    out = gauge_normalize(iso, plan)
-    assert out.normalized
-
-
-def test_gauge_rejects_inhomogeneous_entry():
-    F = tower("t", "q", "p")
-    coeffs = {
-        (0, 2): mat(F, (("0", "1"), ("0", "0"))),
-        (0, 1): mat(F, (("0", "q"), ("1", "0"))),
-        (0, 0): mat(F, (("p", "q^3"), ("-q", "-p"))),  # q^3 breaks weight
-    }
-    sys = Sl2Lax(F, PoleData((), (), 2, SIGMA_PLUS), coeffs)
-    iso = build_isosystem(sys)
-    plan = scaling_plan(iso.lax.poles, iso.case)
-    with pytest.raises(PlanMismatch):
-        gauge_normalize(iso, plan)
-
-
-def test_gauge_rank_mismatch():
-    iso = build_isosystem(painleve1_isospectral(), beta="q")
-    other = scaling_plan(PoleData((), (), 2, SIGMA3))
-    with pytest.raises(PlanMismatch):
-        gauge_normalize(iso, other)
-
-
-def test_gauge_flat_plan_trivial():
-    F = QQ
-    m1 = mat(F, (("1", "2"), ("3", "-1")))
-    m2 = mat(F, (("0", "1"), ("1", "0")))
-    m3 = -(Mat2.sigma3(F.one(), F.zero()) + m1 + m2)
-    pd = PoleData((Fraction(0), Fraction(1), Fraction(2)), (1, 1, 1), -1,
-                  SIGMA3)
-    sys = Sl2Lax(F, pd, {(1, 1): m1, (2, 1): m2, (3, 1): m3})
-    iso = build_isosystem(sys)
-    out = gauge_normalize(iso, scaling_plan(pd))
-    assert out.normalized and out.lax is iso.lax
 
 
 # --- compatibility -------------------------------------------------------------

@@ -3,16 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from isorec.errors import (DegenerateOrbit, IndexOutOfRange, NonGenericOrbit,
-                           PoleCollision)
-from isorec.exactmath import (FunctionField, HbarSeries, Poly, QQ, RatFn,
+from isorec.errors import DegenerateOrbit, IndexOutOfRange, PoleCollision
+from isorec.exactmath import (FunctionField, HbarSeries, QQ, RatFn,
                               parse_element)
 from isorec.laxsystem import (Mat2, PoleData, SIGMA3, SIGMA_PLUS, Sl2Lax,
                               assemble, auxiliary_matrix, darboux,
-                              from_quadratic, hamiltonians,
-                              orbit_representative)
+                              hamiltonians)
 
 
 def tower(*names):
@@ -37,8 +34,7 @@ def painleve1(field=None):
         (0, 1): mat(F, (("0", "q"), ("1", "0"))),
         (0, 0): mat(F, (("p", "q^2 + 2*t"), ("-q", "-p"))),
     }
-    return Sl2Lax(F, PoleData((), (), 2, SIGMA_PLUS), coeffs,
-                  normalized=True)
+    return Sl2Lax(F, PoleData((), (), 2, SIGMA_PLUS), coeffs)
 
 
 # --- assembly ---------------------------------------------------------------
@@ -60,7 +56,7 @@ def test_assemble_painleve1():
 def test_assemble_constant_sigma3():
     F = QQ
     m = Mat2.sigma3(F.one(), F.zero())
-    sys = Sl2Lax(F, PoleData((), (), 0, SIGMA3), {(0, 0): m}, normalized=True)
+    sys = Sl2Lax(F, PoleData((), (), 0, SIGMA3), {(0, 0): m})
     L = assemble(sys)
     assert L.a == RatFn.one(QQ, "x") and L.d == -L.a
     assert not L.b and not L.c
@@ -73,8 +69,7 @@ def fuchsian3(points=(0, 1, 2)):
     # residues must sum to -sigma3
     L3 = -(Mat2.sigma3(F.one(), F.zero()) + L1 + L2)
     pd = PoleData(tuple(Fraction(p) for p in points), (1, 1, 1), -1, SIGMA3)
-    return Sl2Lax(F, pd, {(1, 1): L1, (2, 1): L2, (3, 1): L3},
-                  normalized=True)
+    return Sl2Lax(F, pd, {(1, 1): L1, (2, 1): L2, (3, 1): L3})
 
 
 def test_assemble_fuchsian_three_poles():
@@ -221,16 +216,6 @@ def test_auxiliary_painleve1_base():
     assert A.c == RatFn.const(F, F.coerce(2), "x")
 
 
-def test_auxiliary_painleve1_beta_shift():
-    sys = painleve1()
-    F = sys.field
-    q = parse_element("q", F)
-    A = auxiliary_matrix(sys, 0, 0, beta=q)
-    x = RatFn.gen(F, "x")
-    assert A.b == 2 * x + 4 * q
-    assert A.c == RatFn.const(F, F.coerce(2), "x")
-
-
 def test_auxiliary_simple_pole():
     sys = fuchsian3()
     A = auxiliary_matrix(sys, 1, 1)
@@ -239,31 +224,12 @@ def test_auxiliary_simple_pole():
     assert A == L11.map(lambda e: -2 * e / x)
 
 
-def test_auxiliary_sigma_shift_matches_polar_cancellation():
-    # r0 = 0 with a double pole at the origin; sigma = 2 flips the sign of
-    # the deepest polar term: A = x L0 + L1 - L2/x
-    F = QQ
-    L0 = mat(F, (("1", "0"), ("0", "-1")))
-    L1 = mat(F, (("0", "2"), ("5", "0")))
-    L2 = mat(F, (("3", "1"), ("4", "-3")))
-    pd = PoleData((Fraction(0),), (2,), 0, SIGMA3)
-    sys = Sl2Lax(F, pd, {(0, 0): L0, (1, 1): L1, (1, 2): L2})
-    A = auxiliary_matrix(sys, 1, 2, sigma=2)
-    x = RatFn.gen(F, "x")
-    expect_b = L0.b * x + L1.b - L2.b / x
-    assert A.b == expect_b
-    expect_a = L0.a * x + L1.a - L2.a / x
-    assert A.a == expect_a
-
-
 def test_auxiliary_index_errors():
     sys = painleve1()
     with pytest.raises(IndexOutOfRange):
         auxiliary_matrix(sys, 0, 2)
     with pytest.raises(IndexOutOfRange):
         auxiliary_matrix(sys, 1, 1)
-    with pytest.raises(IndexOutOfRange):
-        auxiliary_matrix(sys, 0, 0, sigma=1)
 
 
 # --- darboux charts -----------------------------------------------------------
@@ -271,22 +237,19 @@ def test_auxiliary_index_errors():
 
 def test_darboux_painleve1():
     sys = painleve1()
-    chart = darboux(sys)
-    assert len(chart) == 1
-    q, p = chart[0]
-    assert q == parse_element("q", sys.field)
-    assert p == parse_element("p", sys.field)
+    q, p = (parse_element(s, sys.field) for s in ("q", "p"))
+    assert darboux(sys) == [(q, p)]
 
 
 def test_darboux_painleve2_form():
-    # generic x^2 system normalized so entry (2,1) is monic in x
+    # generic x^2 system with entry (2,1) monic in x
     F = tower("u0", "v0", "w0", "v1")
     coeffs = {
         (0, 2): mat(F, (("1", "0"), ("0", "-1"))),
         (0, 1): mat(F, (("0", "v1"), ("1", "0"))),
         (0, 0): mat(F, (("u0", "v0"), ("w0", "-u0"))),
     }
-    sys = Sl2Lax(F, PoleData((), (), 2, SIGMA3), coeffs, normalized=True)
+    sys = Sl2Lax(F, PoleData((), (), 2, SIGMA3), coeffs)
     chart = darboux(sys)
     assert len(chart) == 1
     q, p = chart[0]
@@ -310,86 +273,3 @@ def test_darboux_chart_identities():
         # (p - L11)(p - L22) - L12 L21 at x = q
         det = (p - L.a(q)) * (p - L.d(q)) - L.b(q) * L.c(q)
         assert not det
-
-
-# --- orbit representatives -----------------------------------------------------
-
-
-def test_orbit_torus_normalization():
-    F = QQ
-    target = mat(F, (("0", "4"), ("9", "0")))
-    pd = PoleData((Fraction(0),), (1,), 1, SIGMA3)
-    sys = Sl2Lax(F, pd, {(0, 1): Mat2.sigma3(F.one(), F.zero()),
-                         (0, 0): mat(F, (("1", "1"), ("1", "-1"))),
-                         (1, 1): target})
-    out = orbit_representative(sys, (1, 1))
-    m = out.coeff(1, 1)
-    assert m.b == 1 and m.c == 36
-    # conjugation preserves the full trace invariant
-    L0, L1 = assemble(sys), assemble(out)
-    assert (L0 * L0).trace() == (L1 * L1).trace()
-
-
-def test_orbit_sigma_plus_identity():
-    sys = painleve1()
-    out = orbit_representative(sys, (0, 1))
-    assert out.coeff(0, 1) == sys.coeff(0, 1)
-
-
-def test_orbit_nongeneric():
-    F = QQ
-    pd = PoleData((Fraction(0),), (1,), 1, SIGMA3)
-    sys = Sl2Lax(F, pd, {(0, 1): Mat2.sigma3(F.one(), F.zero()),
-                         (1, 1): mat(F, (("5", "0"), ("0", "-5")))})
-    with pytest.raises(NonGenericOrbit):
-        orbit_representative(sys, (1, 1))
-
-
-# --- companion systems from a curve --------------------------------------------
-
-
-def test_from_quadratic_airy():
-    Q = RatFn.gen(QQ, "x")
-    sys = from_quadratic(Q)
-    L = assemble(sys)
-    assert L.b == Q and L.c == RatFn.one(QQ, "x")
-    assert not L.a and not L.d
-    assert sys.poles.r0 == 1 and sys.poles.kind == SIGMA_PLUS
-
-
-def test_from_quadratic_det():
-    x = RatFn.gen(QQ, "x")
-    Q = x * x + 1
-    L = assemble(from_quadratic(Q))
-    assert L.det() == -Q
-
-
-def test_from_quadratic_pole_data():
-    x = RatFn.gen(QQ, "x")
-    sys = from_quadratic(1 / x)
-    assert sys.poles.n == 1
-    assert sys.poles.orders == (1,)
-    assert sys.poles.points == (Fraction(0),)
-
-
-rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
-
-
-@st.composite
-def random_curves(draw):
-    x = RatFn.gen(QQ, "x")
-    f = RatFn(Poly(QQ, draw(st.lists(rationals, min_size=0, max_size=4)), "x"))
-    for _ in range(draw(st.integers(0, 2))):
-        p = draw(st.integers(-3, 3))
-        k = draw(st.integers(1, 3))
-        c = draw(rationals)
-        f = f + c / (x - p) ** k
-    return f
-
-
-@settings(max_examples=50, deadline=None)
-@given(random_curves())
-def test_from_quadratic_det_is_minus_curve(Q):
-    if not Q:
-        return
-    assert assemble(from_quadratic(Q)).det() == -Q

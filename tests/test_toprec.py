@@ -19,8 +19,7 @@ from isorec.spectralcurve import (ONE_BRANCH, TWO_BRANCH, Uniformization,
                                   classical_curve, curve_from_system,
                                   uniformize)
 from isorec.toprec import (BranchWindow, PoleBasisForm, _verify_form,
-                           eo_differentials, recursion_kernel,
-                           sigma_slot_image, symplectic_invariants, xi_ratfn)
+                           eo_differentials, sigma_slot_image, symplectic_invariants, xi_ratfn)
 
 
 def curve_from_Q(text):
@@ -57,14 +56,7 @@ def table_of(form):
     return [(tuple(map(tuple, e["idx"])), e["coef"]) for e in form.to_json()]
 
 
-# --- kernel and local windows ----------------------------------------------
-
-
-def test_airy_kernel_closed_form():
-    K = recursion_kernel(airy_U())
-    Fz = FunctionField(QQ, "z")
-    want = parse_element("1/(4*z*(z0^2 - z^2))", FunctionField(Fz, "z0"))
-    assert K == want
+# --- local windows ---------------------------------------------------------
 
 
 def test_airy_bergman_diagonal_window():
