@@ -4,6 +4,18 @@ Coefficients are stored ascending by degree with trailing zeros stripped,
 so the zero polynomial has an empty list. The coefficient field is a field
 object (see fields.py) supplying zero/one/coerce; the elements themselves
 carry the ring operators. Everything here is immutable and exact.
+
+There are two constructors. `Poly(field, coeffs, var)` coerces every
+coefficient into the field. `Poly._trusted(field, coeffs, var)` only strips
+trailing zeros: its caller vouches that the coefficients already are
+elements of that field object, as they are when both operands of an
+arithmetic operation hold the same field object (cf. `RatFn._reduced`).
+
+Against a monomial c*x^k no Euclid or long division runs:
+gcd(a, c*x^k) = x^min(k, v) with v the index of the first nonzero
+coefficient of a (x^k when a = 0), and a divided by c*x^k is the
+coefficients of a from degree k up, times 1/c, with the coefficients below
+degree k as the remainder (Knuth, TAOCP 2, 4.6.1).
 """
 
 from __future__ import annotations
@@ -19,11 +31,10 @@ __all__ = [
 class Poly:
     __slots__ = ("field", "var", "coeffs")
 
-    def __init__(self, field, coeffs, var="x", normalize=True):
-        if normalize:
-            coeffs = [field.coerce(c) for c in coeffs]
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
+    def __init__(self, field, coeffs, var="x"):
+        coeffs = [field.coerce(c) for c in coeffs]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
         self.field = field
         self.var = var
         self.coeffs = tuple(coeffs)
@@ -31,12 +42,25 @@ class Poly:
     # --- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, field, coeffs, var):
+        """A Poly from coefficients the caller vouches are elements of
+        `field`; only trailing zeros are stripped."""
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        p = object.__new__(cls)
+        p.field = field
+        p.var = var
+        p.coeffs = tuple(coeffs)
+        return p
+
+    @classmethod
     def zero(cls, field, var="x"):
-        return cls(field, (), var, normalize=False)
+        return cls._trusted(field, (), var)
 
     @classmethod
     def one(cls, field, var="x"):
-        return cls(field, [field.one()], var, normalize=False)
+        return cls._trusted(field, [field.one()], var)
 
     @classmethod
     def const(cls, field, c, var="x"):
@@ -45,7 +69,7 @@ class Poly:
     @classmethod
     def gen(cls, field, var="x"):
         """The polynomial `var` itself."""
-        return cls(field, [field.zero(), field.one()], var, normalize=False)
+        return cls._trusted(field, [field.zero(), field.one()], var)
 
     # --- structure ---------------------------------------------------------
 
@@ -55,6 +79,11 @@ class Poly:
 
     def __bool__(self):
         return bool(self.coeffs)
+
+    def _is_monomial(self):
+        """True when exactly one coefficient is nonzero: self = c*x^k."""
+        c = self.coeffs
+        return bool(c) and not any(c[:-1])
 
     def leading(self):
         if not self.coeffs:
@@ -72,10 +101,9 @@ class Poly:
         return self.field.zero()
 
     def __eq__(self, other):
-        if not isinstance(other, Poly):
-            other = self._coerce_operand(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = self._coerce_operand(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self.coeffs == other.coeffs
 
     def __ne__(self, other):
@@ -89,12 +117,17 @@ class Poly:
 
     def _coerce_operand(self, other):
         if isinstance(other, Poly):
-            return other
+            return other if other.var == self.var else NotImplemented
         try:
             c = self.field.coerce(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return Poly(self.field, [c], self.var, normalize=False) if c else Poly.zero(self.field, self.var)
+        return Poly._trusted(self.field, [c] if c else (), self.var)
+
+    def _builder(self, other):
+        """The constructor for a result of self and other: coefficients
+        computed from one field object need no second coercion."""
+        return Poly._trusted if other.field is self.field else Poly
 
     def __add__(self, other):
         other = self._coerce_operand(other)
@@ -106,12 +139,12 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(self.field, out, self.var)
+        return self._builder(other)(self.field, out, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs], self.var, normalize=False)
+        return Poly._trusted(self.field, [-c for c in self.coeffs], self.var)
 
     def __sub__(self, other):
         other = self._coerce_operand(other)
@@ -132,12 +165,13 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(self.field, self.var)
+        make = self._builder(other)
         if len(a) == 1:
             c = a[0]
-            return Poly(self.field, [c * bj for bj in b], self.var)
+            return make(self.field, [c * bj for bj in b], self.var)
         if len(b) == 1:
             c = b[0]
-            return Poly(self.field, [ai * c for ai in a], self.var)
+            return make(self.field, [ai * c for ai in a], self.var)
         zero = self.field.zero()
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -146,7 +180,7 @@ class Poly:
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] = out[i + j] + ai * bj
-        return Poly(self.field, out, self.var)
+        return make(self.field, out, self.var)
 
     __rmul__ = __mul__
 
@@ -173,7 +207,16 @@ class Poly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return Poly.zero(self.field, self.var), self
-        inv_lead = self.field.one() / other.leading()
+        make = self._builder(other)
+        one = self.field.one()
+        if other._is_monomial():
+            k = other.degree()
+            quot = rem[k:]
+            if other.leading() != one:
+                inv_lead = one / other.leading()
+                quot = [c * inv_lead for c in quot]
+            return make(self.field, quot, self.var), make(self.field, rem[:k], self.var)
+        inv_lead = one / other.leading()
         quot = [self.field.zero()] * (dq + 1)
         for k in range(dq, -1, -1):
             c = rem[k + other.degree()] * inv_lead
@@ -181,7 +224,7 @@ class Poly:
             if c:
                 for j, bj in enumerate(other.coeffs):
                     rem[k + j] = rem[k + j] - c * bj
-        return Poly(self.field, quot, self.var), Poly(self.field, rem, self.var)
+        return make(self.field, quot, self.var), make(self.field, rem, self.var)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -198,7 +241,7 @@ class Poly:
             return q
         c = self.field.coerce(other)
         inv = self.field.one() / c
-        return Poly(self.field, [a * inv for a in self.coeffs], self.var, normalize=False)
+        return Poly._trusted(self.field, [a * inv for a in self.coeffs], self.var)
 
     # --- calculus & evaluation --------------------------------------------
 
@@ -295,9 +338,21 @@ class Poly:
 
 
 def poly_gcd(a, b):
-    """Monic gcd by the Euclidean algorithm (coefficients form a field)."""
+    """Monic gcd (coefficients form a field): x^min(k, v) against a monomial
+    c*x^k, with v the valuation of the other operand, else by the Euclidean
+    algorithm."""
+    if a.var != b.var:
+        raise TypeError("gcd of polynomials in %s and in %s" % (a.var, b.var))
     if (a and a.degree() == 0) or (b and b.degree() == 0):
         return Poly.one(a.field, a.var)
+    if a._is_monomial():
+        a, b = b, a
+    if b._is_monomial():
+        k = b.degree()
+        if a:
+            k = min(k, next(i for i, c in enumerate(a.coeffs) if c))
+        field = b.field
+        return Poly._trusted(field, [field.zero()] * k + [field.one()], b.var)
     while b:
         a, b = b, a % b
     if not a:

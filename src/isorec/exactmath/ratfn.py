@@ -117,7 +117,8 @@ class RatFn:
 
     def _coerce(self, other):
         if isinstance(other, RatFn):
-            if other.field == self.field and other.var == self.var:
+            f, g = self.num, other.num
+            if (g.field is f.field or g.field == f.field) and g.var == f.var:
                 return other
             # a rational function in another variable may still be a scalar
             # of our coefficient field; fall through to field coercion

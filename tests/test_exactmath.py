@@ -1,5 +1,6 @@
 """Exact arithmetic layer: ring axioms, residue calculus, the field tower."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -417,28 +418,69 @@ def kernel_fractions(draw, name):
     return (c * num + e) / den
 
 
+# Test-local references: schoolbook division and Euclid on coefficient
+# lists, so that neither the monomial paths of poly.py nor RatFn's own
+# reduction checks itself.
+
+
+def ref_divmod(a, b):
+    """Long division of a by b, one coefficient of the quotient at a time."""
+    F, lead, db = a.field, b.coeffs[-1], b.degree()
+    rem = list(a.coeffs)
+    quot = [F.zero()] * max(len(rem) - db, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + db] / lead
+        quot[k] = c
+        for j, bj in enumerate(b.coeffs):
+            rem[k + j] = rem[k + j] - c * bj
+    return Poly(F, quot, a.var), Poly(F, rem, a.var)
+
+
+def ref_gcd(a, b):
+    """Monic gcd by the Euclidean algorithm on ref_divmod."""
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    if not a:
+        return a
+    lead = a.coeffs[-1]
+    return Poly(a.field, [c / lead for c in a.coeffs], a.var)
+
+
+def ref_fraction(num, den):
+    """(num, den) reduced by ref_gcd, with a monic denominator and the
+    denominator 1 for zero."""
+    F, var = num.field, num.var
+    if not num:
+        return Poly(F, [], var), Poly(F, [1], var)
+    g = ref_gcd(num, den)
+    num, den = ref_divmod(num, g)[0], ref_divmod(den, g)[0]
+    lead = den.coeffs[-1]
+    return (Poly(F, [c / lead for c in num.coeffs], var),
+            Poly(F, [c / lead for c in den.coeffs], var))
+
+
 def assert_canonical(f):
     assert f.den.leading() == f.field.one()
     if f:
-        assert poly_gcd(f.num, f.den).degree() == 0
+        assert ref_gcd(f.num, f.den).degree() == 0
     else:
         assert f.den.degree() == 0
 
 
 def naive_results(f, g, k):
-    """Each kernel's result, next to RatFn(num, den) built from the
-    unreduced products."""
+    """Each kernel's result, next to the (num, den) that the test-local
+    Euclid reduces from the unreduced products."""
     a, b, c, d = f.num, f.den, g.num, g.den
-    out = {"add": (f + g, RatFn(a * d + c * b, b * d)),
-           "sub": (f - g, RatFn(a * d - c * b, b * d)),
-           "mul": (f * g, RatFn(a * c, b * d)),
-           "neg": (-f, RatFn(-a, b)),
-           "pow": (f ** k, RatFn(a ** k, b ** k))}
+    out = {"add": (f + g, ref_fraction(a * d + c * b, b * d)),
+           "sub": (f - g, ref_fraction(a * d - c * b, b * d)),
+           "mul": (f * g, ref_fraction(a * c, b * d)),
+           "neg": (-f, ref_fraction(-a, b)),
+           "pow": (f ** k, ref_fraction(a ** k, b ** k))}
     if g:
-        out["div"] = (f / g, RatFn(a * d, b * c))
+        out["div"] = (f / g, ref_fraction(a * d, b * c))
     if f:
-        out["inverse"] = (f.inverse(), RatFn(b, a))
-        out["negpow"] = (f ** -k, RatFn(b ** k, a ** k))
+        out["inverse"] = (f.inverse(), ref_fraction(b, a))
+        out["negpow"] = (f ** -k, ref_fraction(b ** k, a ** k))
     return out
 
 
@@ -448,7 +490,7 @@ def test_kernels_match_cross_products(name):
     @given(kernel_fractions(name), kernel_fractions(name), st.integers(0, 3))
     def check(f, g, k):
         for op, (got, want) in naive_results(f, g, k).items():
-            assert (got.num, got.den) == (want.num, want.den), op
+            assert (got.num, got.den) == want, op
             assert_canonical(got)
     check()
 
@@ -490,3 +532,95 @@ def test_separately_built_fields_agree():
     e2 = parse_element("x - u", F2)
     assert F2.coerce(e1) is e1
     assert e1 * e2 == F1.one() and e2 * e1 == F2.one()
+
+
+# --- monomial gcd and division, and the trusted constructor ------------------
+
+
+@st.composite
+def monomial_pairs(draw, name, relation):
+    """(a, c*x^k) over the named field: k in 0..4, c a scalar of the pool or
+    2, and a of valuation below, equal to or above k, or a = 0."""
+    F = KERNEL_FIELDS[name][0]
+    scalars = KERNEL_POOLS[name][1] + [F.coerce(2)]
+    k = draw(st.integers(1 if relation == "below" else 0, 4))
+    m = Poly(F, [F.zero()] * k + [draw(st.sampled_from(scalars))], "x")
+    if relation == "zero":
+        return Poly.zero(F, "x"), m
+    if relation == "below":
+        v = draw(st.integers(0, k - 1))
+    elif relation == "equal":
+        v = k
+    else:
+        v = draw(st.integers(k + 1, k + 3))
+    tail = draw(st.lists(st.sampled_from([F.zero()] + scalars), max_size=3))
+    first = draw(st.sampled_from(scalars))
+    return Poly(F, [F.zero()] * v + [first] + tail, "x"), m
+
+
+@pytest.mark.parametrize("relation", ["below", "equal", "above", "zero"])
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_monomial_gcd_and_division_match_euclid(name, relation):
+    @settings(max_examples=25, deadline=None)
+    @given(monomial_pairs(name, relation))
+    def check(pair):
+        a, m = pair
+        want = ref_gcd(a, m)
+        assert poly_gcd(a, m) == want and poly_gcd(m, a) == want
+        assert divmod(a, m) == ref_divmod(a, m)
+    check()
+
+
+def assert_trusted(p, F):
+    assert not p.coeffs or p.coeffs[-1]
+    assert all(F.coerce(c) is c for c in p.coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_arithmetic_results_are_stripped_field_elements(name):
+    F = KERNEL_FIELDS[name][0]
+    polys = st.lists(st.sampled_from([F.zero()] + KERNEL_POOLS[name][1]),
+                     max_size=4).map(lambda cs: Poly(F, cs, "x"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(polys, polys, st.integers(0, 3))
+    def check(a, b, k):
+        results = [a + b, a - b, a - a, a * b, a ** k, -a]
+        if b:
+            results += [a // b, a % b, *divmod(a, b), (a * b) / b,
+                        a / b.leading()]
+        for p in results:
+            assert p.field is F
+            assert_trusted(p, F)
+    check()
+
+
+def test_mixed_fields_keep_the_coercing_constructor():
+    # pq is the longer operand, so its top coefficients reach the sum as
+    # Fractions and only the coercing constructor makes them Q(t) elements
+    t = parse_element("t", Qt)
+    pt = Poly(Qt, [t, 1, 0, 1 / t], "x")
+    for pq in (Poly(QQ, [Fraction(1, 2), 0, 3, 0, 0, 7], "x"),
+               Poly(QQ, [0, 0, 2], "x")):
+        for p in (pt + pq, pt - pq, pt * pq, *divmod(pt, pq)):
+            assert p.field is Qt
+            assert all(isinstance(c, RatFn) for c in p.coeffs)
+            assert_trusted(p, Qt)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                divmod])
+def test_polys_in_different_variables_do_not_mix(op):
+    with pytest.raises(TypeError):
+        op(Poly(QQ, [1, 1], "x"), Poly(QQ, [1, 1], "y"))
+
+
+def test_polys_in_different_variables_are_unequal():
+    px, py = Poly(QQ, [1, 1], "x"), Poly(QQ, [1, 1], "y")
+    assert not px == py
+    assert px != py
+
+
+def test_gcd_of_polys_in_different_variables_is_refused():
+    with pytest.raises(TypeError):
+        poly_gcd(Poly(QQ, [1, 1], "x"), Poly(QQ, [1, 1], "y"))
