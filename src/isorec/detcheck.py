@@ -12,17 +12,34 @@ over powers of x(z_i) - x(z_j)) so that no computation ever enters a nested
 field tower; their exact zero test is written once for both uniformization
 kinds, in terms of x(z) alone.  Whatever depends on the kind (the
 involution, the branch z-points) is read off the Uniformization.
+
+When the curve is weighted-homogeneous over Q(t) or Q(t)[u]
+(grading.specialization), m_series expands L, A-hat and beta along the flow
+on the tower, checks every coefficient against the weights of
+scaling_plan (hbar has weight 1), and then runs at the time t0 where u = 1.
+M^(k)_ij has weight s_ij delta - k, with s = 0 on the diagonal, +1 above
+and -1 below it, and delta read off L; the one time derivative, in m_next,
+comes from the Euler relation d_t t0 dt f = w f - d_x x dx f of a
+homogeneous f of weight w, with dx the cover's derivation.  correlators and
+verify_tt then run over Q unchanged.  This is exact for the reason the
+recursion at t0 is (see toprec and grading): every zero test, pole location
+and degree bound is one of a homogeneous element, and a nonzero c t^a u^b
+stays nonzero at t0.  verify_tt compares a row's coefficients together with
+their weights, because c t^a and c' t^a' can agree at t0.
 """
 
 import itertools
+from fractions import Fraction
 from math import comb
 
+from . import grading
 from .errors import (CasePreconditionViolated, DegenerateAZero,
-                     IdentityFailed, IndexOutOfRange, TruncationTooShort,
-                     UnexpectedPole)
-from .exactmath import (ExtElem, Poly, RatFn, local_expand,
+                     IdentityFailed, IndexOutOfRange, PlanMismatch,
+                     TruncationTooShort, UnexpectedPole)
+from .exactmath import (QQ, ExtElem, Poly, RatFn, local_expand,
                         partial_derivation, poly_gcd, split_linear_factors)
 from .hamflow import hbar_matrix_series, hbar_series
+from .isodeform import scaling_plan
 from .laxsystem import Mat2, assemble
 from .spectralcurve import (ONE_BRANCH, TWO_BRANCH, classical_curve, pullback,
                             uniformize)
@@ -81,13 +98,13 @@ def m_next(k, history, ahat, beta, curve, dt):
 
     `history` holds the earlier coefficients, `ahat` the polynomial
     auxiliary matrix coefficients (both Mat2 over curve.cover), `beta` the
-    cleared denominator as a RatFn over the scalar field, `dt` the time
-    derivation of curve.cover at fixed x.  The commutator equation
+    cleared denominator as a RatFn over the scalar field, and dt(m, j) the
+    time derivative at fixed x of m = M^(j).  The commutator equation
     [A-hat^(0), M^(k)] = RHS fixes M^(k) up to its diagonal trace part, and
     the order-k projector identity supplies the missing scalar equation.
     """
     E, var = curve.field, curve.var
-    rhs = history[k - 1].map(lambda e: dt(e) * beta)
+    rhs = dt(history[k - 1], k - 1).map(lambda e: e * beta)
     for j in range(k):
         am = ahat[k - j] * history[j]
         ma = history[j] * ahat[k - j]
@@ -124,17 +141,109 @@ def m_next(k, history, ahat, beta, curve, dt):
     return Mat2(m1, m2, m3, -m1)
 
 
+# the sign s_ij of delta in the weight of entry a, b, c, d of a Mat2
+ENTRY_SIGNS = (0, 1, -1, 0)
+
+
+class FlowGrading:
+    """Weights of the determinantal side, in scaling_plan's units.
+
+    x has weight d_x, t weight d_t and hbar weight 1; entry ij of L^(k)
+    has weight w_L + s_ij delta - k (w_L is `lax`), and entry ij of M^(k)
+    s_ij delta - k.  `spec` is the curve's Specialization, and `scale`
+    takes its weights to these units.
+    """
+
+    __slots__ = ("spec", "d_x", "d_t", "lax", "delta", "scale")
+
+    def __init__(self, spec, d_x, d_t, lax, delta, scale):
+        self.spec = spec
+        self.d_x = d_x
+        self.d_t = d_t
+        self.lax = lax
+        self.delta = delta
+        self.scale = scale
+
+    def time_derivative(self, cover):
+        """dt(m, k) for m = M^(k) over the cover at t0, from the Euler
+        relation d_t t0 dt f = w f - d_x x dx f, entry by entry."""
+        x = cover.coerce(cover.base.gen())
+        inv = 1 / (self.d_t * self.spec.t0)
+        xcoef = self.d_x * inv
+
+        def dt(m, k):
+            return Mat2(*(e * ((s * self.delta - k) * inv)
+                          - x * cover.diff(e) * xcoef if e else e
+                          for s, e in zip(ENTRY_SIGNS, m.entries())))
+        return dt
+
+    def omega_weight(self, g, n, key):
+        return self.scale * self.spec.omega_weight(g, n, key)
+
+    def correlator_weight(self, n, k, key):
+        """Weight of a pole-basis coefficient of W_n^(k).
+
+        As the coefficient of prod dz_i, W_1^(k) = sum_j Tr L^(j) M^(k+1-j)
+        x' has weight w_L - 1 - k + d_x - w_z; for n >= 2, a trace of weight
+        -k over n couplings 1/(x_i - x_j) times n factors x' has weight
+        -k - n w_z.  The basis element dz_i/z_i^k_i has weight (1 - k_i) w_z.
+        """
+        w_z = self.scale * self.spec.weights["z"]
+        base = self.lax - 1 - k + self.d_x - w_z if n == 1 else -k - n * w_z
+        return base + w_z * sum(k_i for _, k_i in key)
+
+
+def flow_grading(iso, spec, lax, ahat, beta):
+    """Check L^(k), A-hat^(k) and beta against scaling_plan's weights.
+
+    Every nonzero coefficient of every entry must be a monomial c t^a u^b
+    whose weight, with hbar of weight 1, gives the entry the weight
+    w_L + s_ij delta - k (w_A for A-hat); w_L, w_A, delta and beta's weight
+    are solved from the coefficients.  Returns a FlowGrading, or None when
+    the coefficients are not homogeneous in these weights.  Weights that
+    contradict the curve's raise PlanMismatch.
+    """
+    plan = scaling_plan(iso.lax.poles, iso.case)
+    if not plan.d_t:
+        return None
+    E = spec.field
+    rows = [({"t": Fraction(1)}, plan.d_t), ({"x": Fraction(1)}, plan.d_x)]
+    checks = [(e, ((name, 1), ("delta", s)), -k)
+              for name, series in (("L", lax), ("A", ahat))
+              for k, m in enumerate(series)
+              for s, e in zip(ENTRY_SIGNS, m.entries())]
+    checks.append((beta, (("beta", 1),), 0))
+    for e, target, const in checks:
+        more = grading.term_rows(E, e, "x", target, const)
+        if more is None:
+            return None
+        rows += more
+    w = grading.solve_weights(rows)
+    if w is None:
+        return None
+    scale = plan.d_t / spec.weights["t"]
+    if (plan.d_x != scale * spec.weights["x"]
+            or w["L"] != scale * spec.weights["y"]):
+        raise PlanMismatch(
+            "weights along the flow (x %s, L %s) contradict the curve's "
+            "(x %s, y %s)" % (plan.d_x, w["L"], scale * spec.weights["x"],
+                              scale * spec.weights["y"]))
+    return FlowGrading(spec, plan.d_x, plan.d_t, w["L"], w["delta"], scale)
+
+
 class MSeries:
     """Truncated hbar-expansion of the projector-valued solution M.
 
     mats[k] is M^(k) as a Mat2 over curve.cover; lax and ahat carry L^(k)
     and the cleared auxiliary coefficients on the same cover, so correlators
-    can be formed without leaving the representation.
+    can be formed without leaving the representation.  `grading` is the
+    FlowGrading of a series run at one time (U.point), else None.
     """
 
-    __slots__ = ("curve", "U", "order", "mats", "lax", "ahat", "beta")
+    __slots__ = ("curve", "U", "order", "mats", "lax", "ahat", "beta",
+                 "grading")
 
-    def __init__(self, curve, U, order, mats, lax, ahat, beta):
+    def __init__(self, curve, U, order, mats, lax, ahat, beta, grading=None):
         self.curve = curve
         self.U = U
         self.order = order
@@ -142,6 +251,7 @@ class MSeries:
         self.lax = lax
         self.ahat = ahat
         self.beta = beta
+        self.grading = grading
 
     def coeff(self, k):
         if k < 0:
@@ -179,7 +289,7 @@ class MSeries:
             out.append({"k": k, "entries": [
                 {"f": e.a.to_str(fmt), "g": e.b.to_str(fmt)}
                 for e in m.entries()]})
-        return {"order": self.order, "mats": out}
+        return {"order": self.order, "point": self.U.point, "mats": out}
 
 
 def m_series(iso, flow, order):
@@ -189,30 +299,46 @@ def m_series(iso, flow, order):
     The a-posteriori singularity statements are then verified: poles of
     every M^(k) only over branchpoints (and over x = infinity when the
     growth case allows it), with the entry-wise degree bounds in the two
-    classified growth cases.
+    classified growth cases.  When the curve and the expansions are
+    homogeneous (flow_grading), M is built over Q at the curve's
+    specialization point.
     """
     lser = hbar_matrix_series(assemble(iso.lax), flow, order)
     beta_t, ahat_t = beta_factor(iso.aux)
     aser = hbar_matrix_series(ahat_t, flow, order)
     beta_E = _constant_in_hbar(hbar_series(RatFn(beta_t), flow, order))
 
+    def remap(fn, field):
+        return ([m.map(lambda e: e.map_coeffs(fn, field)) for m in lser],
+                [m.map(lambda e: e.map_coeffs(fn, field)) for m in aser],
+                beta_E.map_coeffs(fn, field))
+
     curve = classical_curve(lser[0], aser[0])
     U = uniformize(curve)
     if U.field is not curve.field:
-        up = U.field.coerce
-        lser = [m.map(lambda e: e.map_coeffs(up, U.field)) for m in lser]
-        aser = [m.map(lambda e: e.map_coeffs(up, U.field)) for m in aser]
-        beta_E = beta_E.map_coeffs(up, U.field)
+        lser, aser, beta_E = remap(U.field.coerce, U.field)
         curve = classical_curve(lser[0], aser[0])
+    spec = grading.specialization(U)
+    graded = None if spec is None else flow_grading(iso, spec, lser, aser,
+                                                    beta_E)
+    if graded is None:
+        d = partial_derivation(curve.cover, iso.tname)
+
+        def dt(m, k):
+            return m.map(d)
+    else:
+        lser, aser, beta_E = remap(spec.at, QQ)
+        curve = classical_curve(lser[0], aser[0])
+        U = spec.curve
+        dt = graded.time_derivative(curve.cover)
 
     K = curve.cover
     acf = [m.map(K.coerce) for m in aser]
     lcf = [m.map(K.coerce) for m in lser]
-    dt = partial_derivation(K, iso.tname)
     mats = [m_zero(aser[0], curve)]
     for k in range(1, order + 1):
         mats.append(m_next(k, mats, acf, beta_E, curve, dt))
-    mser = MSeries(curve, U, order, mats, lcf, acf, beta_E)
+    mser = MSeries(curve, U, order, mats, lcf, acf, beta_E, graded)
     check_singularities(mser)
     return mser
 
@@ -627,7 +753,8 @@ class CorrelatorSeries:
 
     def to_json(self):
         E = self.U.field
-        out = {"order": self.order, "nmax": self.nmax, "correlators": {}}
+        out = {"order": self.order, "nmax": self.nmax, "point": self.U.point,
+               "correlators": {}}
         ks = sorted(self.w1)
         for k in ks:
             tag = "1,%d" % k
@@ -734,7 +861,10 @@ def verify_tt(mser, cors):
     The leading one-form of the correlators is -y dx, so they are
     compared with the recursion on the sheet-flipped cover; relabelling the
     sheets multiplies omega_{g,n} by (-1)^n, so the recursion runs on U
-    and its tables are scaled by that sign.
+    and its tables are scaled by that sign.  For a series run at one time
+    (mser.grading) a row also needs each coefficient's weight to agree on
+    both sides; row (0,1) compares -y dx, whose weight flow_grading has
+    matched with that of L.
     """
     U = mser.U
     E = U.field
@@ -828,7 +958,14 @@ def verify_tt(mser, cors):
                             "reason": "no basis decomposition"}
             continue
         want = eo.omega(g, n).scaled(E.coerce((-1) ** n))
-        tr_rows[key] = {"pass": mine == want}
+        graded = mser.grading
+        if graded is None:
+            tr_rows[key] = {"pass": mine == want}
+        else:
+            k = 2 * g - 2 + n
+            tr_rows[key] = {"pass": grading.graded_equal(
+                mine, want, lambda idx: graded.correlator_weight(n, k, idx),
+                lambda idx: graded.omega_weight(g, n, idx))}
 
     ok = all(c["pass"] for c in clauses.values()) \
         and all(r["pass"] for r in tr_rows.values())

@@ -8,8 +8,10 @@ carry the ring operators. Everything here is immutable and exact.
 There are two constructors. `Poly(field, coeffs, var)` coerces every
 coefficient into the field. `Poly._trusted(field, coeffs, var)` only strips
 trailing zeros: its caller vouches that the coefficients already are
-elements of that field object, as they are when both operands of an
-arithmetic operation hold the same field object (cf. `RatFn._reduced`).
+elements of that field object, as they are once an operand over another
+field has been coerced into it (cf. `RatFn._reduced`). When the other
+operand's field does not coerce into self's, self is lifted into the other
+field instead; when neither coerces, the operator gives NotImplemented.
 
 Against a monomial c*x^k no Euclid or long division runs:
 gcd(a, c*x^k) = x^min(k, v) with v the index of the first nonzero
@@ -44,8 +46,11 @@ class Poly:
     @classmethod
     def _trusted(cls, field, coeffs, var):
         """A Poly from coefficients the caller vouches are elements of
-        `field`; only trailing zeros are stripped."""
-        coeffs = list(coeffs)
+        `field`; only trailing zeros are stripped.
+
+        The caller hands over `coeffs`, a fresh list (or ()), which this
+        strips in place instead of copying.
+        """
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         p = object.__new__(cls)
@@ -101,10 +106,10 @@ class Poly:
         return self.field.zero()
 
     def __eq__(self, other):
-        other = self._coerce_operand(other)
-        if other is NotImplemented:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return pair[0].coeffs == pair[1].coeffs
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -116,30 +121,50 @@ class Poly:
     # --- arithmetic --------------------------------------------------------
 
     def _coerce_operand(self, other):
-        if isinstance(other, Poly):
-            return other if other.var == self.var else NotImplemented
+        """other as a Poly over self.field, or NotImplemented."""
         try:
+            if isinstance(other, Poly):
+                if other.var != self.var:
+                    return NotImplemented
+                if other.field is self.field:
+                    return other
+                coerce = self.field.coerce
+                return Poly._trusted(self.field,
+                                     [coerce(c) for c in other.coeffs],
+                                     self.var)
             c = self.field.coerce(other)
         except (TypeError, ValueError):
             return NotImplemented
         return Poly._trusted(self.field, [c] if c else (), self.var)
 
-    def _builder(self, other):
-        """The constructor for a result of self and other: coefficients
-        computed from one field object need no second coercion."""
-        return Poly._trusted if other.field is self.field else Poly
+    def _pair(self, other):
+        """(self, other) over one field object, or None.
+
+        other is coerced into self.field; failing that, a Poly self is
+        lifted into the field of a Poly other, because Python never tries
+        the reflected operator of an operand of the same type.
+        """
+        o = self._coerce_operand(other)
+        if o is not NotImplemented:
+            return self, o
+        if isinstance(other, Poly):
+            lifted = other._coerce_operand(self)
+            if lifted is not NotImplemented:
+                return lifted, other
+        return None
 
     def __add__(self, other):
-        other = self._coerce_operand(other)
-        if other is NotImplemented:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        p, q = pair
+        a, b = p.coeffs, q.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return self._builder(other)(self.field, out, self.var)
+        return Poly._trusted(p.field, out, p.var)
 
     __radd__ = __add__
 
@@ -147,10 +172,10 @@ class Poly:
         return Poly._trusted(self.field, [-c for c in self.coeffs], self.var)
 
     def __sub__(self, other):
-        other = self._coerce_operand(other)
-        if other is NotImplemented:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return self + (-other)
+        return pair[0] + (-pair[1])
 
     def __rsub__(self, other):
         other = self._coerce_operand(other)
@@ -159,20 +184,20 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce_operand(other)
-        if other is NotImplemented:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        p, q = pair
+        field, a, b = p.field, p.coeffs, q.coeffs
         if not a or not b:
-            return Poly.zero(self.field, self.var)
-        make = self._builder(other)
+            return Poly.zero(field, p.var)
         if len(a) == 1:
             c = a[0]
-            return make(self.field, [c * bj for bj in b], self.var)
+            return Poly._trusted(field, [c * bj for bj in b], p.var)
         if len(b) == 1:
             c = b[0]
-            return make(self.field, [ai * c for ai in a], self.var)
-        zero = self.field.zero()
+            return Poly._trusted(field, [ai * c for ai in a], p.var)
+        zero = field.zero()
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if not ai:
@@ -180,7 +205,7 @@ class Poly:
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] = out[i + j] + ai * bj
-        return make(self.field, out, self.var)
+        return Poly._trusted(field, out, p.var)
 
     __rmul__ = __mul__
 
@@ -198,33 +223,36 @@ class Poly:
         return result
 
     def __divmod__(self, other):
-        other = self._coerce_operand(other)
-        if other is NotImplemented:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
+        p, other = pair
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
+        field, var = p.field, p.var
+        rem = list(p.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
-            return Poly.zero(self.field, self.var), self
-        make = self._builder(other)
-        one = self.field.one()
+            return Poly.zero(field, var), p
+        one = field.one()
         if other._is_monomial():
             k = other.degree()
             quot = rem[k:]
             if other.leading() != one:
                 inv_lead = one / other.leading()
                 quot = [c * inv_lead for c in quot]
-            return make(self.field, quot, self.var), make(self.field, rem[:k], self.var)
+            return (Poly._trusted(field, quot, var),
+                    Poly._trusted(field, rem[:k], var))
         inv_lead = one / other.leading()
-        quot = [self.field.zero()] * (dq + 1)
+        quot = [field.zero()] * (dq + 1)
         for k in range(dq, -1, -1):
             c = rem[k + other.degree()] * inv_lead
             quot[k] = c
             if c:
                 for j, bj in enumerate(other.coeffs):
                     rem[k + j] = rem[k + j] - c * bj
-        return make(self.field, quot, self.var), make(self.field, rem, self.var)
+        return (Poly._trusted(field, quot, var),
+                Poly._trusted(field, rem, var))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

@@ -1,0 +1,217 @@
+"""Weighted homogeneity, and running a homogeneous stage at one time t0.
+
+The chain on Painleve I runs over the tower Q(t)[u] with u^2 = -2t/3, and
+every stage after the flow is weighted-homogeneous.  With z of weight 1,
+the P1 curve x(z) = z^2 - 2u, y(z) = 2z^3 - 3uz gives x weight 2, u weight
+2, t weight 4 and y weight 3, and hbar weight w_x + w_y = 5 makes
+hbar^(2g-2+n) omega_{g,n} weightless (Eynard-Orantin, math-ph/0702045; the
+Painleve weights are those of Iwaki-Marchal-Saenz, arXiv:1601.02517).  A
+homogeneous element of weight w is c t^a u^b with (a, b) fixed by w, so
+its value c t0^a at one time t0 gives it back.
+
+`specialization(U)` solves the weights of a uniformized curve over Q(t), or
+over Q(t)[u] with u^2 = c t, from x(z) and y(z), and returns the ring map
+t -> t0, u -> 1 with t0 = 1/c (t0 = 1 over Q(t)) together with the curve's
+image over Q.  `Specialization.restore` inverts the map on a coefficient of
+known weight.  Curves that are not homogeneous, or whose weights do not fix
+the weight of t, get None, and their stages run on the tower as given.
+
+Why a stage run at t0 is exact.  A ring map commutes with sums, products
+and quotients, and the stages divide by, and test for zero, only
+homogeneous elements.  A nonzero c t^a u^b maps to c t0^a, which is
+nonzero, so every division stays defined, every zero test gives the same
+answer, and degrees and pole orders are kept, because the leading and
+trailing coefficients of a homogeneous polynomial are homogeneous.  With z
+of nonzero weight a homogeneous polynomial in z is z^v times one that does
+not vanish at z = 0, so a pole off the branch point z = 0 stays off it.
+With z of weight 0 (two branch points, sigma(z) = 1/z) a monic homogeneous
+polynomial in z has rational coefficients and does not change at all.
+Equality of two homogeneous elements at t0 implies equality only when their
+weights agree: `graded_equal` compares both.
+"""
+
+from fractions import Fraction
+
+from .errors import PlanMismatch
+from .exactmath import QQ, ExtElem, FunctionField, QuadraticExtension
+from .spectralcurve import ONE_BRANCH, Uniformization
+
+
+def _is_qt(F):
+    return isinstance(F, FunctionField) and F.base == QQ
+
+
+def _time_field(E):
+    """(Q(t), c) when E is Q(t) (c None) or Q(t)[u] with u^2 = c t."""
+    if _is_qt(E):
+        return E, None
+    if isinstance(E, QuadraticExtension) and _is_qt(E.base):
+        r = E.r
+        if r.is_poly() and r.num.degree() == 1 and not r.num.coeff(0):
+            return E.base, r.num.coeff(1)
+    return None
+
+
+def _exponents(E, e):
+    """(a, b) with the nonzero e = c t^a u^b, or None."""
+    b = 0
+    if isinstance(E, QuadraticExtension):
+        if e.a and e.b:
+            return None
+        e, b = (e.b, 1) if e.b else (e.a, 0)
+    if any(e.num.coeffs[:-1]) or any(e.den.coeffs[:-1]):
+        return None
+    return e.num.degree() - e.den.degree(), b
+
+
+def term_rows(E, f, var, target=(), const=0):
+    """Linear rows stating that f = N/D, a RatFn in `var` over E, is
+    homogeneous of weight sum(m * w[name] for name, m in target) + const.
+
+    Each nonzero coefficient c t^a u^b of N at var^j gives the row
+    (a + b/2) w[t] + (j - deg D) w[var] = weight of f, with w[u] = w[t]/2;
+    those of the monic D give the same row with weight 0.  A row is
+    ({name: coefficient}, value).  Returns None when some coefficient is
+    not a monomial in t and u.
+    """
+    rows = []
+    d = f.den.degree()
+    for poly, goal, value in ((f.num, target, const), (f.den, (), 0)):
+        for j, c in enumerate(poly.coeffs):
+            if not c:
+                continue
+            m = _exponents(E, c)
+            if m is None:
+                return None
+            row = {"t": m[0] + Fraction(m[1], 2), var: Fraction(j - d)}
+            for name, k in goal:
+                row[name] = row.get(name, 0) - k
+            rows.append((row, Fraction(value)))
+    return rows
+
+
+def solve_weights(rows):
+    """The unique solution {name: weight} of the rows, or None when they
+    contradict each other or leave a weight free."""
+    names = sorted({name for row, _ in rows for name in row})
+    col = {name: i for i, name in enumerate(names)}
+    mat = []
+    seen = set()
+    for row, value in rows:
+        vec = [Fraction(0)] * len(names) + [value]
+        for name, c in row.items():
+            vec[col[name]] += c
+        if tuple(vec) not in seen:
+            seen.add(tuple(vec))
+            mat.append(vec)
+    for r in range(len(names)):
+        piv = next((i for i in range(r, len(mat)) if mat[i][r]), None)
+        if piv is None:
+            return None
+        mat[r], mat[piv] = mat[piv], mat[r]
+        top = [v / mat[r][r] for v in mat[r]]
+        mat[r] = top
+        for i, vec in enumerate(mat):
+            if i != r and vec[r]:
+                f = vec[r]
+                mat[i] = [a - f * b for a, b in zip(vec, top)]
+    if any(vec[-1] for vec in mat[len(names):]):
+        return None
+    return {name: mat[i][-1] for i, name in enumerate(names)}
+
+
+class Specialization:
+    """The ring map t -> t0, u -> 1 of a homogeneous curve's field to Q.
+
+    `weights` maps "z", "x", "y" and "t" to the curve's weights (u has half
+    the weight of t); `curve` is the uniformization over Q at t0, whose
+    `point` gives the time as strings for JSON.
+    """
+
+    __slots__ = ("field", "weights", "t0", "curve", "_tfield", "_quad")
+
+    def __init__(self, U, weights, tfield, c):
+        self.field = U.field
+        self.weights = weights
+        self._tfield = tfield
+        self._quad = c is not None
+        self.t0 = 1 / Fraction(c) if self._quad else Fraction(1)
+        point = {"t": str(self.t0)}
+        if self._quad:
+            point[self.field.uname] = "1"
+        at = self.at
+        self.curve = Uniformization(
+            U.kind, QQ, U.zvar, at(U.a), None if U.b is None else at(U.b),
+            self.ratfn_at(U.x), self.ratfn_at(U.y), point=point)
+
+    def at(self, e):
+        """The value of a field element at t0, u = 1."""
+        if self._quad:
+            return e.a(self.t0) + e.b(self.t0)
+        return e(self.t0)
+
+    def ratfn_at(self, f):
+        """A rational function over the tower with its coefficients at t0."""
+        return f.map_coeffs(self.at, QQ)
+
+    def omega_weight(self, g, n, key):
+        """Weight of the coefficient of prod dz_i/(z_i - s_i)^k_i in
+        omega_{g,n}: (w_x + w_y)(2 - 2g - n) + sum w_z (k_i - 1)."""
+        w = self.weights
+        return ((w["x"] + w["y"]) * (2 - 2 * g - n)
+                + w["z"] * sum(k - 1 for _, k in key))
+
+    def restore(self, value, weight):
+        """The element c t^a u^b of the given weight whose value at t0 is
+        `value`; PlanMismatch when no monomial has that weight."""
+        E = self.field
+        if not value:
+            return E.zero()
+        wt = self.weights["t"]
+        n = weight / (wt / 2 if self._quad else wt)
+        if n.denominator != 1:
+            raise PlanMismatch(
+                "a nonzero coefficient has weight %s, which no monomial in "
+                "%s has" % (weight, E))
+        n = n.numerator
+        b = n % 2 if self._quad else 0
+        a = (n - b) // 2 if self._quad else n
+        T = self._tfield
+        part = T.gen() ** a * (value / self.t0 ** a)
+        if not self._quad:
+            return part
+        zero = T.zero()
+        return ExtElem(E, zero, part) if b else ExtElem(E, part, zero)
+
+
+def specialization(U):
+    """The Specialization of a weighted-homogeneous curve over Q(t) or over
+    Q(t)[u] with u^2 = c t; None for every other curve.
+
+    z has weight 1 with one branch point and weight 0 with two (the
+    involution 1/z and the branch points +-1 fix it); the weights of t, x
+    and y are solved from the coefficients of x(z) and y(z).
+    """
+    tower = _time_field(U.field)
+    if tower is None:
+        return None
+    if U.kind == ONE_BRANCH:
+        rows = [({"z": Fraction(1)}, Fraction(1))]
+    else:
+        rows = [({"z": Fraction(1)}, Fraction(0)),
+                ({"t": Fraction(1)}, Fraction(1))]
+    for name, f in (("x", U.x), ("y", U.y)):
+        more = term_rows(U.field, f, "z", ((name, 1),))
+        if more is None:
+            return None
+        rows += more
+    weights = solve_weights(rows)
+    if weights is None or not weights["t"]:
+        return None
+    return Specialization(U, weights, *tower)
+
+
+def graded_equal(a, b, weight_a, weight_b):
+    """Two pole-basis forms at t0 are the same form on the tower: equal
+    tables, and each key of equal weight on both sides."""
+    return a == b and all(weight_a(key) == weight_b(key) for key in a.table)

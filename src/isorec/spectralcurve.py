@@ -125,14 +125,17 @@ class Uniformization:
     sigma(z) = -z, branch z-point 0 (the second branchpoint is
     x = infinity).  y(z) is rational; y(sigma(z)) = -y(z).  `sigma` is the
     involution as a RatFn of z, `branch_ints` the branch z-points as ints
-    and `branch_zpoints` the same points in the field.
+    and `branch_zpoints` the same points in the field.  `point` is None, or
+    for a curve over Q(t) taken at one time (grading.Specialization) that
+    time, e.g. {"t": "-3/2", "u": "1"}.
     """
 
     __slots__ = ("kind", "field", "zvar", "a", "b", "x", "y", "sigma",
-                 "branch_ints", "branch_zpoints", "modulus", "uname")
+                 "branch_ints", "branch_zpoints", "modulus", "uname",
+                 "point")
 
     def __init__(self, kind, field, zvar, a, b, x, y, modulus=None,
-                 uname=None):
+                 uname=None, point=None):
         self.kind = kind
         self.field = field
         self.zvar = zvar
@@ -142,6 +145,7 @@ class Uniformization:
         self.y = y
         self.modulus = modulus
         self.uname = uname
+        self.point = point
         z = RatFn.gen(field, zvar)
         if kind == TWO_BRANCH:
             if a == b:

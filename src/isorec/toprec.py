@@ -26,11 +26,26 @@ windows; a form's table is then a contraction, scalar times row, summed
 into dicts.  Poles of order one never arise (m starts at 1): computed forms
 are residue-free by construction, and the invariant checks verify symmetry
 and involution anti-invariance on top of that.
+
+A curve over Q(t) or Q(t)[u], u^2 = c t, whose x(z) and y(z) are weighted-
+homogeneous (Painleve I is) is run over Q instead, at the time t0 where
+u = 1 (grading.specialization).  The coefficient of prod dz_i/(z_i-s_i)^k_i
+in omega_{g,n} has weight (w_x + w_y)(2 - 2g - n) + sum w_z (k_i - 1), so it
+is c t^a u^b with (a, b) read off that weight, and its value at t0 gives c.
+The run at t0 is exact: every quantity the recursion divides by or tests
+for zero is homogeneous, and a nonzero c t^a u^b stays nonzero at t0, so
+the specialized run takes the same branches, finds the same pole orders and
+the same vanishing terms, and its tables are the tower's tables at t0 (the
+grading module gives the argument in full).  The symmetry and involution
+checks run on the tables at t0; a key permutation or the involution keeps
+the weight of a coefficient, so they hold at t0 exactly when they hold on
+the tower.  symplectic_invariants reads the restored tables on the tower.
 """
 
 import itertools
 from math import comb
 
+from . import grading
 from .errors import (NonSimpleBranchpoint, InvalidPoleStructure,
                      TruncationTooShort, UnexpectedPole)
 from .exactmath import RatFn, Series, local_expand, partial_fractions
@@ -425,12 +440,28 @@ def eo_differentials(U, gmax, nmax):
     omega_{g,n} with 2g-2+n <= 2*gmax-2+nmax and g <= gmax.
 
     Each computed form is verified to be symmetric, residue-free, and
-    anti-invariant under the involution in each slot.
+    anti-invariant under the involution in each slot.  A weighted-
+    homogeneous curve over Q(t) or Q(t)[u] runs at one time over Q, and
+    each coefficient is restored from its weight (see the module docstring).
     """
     if gmax < 0 or nmax < 1:
         raise ValueError("need gmax >= 0 and nmax >= 1")
-    chi_max = 2 * gmax - 2 + nmax
     prec = 2 * (3 * gmax - 2 + nmax) + 4
+    spec = grading.specialization(U)
+    if spec is None:
+        return RecursionResult(U, gmax, nmax, prec,
+                               _recursion(U, gmax, nmax, prec))
+    omegas = {}
+    for (g, n), form in _recursion(spec.curve, gmax, nmax, prec).items():
+        omegas[(g, n)] = PoleBasisForm(U.field, n, {
+            key: spec.restore(c, spec.omega_weight(g, n, key))
+            for key, c in form.table.items()})
+    return RecursionResult(U, gmax, nmax, prec, omegas)
+
+
+def _recursion(U, gmax, nmax, prec):
+    """The verified tables of omega_{g,n} over U's own field."""
+    chi_max = 2 * gmax - 2 + nmax
     E = U.field
     wins = [BranchWindow(U, s, prec) for s in U.branch_ints]
     omegas = {}
@@ -445,7 +476,7 @@ def eo_differentials(U, gmax, nmax):
             form = PoleBasisForm(E, n, table)
             _verify_form(form, U.kind, g, n)
             omegas[(g, n)] = form
-    return RecursionResult(U, gmax, nmax, prec, omegas)
+    return omegas
 
 
 def _verify_form(form, kind, g, n):

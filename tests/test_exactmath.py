@@ -602,10 +602,16 @@ def test_mixed_fields_keep_the_coercing_constructor():
     pt = Poly(Qt, [t, 1, 0, 1 / t], "x")
     for pq in (Poly(QQ, [Fraction(1, 2), 0, 3, 0, 0, 7], "x"),
                Poly(QQ, [0, 0, 2], "x")):
-        for p in (pt + pq, pt - pq, pt * pq, *divmod(pt, pq)):
+        # Q cannot hold Q(t) coefficients: with pq on the left, pq is
+        # lifted into Q(t) instead
+        for p in (pt + pq, pt - pq, pt * pq, *divmod(pt, pq),
+                  pq + pt, pq - pt, pq * pt, *divmod(pq * pt, pt)):
             assert p.field is Qt
             assert all(isinstance(c, RatFn) for c in p.coeffs)
             assert_trusted(p, Qt)
+        assert pq + pt == pt + pq and pq * pt == pt * pq
+        assert pq - pt == -(pt - pq)
+        assert divmod(pq * pt, pt) == (pq, 0) and pq * pt != pq
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,

@@ -1,0 +1,162 @@
+"""Stages run at one time t0 by weighted homogeneity, against the tower.
+
+Painleve I's recursion and determinantal side run over Q at t0 = -3/2,
+where u = 1.  The tower path, taken by every curve that is not
+homogeneous, is the reference: patching grading.specialization to return
+None forces it, and each stage must give the same result both ways.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from isorec import detcheck, grading, toprec
+from isorec.errors import PlanMismatch
+from isorec.exactmath import QQ, FunctionField, RatFn, parse_element
+from isorec.hamflow import extend_flow, leading_order
+from isorec.laxsystem import Mat2
+from isorec.spectralcurve import (classical_curve, curve_from_system,
+                                  uniformize)
+from isorec.toprec import PoleBasisForm
+
+from test_detcheck import p1_system
+
+Qt = FunctionField(QQ, "t")
+
+
+def on_tower(fn, *args):
+    """fn(*args) with every curve refused by the homogeneity test."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grading, "specialization", lambda U: None)
+        return fn(*args)
+
+
+def p1_curve():
+    iso, H = p1_system()
+    return uniformize(curve_from_system(iso, leading_order(H)))
+
+
+def curve_over_qt(q_text):
+    """Uniformization of y^2 = Q(x) with Q over Q(t)."""
+    one = RatFn.one(Qt, "x")
+    Q = parse_element(q_text, FunctionField(Qt, "x"))
+    return uniformize(classical_curve(Mat2(0 * one, Q, one, 0 * one)))
+
+
+@pytest.fixture(scope="module")
+def p1_order3():
+    """M through order 3, W_n for n <= 3 and the verify_tt report, each on
+    both paths."""
+    iso, H = p1_system()
+    flow = extend_flow(H, leading_order(H), 3)
+
+    def chain():
+        mser = detcheck.m_series(iso, flow, 3)
+        cors = detcheck.correlators(mser, 3)
+        return mser, cors, detcheck.verify_tt(mser, cors)
+    return chain(), on_tower(chain)
+
+
+# --- the recursion -------------------------------------------------------------
+
+def test_p1_curve_weights():
+    spec = grading.specialization(p1_curve())
+    assert spec.weights == {"z": 1, "x": 2, "y": 3, "t": 4}
+    assert spec.t0 == Fraction(-3, 2)
+    assert spec.curve.field is QQ
+    assert spec.curve.point == {"t": "-3/2", "u": "1"}
+
+
+@pytest.mark.parametrize("gmax,nmax", [(2, 1), (3, 1)])
+def test_p1_recursion_matches_tower(gmax, nmax):
+    U = p1_curve()
+    got = toprec.eo_differentials(U, gmax, nmax)
+    assert got.U is U
+    assert got.to_json() == on_tower(toprec.eo_differentials, U, gmax,
+                                     nmax).to_json()
+
+
+@pytest.mark.parametrize("q_text,gmax,nmax", [
+    ("x - t", 1, 2),               # Q(t) without u, z of weight 1
+    ("(x-t)*(x-3*t)", 1, 2),       # two branch points, z of weight 0
+])
+def test_homogeneous_qt_curves_match_tower(q_text, gmax, nmax):
+    U = curve_over_qt(q_text)
+    assert grading.specialization(U) is not None
+    got = toprec.eo_differentials(U, gmax, nmax)
+    assert got.to_json() == on_tower(toprec.eo_differentials, U, gmax,
+                                     nmax).to_json()
+
+
+def test_nonhomogeneous_curve_takes_the_tower_path():
+    # y^2 = (x-1)^2 (x-t): y(z) = z^3 + (t-1) z, and t - 1 has no weight
+    U = curve_over_qt("(x-1)^2*(x-t)")
+    assert grading.specialization(U) is None
+    got = toprec.eo_differentials(U, 1, 2)
+    assert got.to_json() == on_tower(toprec.eo_differentials, U, 1,
+                                     2).to_json()
+
+
+# --- the determinantal side ------------------------------------------------------
+
+def test_p1_m_series_runs_over_q(p1_order3):
+    (mser, cors, _), (tower, tower_cors, _) = p1_order3
+    assert mser.U.field is QQ
+    assert mser.grading is not None and tower.grading is None
+    point = {"t": "-3/2", "u": "1"}
+    assert mser.to_json()["point"] == cors.to_json()["point"] == point
+    assert tower.to_json()["point"] is tower_cors.to_json()["point"] is None
+
+
+def test_p1_m_series_is_the_tower_series_at_t0(p1_order3):
+    (mser, _, _), (tower, _, _) = p1_order3
+    at = mser.grading.spec.ratfn_at
+    for mine, theirs in ((mser.mats, tower.mats), (mser.lax, tower.lax),
+                         (mser.ahat, tower.ahat)):
+        assert len(mine) == len(theirs) == 4
+        for m, t in zip(mine, theirs):
+            for e, f in zip(m.entries(), t.entries()):
+                assert (e.a, e.b) == (at(f.a), at(f.b))
+
+
+def test_p1_verify_tt_report_matches_tower(p1_order3):
+    (_, _, report), (_, _, tower_report) = p1_order3
+    assert json.dumps(report, sort_keys=True) == json.dumps(tower_report,
+                                                            sort_keys=True)
+    assert report["tr_equality"]["0,3"]["pass"]
+
+
+# --- guards ------------------------------------------------------------------------
+
+def test_restore_of_a_weight_no_monomial_has_is_refused():
+    spec = grading.specialization(p1_curve())
+    E = spec.field
+    # weights are multiples of 2 (u); 6 is u t, -8 is 1/t^2
+    assert spec.restore(Fraction(5), 6) == parse_element("(-10/3)*u*t", E)
+    assert spec.restore(Fraction(1), -8) == parse_element("(9/4)/t^2", E)
+    assert spec.restore(Fraction(0), 1) == E.zero()
+    with pytest.raises(PlanMismatch):
+        spec.restore(Fraction(1), 1)
+
+
+def test_flow_weights_contradicting_the_curve_raise(monkeypatch):
+    iso, H = p1_system()
+    flow = extend_flow(H, leading_order(H), 1)
+    spec = grading.specialization(p1_curve())
+    spec.weights = dict(spec.weights, y=Fraction(4))
+    monkeypatch.setattr(grading, "specialization", lambda U: spec)
+    with pytest.raises(PlanMismatch):
+        detcheck.m_series(iso, flow, 1)
+
+
+def test_row_comparison_needs_equal_weights():
+    # c t^a and c' t^a' agree at t0 when c = c' t0^(a'-a): the values match,
+    # the weights do not, and the row fails
+    form = PoleBasisForm(QQ, 1, {((0, 4),): Fraction(3)})
+    same = PoleBasisForm(QQ, 1, {((0, 4),): Fraction(3)})
+    assert grading.graded_equal(form, same, lambda k: 2, lambda k: 2)
+    assert not grading.graded_equal(form, same, lambda k: 2, lambda k: 6)
+    assert not grading.graded_equal(
+        form, PoleBasisForm(QQ, 1, {((0, 4),): Fraction(1)}),
+        lambda k: 2, lambda k: 2)
