@@ -10,13 +10,15 @@ from .poly import Poly, poly_gcd, poly_sqrt, squarefree_decomposition
 from .ratfn import (RatFn, evaluate, local_expand, partial_fractions,
                     recombine, residue, residue_sum_check, roots_in_field,
                     split_linear_factors)
-from .series import HbarSeries, INF, LocalSeries, Series
+from .series import (HbarSeries, INF, LocalSeries, Series,
+                     integer_numerators)
 
 __all__ = [
     "ExtElem", "FunctionField", "HbarSeries", "INF", "LocalSeries", "Poly",
     "QQ", "QuadraticExtension", "RatFn", "RationalField", "Series",
-    "adjoin_roots", "evaluate", "local_expand", "parse_element",
-    "partial_derivation", "partial_fractions", "poly_gcd", "poly_sqrt",
-    "recombine", "residue", "residue_sum_check", "roots_in_field",
-    "split_linear_factors", "squarefree_decomposition", "substitute",
+    "adjoin_roots", "evaluate", "integer_numerators", "local_expand",
+    "parse_element", "partial_derivation", "partial_fractions", "poly_gcd",
+    "poly_sqrt", "recombine", "residue", "residue_sum_check",
+    "roots_in_field", "split_linear_factors", "squarefree_decomposition",
+    "substitute",
 ]

@@ -8,9 +8,20 @@ a*b of their factors, so matrix coefficients work too.
 
 Series refuse to answer coefficient queries beyond their guaranteed
 precision: silent zeros are how truncation bugs hide.
+
+Over Q (the zero is a Fraction) products and inverses run on integers: each
+window is cleared to integer numerators over one common denominator, the
+convolution or the inverse recurrence runs in int, and each output
+coefficient is built as one Fraction, reduced once.  The kernel is exact
+and Fraction is canonical, so its results are the field path's, coefficient
+for coefficient and byte for byte when printed; kmin, prec and every
+TruncationTooShort refusal are the same on both paths.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from ..errors import TruncationTooShort
 
@@ -52,11 +63,11 @@ class Series:
         while kmin + len(coeffs) < prec:
             coeffs.append(zero)
         # strip known-zero leading terms so kmin is informative
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            kmin += 1
-        if not coeffs:
-            kmin = prec
+        lead = next((i for i, c in enumerate(coeffs) if c), None)
+        if lead is None:
+            coeffs, kmin = [], prec
+        elif lead:
+            coeffs, kmin = coeffs[lead:], kmin + lead
         self.kmin = kmin
         self.coeffs = coeffs
         self.prec = prec
@@ -147,6 +158,9 @@ class Series:
         if not self.coeffs or not other.coeffs:
             return self._like(prec, [], prec)
         kmin = self.kmin + other.kmin
+        if type(self.zero) is Fraction and type(other.zero) is Fraction:
+            return self._like(kmin, _mul_qq(self.coeffs, other.coeffs,
+                                            prec - kmin, self.zero), prec)
         out = [self.zero] * (prec - kmin)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -166,15 +180,18 @@ class Series:
         """Multiplicative inverse, precise to prec - 2*kmin exponents."""
         if not self.coeffs:
             raise ZeroDivisionError("inverting a series with no known nonzero term")
-        inv_lead = 1 / self.coeffs[0]
         n = self.prec - self.kmin
-        out = [self.zero] * n
-        out[0] = inv_lead
-        for k in range(1, n):
-            acc = self.zero
-            for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -(inv_lead * acc)
+        if type(self.zero) is Fraction:
+            out = _inverse_qq(self.coeffs, self.zero)
+        else:
+            inv_lead = 1 / self.coeffs[0]
+            out = [self.zero] * n
+            out[0] = inv_lead
+            for k in range(1, n):
+                acc = self.zero
+                for j in range(1, min(k, len(self.coeffs) - 1) + 1):
+                    acc = acc + self.coeffs[j] * out[k - j]
+                out[k] = -(inv_lead * acc)
         kmin = -self.kmin
         return self._like(kmin, out, kmin + n)
 
@@ -241,6 +258,44 @@ class Series:
         if self.point is None:
             return "hbar^%s" % k
         return "%s^%s" % ("1/x" if self.point is INF else "w", k)
+
+
+def integer_numerators(coeffs):
+    """Integer numerators of rationals over their least common denominator."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _mul_qq(a, b, n, zero):
+    """The first n coefficients of the product of two windows over Q."""
+    an, ad = integer_numerators(a[:n])
+    bn, bd = integer_numerators(b[:n])
+    out = [0] * n
+    for i, x in enumerate(an):
+        if x:
+            for j, y in enumerate(bn[:n - i], i):
+                out[j] += x * y
+    den = ad * bd
+    return [Fraction(c, den) if c else zero for c in out]
+
+
+def _inverse_qq(coeffs, zero):
+    """The window of 1/a over Q, as long as a's, a_0 = coeffs[0] != 0.
+
+    With a = A/d in integers, 1/a = d * sum_k C_k w^k / A_0^(k+1), where
+    C_0 = 1 and C_k = -sum_{j=1..k} A_j A_0^(j-1) C_{k-j} stay integers.
+    """
+    num, den = integer_numerators(coeffs)
+    lead = num[0]
+    terms = [(j, c * lead ** (j - 1)) for j, c in enumerate(num) if j and c]
+    out = [1]
+    for k in range(1, len(coeffs)):
+        out.append(-sum(c * out[k - j] for j, c in terms if j <= k))
+    scale = lead
+    for k, c in enumerate(out):
+        out[k] = Fraction(den * c, scale) if c else zero
+        scale *= lead
+    return out
 
 
 # plain aliases, not subclasses: isobench wraps Series methods through the

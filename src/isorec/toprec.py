@@ -40,15 +40,27 @@ grading module gives the argument in full).  The symmetry and involution
 checks run on the tables at t0; a key permutation or the involution keeps
 the weight of a coefficient, so they hold at t0 exactly when they hold on
 the tower.  symplectic_invariants reads the restored tables on the tower.
+
+Over Q the residue rows and the contraction run on integers.  A row is
+kept as integer numerators over one denominator, each entry an integer dot
+product of the numerators of S and of wt^m (BranchWindow.integer_row); the
+contraction sums the numerators of c1 c2 r_m per key over the lcm of their
+denominators and writes one Fraction per key.  The kernel is exact and
+Fraction is canonical, so the tables, and every output printed from them,
+are byte-identical to the field path's, with one reduction per coefficient
+instead of one per operation.
 """
 
 import itertools
-from math import comb
+from fractions import Fraction
+from math import comb, gcd, lcm
+from operator import itemgetter
 
 from . import grading
 from .errors import (NonSimpleBranchpoint, InvalidPoleStructure,
                      TruncationTooShort, UnexpectedPole)
-from .exactmath import RatFn, Series, local_expand, partial_fractions
+from .exactmath import (QQ, RatFn, Series, integer_numerators, local_expand,
+                        partial_fractions)
 from .spectralcurve import ONE_BRANCH
 
 # factor-id tag of the m-th term of omega_{0,2}'s expansion at a branch point
@@ -236,7 +248,7 @@ class BranchWindow:
     """
 
     __slots__ = ("field", "s", "point", "prec", "sig", "sig_prime", "dinv",
-                 "_factors", "_sig_pows", "_left", "_rows")
+                 "_factors", "_sig_pows", "_sig_nums", "_left", "_rows")
 
     def __init__(self, U, s, prec):
         E = U.field
@@ -255,6 +267,7 @@ class BranchWindow:
         self.dinv = dd.inverse()
         self._factors = {}
         self._sig_pows = {1: self.sig}
+        self._sig_nums = {}
         self._left = {}
         self._rows = {}
 
@@ -307,17 +320,13 @@ class BranchWindow:
         gap = self.monomial(1) - self.sig
         return self.sig_prime * gap.inverse() ** 2
 
-    def residue_row(self, a, b):
-        """The residue row of f_a(z) f_b(sigma z); a = b = None stands for
-        omega_{0,2}(z, sigma z).
+    def residue_window(self, a, b):
+        """S = f_a(z) f_b(sigma z) / (4 y x'), checked long enough for every
+        row entry; a = b = None stands for omega_{0,2}(z, sigma z).
 
-        With S = f_a f_b / (4 y x') and the kernel numerator expanded as
-        sum_{m>=1} (w^m - wt^m)/(z0-s)^(m+1), the row holds
-        r_m = S_{-1-m} - sum_j (wt^m)_j S_{-1-j} for every nonzero r_m.
+        Returns None when no m >= 1 reaches the residue, i.e. the row is
+        empty.
         """
-        row = self._rows.get((a, b))
-        if row is not None:
-            return row
         if a is None:
             S = self.bergman_diag() * self.dinv
         else:
@@ -326,9 +335,12 @@ class BranchWindow:
                 left = self._left[a] = self.factor(a, 0) * self.dinv
             right = self.factor(b, 1)
             # at valuation >= -1 no m >= 1 reaches the residue
-            S = left * right if left.kmin + right.kmin < -1 else None
-        row = []
-        for m in range(1, -S.kmin if S else 0):
+            if left.kmin + right.kmin >= -1:
+                return None
+            S = left * right
+        if not S or S.kmin >= -1:
+            return None
+        for m in range(1, -S.kmin):
             sm = self.sig_pow(m)
             # exponent -1 of wt^m S must lie inside its known window
             known = min(sm.prec + S.kmin, S.prec + sm.kmin)
@@ -336,6 +348,27 @@ class BranchWindow:
                 raise TruncationTooShort(
                     "residue of wt^%d S needs exponent -1, known below %d"
                     % (m, known))
+        return S
+
+    def residue_row(self, a, b):
+        """The residue row of f_a(z) f_b(sigma z) as [(m, r_m), ...]; a = b =
+        None stands for omega_{0,2}(z, sigma z).
+
+        With S = f_a f_b / (4 y x') and the kernel numerator expanded as
+        sum_{m>=1} (w^m - wt^m)/(z0-s)^(m+1), the row holds
+        r_m = S_{-1-m} - sum_j (wt^m)_j S_{-1-j} for every nonzero r_m.
+        Over Q the row is read off integer_row.
+        """
+        if self.field is QQ:
+            den, row = self.integer_row(a, b) or (1, [])
+            return [(m, Fraction(r, den)) for m, r in row]
+        row = self._rows.get((a, b))
+        if row is not None:
+            return row
+        S = self.residue_window(a, b)
+        row = []
+        for m in range(1, -S.kmin if S else 0):
+            sm = self.sig_pow(m)
             r = S.coeff(-1 - m)
             for j, c in enumerate(sm.coeffs, sm.kmin):
                 if -1 - j < S.kmin:
@@ -346,6 +379,46 @@ class BranchWindow:
                 row.append((m, r))
         self._rows[(a, b)] = row
         return row
+
+    def integer_row(self, a, b):
+        """Over Q, the residue row as (den, [(m, R_m), ...]) with
+        r_m = R_m / den, or () when the row is empty: each r_m is an integer
+        dot product of the numerators of S and of wt^m, and the row shares
+        one denominator.
+        """
+        row = self._rows.get((a, b))
+        if row is not None:
+            return row
+        S = self.residue_window(a, b)
+        entries = []
+        if S is not None:
+            # numerators of S_kmin .. S_{-2}, the exponents a row entry reads
+            snum, sden = integer_numerators(S.coeffs[:-1 - S.kmin])
+            parts = []
+            for m in range(1, -S.kmin):
+                j0, wnum, wden = self._sig_numerators(m)
+                # r_m sden wden = S_{-1-m} wden - sum_j (wt^m)_j S_{-1-j}
+                top = max(0, -j0 - S.kmin)
+                dot = sum(c * v for c, v in zip(wnum, reversed(snum[:top])))
+                parts.append((m, snum[-1 - m - S.kmin] * wden - dot, wden))
+            scale = lcm(*[wden for _, _, wden in parts])
+            entries = [(m, r * (scale // wden)) for m, r, wden in parts if r]
+        row = ()
+        if entries:
+            den = sden * scale
+            common = gcd(den, *[r for _, r in entries])
+            row = (den // common, [(m, r // common) for m, r in entries])
+        self._rows[(a, b)] = row
+        return row
+
+    def _sig_numerators(self, m):
+        """(kmin, integer numerators, denominator) of the window wt^m."""
+        out = self._sig_nums.get(m)
+        if out is None:
+            sm = self.sig_pow(m)
+            out = self._sig_nums[m] = (sm.kmin,
+                                       *integer_numerators(sm.coeffs))
+        return out
 
 
 class RecursionResult:
@@ -373,43 +446,49 @@ class RecursionResult:
         return out
 
 
-def _factor_terms(win, omegas, g, positions):
-    """Factors of omega_{g,1+len(positions)} with its first slot at the
-    branch point and the remaining slots at free outer variables.
+def _factor_terms(win, omegas, g, nfree):
+    """Factors of omega_{g,1+nfree} with its first slot at the branch point
+    and the remaining slots at free outer variables.
 
-    Returns (factor id, scalar, {position: (s, k)}) triples; omega_{0,2}
-    with one free variable expands through its pole at the branch point,
+    Returns (factor id, scalar, free-slot keys) triples; omega_{0,2} with
+    one free variable expands through its pole at the branch point,
     contributing basis orders m+2 at the free slot.
     """
-    if g == 0 and len(positions) == 1:
-        j = positions[0]
-        return [((W02, m), win.field.coerce(m + 1), {j: (win.s, m + 2)})
+    if g == 0 and nfree == 1:
+        return [((W02, m), win.field.coerce(m + 1), ((win.s, m + 2),))
                 for m in range(win.prec)]
-    stored = omegas.get((g, 1 + len(positions)))
+    stored = omegas.get((g, 1 + nfree))
     if not stored:
         return []
-    return [(key[0], c, {p: key[1 + i] for i, p in enumerate(positions)})
-            for key, c in stored.table.items()]
+    return [(key[0], c, key[1:]) for key, c in stored.table.items()]
 
 
 def _residue_contributions(win, omegas, g, n, table):
     """Add Res_{z->s} K(z0,z) [ ... ] to the coefficient table of omega_{g,n}.
 
-    Each bracket term is a pair of factor ids with a scalar and the keys of
-    its free slots; it adds scalar * r_m at ((s, m+1),) + free keys for every
-    entry (m, r_m) of the pair's residue row.
+    Each bracket term is a pair of factor ids with two scalars and the keys
+    of its free slots; it adds scalar * r_m at ((s, m+1),) + free keys for
+    every entry (m, r_m) of the pair's residue row.  Terms are kept with
+    their rows, integer rows over Q, and only when the row is not empty.
     """
     positions = list(range(1, n))
+    one = win.field.one()
+    row_of = win.integer_row if win.field is QQ else win.residue_row
     terms = []
+
+    def add(a, b, c1, c2, rest):
+        row = row_of(a, b)
+        if row:
+            terms.append((row, c1, c2, rest))
+
     if g >= 1:
         if (g - 1, n + 1) == (0, 2):
-            terms.append((win.residue_row(None, None), win.field.one(), {}))
+            add(None, None, one, one, ())
         else:
             stored = omegas.get((g - 1, n + 1))
             if stored:
                 for key, c in stored.table.items():
-                    jkeys = {p: key[2 + i] for i, p in enumerate(positions)}
-                    terms.append((win.residue_row(key[0], key[1]), c, jkeys))
+                    add(key[0], key[1], c, one, key[2:])
     for g1 in range(g + 1):
         g2 = g - g1
         for r in range(len(positions) + 1):
@@ -417,14 +496,19 @@ def _residue_contributions(win, omegas, g, n, table):
                 I2 = tuple(p for p in positions if p not in I1)
                 if (g1 == 0 and not I1) or (g2 == 0 and not I2):
                     continue  # omega_{0,1} factors are excluded
-                right = _factor_terms(win, omegas, g2, list(I2))
-                for a, c1, j1 in _factor_terms(win, omegas, g1, list(I1)):
-                    for b, c2, j2 in right:
-                        row = win.residue_row(a, b)
-                        if row:
-                            terms.append((row, c1 * c2, {**j1, **j2}))
-    for row, c, jkeys in terms:
-        rest = tuple(jkeys[p] for p in positions)
+                # the free keys of both factors, put back in slot order
+                slots = I1 + I2
+                order = [slots.index(p) for p in positions]
+                pick = itemgetter(*order) if len(order) > 1 else tuple
+                right = _factor_terms(win, omegas, g2, len(I2))
+                for a, c1, k1 in _factor_terms(win, omegas, g1, len(I1)):
+                    for b, c2, k2 in right:
+                        add(a, b, c1, c2, pick(k1 + k2))
+    if win.field is QQ:
+        _contract_qq(win.s, terms, table)
+        return
+    for row, c1, c2, rest in terms:
+        c = c1 * c2
         for m, r in row:
             key = ((win.s, m + 1),) + rest
             cur = table.get(key)
@@ -433,6 +517,31 @@ def _residue_contributions(win, omegas, g, n, table):
                 table[key] = v
             else:
                 del table[key]
+
+
+def _contract_qq(s, terms, table):
+    """The contraction over Q on integers: per key, c1 c2 r_m is summed as
+    an integer numerator over the lcm of the terms' denominators, and the
+    sum becomes one Fraction.  Every key's first slot is at the branch
+    point s, so no other window has written it to table."""
+    sums = {}
+    for (row_den, row), c1, c2, rest in terms:
+        num = c1.numerator * c2.numerator
+        den = row_den * c1.denominator * c2.denominator
+        for m, r in row:
+            key = ((s, m + 1),) + rest
+            acc = sums.get(key)
+            if acc is None:
+                sums[key] = (num * r, den)
+            elif acc[1] == den:
+                sums[key] = (acc[0] + num * r, den)
+            else:
+                common = lcm(acc[1], den)
+                sums[key] = (acc[0] * (common // acc[1])
+                             + num * r * (common // den), common)
+    for key, (total, den) in sums.items():
+        if total:
+            table[key] = Fraction(total, den)
 
 
 def eo_differentials(U, gmax, nmax):

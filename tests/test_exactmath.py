@@ -10,7 +10,7 @@ from isorec.errors import IrreducibleDenominator, TruncationTooShort
 from isorec.exactmath import (
     INF, FunctionField, HbarSeries, Poly, QQ,
     QuadraticExtension, RatFn, local_expand, parse_element,
-    partial_fractions, poly_gcd, poly_sqrt, recombine, residue,
+    Series, partial_fractions, poly_gcd, poly_sqrt, recombine, residue,
     residue_sum_check, roots_in_field, squarefree_decomposition,
 )
 from isorec.laxsystem import Mat2
@@ -373,6 +373,59 @@ def test_local_series_inverse_precision():
     inv = s.inverse()
     assert inv.coeff(0) == 1 and inv.coeff(1) == -1
     assert all(inv.coeff(k) == 0 for k in range(2, 5))
+
+
+@st.composite
+def rational_windows(draw):
+    """A Series over Q with kmin possibly negative, zeros anywhere in the
+    window (leading ones are stripped) and, now and then, no nonzero term."""
+    kmin = draw(st.integers(-3, 3))
+    coeffs = draw(st.lists(st.one_of(st.just(Fraction(0)), rationals),
+                           max_size=6))
+    prec = kmin + len(coeffs) + draw(st.integers(0, 2))
+    return Series(kmin, coeffs, prec, QQ.zero())
+
+
+def over_qt(s):
+    """The same window with its coefficients embedded as constants of Q(t),
+    where every operation takes the generic field path."""
+    return Series(s.kmin, [Qt.coerce(c) for c in s.coeffs], s.prec,
+                  Qt.zero(), s.point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_windows(), rational_windows(), st.integers(-3, 3))
+def test_rational_series_kernel_matches_field_path(a, b, e):
+    ea, eb = over_qt(a), over_qt(b)
+    pairs = [(lambda: a + b, lambda: ea + eb),
+             (lambda: a - b, lambda: ea - eb),
+             (lambda: a * b, lambda: ea * eb),
+             (lambda: b * a, lambda: eb * ea),
+             (a.inverse, ea.inverse),
+             (lambda: a ** e, lambda: ea ** e)]
+    for on_q, on_qt in pairs:
+        try:
+            want = on_qt()
+        except (ZeroDivisionError, ValueError) as err:
+            # no nonzero term to invert, or 0 ** 0 on an empty window
+            with pytest.raises(type(err)):
+                on_q()
+            continue
+        got = on_q()
+        assert over_qt(got) == want
+        assert all(type(c) is Fraction and c.denominator > 0
+                   for c in got.coeffs)
+        for k in (got.prec, got.prec + 1):
+            with pytest.raises(TruncationTooShort):
+                got.coeff(k)
+
+
+def test_series_strips_leading_zeros_in_one_pass():
+    s = Series(-2, [Fraction(0)] * 3 + [Fraction(5), Fraction(0)], 4,
+               QQ.zero())
+    assert (s.kmin, s.coeffs, s.prec) == (1, [5, 0, 0], 4)
+    empty = Series(-2, [Fraction(0)] * 3, 3, QQ.zero())
+    assert (empty.kmin, empty.coeffs, empty.prec) == (3, [], 3)
 
 
 # --- the canonical-in, canonical-out kernels ------------------------------------

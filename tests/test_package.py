@@ -1,5 +1,6 @@
-"""Package-level checks: declared console scripts resolve, and no module in
-src/ or tests/ imports a name it never uses."""
+"""Package-level checks: declared console scripts resolve, no module in
+src/ or tests/ imports a name it never uses, and no module in src/ reads
+the environment."""
 
 import ast
 import importlib
@@ -65,3 +66,47 @@ def test_unused_import_scan_sees_re_exports_and_future(tmp_path):
                    "__all__ = ['pi']\n"
                    "print(os.path.sep, ld)\n")
     assert unused_imports(src) == [(3, "dumps")]
+
+
+ENV_READERS = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(path):
+    """(line, name) of every use of os.environ or os.getenv in a module,
+    whether through the os module under any name or imported from it."""
+    tree = ast.parse(path.read_text(), str(path))
+    os_names = {"os"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            os_names |= {alias.asname for alias in node.names
+                         if alias.name == "os" and alias.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, "os." + alias.name)
+                      for alias in node.names if alias.name in ENV_READERS]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENV_READERS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in os_names):
+            found.append((node.lineno, "os." + node.attr))
+    return sorted(found)
+
+
+def test_no_module_reads_the_environment():
+    # a code path is chosen by the inputs alone, never by a switch
+    found = ["%s:%d %s" % (p.relative_to(ROOT), line, name)
+             for p in sorted((ROOT / "src").rglob("*.py"))
+             for line, name in environment_reads(p)]
+    assert not found, found
+
+
+def test_environment_scan_sees_aliases_and_imported_names(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import os\n"
+                   "import os as system\n"
+                   "from os import getenv as ge, sep\n"
+                   "print(os.path.join('a', sep), 'os.environ')\n"
+                   "print(os.environ.get('A'), system.getenv('B'))\n"
+                   "print(ge('C'), os.getpid())\n")
+    assert environment_reads(src) == [(3, "os.getenv"), (5, "os.environ"),
+                                      (5, "os.getenv")]

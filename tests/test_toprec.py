@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isorec.errors import (InvalidPoleStructure, NonSimpleBranchpoint,
-                           UnexpectedPole)
+                           TruncationTooShort, UnexpectedPole)
 from isorec.exactmath import (QQ, FunctionField, RatFn, parse_element,
                               residue)
 from isorec.hamflow import leading_order
@@ -20,6 +20,8 @@ from isorec.spectralcurve import (ONE_BRANCH, TWO_BRANCH, Uniformization,
                                   uniformize)
 from isorec.toprec import (BranchWindow, PoleBasisForm, _verify_form,
                            eo_differentials, sigma_slot_image, symplectic_invariants, xi_ratfn)
+
+from test_grading import Qt, curve_over_qt, on_tower
 
 
 def curve_from_Q(text):
@@ -72,6 +74,59 @@ def test_twobranch_sigma_window():
     win = BranchWindow(twobranch_U(), 1, 6)
     got = [(k, c) for k, c in win.sig.known_items()]
     assert got[:3] == [(1, Fraction(-1)), (2, Fraction(1)), (3, Fraction(-1))]
+
+
+@pytest.mark.parametrize("q_text", ["x", "(x-1)*(x-3)", "(x-1)*(x-4)"])
+def test_rational_residue_rows_match_the_field_path(q_text, monkeypatch):
+    # every pair a (2,1) run asks for, with its row over Q against the row
+    # of the same curve over Q(t), which takes the field path
+    requested = set()
+    integer_row = BranchWindow.integer_row
+
+    def spy(win, a, b):
+        requested.add((win.s, a, b))
+        return integer_row(win, a, b)
+
+    Uq = uniformize(curve_from_Q(q_text))
+    with monkeypatch.context() as mp:
+        mp.setattr(BranchWindow, "integer_row", spy)
+        prec = eo_differentials(Uq, 2, 1).prec
+    Ut = curve_over_qt(q_text)
+    assert Ut.branch_ints == Uq.branch_ints
+    wins = {s: (BranchWindow(Uq, s, prec), BranchWindow(Ut, s, prec))
+            for s in Uq.branch_ints}
+    assert {s for s, _, _ in requested} == set(wins)
+    assert any(a is None for _, a, _ in requested)
+    nonempty = 0
+    for s, a, b in requested:
+        wq, wt = wins[s]
+        got = wq.residue_row(a, b)
+        assert all(type(r) is Fraction and r for _, r in got)
+        assert [(m, Qt.coerce(r)) for m, r in got] == wt.residue_row(a, b)
+        nonempty += bool(got)
+    assert nonempty >= 20  # most requested pairs have an empty row
+
+
+@pytest.mark.parametrize("q_text", ["x", "(x-1)*(x-4)"])
+def test_rational_contraction_matches_the_field_path(q_text):
+    # x(z) of y^2 = (x-1)(x-4) has 3/4 and 5/2, so the contraction sums
+    # terms whose denominators are not powers of one prime
+    got = eo_differentials(uniformize(curve_from_Q(q_text)), 2, 1)
+    want = on_tower(eo_differentials, curve_over_qt(q_text), 2, 1)
+    assert want.U.field is Qt
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+@pytest.mark.parametrize("make", [airy_U, twobranch_U])
+def test_short_window_still_refuses_a_row_over_q(make):
+    U = make()
+    s = U.branch_ints[0]
+    win = BranchWindow(U, s, 5)
+    assert win.field is QQ
+    for _ in range(2):  # a refused row is not cached
+        with pytest.raises(TruncationTooShort):
+            win.residue_row((s, 2), (s, 2))
+    assert BranchWindow(U, s, 6).residue_row((s, 2), (s, 2))
 
 
 def test_nonsimple_branchpoint_rejected():
