@@ -100,8 +100,12 @@ def m_next(k, history, ahat, beta, curve, dt):
     auxiliary matrix coefficients (both Mat2 over curve.cover), `beta` the
     cleared denominator as a RatFn over the scalar field, and dt(m, j) the
     time derivative at fixed x of m = M^(j).  The commutator equation
-    [A-hat^(0), M^(k)] = RHS fixes M^(k) up to its diagonal trace part, and
-    the order-k projector identity supplies the missing scalar equation.
+
+        [A-hat^(0), M^(k)] = beta dt M^(k-1) - sum_{j<k} [A-hat^(k-j), M^(j)]
+
+    (the order-k part of beta hbar dt M = [A-hat, M]) fixes M^(k) up to its
+    diagonal trace part, and the order-k projector identity supplies the
+    missing scalar equation.
     """
     E, var = curve.field, curve.var
     rhs = dt(history[k - 1], k - 1).map(lambda e: e * beta)
@@ -129,9 +133,9 @@ def m_next(k, history, ahat, beta, curve, dt):
     s_root = ExtElem(curve.cover, RatFn.zero(E, var), -alpha)
     half = RatFn.const(E, E.one() / E.coerce(2), var)
     dinv = (-a0.det()).inverse()
-    m1 = (a * r1 + c * r2) * half
-    m2 = (b * r1 - a * r2) * half
-    m3 = (a * r3 - c * r1) * half
+    m1 = -(a * r1 + c * r2) * half
+    m2 = (a * r2 - b * r1) * half
+    m3 = (c * r1 - a * r3) * half
     if r4 is not None:
         sr4 = -(s_root * r4)
         m1 = m1 + a * sr4

@@ -78,6 +78,18 @@ def test_projector_defect_vanishes_through_order_3(p1_order3, k):
     assert not p1_order3.projector_defect(k)
 
 
+@pytest.mark.parametrize("k", range(1, 4))
+def test_m_solves_its_t_equation_through_order_3(p1_order3, k):
+    # beta dt M^(k-1) = sum_{j<=k} [A-hat^(k-j), M^(j)], the equation whose
+    # order-k part m_next solves for M^(k)
+    mser = p1_order3
+    dt = mser.grading.time_derivative(mser.curve.cover)
+    res = dt(mser.mats[k - 1], k - 1).map(lambda e: e * mser.beta)
+    for j in range(k + 1):
+        res = res - mser.ahat[k - j].commutator(mser.mats[j])
+    assert not res
+
+
 def test_m_coeff_below_order_0_is_out_of_range(p1):
     mser, _ = p1
     with pytest.raises(IndexOutOfRange):
