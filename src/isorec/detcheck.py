@@ -786,9 +786,13 @@ class CorrelatorSeries:
 def correlators(mser, nmax):
     """Traces of products of M against the cyclic coupling denominators.
 
-    W_1 = Tr(L M) dx / hbar; for n >= 2 the correlator is
-    (-1)^(n+1) sum over cyclic arrangements of Tr(prod M(x_i)) divided by
-    the cyclic product of differences.  Coefficients are returned times
+    W_1 = Tr(L M) dx / hbar; for n >= 2 the correlator follows the
+    convention of Bergere-Eynard (arXiv:0901.3273),
+
+        W_n = - sum over n-cycles s of Tr(M(x_i) M(x_s(i)) M(x_s^2(i)) ...)
+                / prod_i (x_i - x_s(i)),
+
+    with the prefactor -1 for every n.  Coefficients are returned times
     prod x'(z_i), i.e. as coefficients of prod dz_i.
     """
     order = mser.order
@@ -809,9 +813,8 @@ def correlators(mser, nmax):
         w1[k] = tot * xp
 
     wn = {}
-    sign0 = E.one()
+    pref = -E.one()
     for n in range(2, nmax + 1):
-        pref = sign0 if n % 2 else -sign0
         for k in range(order + 1):
             pf = ProductForm(U, n)
             for tail in itertools.permutations(range(1, n)):

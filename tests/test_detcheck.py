@@ -1,15 +1,20 @@
-"""The determinantal side on Painleve I through hbar^3: the projector-valued
-series M on the double cover and the correlators built from its traces; the
-exact zero test of separated forms on both uniformization kinds; and the
-tau-function identities H_2 = -dF_1/dt, H_4 = -dF_2/dt and H_6 = -dF_3/dt."""
+"""The determinantal side on Painleve I through hbar^4: the projector-valued
+series M on the double cover, the equation it solves, and the correlators
+built from its traces, which verify_tt identifies with omega_{g,n} for
+n <= 3; the exact zero test of separated forms on both uniformization
+kinds; and the tau-function identities H_2 = -dF_1/dt, H_4 = -dF_2/dt and
+H_6 = -dF_3/dt."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
+from isorec import grading
 from isorec.detcheck import (CorrelatorSeries, ProductForm, _bergman_match,
-                             _sep_zero, correlators, m_series, tau_series)
+                             _sep_zero, correlators, m_series, tau_series,
+                             verify_tt)
 from isorec.errors import IndexOutOfRange, TruncationTooShort
 from isorec.exactmath import (QQ, FunctionField, RatFn, parse_element,
                               substitute)
@@ -209,6 +214,37 @@ def test_bergman_match_rejects_altered_two_point(p1):
                                                     pf.scaled(E.coerce(2))))
     dropped = ProductForm(pf.U, 2, pf.terms[1:])
     assert not _bergman_match(mser, _with_two_point(cors, dropped))
+
+
+@pytest.fixture(scope="module")
+def p1_order4_n3():
+    iso, H = p1_system()
+    mser = m_series(iso, extend_flow(H, leading_order(H), 4), 4)
+    return verify_tt(mser, correlators(mser, nmax=3))
+
+
+def test_p1_verify_tt_passes_through_order_4_and_three_points(p1_order4_n3):
+    report = p1_order4_n3
+    failed = [c for c, v in report["clauses"].items() if not v["pass"]]
+    assert not failed
+    assert sorted(report["tr_equality"]) == sorted(
+        ["0,1", "0,2", "1,1", "2,1", "1,2", "2,2", "0,3", "1,3"])
+    assert all(r["pass"] for r in report["tr_equality"].values())
+    assert report["pass"]
+
+
+def test_p1_verify_tt_on_the_tower_is_the_graded_report(monkeypatch):
+    iso, H = p1_system()
+    flow = extend_flow(H, leading_order(H), 2)
+
+    def report():
+        mser = m_series(iso, flow, 2)
+        return json.dumps(verify_tt(mser, correlators(mser, nmax=3)),
+                          sort_keys=True)
+    graded = report()
+    monkeypatch.setattr(grading, "specialization", lambda U: None)
+    assert report() == graded
+    assert json.loads(graded)["pass"]
 
 
 # --- the tau function ------------------------------------------------------------
