@@ -865,6 +865,19 @@ def verify_tt(mser, cors):
 
     Returns a JSON-ready report: per-clause {pass, witnesses}, the
     differential-by-differential equality table, and an overall verdict.
+    The clauses are: 1 the uniformization certificate, 2 the symmetry of
+    every W_n, 3 the vanishing of parity-odd orders, 4 the decomposition
+    over the branchpoint basis with zero remainder, 5 the vanishing of
+    W_n^(k) for k < n - 2, and 6 W_2^(0) as the Bergman kernel.
+
+    Each row is proved once per clause it belongs to, in one pass, and
+    clause 2 is read off those proofs: a row that clause 3 or 5 proves
+    zero is symmetric; a row that clause 4 decomposes equals its
+    PoleBasisForm, so it is symmetric exactly when is_symmetric says so;
+    W_2^(0) is symmetric when clause 6 proves W_2^(0) (z1 - z2)^2 = 1.  Only
+    a row that none of these proves symmetric gets the separated test of
+    pf - pf.permuted(tau) for each adjacent transposition tau.
+
     The leading one-form of the correlators is -y dx, so they are
     compared with the recursion on the sheet-flipped cover; relabelling the
     sheets multiplies omega_{g,n} by (-1)^n, so the recursion runs on U
@@ -882,69 +895,51 @@ def verify_tt(mser, cors):
         "kind": U.kind, "branch_zpoints": fmtpoint,
         "reduced_degree": mser.curve.reduced.degree()}
 
-    zero_known = {}
+    def fail(clause, witness):
+        clauses[clause]["pass"] = False
+        clauses[clause]["witnesses"].append(witness)
 
-    def is_zero_form(n, k):
-        if (n, k) not in zero_known:
-            f = cors.form(n, k)
-            zero_known[(n, k)] = (not f) if n == 1 else f.is_zero()
-        return zero_known[(n, k)]
-
-    # exact symmetry of every multi-variable coefficient
-    for (n, k) in sorted(cors.wn):
-        pf = cors.wn[(n, k)]
-        for tau in adjacent_transpositions(n):
-            if not (pf - pf.permuted(tau)).is_zero():
-                clauses["2"]["pass"] = False
-                clauses["2"]["witnesses"].append(
-                    {"n": n, "k": k, "perm": tau,
-                     "reason": "not symmetric under the transposition"})
-                break
-
-    # parity: orders of the wrong parity vanish identically
-    for (n, k) in _all_rows(cors):
-        if (k - n) % 2 == 0:
-            continue
-        if not is_zero_form(n, k):
-            clauses["3"]["pass"] = False
-            clauses["3"]["witnesses"].append(
-                {"n": n, "k": k, "reason": "nonzero at parity-odd order"})
-
-    # pole property: everything except (1,0), (2,0) and the leading (1,-1)
-    # decomposes over the branchpoint basis with zero remainder
-    for (n, k) in _all_rows(cors):
-        if k < 1 or (n, k) == (2, 0) or (k - n) % 2:
-            continue
-        try:
-            pbf = cors.pole_basis(n, k)
-        except UnexpectedPole as err:
-            clauses["4"]["pass"] = False
-            clauses["4"]["witnesses"].append(
-                {"n": n, "k": k, "reason": str(err)})
-            continue
-        if n >= 2 and not pbf.is_symmetric():
-            clauses["2"]["pass"] = False
-            clauses["2"]["witnesses"].append(
-                {"n": n, "k": k, "reason": "basis decomposition asymmetric"})
-
-    # leading order: W_n^(k) = 0 for k < n - 2
-    for (n, k) in _all_rows(cors):
-        if k >= n - 2:
-            continue
-        if not is_zero_form(n, k):
-            clauses["5"]["pass"] = False
-            clauses["5"]["witnesses"].append(
-                {"n": n, "k": k, "reason": "nonzero below leading order"})
-
-    # two-point identification on the computed W_2^(0)
-    tr_rows = {}
     two_ok = _bergman_match(mser, cors)
     if not two_ok:
-        clauses["6"]["pass"] = False
-        clauses["6"]["witnesses"].append(
-            {"n": 2, "k": 0, "reason": "W_2^(0) differs from the Bergman "
-             "kernel"})
+        fail("6", {"n": 2, "k": 0,
+                   "reason": "W_2^(0) differs from the Bergman kernel"})
 
+    for (n, k) in _all_rows(cors):
+        f = cors.form(n, k)
+        odd = (k - n) % 2
+        # clauses 3 and 5: wrong parity, or below W_n^(k) = 0 for k < n - 2
+        zero = False
+        if odd or k < n - 2:
+            zero = (not f) if n == 1 else f.is_zero()
+            if not zero and odd:
+                fail("3", {"n": n, "k": k,
+                           "reason": "nonzero at parity-odd order"})
+            if not zero and k < n - 2:
+                fail("5", {"n": n, "k": k,
+                           "reason": "nonzero below leading order"})
+        symmetric = zero or ((n, k) == (2, 0) and two_ok)
+        # clause 4: every other row from k = 1 on decomposes over the
+        # branchpoint basis with zero remainder, so it equals that form
+        basis_asymmetric = False
+        if k >= 1 and not odd:
+            try:
+                pbf = cors.pole_basis(n, k)
+            except UnexpectedPole as err:
+                fail("4", {"n": n, "k": k, "reason": str(err)})
+            else:
+                basis_asymmetric = not pbf.is_symmetric()
+                symmetric = symmetric or not basis_asymmetric
+        if n >= 2 and not symmetric:
+            for tau in adjacent_transpositions(n):
+                if not (f - f.permuted(tau)).is_zero():
+                    fail("2", {"n": n, "k": k, "perm": tau, "reason":
+                               "not symmetric under the transposition"})
+                    break
+        if basis_asymmetric:
+            fail("2", {"n": n, "k": k,
+                       "reason": "basis decomposition asymmetric"})
+
+    tr_rows = {}
     stable = list(_stable_rows(cors))
     if stable:
         gmax = max(g for g, _ in stable)

@@ -218,13 +218,22 @@ def test_bergman_match_rejects_altered_two_point(p1):
 
 @pytest.fixture(scope="module")
 def p1_order4_n3():
+    """verify_tt at M order 4 with nmax=3, and the number of times it
+    permuted a ProductForm."""
     iso, H = p1_system()
     mser = m_series(iso, extend_flow(H, leading_order(H), 4), 4)
-    return verify_tt(mser, correlators(mser, nmax=3))
+    cors = correlators(mser, nmax=3)
+    calls = []
+    permuted = ProductForm.permuted
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ProductForm, "permuted",
+                   lambda pf, perm: calls.append(perm) or permuted(pf, perm))
+        report = verify_tt(mser, cors)
+    return report, len(calls)
 
 
 def test_p1_verify_tt_passes_through_order_4_and_three_points(p1_order4_n3):
-    report = p1_order4_n3
+    report, _ = p1_order4_n3
     failed = [c for c, v in report["clauses"].items() if not v["pass"]]
     assert not failed
     assert sorted(report["tr_equality"]) == sorted(
@@ -245,6 +254,41 @@ def test_p1_verify_tt_on_the_tower_is_the_graded_report(monkeypatch):
     monkeypatch.setattr(grading, "specialization", lambda U: None)
     assert report() == graded
     assert json.loads(graded)["pass"]
+
+
+def test_verify_tt_reads_symmetry_off_the_other_clauses(p1_order4_n3):
+    # every row of a passing run is pinned by clause 3, 4, 5 or 6, so no
+    # row gets the separated transposition test
+    _, permuted_calls = p1_order4_n3
+    assert permuted_calls == 0
+
+
+@pytest.mark.parametrize("k,clause,reason", [
+    (2, "2", "basis decomposition asymmetric"),
+    (0, "6", "W_2^(0) differs from the Bergman kernel"),
+    (1, "3", "nonzero at parity-odd order")])
+def test_verify_tt_witnesses_an_asymmetric_two_point_row(p1, k, clause,
+                                                         reason):
+    # xi_{0,2}(z1) xi_{0,4}(z2) as a decomposable row, added to W_2^(0), and
+    # as a parity-odd row: the transposition test and the row's own clause
+    # each name it
+    mser, cors = p1
+    U = mser.U
+    E = U.field
+    pf = ProductForm(U, 2)
+    pf.add(E.one(), [xi_ratfn(E, U.zvar, 0, 2), xi_ratfn(E, U.zvar, 0, 4)])
+    if k == 0:
+        pf = cors.wn[(2, 0)] + pf
+    report = verify_tt(mser, _with_two_point(cors, pf, k))
+    got = {c: v["witnesses"] for c, v in report["clauses"].items()
+           if v["witnesses"]}
+    swap = {"n": 2, "k": k, "perm": [1, 0],
+            "reason": "not symmetric under the transposition"}
+    own = {"n": 2, "k": k, "reason": reason}
+    want = {"2": [swap, own]} if clause == "2" else {"2": [swap],
+                                                    clause: [own]}
+    assert got == want
+    assert not report["pass"]
 
 
 # --- the tau function ------------------------------------------------------------
