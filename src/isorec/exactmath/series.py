@@ -207,7 +207,9 @@ class Series:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self._like(0, [self.zero + 1], self.prec - self.kmin)
+        # 1 + O(w^(prec - kmin)); with no known term, O(w^0)
+        seed = [self.zero + 1] if self.prec > self.kmin else []
+        result = self._like(0, seed, self.prec - self.kmin)
         base = self
         while n:
             if n & 1:

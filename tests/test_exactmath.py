@@ -406,8 +406,8 @@ def test_rational_series_kernel_matches_field_path(a, b, e):
     for on_q, on_qt in pairs:
         try:
             want = on_qt()
-        except (ZeroDivisionError, ValueError) as err:
-            # no nonzero term to invert, or 0 ** 0 on an empty window
+        except ZeroDivisionError as err:
+            # no nonzero term to invert
             with pytest.raises(type(err)):
                 on_q()
             continue
@@ -418,6 +418,21 @@ def test_rational_series_kernel_matches_field_path(a, b, e):
         for k in (got.prec, got.prec + 1):
             with pytest.raises(TruncationTooShort):
                 got.coeff(k)
+
+
+@pytest.mark.parametrize("zero", [QQ.zero(), Qt.zero()],
+                         ids=["Q", "Q(t)"])
+def test_power_of_a_window_with_no_known_term(zero):
+    s = Series(0, [], 3, zero)
+    assert (s.kmin, s.prec) == (3, 3)
+    unit = s ** 0
+    assert (unit.coeffs, unit.prec) == ([], 0)
+    product = s
+    for e in range(1, 4):
+        # O(w^3) ** e is O(w^(3e)), as repeated products give
+        assert s ** e == product and (product.coeffs, product.prec) == ([],
+                                                                        3 * e)
+        product = product * s
 
 
 def test_series_strips_leading_zeros_in_one_pass():
