@@ -74,17 +74,16 @@ def beta_factor(aux):
 
 # --- the projector-valued series M ------------------------------------------
 
-def m_zero(A0, curve=None):
+def m_zero(A0, curve):
     """Closed form of the leading matrix: 1/2 I + A^(0)/(2 sqrt(-det A^(0))).
 
-    The square root is realized as -alpha*y on the double cover, which makes
-    the entries (1/2) delta_ij - L0_ij * y / (2 Q): the projector onto the
-    -y eigenspace of L0.  Any rational prefactor of A^(0) cancels.
+    The square root is realized as -alpha*y on the double cover of `curve`,
+    the classical curve of A^(0), which makes the entries
+    (1/2) delta_ij - L0_ij * y / (2 Q): the projector onto the -y eigenspace
+    of L0.  Any rational prefactor of A^(0) cancels.
     """
     if not -A0.det():
         raise DegenerateAZero("det of the leading auxiliary matrix vanishes")
-    if curve is None:
-        curve = classical_curve(A0)
     E, var = curve.field, curve.var
     half = RatFn.const(E, E.one() / E.coerce(2), var)
     zero = RatFn.zero(E, var)
