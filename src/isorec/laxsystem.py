@@ -306,9 +306,6 @@ class HamiltonianSet:
                 flags[key] = "dynamical"
         return flags
 
-    def dynamical_count(self):
-        return sum(1 for v in self.classify().values() if v == "dynamical")
-
 
 def hamiltonians(system):
     """Expand Tr L(x)^2 over the declared pole structure."""

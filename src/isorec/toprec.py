@@ -27,6 +27,14 @@ into dicts.  Poles of order one never arise (m starts at 1): computed forms
 are residue-free by construction, and the invariant checks verify symmetry
 and involution anti-invariance on top of that.
 
+Most pairs of factors have an empty row, and the recursion does not look
+them up.  With S = f_a(z) f_b(sigma z)/(4 y x'), the entry r_m reads S only
+at exponents -1-m and -1-j for j >= m >= 1 (wt^m starts at w^m), all at
+most -2; S has valuation v_a + v_b, v_a that of f_a/(4 y x') and v_b that
+of f_b(sigma z).  A pair with v_a + v_b >= -1 therefore has an empty row,
+and skipping it is exact: the bracket's other terms, and so the tables and
+the order of their keys, are what visiting every pair gives.
+
 A curve over Q(t) or Q(t)[u], u^2 = c t, whose x(z) and y(z) are weighted-
 homogeneous (Painleve I is) is run over Q instead, at the time t0 where
 u = 1 (grading.specialization).  The coefficient of prod dz_i/(z_i-s_i)^k_i
@@ -41,13 +49,16 @@ checks run on the tables at t0; a key permutation or the involution keeps
 the weight of a coefficient, so they hold at t0 exactly when they hold on
 the tower.  symplectic_invariants reads the restored tables on the tower.
 
-Over Q the residue rows and the contraction run on integers.  A row is
-kept as integer numerators over one denominator, each entry an integer dot
-product of the numerators of S and of wt^m (BranchWindow.integer_row); the
-contraction sums the numerators of c1 c2 r_m per key over the lcm of their
-denominators and writes one Fraction per key.  The kernel is exact and
-Fraction is canonical, so the tables, and every output printed from them,
-are byte-identical to the field path's, with one reduction per coefficient
+Over Q the residue rows and the contraction run on integers.  Each factor
+window, 1/(4 y x') and wt^m is cleared to integer numerators once; S is an
+integer convolution of them, taken only at the exponents a row reads, and
+no Fraction is built before the row.  A row is kept as integer numerators
+over one denominator, each entry an integer dot product of the numerators
+of S and of wt^m (BranchWindow.integer_row); the contraction sums the
+numerators of c1 c2 r_m per key over the lcm of their denominators and
+writes one Fraction per key.  The kernel is exact and Fraction is
+canonical, so the tables, and every output printed from them, are
+byte-identical to the field path's, with one reduction per coefficient
 instead of one per operation.
 """
 
@@ -130,11 +141,16 @@ class PoleBasisForm:
         return (isinstance(other, PoleBasisForm) and self.n == other.n
                 and self.table == other.table)
 
-    def scaled(self, c):
+    def _like(self, table):
+        """A form of the same shape holding table, whose values are nonzero."""
         out = PoleBasisForm(self.field, self.n)
-        for key, v in self.table.items():
-            out.add_term(key, v * c)
+        out.table = table
         return out
+
+    def scaled(self, c):
+        if not c:
+            return self._like({})
+        return self._like({key: v * c for key, v in self.table.items()})
 
     def __add__(self, other):
         out = PoleBasisForm(self.field, self.n, self.table)
@@ -146,28 +162,41 @@ class PoleBasisForm:
         return self + other.scaled(-self.field.one())
 
     def permuted(self, perm):
-        """Relabel variables: slot i of the result is slot perm[i]."""
-        out = PoleBasisForm(self.field, self.n)
-        for key, v in self.table.items():
-            out.add_term(tuple(key[p] for p in perm), v)
-        return out
+        """Relabel variables: slot i of the result is slot perm[i].
+
+        perm is a permutation of range(n), so distinct keys stay distinct.
+        """
+        return self._like({tuple(key[p] for p in perm): v
+                           for key, v in self.table.items()})
 
     def is_symmetric(self):
-        return all(self.permuted(tau).table == self.table
-                   for tau in adjacent_transpositions(self.n))
+        """Invariance under each swap of adjacent slots, read off the table:
+        every key's swapped key holds the same value."""
+        table = self.table
+        for i in range(self.n - 1):
+            for key, v in table.items():
+                if key[i] != key[i + 1] and table.get(
+                        key[:i] + (key[i + 1], key[i]) + key[i + 2:]) != v:
+                    return False
+        return True
 
     def involution_image(self, kind, i):
         """Substitute z_i -> sigma(z_i), staying inside the basis."""
-        out = PoleBasisForm(self.field, self.n)
         one = self.field.one()
+        images = {}
+        out = {}
         for key, v in self.table.items():
-            s, k = key[i]
-            for k2, c in sigma_slot_image(kind, s, k):
-                out.add_term(key[:i] + ((s, k2),) + key[i + 1:], v * (c * one))
-        return out
-
-    def max_order(self):
-        return max((k for key in self.table for _, k in key), default=0)
+            slot = key[i]
+            image = images.get(slot)
+            if image is None:
+                image = images[slot] = [((slot[0], k2), c * one) for k2, c
+                                        in sigma_slot_image(kind, *slot)]
+            head, tail = key[:i], key[i + 1:]
+            for slot2, c in image:
+                key2 = head + (slot2,) + tail
+                cur = out.get(key2)
+                out[key2] = v * c if cur is None else cur + v * c
+        return self._like({key: v for key, v in out.items() if v})
 
     def has_residue_term(self):
         return any(k == 1 for key in self.table for _, k in key)
@@ -245,10 +274,19 @@ class BranchWindow:
     uniformization's sigma, and its derivative; the inverse of 4 y x'
     (whose double zero at the branch point is the simplicity requirement);
     and the factors seen from this point on either sheet.
+
+    A row reads S = f_a f_b/(4 y x') only at exponents <= -2, so it is empty
+    when valuation(a, 0) + valuation(b, 1) >= -1; the recursion asks for no
+    such pair.  Over Q (integer_row) the windows are cleared to integer
+    numerators once each and S is built from them on integers, at the
+    exponents kmin..-2 only, with the kmin, prec and TruncationTooShort
+    refusals of residue_window; no Fraction is built before the row.  Over
+    any other field residue_window builds S as a Series.
     """
 
     __slots__ = ("field", "s", "point", "prec", "sig", "sig_prime", "dinv",
-                 "_factors", "_sig_pows", "_sig_nums", "_left", "_rows")
+                 "_factors", "_sig_pows", "_inv_pows", "_sig_nums", "_left",
+                 "_rows", "_int_dinv", "_int_left", "_int_right")
 
     def __init__(self, U, s, prec):
         E = U.field
@@ -267,9 +305,13 @@ class BranchWindow:
         self.dinv = dd.inverse()
         self._factors = {}
         self._sig_pows = {1: self.sig}
+        self._inv_pows = {}
         self._sig_nums = {}
         self._left = {}
         self._rows = {}
+        self._int_dinv = _cleared(self.dinv) if E is QQ else None
+        self._int_left = {}
+        self._int_right = {}
 
     def sig_pow(self, m):
         out = self._sig_pows.get(m)
@@ -287,19 +329,29 @@ class BranchWindow:
 
         Sheet 1 includes the Jacobian d(sigma z)/dw.
         """
-        E, one = self.field, self.field.one()
-        if sheet == 0:
-            if s2 == self.s:
-                return self.monomial(-k)
-            base = Series(0, [self.point - E.coerce(s2), one], self.prec,
-                          E.zero(), self.point)
-            return base.inverse() ** k
-        if s2 == self.s:
-            out = self.sig.inverse() ** k
-        else:
-            shifted = self.sig + (self.point - E.coerce(s2))
-            out = shifted.inverse() ** k
-        return out * self.sig_prime
+        if sheet == 0 and s2 == self.s:
+            return self.monomial(-k)
+        out = self._inv_pow(s2, sheet, k)
+        return out * self.sig_prime if sheet else out
+
+    def _inv_pow(self, s2, sheet, k):
+        """Window of (z-s2)^-k at z = s+w (sheet 0) or sigma(z) (sheet 1),
+        each power one product from the last."""
+        out = self._inv_pows.get((s2, sheet, k))
+        if out is None:
+            E = self.field
+            if k > 1:
+                out = (self._inv_pow(s2, sheet, k - 1)
+                       * self._inv_pow(s2, sheet, 1))
+            elif sheet == 0:
+                out = Series(0, [self.point - E.coerce(s2), E.one()],
+                             self.prec, E.zero(), self.point).inverse()
+            elif s2 == self.s:
+                out = self.sig.inverse()
+            else:
+                out = (self.sig + (self.point - E.coerce(s2))).inverse()
+            self._inv_pows[(s2, sheet, k)] = out
+        return out
 
     def factor(self, fid, sheet):
         """Window of the factor fid on the given sheet, cached."""
@@ -314,6 +366,15 @@ class BranchWindow:
                 out = self.sig_pow(k) * self.sig_prime if k else self.sig_prime
             self._factors[(fid, sheet)] = out
         return out
+
+    def valuation(self, fid, sheet):
+        """Valuation of f(sigma z) on sheet 1, of f(z)/(4 y x') on sheet 0.
+
+        The row of (a, b) can be nonempty only when valuation(a, 0) +
+        valuation(b, 1) <= -2.
+        """
+        v = self.factor(fid, sheet).kmin
+        return v + self.dinv.kmin if sheet == 0 else v
 
     def bergman_diag(self):
         """omega_{0,2}(z, sigma z) / dz^2 as a window: wt'/(w - wt)^2."""
@@ -333,22 +394,22 @@ class BranchWindow:
             left = self._left.get(a)
             if left is None:
                 left = self._left[a] = self.factor(a, 0) * self.dinv
-            right = self.factor(b, 1)
-            # at valuation >= -1 no m >= 1 reaches the residue
-            if left.kmin + right.kmin >= -1:
-                return None
-            S = left * right
+            S = left * self.factor(b, 1)
         if not S or S.kmin >= -1:
             return None
-        for m in range(1, -S.kmin):
+        self._check_known(S.kmin, S.prec)
+        return S
+
+    def _check_known(self, kmin, prec):
+        """Refuse a window S (first exponent kmin, known below prec) unless
+        exponent -1 of wt^m S is known for every m a row entry reads."""
+        for m in range(1, -kmin):
             sm = self.sig_pow(m)
-            # exponent -1 of wt^m S must lie inside its known window
-            known = min(sm.prec + S.kmin, S.prec + sm.kmin)
+            known = min(sm.prec + kmin, prec + sm.kmin)
             if known <= -1:
                 raise TruncationTooShort(
                     "residue of wt^%d S needs exponent -1, known below %d"
                     % (m, known))
-        return S
 
     def residue_row(self, a, b):
         """The residue row of f_a(z) f_b(sigma z) as [(m, r_m), ...]; a = b =
@@ -385,22 +446,36 @@ class BranchWindow:
         r_m = R_m / den, or () when the row is empty: each r_m is an integer
         dot product of the numerators of S and of wt^m, and the row shares
         one denominator.
+
+        S is built on integers from the cleared windows of f_a/(4 y x') and
+        f_b(sigma z), and only at the exponents kmin..-2 a row entry reads;
+        its kmin and prec are Series.__mul__'s, so residue_window would
+        accept or refuse it alike.
         """
         row = self._rows.get((a, b))
         if row is not None:
             return row
-        S = self.residue_window(a, b)
+        if a is None:
+            left, right = _cleared(self.bergman_diag()), self._int_dinv
+        else:
+            left = self._int_left.get(a)
+            if left is None:
+                left = self._int_left[a] = _cleared_product(
+                    _cleared(self.factor(a, 0)), self._int_dinv)
+            right = self._int_right.get(b)
+            if right is None:
+                right = self._int_right[b] = _cleared(self.factor(b, 1))
+        kmin, prec, snum, sden = _cleared_product(left, right, -1)
         entries = []
-        if S is not None:
-            # numerators of S_kmin .. S_{-2}, the exponents a row entry reads
-            snum, sden = integer_numerators(S.coeffs[:-1 - S.kmin])
+        if kmin < min(prec, -1):
+            self._check_known(kmin, prec)
             parts = []
-            for m in range(1, -S.kmin):
+            for m in range(1, -kmin):
                 j0, wnum, wden = self._sig_numerators(m)
                 # r_m sden wden = S_{-1-m} wden - sum_j (wt^m)_j S_{-1-j}
-                top = max(0, -j0 - S.kmin)
+                top = max(0, -j0 - kmin)
                 dot = sum(c * v for c, v in zip(wnum, reversed(snum[:top])))
-                parts.append((m, snum[-1 - m - S.kmin] * wden - dot, wden))
+                parts.append((m, snum[-1 - m - kmin] * wden - dot, wden))
             scale = lcm(*[wden for _, _, wden in parts])
             entries = [(m, r * (scale // wden)) for m, r, wden in parts if r]
         row = ()
@@ -419,6 +494,33 @@ class BranchWindow:
             out = self._sig_nums[m] = (sm.kmin,
                                        *integer_numerators(sm.coeffs))
         return out
+
+
+def _cleared(series):
+    """A window over Q as (kmin, prec, integer numerators, denominator)."""
+    nums, den = integer_numerators(series.coeffs)
+    return series.kmin, series.prec, nums, den
+
+
+def _cleared_product(x, y, top=None):
+    """The product of two cleared windows, with numerators only at the
+    exponents below top (all known ones when top is None).
+
+    kmin and prec follow Series.__mul__; the leading numerators are
+    nonzero, so kmin is the product's valuation, and the product is empty
+    exactly when prec <= kmin.
+    """
+    xk, xp, xn, xd = x
+    yk, yp, yn, yd = y
+    kmin = xk + yk
+    prec = min(xp + yk, yp + xk)
+    n = (prec if top is None else min(prec, top)) - kmin
+    out = [0] * max(n, 0)
+    for i, c in enumerate(xn[:n]):
+        if c:
+            for j, d in enumerate(yn[:n - i], i):
+                out[j] += c * d
+    return kmin, prec, out, xd * yd
 
 
 class RecursionResult:
@@ -470,6 +572,8 @@ def _residue_contributions(win, omegas, g, n, table):
     of its free slots; it adds scalar * r_m at ((s, m+1),) + free keys for
     every entry (m, r_m) of the pair's residue row.  Terms are kept with
     their rows, integer rows over Q, and only when the row is not empty.
+    A pair whose valuations sum above -2 is not visited (its row is empty);
+    the others are visited in the order of the bracket.
     """
     positions = list(range(1, n))
     one = win.field.one()
@@ -488,7 +592,21 @@ def _residue_contributions(win, omegas, g, n, table):
             stored = omegas.get((g - 1, n + 1))
             if stored:
                 for key, c in stored.table.items():
-                    add(key[0], key[1], c, one, key[2:])
+                    a, b = key[0], key[1]
+                    if win.valuation(a, 0) + win.valuation(b, 1) <= -2:
+                        add(a, b, c, one, key[2:])
+    reach = {}
+
+    def right_terms(g2, nfree, bound):
+        """The factors of omega_{g2,1+nfree} of valuation <= bound on sheet
+        1, in bracket order."""
+        out = reach.get((g2, nfree, bound))
+        if out is None:
+            out = reach[(g2, nfree, bound)] = [
+                t for t in _factor_terms(win, omegas, g2, nfree)
+                if win.valuation(t[0], 1) <= bound]
+        return out
+
     for g1 in range(g + 1):
         g2 = g - g1
         for r in range(len(positions) + 1):
@@ -500,9 +618,9 @@ def _residue_contributions(win, omegas, g, n, table):
                 slots = I1 + I2
                 order = [slots.index(p) for p in positions]
                 pick = itemgetter(*order) if len(order) > 1 else tuple
-                right = _factor_terms(win, omegas, g2, len(I2))
                 for a, c1, k1 in _factor_terms(win, omegas, g1, len(I1)):
-                    for b, c2, k2 in right:
+                    bound = -2 - win.valuation(a, 0)
+                    for b, c2, k2 in right_terms(g2, len(I2), bound):
                         add(a, b, c1, c2, pick(k1 + k2))
     if win.field is QQ:
         _contract_qq(win.s, terms, table)

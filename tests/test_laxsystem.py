@@ -169,7 +169,7 @@ def test_classify_fuchsian_four_poles_dynamical_count():
     sys = Sl2Lax(F, pd, {(1, 1): mats[0], (2, 1): mats[1], (3, 1): mats[2],
                          (4, 1): last})
     H = hamiltonians(sys)
-    assert H.dynamical_count() == 4
+    assert list(H.classify().values()).count("dynamical") == 4
 
 
 # --- lax flows preserve the invariants ---------------------------------------

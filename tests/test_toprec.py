@@ -104,7 +104,30 @@ def test_rational_residue_rows_match_the_field_path(q_text, monkeypatch):
         assert all(type(r) is Fraction and r for _, r in got)
         assert [(m, Qt.coerce(r)) for m, r in got] == wt.residue_row(a, b)
         nonempty += bool(got)
-    assert nonempty >= 20  # most requested pairs have an empty row
+    assert nonempty >= 20  # rows enough to compare, most of them nonempty
+
+
+def test_recursion_requests_only_rows_within_the_pair_bound(monkeypatch):
+    # a row is empty unless the valuations of f_a/(4yx') and f_b(sigma z)
+    # sum to at most -2, so the recursion asks for no other pair; on Airy
+    # the pairs of odd total valuation still have empty rows (by parity)
+    requested = {}
+    integer_row = BranchWindow.integer_row
+
+    def spy(win, a, b):
+        row = requested[(q_text, win.s, a, b)] = integer_row(win, a, b)
+        if a is not None:
+            left = win.factor(a, 0).kmin + win.dinv.kmin
+            assert left + win.factor(b, 1).kmin <= -2, (win.s, a, b)
+        return row
+
+    for q_text in ("x", "(x-1)*(x-3)"):
+        with monkeypatch.context() as mp:
+            mp.setattr(BranchWindow, "integer_row", spy)
+            eo_differentials(uniformize(curve_from_Q(q_text)), 2, 1)
+    assert {key[0] for key in requested} == {"x", "(x-1)*(x-3)"}
+    nonempty = sum(bool(row) for row in requested.values())
+    assert nonempty >= 0.9 * len(requested), (nonempty, len(requested))
 
 
 @pytest.mark.parametrize("q_text", ["x", "(x-1)*(x-4)"])
@@ -278,7 +301,8 @@ def test_airy_matches_dvv_intersection_numbers():
 
 def test_airy_pole_orders_saturate_bound(airy_run):
     for (g, n), form in airy_run.omegas.items():
-        assert form.max_order() == 2 * (3 * g - 2 + n)
+        assert max(k for key in form.table for _, k in key) == \
+            2 * (3 * g - 2 + n)
 
 
 # --- frozen two-branchpoint goldens ------------------------------------------
@@ -303,7 +327,15 @@ def test_twobranch_frozen_tables():
     assert table_of(res.omega(0, 3)) == TWOBRANCH_03
     assert table_of(res.omega(1, 1)) == TWOBRANCH_11
     for form in res.omegas.values():
-        assert form.max_order() <= 2 * (3 * 1 - 2 + 1) + 2
+        assert max(k for key in form.table for _, k in key) <= \
+            2 * (3 * 1 - 2 + 1) + 2
+
+
+def test_twobranch_gaussian_F3():
+    # the same formula at g = 3: (1/42)/(6*4) * 4^4 * 2^-4 = 1/63
+    res = eo_differentials(twobranch_U(), 3, 1)
+    assert symplectic_invariants(res) == {2: Fraction(-1, 60),
+                                          3: Fraction(1, 63)}
 
 
 def test_twobranch_gaussian_F2():
@@ -493,6 +525,64 @@ def test_symmetry_verdict_matches_all_permutations(n, terms, symmetrize):
     brute = all(form.permuted(p).table == form.table
                 for p in itertools.permutations(range(n)))
     assert form.is_symmetric() == brute
+
+
+def add_term_permuted(form, perm):
+    out = PoleBasisForm(form.field, form.n)
+    for key, v in form.table.items():
+        out.add_term(tuple(key[p] for p in perm), v)
+    return out
+
+
+def add_term_scaled(form, c):
+    out = PoleBasisForm(form.field, form.n)
+    for key, v in form.table.items():
+        out.add_term(key, v * c)
+    return out
+
+
+def add_term_involution_image(form, kind, i):
+    out = PoleBasisForm(form.field, form.n)
+    for key, v in form.table.items():
+        s, k = key[i]
+        for k2, c in sigma_slot_image(kind, s, k):
+            out.add_term(key[:i] + ((s, k2),) + key[i + 1:], v * c)
+    return out
+
+
+@st.composite
+def forms_of_kind(draw):
+    kind = draw(st.sampled_from([ONE_BRANCH, TWO_BRANCH]))
+    n = draw(st.integers(1, 3))
+    points = [0] if kind == ONE_BRANCH else [1, -1]
+    slot = st.tuples(st.sampled_from(points), st.integers(2, 5))
+    table = draw(st.dictionaries(st.tuples(*[slot] * n),
+                                 st.fractions(min_value=-3, max_value=3),
+                                 max_size=6))
+    return kind, PoleBasisForm(QQ, n, table)
+
+
+@given(forms_of_kind(), st.data(),
+       st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3,
+                                                    max_value=3)))
+@settings(max_examples=80, deadline=None)
+def test_form_operations_match_add_term(kind_form, data, c):
+    kind, form = kind_form
+    perm = data.draw(st.permutations(range(form.n)))
+    i = data.draw(st.integers(0, form.n - 1))
+    assert form.permuted(perm) == add_term_permuted(form, perm)
+    assert form.scaled(c) == add_term_scaled(form, c)
+    assert form.involution_image(kind, i) == \
+        add_term_involution_image(form, kind, i)
+
+
+def test_involution_image_drops_a_cancelled_key():
+    # sigma maps xi_{1,3} to xi_{1,3} + xi_{1,2} and xi_{1,2} to -xi_{1,2}
+    form = PoleBasisForm(QQ, 2, {((1, 2), (1, 2)): Fraction(1),
+                                 ((1, 3), (1, 2)): Fraction(1)})
+    image = form.involution_image(TWO_BRANCH, 0)
+    assert image.table == {((1, 3), (1, 2)): Fraction(1)}
+    assert image == add_term_involution_image(form, TWO_BRANCH, 0)
 
 
 def test_evaluate_is_plain_pole_sum():
