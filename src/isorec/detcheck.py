@@ -34,8 +34,8 @@ from math import comb
 
 from . import grading
 from .errors import (CasePreconditionViolated, DegenerateAZero,
-                     IdentityFailed, IndexOutOfRange, PlanMismatch,
-                     TruncationTooShort, UnexpectedPole)
+                     IdentityFailed, IndexOutOfRange, InvalidPoleStructure,
+                     PlanMismatch, TruncationTooShort, UnexpectedPole)
 from .exactmath import (QQ, ExtElem, Poly, RatFn, local_expand,
                         partial_derivation, poly_gcd, split_linear_factors)
 from .hamflow import hbar_matrix_series, hbar_series
@@ -96,7 +96,8 @@ def m_next(k, history, ahat, beta, curve, dt):
     """One step of the recursion determining M^(k) from M^(0..k-1).
 
     `history` holds the earlier coefficients, `ahat` the polynomial
-    auxiliary matrix coefficients (both Mat2 over curve.cover), `beta` the
+    auxiliary matrix coefficients (both Mat2 over curve.cover), `curve` the
+    classical curve of A-hat^(0), so that curve.alpha is set, `beta` the
     cleared denominator as a RatFn over the scalar field, and dt(m, j) the
     time derivative at fixed x of m = M^(j).  The commutator equation
 
@@ -128,8 +129,7 @@ def m_next(k, history, ahat, beta, curve, dt):
             + history[j].b * history[k - j].c
         r4 = piece if r4 is None else r4 + piece
 
-    alpha = curve.alpha if curve.alpha is not None else RatFn.one(E, var)
-    s_root = ExtElem(curve.cover, RatFn.zero(E, var), -alpha)
+    s_root = ExtElem(curve.cover, RatFn.zero(E, var), -curve.alpha)
     half = RatFn.const(E, E.one() / E.coerce(2), var)
     dinv = (-a0.det()).inverse()
     m1 = -(a * r1 + c * r2) * half
@@ -365,6 +365,8 @@ def check_singularities(mser):
         growth = "bounded"
     elif degd == 1 and U.kind == ONE_BRANCH:
         growth = "half"
+    # z = 0 lies over x = infinity on the two-branch cover; in the bounded
+    # case it is not allowed, so a pole there is refused with the others
     allowed = list(U.branch_ints)
     if U.kind == TWO_BRANCH and growth is None:
         allowed.append(0)
@@ -392,16 +394,6 @@ def check_singularities(mser):
                 raise UnexpectedPole(
                     "M^(%d) grows like z^%d at infinity (bound %d)"
                     % (k, ddeg, bound))
-            if growth == "bounded" and _ord0(fz.den) > _ord0(fz.num):
-                raise UnexpectedPole(
-                    "M^(%d) has a pole at z = 0 in the bounded case" % k)
-
-
-def _ord0(p):
-    for i, c in enumerate(p.coeffs):
-        if c:
-            return i
-    return len(p.coeffs)
 
 
 # --- separated representation of multi-variable correlators ------------------
@@ -424,7 +416,8 @@ class ProductForm:
 
     def add(self, coef, facs, coup=None):
         if len(facs) != self.n:
-            raise ValueError("expected %d factors" % self.n)
+            raise InvalidPoleStructure(
+                "%d factors for a form in %d variables" % (len(facs), self.n))
         self.terms.append((coef, tuple(facs), dict(coup or {})))
 
     def __add__(self, other):
@@ -437,26 +430,6 @@ class ProductForm:
 
     def __sub__(self, other):
         return self + other.scaled(-self.U.field.one())
-
-    def evaluate(self, args):
-        """Plug in one scalar of the field per slot."""
-        E = self.U.field
-        if len(args) != self.n:
-            raise ValueError("expected %d arguments" % self.n)
-        xs = [self.U.x(a) for a in args]
-        tot = None
-        for coef, facs, coup in self.terms:
-            v = None
-            for f, arg in zip(facs, args):
-                fv = f(arg)
-                v = fv if v is None else v * fv
-            v = v * coef if v is not None else coef
-            for (i, j), e in coup.items():
-                d = xs[i] - xs[j]
-                for _ in range(e):
-                    v = v / d
-            tot = v if tot is None else tot + v
-        return E.zero() if tot is None else tot
 
     def permuted(self, perm):
         """Relabel slots: slot i of the result is slot perm[i] of self."""
@@ -480,19 +453,7 @@ class ProductForm:
     # -- exact zero test ------------------------------------------------
 
     def is_zero(self):
-        if not self.terms:
-            return True
-        probe = self._probe()
-        if probe:
-            return False
-        return _sep_zero(self.U.field, self._cleared())
-
-    def _probe(self):
-        # small primes: never branch z-points, never x-equal in pairs
-        E = self.U.field
-        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-        args = [E.coerce(b) for b in primes[:self.n]]
-        return self.evaluate(args)
+        return not self.terms or _sep_zero(self.U.field, self._cleared())
 
     def _cleared(self):
         """Common-denominator form: a list of (coef, [Poly per slot]).

@@ -33,7 +33,8 @@ class PoleCollision(IsorecError):
 
 class IndexOutOfRange(IsorecError):
     """An index outside its declared range: a (nu, i) Hamiltonian or
-    auxiliary index, or an hbar power that carries no term."""
+    auxiliary index, an hbar power that carries no term, or a recursion
+    range with gmax < 0 or nmax < 1."""
 
 
 class DegenerateOrbit(IsorecError):

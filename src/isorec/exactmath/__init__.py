@@ -11,14 +11,14 @@ from .ratfn import (RatFn, evaluate, local_expand, partial_fractions,
                     recombine, residue, residue_sum_check, roots_in_field,
                     split_linear_factors)
 from .series import (HbarSeries, INF, LocalSeries, Series,
-                     integer_numerators)
+                     integer_numerators, integer_product)
 
 __all__ = [
     "ExtElem", "FunctionField", "HbarSeries", "INF", "LocalSeries", "Poly",
     "QQ", "QuadraticExtension", "RatFn", "RationalField", "Series",
-    "adjoin_roots", "evaluate", "integer_numerators", "local_expand",
-    "parse_element", "partial_derivation", "partial_fractions", "poly_gcd",
-    "poly_sqrt", "recombine", "residue", "residue_sum_check",
+    "adjoin_roots", "evaluate", "integer_numerators", "integer_product",
+    "local_expand", "parse_element", "partial_derivation", "partial_fractions",
+    "poly_gcd", "poly_sqrt", "recombine", "residue", "residue_sum_check",
     "roots_in_field", "split_linear_factors", "squarefree_decomposition",
     "substitute",
 ]

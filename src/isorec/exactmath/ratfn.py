@@ -100,10 +100,6 @@ class RatFn:
             raise ValueError("not a polynomial: %s" % self)
         return self.num
 
-    def degree(self):
-        """deg num - deg den; the zero function reports -1."""
-        return self.num.degree() - self.den.degree()
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

@@ -268,17 +268,23 @@ def integer_numerators(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def integer_product(a, b, n):
+    """The first n coefficients of the product of two integer sequences."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i], i):
+                out[j] += x * y
+    return out
+
+
 def _mul_qq(a, b, n, zero):
     """The first n coefficients of the product of two windows over Q."""
     an, ad = integer_numerators(a[:n])
     bn, bd = integer_numerators(b[:n])
-    out = [0] * n
-    for i, x in enumerate(an):
-        if x:
-            for j, y in enumerate(bn[:n - i], i):
-                out[j] += x * y
     den = ad * bd
-    return [Fraction(c, den) if c else zero for c in out]
+    return [Fraction(c, den) if c else zero
+            for c in integer_product(an, bn, n)]
 
 
 def _inverse_qq(coeffs, zero):

@@ -117,14 +117,6 @@ class IsoSystem:
         self.tname = tname
         self.case = case
 
-    @property
-    def field(self):
-        return self.lax.field
-
-    @property
-    def var(self):
-        return self.lax.var
-
     def __repr__(self):
         return "IsoSystem(case=%r, t=%s)" % (self.case, self.tname)
 

@@ -33,10 +33,6 @@ class Mat2:
         return cls(z, z, z, z)
 
     @classmethod
-    def identity(cls, one, zero):
-        return cls(one, zero, zero, one)
-
-    @classmethod
     def sigma3(cls, one, zero):
         return cls(one, zero, zero, -one)
 

@@ -68,10 +68,10 @@ from math import comb, gcd, lcm
 from operator import itemgetter
 
 from . import grading
-from .errors import (NonSimpleBranchpoint, InvalidPoleStructure,
-                     TruncationTooShort, UnexpectedPole)
-from .exactmath import (QQ, RatFn, Series, integer_numerators, local_expand,
-                        partial_fractions)
+from .errors import (IndexOutOfRange, InvalidPoleStructure,
+                     NonSimpleBranchpoint, TruncationTooShort, UnexpectedPole)
+from .exactmath import (QQ, RatFn, Series, integer_numerators,
+                        integer_product, local_expand, partial_fractions)
 from .spectralcurve import ONE_BRANCH
 
 # factor-id tag of the m-th term of omega_{0,2}'s expansion at a branch point
@@ -151,15 +151,6 @@ class PoleBasisForm:
         if not c:
             return self._like({})
         return self._like({key: v * c for key, v in self.table.items()})
-
-    def __add__(self, other):
-        out = PoleBasisForm(self.field, self.n, self.table)
-        for key, v in other.table.items():
-            out.add_term(key, v)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scaled(-self.field.one())
 
     def permuted(self, perm):
         """Relabel variables: slot i of the result is slot perm[i].
@@ -515,12 +506,7 @@ def _cleared_product(x, y, top=None):
     kmin = xk + yk
     prec = min(xp + yk, yp + xk)
     n = (prec if top is None else min(prec, top)) - kmin
-    out = [0] * max(n, 0)
-    for i, c in enumerate(xn[:n]):
-        if c:
-            for j, d in enumerate(yn[:n - i], i):
-                out[j] += c * d
-    return kmin, prec, out, xd * yd
+    return kmin, prec, integer_product(xn, yn, max(n, 0)), xd * yd
 
 
 class RecursionResult:
@@ -672,7 +658,9 @@ def eo_differentials(U, gmax, nmax):
     each coefficient is restored from its weight (see the module docstring).
     """
     if gmax < 0 or nmax < 1:
-        raise ValueError("need gmax >= 0 and nmax >= 1")
+        raise IndexOutOfRange(
+            "the recursion needs gmax >= 0 and nmax >= 1, not %d and %d"
+            % (gmax, nmax))
     prec = 2 * (3 * gmax - 2 + nmax) + 4
     spec = grading.specialization(U)
     if spec is None:

@@ -1,23 +1,26 @@
 """The determinantal side on Painleve I through hbar^4: the projector-valued
 series M on the double cover, the equation it solves, and the correlators
 built from its traces, which verify_tt identifies with omega_{g,n} for
-n <= 3; the exact zero test of separated forms on both uniformization
-kinds; and the tau-function identities H_2 = -dF_1/dt, H_4 = -dF_2/dt and
+n <= 3; the singularity statements on hand-built M in both growth cases;
+the exact zero test of separated forms on both uniformization kinds; and
+the tau-function identities H_2 = -dF_1/dt, H_4 = -dF_2/dt and
 H_6 = -dF_3/dt."""
 
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from isorec import grading
-from isorec.detcheck import (CorrelatorSeries, ProductForm, _bergman_match,
-                             _sep_zero, correlators, m_series, tau_series,
-                             verify_tt)
-from isorec.errors import IndexOutOfRange, TruncationTooShort
-from isorec.exactmath import (QQ, FunctionField, RatFn, parse_element,
-                              substitute)
+from isorec.detcheck import (CorrelatorSeries, MSeries, ProductForm,
+                             _bergman_match, _sep_zero, check_singularities,
+                             correlators, m_series, tau_series, verify_tt)
+from isorec.errors import (IndexOutOfRange, InvalidPoleStructure,
+                           TruncationTooShort, UnexpectedPole)
+from isorec.exactmath import (QQ, ExtElem, FunctionField, RatFn,
+                              parse_element, substitute)
 from isorec.hamflow import extend_flow, flow_values, leading_order
 from isorec.isodeform import build_isosystem
 from isorec.laxsystem import Mat2, PoleData, SIGMA_PLUS, Sl2Lax
@@ -151,6 +154,63 @@ def test_product_form_transposition_check():
     # (f(z1) g(z2) - g(z1) f(z2)) / (x1 - x2) is symmetric
     pf.add(Fraction(-1), [g, f], {(0, 1): 1})
     assert (pf - pf.permuted([1, 0])).is_zero()
+
+
+def test_product_form_add_refuses_the_wrong_number_of_factors():
+    pf = ProductForm(curve_U("x"), 2)
+    with pytest.raises(InvalidPoleStructure):
+        pf.add(Fraction(1), [RatFn.one(QQ, "z")])
+
+
+# --- the singularity statements on hand-built M -------------------------------
+
+def _hand_mseries(q_text, k, entry):
+    """An MSeries on y^2 = Q(x) over Q whose M^(k) has the (1,1) entry
+    f + g y, entry = (f, g), and whose other entries vanish.
+
+    A-hat^(0) = [[0, Q], [1, 0]], so -det A-hat^(0) = Q picks the growth
+    case: bounded for deg Q = 2, half for deg Q = 1.
+    """
+    Fx = FunctionField(QQ, "x")
+    one = RatFn.one(QQ, "x")
+    L0 = Mat2(0 * one, parse_element(q_text, Fx), one, 0 * one)
+    curve = classical_curve(L0)
+    K = curve.cover
+    zero = K.coerce(0 * one)
+    f, g = (parse_element(t, Fx) for t in entry)
+    mats = [Mat2.zero(zero) for _ in range(k)]
+    mats.append(Mat2(ExtElem(K, f, g), zero, zero, zero))
+    lax = [L0.map(K.coerce)]
+    return MSeries(curve, uniformize(curve), k, mats, lax, lax, one)
+
+
+@pytest.mark.parametrize("entry, message", [
+    # (x - 2) - y = 1/z: z = 0 lies over x = infinity
+    (("x-2", "-1"), "pole at z = 0"),
+    # (x - 2) + y = z
+    (("x-2", "1"), "grows like z^1"),
+    # 2z/(z^2 - 6z + 1), with irrational roots 3 +- 2 sqrt 2
+    (("1/(x-5)", "0"), "poles at zeros of"),
+])
+def test_check_singularities_refuses_in_the_bounded_case(entry, message):
+    mser = _hand_mseries("(x-1)*(x-3)", 0, entry)
+    with pytest.raises(UnexpectedPole, match=re.escape(message)):
+        check_singularities(mser)
+
+
+def test_check_singularities_accepts_a_bounded_branchpoint_pole():
+    # y/(x - 1) = (z - 1)/(z + 1): a pole at the branch z-point -1
+    check_singularities(_hand_mseries("(x-1)*(x-3)", 0, ("0", "1/(x-1)")))
+
+
+def test_check_singularities_half_case_bound_drops_after_order_0():
+    # 1 + 1/x = (z^2 + 1)/z^2 has degree 0 in z: allowed in M^(0) (bound
+    # 1), refused in M^(1) (bound -1)
+    entry = ("1 + 1/x", "0")
+    check_singularities(_hand_mseries("x", 0, entry))
+    with pytest.raises(UnexpectedPole,
+                       match=re.escape("M^(1) grows like z^0")):
+        check_singularities(_hand_mseries("x", 1, entry))
 
 
 # --- the exact zero test on both uniformization kinds ------------------------

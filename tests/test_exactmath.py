@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from isorec.errors import IrreducibleDenominator, TruncationTooShort
 from isorec.exactmath import (
     INF, FunctionField, HbarSeries, Poly, QQ,
-    QuadraticExtension, RatFn, local_expand, parse_element,
+    QuadraticExtension, RatFn, integer_product, local_expand, parse_element,
     Series, partial_fractions, poly_gcd, poly_sqrt, recombine, residue,
     residue_sum_check, roots_in_field, squarefree_decomposition,
 )
@@ -184,6 +184,14 @@ def test_local_expand_is_multiplicative(f, g, K):
     rhs = local_expand(f, Fraction(0), K) * local_expand(g, Fraction(0), K)
     prec = min(lhs.prec, rhs.prec)
     assert lhs.truncate(prec) == rhs.truncate(prec)
+
+
+@given(st.lists(st.integers(-9, 9), max_size=6),
+       st.lists(st.integers(-9, 9), max_size=6), st.integers(0, 8))
+def test_integer_product_is_the_truncated_convolution(a, b, n):
+    want = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(n)]
+    assert integer_product(a, b, n) == want
 
 
 def test_residue_matches_expansion_coefficient():

@@ -8,7 +8,7 @@ from isorec.detcheck import beta_factor
 from isorec.errors import (CasePreconditionViolated, NoDeformation,
                            OrderMismatch)
 from isorec.exactmath import (QQ, FunctionField, HbarSeries,
-                              QuadraticExtension, parse_element)
+                              QuadraticExtension, RatFn, parse_element)
 from isorec.hamflow import extend_flow, leading_order
 from isorec.isodeform import (CASE_HIGHER_POLE, CASE_INFINITY,
                               CASE_SIMPLE_POLE, DeformCase,
@@ -124,6 +124,31 @@ def test_build_moving_pole():
     assert p.degree() == 1
     # residue term only: A = B/(x-t)
     assert all(e.as_poly().degree() <= 0 for e in ahat.entries())
+
+
+@pytest.mark.parametrize("beta", ["3", "t"])
+@pytest.mark.parametrize("kind, rows", [
+    (SIGMA3, (("1", "0"), ("0", "-1"))),
+    (SIGMA_PLUS, (("0", "1"), ("0", "0"))),
+])
+def test_fuchsian_beta_adds_the_kind_matrix(kind, rows, beta):
+    # r0 = -1: the residue at infinity is fixed to minus the kind matrix,
+    # and beta shifts A by 2 beta times that matrix
+    F = QQ
+    m1 = mat(F, (("1", "2"), ("3", "-1")))
+    m2 = mat(F, (("0", "1"), ("1", "0")))
+    m3 = -(mat(F, rows) + m1 + m2)
+    pd = PoleData((Fraction(0), Fraction(1), Fraction(2)), (1, 1, 1), -1,
+                  kind)
+    sys = Sl2Lax(F, pd, {(1, 1): m1, (2, 1): m2, (3, 1): m3})
+    plain = build_isosystem(sys)
+    shifted = build_isosystem(sys, beta=beta)
+    E = shifted.lax.field
+    two_beta = 2 * parse_element(beta, E)
+    assert shifted.lax.coeffs == plain.lax.coeffs
+    assert shifted.aux - plain.aux == mat(E, rows).map(
+        lambda e: RatFn.const(E, e * two_beta, "x"))
+    assert not explicit_time_residual(shifted)
 
 
 def test_build_weighted_pole_identity():

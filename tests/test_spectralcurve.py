@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,22 @@ def test_quadratic_extension_branchpoints():
     u = parse_element("u", E2)
     assert (U.a, U.b) == (-u, u)
     assert pullback(C.Q, U) == U.y * U.y
+
+
+def test_uniformization_json():
+    keys = {"kind", "a", "b", "x", "y", "extension"}
+    airy = uniformize(classical_curve(airy_matrix())).to_json()
+    assert set(airy) == keys
+    assert (airy["kind"], airy["a"], airy["b"]) == (ONE_BRANCH, "0", None)
+    assert (airy["x"], airy["y"]) == ("z^2", "z")
+    assert airy["extension"] is None
+    # the branch points +-sqrt(2) of y^2 = x^2 - 2 make uniformize adjoin u
+    blob = uniformize(classical_curve(
+        xmat(QQ, ("0", "x^2 - 2", "1", "0")))).to_json()
+    assert set(blob) == keys
+    assert (blob["kind"], blob["a"], blob["b"]) == (TWO_BRANCH, "-u", "u")
+    assert blob["extension"] == {"name": "u", "square": "2"}
+    assert json.loads(json.dumps(blob)) == blob
 
 
 def test_higher_genus_rejected():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isorec.errors import (InvalidPoleStructure, NonSimpleBranchpoint,
-                           TruncationTooShort, UnexpectedPole)
+from isorec.errors import (IndexOutOfRange, InvalidPoleStructure,
+                           NonSimpleBranchpoint, TruncationTooShort,
+                           UnexpectedPole)
 from isorec.exactmath import (QQ, FunctionField, RatFn, parse_element,
                               residue)
 from isorec.hamflow import leading_order
@@ -623,9 +624,9 @@ def test_json_shape_and_determinism():
 
 
 def test_gmax_nmax_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(IndexOutOfRange):
         eo_differentials(airy_U(), -1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(IndexOutOfRange):
         eo_differentials(airy_U(), 1, 0)
 
 
