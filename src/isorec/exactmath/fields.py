@@ -7,7 +7,9 @@ and to_str() for canonical printing.  Elements are plain values: Fraction
 over Q, RatFn over Q(t), ExtElem over a quadratic extension.
 
 Escalation up the tower is always explicit — nothing here invents new
-algebraic numbers behind the caller's back.
+algebraic numbers behind the caller's back.  adjoin_roots is the only code
+that grows a scalar field, by one square root u at most; the one other
+QuadraticExtension in the package is the spectral curve's y-cover over E(x).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ..errors import UnsolvableInTower
 from .poly import Poly, poly_sqrt
 from .ratfn import RatFn
 
@@ -393,17 +396,23 @@ class QuadraticExtension:
                                 self.base.to_str(self.r))
 
 
-def adjoin_roots(quad, uname):
+def adjoin_roots(quad):
     """Both roots of a monic irreducible quadratic X^2 + bX + c over E.
 
-    Adjoins u with u^2 = -c when b = 0, else u^2 = b^2 - 4c.  Returns
-    (extension, modulus, (minus, plus)) with the roots -u and u, or
-    (-b - u)/2 and (-b + u)/2.
+    The one place a scalar field grows: adjoins u with u^2 = -c when b = 0,
+    else u^2 = b^2 - 4c.  Returns (extension, modulus, (minus, plus)) with
+    the roots -u and u, or (-b - u)/2 and (-b + u)/2.  When E is already a
+    quadratic extension it raises UnsolvableInTower: the tower holds one
+    root at most.
     """
     E = quad.field
+    if isinstance(E, QuadraticExtension):
+        raise UnsolvableInTower(
+            "%s = 0 needs a second quadratic extension of %r"
+            % (quad.to_str(E.to_str), E))
     b, c = quad.coeff(1), quad.coeff(0)
     modulus = b * b - E.coerce(4) * c if b else -c
-    ext = QuadraticExtension(E, modulus, uname)
+    ext = QuadraticExtension(E, modulus, "u")
     u = ext.u()
     if not b:
         return ext, modulus, (-u, u)

@@ -9,6 +9,8 @@ as truncated series q = sum q_k h^k, p = sum p_k h^k.  The leading order is
 a critical point of H in (p, q); each next order is a 2x2 linear solve
 against the Hessian there.  Coefficients stay in Q(t) or a single quadratic
 extension Q(t)[u]/(u^2 - r(t)) — the derivation knows u' = r' u / (2r).
+The critical point's extension, when one is needed, comes from
+exactmath.adjoin_roots, which refuses to extend a second time.
 
 flow_values is the one way to evaluate a tower element along a flow;
 hbar_series and hbar_matrix_series build on it to expand rational functions
@@ -33,14 +35,13 @@ class LeadingOrder:
     picked.
     """
 
-    __slots__ = ("field", "p0", "q0", "modulus", "uname", "root")
+    __slots__ = ("field", "p0", "q0", "modulus", "root")
 
     def __init__(self, field, p0, q0, modulus=None, root="plus"):
         self.field = field
         self.p0 = field.coerce(p0)
         self.q0 = field.coerce(q0)
         self.modulus = modulus
-        self.uname = "u"
         self.root = root
 
     def __repr__(self):
@@ -76,7 +77,7 @@ class FlowSeries:
         if self.lead is not None and self.lead.modulus is not None:
             base = self.field.base
             blob["extension"] = {
-                "name": self.lead.uname,
+                "name": self.field.uname,
                 "square": base.to_str(self.lead.modulus),
                 "root": self.lead.root,
             }
@@ -116,7 +117,7 @@ def _factor_roots(poly, root):
     if quad is None:
         raise UnsolvableInTower(
             "no critical point within one quadratic extension of %r" % (E,))
-    ext, modulus, (minus, plus) = adjoin_roots(quad, "u")
+    ext, modulus, (minus, plus) = adjoin_roots(quad)
     return (plus if root == "plus" else minus), ext, modulus
 
 
@@ -124,9 +125,11 @@ def leading_order(H, root="plus"):
     """Critical point of H in the Darboux pair, over Q(t) or one
     quadratic extension.
 
-    Both partial derivatives vanish exactly at the returned point.  When
-    the critical equation is an irreducible quadratic, `root` selects the
-    branch ("plus" or "minus"); deeper extensions are refused.
+    H must be quadratic in p, as the Hamiltonians of sl2 Lax systems are:
+    dH/dp = 0 is solved for p, and dH/dq = 0 then for q.  Both partial
+    derivatives vanish exactly at the returned point.  When the critical
+    equation is an irreducible quadratic, `root` selects the branch ("plus"
+    or "minus"); deeper extensions are refused.
     """
     E, qname, pname, F = _split_tower(H)
     Hp = H.deriv()
@@ -134,46 +137,22 @@ def leading_order(H, root="plus"):
     if not Hp.is_poly() or not Hq.is_poly():
         raise TypeError("H must be polynomial in the Darboux pair")
     np_ = Hp.as_poly()
-
-    if np_.degree() == 1:
-        # p enters dH/dp linearly: eliminate it, then solve in q alone
-        c1 = np_.coeff(1)
-        psol = -np_.coeff(0) / c1
-        g = Hq(psol)
-        if not g:
-            raise UnsolvableInTower(
-                "critical locus is a curve, not a point")
-        q0, field, modulus = _factor_roots(g.num, root)
-        try:
-            p0 = evaluate(psol, q0, field)
-        except ZeroDivisionError:
-            raise UnsolvableInTower(
-                "eliminated momentum has a pole at the critical point")
-        return LeadingOrder(field, p0, q0, modulus, root=root)
-
-    if np_.degree() == 0:
-        cq = np_.coeff(0)
-        if not cq:
-            raise UnsolvableInTower("dH/dp vanishes identically")
-        if cq.is_poly() and cq.as_poly().degree() < 1:
-            raise UnsolvableInTower(
-                "dH/dp is a nonzero constant: no critical point")
-        # dH/dp depends on q only: root it, then solve dH/dq for p
-        q0, field, modulus = _factor_roots(cq.num, root)
-        hq_at = Hq.map_coeffs(lambda e: evaluate(e, q0, field), field)
-        if not hq_at:
-            raise UnsolvableInTower("critical locus is a curve, not a point")
-        p0, field2, modulus2 = _factor_roots(hq_at.num, root)
-        if modulus is not None and modulus2 is not None:
-            raise UnsolvableInTower(
-                "critical point needs two independent extensions")
-        out_field = field2 if modulus2 is not None else field
-        return LeadingOrder(out_field, p0, q0, modulus or modulus2,
-                            root=root)
-
-    raise UnsolvableInTower(
-        "dH/dp has degree %s in p; supply the critical point explicitly"
-        % np_.degree())
+    if np_.degree() != 1:
+        raise UnsolvableInTower(
+            "dH/dp has degree %s in p; supply the critical point explicitly"
+            % np_.degree())
+    # p enters dH/dp linearly: eliminate it, then solve in q alone
+    psol = -np_.coeff(0) / np_.coeff(1)
+    g = Hq(psol)
+    if not g:
+        raise UnsolvableInTower("critical locus is a curve, not a point")
+    q0, field, modulus = _factor_roots(g.num, root)
+    try:
+        p0 = evaluate(psol, q0, field)
+    except ZeroDivisionError:
+        raise UnsolvableInTower(
+            "eliminated momentum has a pole at the critical point")
+    return LeadingOrder(field, p0, q0, modulus, root=root)
 
 
 def _cap(series, prec):

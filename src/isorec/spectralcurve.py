@@ -21,7 +21,7 @@ to rational functions of z.
 from __future__ import annotations
 
 from .errors import (ConfluentBranchpoints, HigherGenus, NilpotentLeading,
-                     NoBranchpoints, NotProportional, UnsolvableInTower)
+                     NoBranchpoints, NotProportional)
 from .exactmath import (ExtElem, Poly, QuadraticExtension, RatFn,
                         adjoin_roots, evaluate, squarefree_decomposition,
                         split_linear_factors, substitute)
@@ -131,11 +131,10 @@ class Uniformization:
     """
 
     __slots__ = ("kind", "field", "zvar", "a", "b", "x", "y", "sigma",
-                 "branch_ints", "branch_zpoints", "modulus", "uname",
-                 "point")
+                 "branch_ints", "branch_zpoints", "modulus", "point")
 
     def __init__(self, kind, field, zvar, a, b, x, y, modulus=None,
-                 uname=None, point=None):
+                 point=None):
         self.kind = kind
         self.field = field
         self.zvar = zvar
@@ -144,7 +143,6 @@ class Uniformization:
         self.x = x
         self.y = y
         self.modulus = modulus
-        self.uname = uname
         self.point = point
         z = RatFn.gen(field, zvar)
         if kind == TWO_BRANCH:
@@ -181,7 +179,7 @@ class Uniformization:
                 "x": self.x.to_str(fmt), "y": self.y.to_str(fmt)}
         blob["b"] = fmt(self.b) if self.b is not None else None
         if self.modulus is not None:
-            blob["extension"] = {"name": self.uname,
+            blob["extension"] = {"name": self.field.uname,
                                  "square": self.field.base.to_str(
                                      self.modulus)}
         else:
@@ -197,16 +195,16 @@ def _two_roots(red, E):
     roots, rest = split_linear_factors(red)
     if len(roots) == 2:
         return roots[0][0], roots[1][0], E, None
-    ext, modulus, (minus, plus) = adjoin_roots(red, "u")
+    ext, modulus, (minus, plus) = adjoin_roots(red)
     return minus, plus, ext, modulus
 
 
 def uniformize(curve):
     """Exact rational parametrization of the reduced curve.
 
-    This is the one place the scalar field may grow: quadratic branchpoints
-    and a non-square leading constant each cost one extension, and only one
-    in total is allowed.
+    Quadratic branchpoints and a non-square leading constant each need a
+    square root; exactmath.adjoin_roots, the one place the scalar field
+    grows, adjoins it and refuses a second one.
     """
     E = curve.field
     red = curve.reduced
@@ -222,23 +220,14 @@ def uniformize(curve):
     if deg == 2:
         a, b, E2, modulus = _two_roots(red, E)
     else:
-        a = -red.coeff(0)
-        b = None
-        E2 = E
-    c = E2.coerce(curve.c) if modulus is not None else curve.c
+        a, b, E2 = -red.coeff(0), None, E
+    c = E2.coerce(curve.c)
     yc = E2.sqrt(c)
     if yc is None:
-        if modulus is not None:
-            raise UnsolvableInTower(
-                "leading coefficient %s is not a square over the extended "
-                "field" % E.to_str(curve.c))
-        E2 = QuadraticExtension(E, c, "u")
-        modulus = c
-        yc = E2.u()
-        if b is not None:
-            a, b = E2.coerce(a), E2.coerce(b)
-        else:
-            a = E2.coerce(a)
+        E2, modulus, (_, yc) = adjoin_roots(
+            Poly(E2, [-c, E2.zero(), E2.one()], "X"))
+        a = E2.coerce(a)
+        b = None if b is None else E2.coerce(b)
 
     zf = FunctionField(E2, "z")
     z = zf.gen()
@@ -258,8 +247,7 @@ def uniformize(curve):
         sq = sq.map_coeffs(E2.coerce, E2)
     y = sq(x) * yc * ysqrt
     kind = TWO_BRANCH if deg == 2 else ONE_BRANCH
-    return Uniformization(kind, E2, "z", a, b, x, y, modulus,
-                          "u" if modulus is not None else None)
+    return Uniformization(kind, E2, "z", a, b, x, y, modulus)
 
 
 def curve_from_system(iso, lead):

@@ -87,6 +87,12 @@ def test_leading_order_critical_curve():
         leading_order(parse_element("p^2", F))
 
 
+def test_leading_order_refuses_h_linear_in_p():
+    # the Hamiltonians of sl2 Lax systems are quadratic in p = L11(q)
+    with pytest.raises(UnsolvableInTower, match="degree 0 in p"):
+        leading_order(parse_element("p*q - t*p + q^2", pq_field()))
+
+
 # --- order-by-order corrections ----------------------------------------------
 
 

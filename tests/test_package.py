@@ -1,6 +1,6 @@
 """Package-level checks: declared console scripts resolve, no module in
-src/ or tests/ imports a name it never uses, and no module in src/ reads
-the environment."""
+src/ or tests/ imports a name it never uses, no module in src/ reads the
+environment, and only exactmath.adjoin_roots grows a scalar field."""
 
 import ast
 import importlib
@@ -110,3 +110,59 @@ def test_environment_scan_sees_aliases_and_imported_names(tmp_path):
                    "print(ge('C'), os.getpid())\n")
     assert environment_reads(src) == [(3, "os.getenv"), (5, "os.environ"),
                                       (5, "os.getenv")]
+
+
+def quadratic_extension_calls(path):
+    """(line, scope) of every call of QuadraticExtension in a module, by its
+    own name, an alias or an attribute; scope is the dotted path of the
+    enclosing classes and functions, "" at module level."""
+    tree = ast.parse(path.read_text(), str(path))
+    names = {"QuadraticExtension"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.asname for alias in node.names
+                      if alias.name == "QuadraticExtension" and alias.asname}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if ((isinstance(func, ast.Name) and func.id in names)
+                        or (isinstance(func, ast.Attribute)
+                            and func.attr == "QuadraticExtension")):
+                    found.append((child.lineno, ".".join(scope)))
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(found)
+
+
+def test_only_adjoin_roots_grows_a_scalar_field():
+    # the tower holds one square root, adjoined and named in one place; the
+    # spectral curve's y-cover over E(x) is the other extension, not a scalar
+    found = {(p.relative_to(ROOT).as_posix(), scope)
+             for p in sorted((ROOT / "src").rglob("*.py"))
+             for _line, scope in quadratic_extension_calls(p)}
+    assert found == {("src/isorec/exactmath/fields.py", "adjoin_roots"),
+                     ("src/isorec/spectralcurve.py",
+                      "ClassicalCurve.__init__")}
+
+
+def test_extension_scan_sees_scopes_aliases_and_attributes(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from isorec import exactmath\n"
+                   "from isorec.exactmath import QuadraticExtension as QE\n"
+                   "K = QE(None, 2)\n"
+                   "class C:\n"
+                   "    def f(self):\n"
+                   "        def g():\n"
+                   "            return exactmath.QuadraticExtension(1, 2)\n"
+                   "        return g, 'QuadraticExtension(1, 2)'\n"
+                   "def h(ext=QE):\n"
+                   "    return ext\n")
+    assert quadratic_extension_calls(src) == [(3, ""), (7, "C.f.g")]

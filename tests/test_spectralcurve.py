@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isorec.errors import (ConfluentBranchpoints, HigherGenus,
-                           NilpotentLeading, NoBranchpoints, NotProportional)
-from isorec.exactmath import (QQ, ExtElem, FunctionField, parse_element,
-                              partial_derivation)
+                           NilpotentLeading, NoBranchpoints, NotProportional,
+                           UnsolvableInTower)
+from isorec.exactmath import (QQ, ExtElem, FunctionField, QuadraticExtension,
+                              parse_element, partial_derivation)
 from isorec.hamflow import leading_order
 from isorec.isodeform import build_isosystem
 from isorec.laxsystem import Mat2, PoleData, SIGMA_PLUS, Sl2Lax
 from isorec.spectralcurve import (ONE_BRANCH, TWO_BRANCH, classical_curve,
                                   curve_from_system, leading_matrices,
                                   pullback, uniformize)
+from isorec.toprec import eo_differentials
 
 
 def tower(*names):
@@ -165,6 +167,35 @@ def test_uniformization_json():
     assert (blob["kind"], blob["a"], blob["b"]) == (TWO_BRANCH, "-u", "u")
     assert blob["extension"] == {"name": "u", "square": "2"}
     assert json.loads(json.dumps(blob)) == blob
+
+
+def test_non_square_constant_adjoins_u():
+    # y^2 = 2x: the leading constant 2 costs the one extension, u^2 = 2
+    U = uniformize(classical_curve(xmat(QQ, ("0", "2*x", "1", "0"))))
+    blob = U.to_json()
+    assert blob["extension"] == {"name": "u", "square": "2"}
+    assert (blob["x"], blob["y"]) == ("z^2", "u*z")
+    assert U.field.base == QQ
+    assert (1, 1) in eo_differentials(U, 1, 1).omegas
+
+
+def _over_u_squared_2t():
+    Qt = tower("t")
+    return QuadraticExtension(Qt, parse_element("2*t", Qt), "u")
+
+
+@pytest.mark.parametrize("field, q_text", [
+    # branchpoints +-sqrt(t) over Q(t)[u], u^2 = 2t
+    (_over_u_squared_2t(), "x^2 - t"),
+    # leading constant t over the same field
+    (_over_u_squared_2t(), "t*x"),
+    # branchpoints +-u with u^2 = 2, then the constant 3
+    (QQ, "3*(x^2 - 2)"),
+])
+def test_second_extension_refused(field, q_text):
+    curve = classical_curve(xmat(field, ("0", q_text, "1", "0")))
+    with pytest.raises(UnsolvableInTower, match="second quadratic extension"):
+        uniformize(curve)
 
 
 def test_higher_genus_rejected():
