@@ -42,7 +42,10 @@ class DegenerateOrbit(IsorecError):
 
 
 class InvalidPoleStructure(IsorecError):
-    """A rational function does not define a valid pole layout."""
+    """Input that breaks a declared pole layout: mismatched or negative
+    orders, an unknown leading kind, a Lax coefficient with a trace, a pole
+    or residue where none may be, or a factor count that does not match a
+    form."""
 
 
 # --- deformation layer -----------------------------------------------------
@@ -84,6 +87,11 @@ class NoBranchpoints(IsorecError):
 
 class ConfluentBranchpoints(IsorecError):
     """The two branchpoints coincide; the double cover degenerates."""
+
+
+class InvalidUniformization(IsorecError):
+    """A parametrization x(z), y(z) that is not a degree-2 cover with the
+    declared involution and branch z-points."""
 
 
 class NonSimpleBranchpoint(IsorecError):

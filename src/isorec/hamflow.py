@@ -168,7 +168,7 @@ def _cap(series, prec):
 def flow_values(flow, prec):
     """Assignment that makes substitute() evaluate along a flow.
 
-    `flow` is anything with .q, .p, .field and optional .qname/.pname.
+    `flow` is anything with .q, .p, .field, .qname and .pname.
     Every generator of flow.field stands for itself and the Darboux pair
     for the flow's series cut to hbar^(prec-1).  Returns (values, one) for
     substitute(elem, values, one), which then yields an hbar series.
@@ -180,8 +180,8 @@ def flow_values(flow, prec):
         return Series.constant(v, prec, zE)
 
     vals = {name: const(g) for name, g in _generators(E).items()}
-    vals[getattr(flow, "qname", "q")] = _cap(flow.q, prec)
-    vals[getattr(flow, "pname", "p")] = _cap(flow.p, prec)
+    vals[flow.qname] = _cap(flow.q, prec)
+    vals[flow.pname] = _cap(flow.p, prec)
     return vals, const(E.one())
 
 

@@ -40,12 +40,14 @@ class DeformCase:
     def __init__(self, kind, nu=0):
         kind = int(kind)
         if kind not in (CASE_SIMPLE_POLE, CASE_HIGHER_POLE, CASE_INFINITY):
-            raise ValueError("case kind must be 1, 2 or 3")
+            raise CasePreconditionViolated("case kind must be 1, 2 or 3")
         if kind == CASE_INFINITY:
             if nu:
-                raise ValueError("the infinity case carries no pole index")
+                raise CasePreconditionViolated(
+                    "the infinity case carries no pole index")
         elif nu < 1:
-            raise ValueError("finite-pole cases need a pole index nu >= 1")
+            raise CasePreconditionViolated(
+                "finite-pole cases need a pole index nu >= 1")
         self.kind = kind
         self.nu = int(nu)
 
@@ -292,8 +294,8 @@ def compatibility_residual(iso, flow, order):
     """h dL/dt - h dA/dx - [A, L] with the Darboux pair fed by `flow`.
 
     `flow` supplies truncated series q, p over a differential field that
-    contains the time (anything with .q, .p, .field and optional
-    .qname/.pname works).  Returns the residual as a truncated series whose
+    contains the time (anything with .q, .p, .field, .qname and .pname
+    works).  Returns the residual as a truncated series whose
     coefficients are matrices of rational functions in x; it vanishes
     identically through the requested order iff the flow solves Hamilton's
     equations there.

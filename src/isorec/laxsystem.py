@@ -112,13 +112,14 @@ class PoleData:
         points = tuple(points)
         orders = tuple(int(o) for o in orders)
         if len(points) != len(orders):
-            raise ValueError("one order per pole point required")
+            raise InvalidPoleStructure("one order per pole point required")
         if any(o < 1 for o in orders):
-            raise ValueError("finite pole orders must be >= 1")
+            raise InvalidPoleStructure("finite pole orders must be >= 1")
         if r0 < -1:
-            raise ValueError("infinity order must be >= -1")
+            raise InvalidPoleStructure("infinity order must be >= -1")
         if kind not in (SIGMA3, SIGMA_PLUS):
-            raise ValueError("leading kind must be sigma3 or sigma_plus")
+            raise InvalidPoleStructure(
+                "leading kind must be sigma3 or sigma_plus")
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
                 if points[i] == points[j]:
@@ -170,8 +171,8 @@ class Sl2Lax:
             nu, i = key
             self._check_index(nu, i)
             if not m.is_trace_free():
-                raise ValueError("coefficient matrix %s is not trace-free"
-                                 % (key,))
+                raise InvalidPoleStructure(
+                    "coefficient matrix %s is not trace-free" % (key,))
             if m:
                 clean[key] = m
         self.coeffs = clean

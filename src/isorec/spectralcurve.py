@@ -20,8 +20,9 @@ to rational functions of z.
 
 from __future__ import annotations
 
-from .errors import (ConfluentBranchpoints, HigherGenus, NilpotentLeading,
-                     NoBranchpoints, NotProportional)
+from .errors import (ConfluentBranchpoints, HigherGenus, InvalidPoleStructure,
+                     InvalidUniformization, NilpotentLeading, NoBranchpoints,
+                     NotProportional)
 from .exactmath import (ExtElem, Poly, QuadraticExtension, RatFn,
                         adjoin_roots, evaluate, squarefree_decomposition,
                         split_linear_factors, substitute)
@@ -69,7 +70,7 @@ def classical_curve(L0, A0=None):
     proportionality, so a failure means inadmissible input.
     """
     if not L0.is_trace_free():
-        raise ValueError("leading Lax matrix must be trace-free")
+        raise InvalidPoleStructure("leading Lax matrix must be trace-free")
     some = L0.b or L0.a or L0.c
     if not some:
         raise NilpotentLeading("leading Lax matrix vanishes identically")
@@ -156,18 +157,20 @@ class Uniformization:
             self.branch_ints = (0,)
         self.branch_zpoints = tuple(field.coerce(s) for s in self.branch_ints)
         if self.apply_sigma(x) != x:
-            raise ValueError("x is not involution-invariant")
+            raise InvalidUniformization("x is not involution-invariant")
         if self.apply_sigma(y) != -y:
-            raise ValueError("y is not involution-odd")
+            raise InvalidUniformization("y is not involution-odd")
         num = x.deriv().num
         zg = Poly.gen(field, zvar)
         for s in self.branch_zpoints:
             num, rem = divmod(num, zg - s)
             if rem:
-                raise ValueError("dx does not vanish at branch z-point %s"
-                                 % field.to_str(s))
+                raise InvalidUniformization(
+                    "dx does not vanish at branch z-point %s"
+                    % field.to_str(s))
         if num.degree() != 0:
-            raise ValueError("dx vanishes away from the branch z-points")
+            raise InvalidUniformization(
+                "dx vanishes away from the branch z-points")
 
     def apply_sigma(self, f):
         """Pull a rational function of z back through sigma."""

@@ -203,6 +203,19 @@ def test_check_singularities_accepts_a_bounded_branchpoint_pole():
     check_singularities(_hand_mseries("(x-1)*(x-3)", 0, ("0", "1/(x-1)")))
 
 
+def test_check_singularities_allows_z_0_without_a_growth_bound():
+    # -det A-hat^(0) = (x-1)(x-3)/(x-5)^2 is no polynomial, so neither growth
+    # case holds and z = 0, over x = infinity, may carry a pole: x has one
+    entry = ("x", "0")
+    check_singularities(_hand_mseries("(x-1)*(x-3)/(x-5)^2", 0, entry))
+    with pytest.raises(UnexpectedPole, match=re.escape("pole at z = 0")):
+        check_singularities(_hand_mseries("(x-1)*(x-3)", 0, entry))
+    # 1/(x-4) = 2z/(z^2 - 4z + 1) still has its poles at 2 +- sqrt 3
+    with pytest.raises(UnexpectedPole, match=re.escape("poles at zeros of")):
+        check_singularities(
+            _hand_mseries("(x-1)*(x-3)/(x-5)^2", 0, ("1/(x-4)", "0")))
+
+
 def test_check_singularities_half_case_bound_drops_after_order_0():
     # 1 + 1/x = (z^2 + 1)/z^2 has degree 0 in z: allowed in M^(0) (bound
     # 1), refused in M^(1) (bound -1)

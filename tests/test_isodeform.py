@@ -83,6 +83,14 @@ def test_case_precondition_errors():
         DeformCase(CASE_HIGHER_POLE, 2).validate(pd)
 
 
+@pytest.mark.parametrize("kind, nu", [
+    (4, 0), (CASE_INFINITY, 1), (CASE_SIMPLE_POLE, 0), (CASE_HIGHER_POLE, -1),
+])
+def test_deform_case_refuses_bad_kind_or_index(kind, nu):
+    with pytest.raises(CasePreconditionViolated):
+        DeformCase(kind, nu)
+
+
 # --- building the deformed pair ----------------------------------------------
 
 
@@ -279,6 +287,8 @@ class _Flow:
         self.field = field
         self.q = q
         self.p = p
+        self.qname = "q"
+        self.pname = "p"
 
 
 def _p1_leading_flow(prec):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from isorec.errors import DegenerateOrbit, IndexOutOfRange, PoleCollision
+from isorec.errors import (DegenerateOrbit, IndexOutOfRange,
+                           InvalidPoleStructure, PoleCollision)
 from isorec.exactmath import (FunctionField, HbarSeries, QQ, RatFn,
                               parse_element)
 from isorec.laxsystem import (Mat2, PoleData, SIGMA3, SIGMA_PLUS, Sl2Lax,
@@ -90,6 +91,24 @@ def test_assemble_fuchsian_three_poles():
 def test_pole_collision_rejected():
     with pytest.raises(PoleCollision):
         PoleData((Fraction(1), Fraction(1)), (1, 1), 0, SIGMA3)
+
+
+@pytest.mark.parametrize("points, orders, r0, kind, message", [
+    ((Fraction(0),), (1, 2), 0, SIGMA3, "one order per pole point"),
+    ((Fraction(0),), (0,), 0, SIGMA3, "finite pole orders must be >= 1"),
+    ((), (), -2, SIGMA3, "infinity order must be >= -1"),
+    ((), (), 1, "sigma1", "leading kind must be"),
+])
+def test_pole_data_refuses_bad_layouts(points, orders, r0, kind, message):
+    with pytest.raises(InvalidPoleStructure, match=message):
+        PoleData(points, orders, r0, kind)
+
+
+def test_sl2lax_refuses_a_coefficient_with_trace():
+    F = tower("q")
+    with pytest.raises(InvalidPoleStructure, match="not trace-free"):
+        Sl2Lax(F, PoleData((), (), 1, SIGMA_PLUS),
+               {(0, 1): mat(F, (("1", "q"), ("0", "0")))})
 
 
 # --- hamiltonians -----------------------------------------------------------

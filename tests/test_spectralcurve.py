@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isorec.errors import (ConfluentBranchpoints, HigherGenus,
+                           InvalidPoleStructure, InvalidUniformization,
                            NilpotentLeading, NoBranchpoints, NotProportional,
                            UnsolvableInTower)
 from isorec.exactmath import (QQ, ExtElem, FunctionField, QuadraticExtension,
@@ -59,6 +60,11 @@ def test_airy_curve():
     assert C.Q == parse_element("x", Fx)
     assert C.reduced.degree() == 1
     assert C.c == Fraction(1)
+
+
+def test_leading_matrix_with_trace_rejected():
+    with pytest.raises(InvalidPoleStructure, match="trace-free"):
+        classical_curve(xmat(QQ, ("1", "x", "1", "1")))
 
 
 def test_nilpotent_leading_rejected():
@@ -211,6 +217,23 @@ def test_confluent_branchpoints_rejected():
     with pytest.raises(ConfluentBranchpoints):
         Uniformization(TWO_BRANCH, QQ, "z", Fraction(1), Fraction(1),
                        z, z)
+
+
+@pytest.mark.parametrize("kind, x_text, y_text, message", [
+    (ONE_BRANCH, "z^2 + z", "z", "x is not involution-invariant"),
+    (ONE_BRANCH, "z^2", "z^2", "y is not involution-odd"),
+    # x = 1/(z + 1/z - 2) has a pole at the branch z-point 1
+    (TWO_BRANCH, "z/(z - 1)^2", "z - 1/z",
+     "dx does not vanish at branch z-point 1"),
+    (ONE_BRANCH, "z^4", "z", "dx vanishes away from the branch z-points"),
+])
+def test_uniformization_refuses_a_bad_cover(kind, x_text, y_text, message):
+    from isorec.spectralcurve import Uniformization
+    zf = FunctionField(QQ, "z")
+    b = Fraction(-1) if kind == TWO_BRANCH else None
+    with pytest.raises(InvalidUniformization, match=message):
+        Uniformization(kind, QQ, "z", Fraction(1), b,
+                       parse_element(x_text, zf), parse_element(y_text, zf))
 
 
 # --- involution and pullback ----------------------------------------------------
