@@ -211,6 +211,8 @@ class ExtElem:
         return bool(self.a) or bool(self.b)
 
     def _coerce(self, other):
+        if isinstance(other, ExtElem) and other.field is self.field:
+            return other
         try:
             return self.field.coerce(other)
         except (TypeError, ValueError):
@@ -249,6 +251,10 @@ class ExtElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.b:
+            return ExtElem(self.field, self.a * o.a, self.a * o.b)
+        if not o.b:
+            return ExtElem(self.field, self.a * o.a, self.b * o.a)
         r = self.field.r
         return ExtElem(self.field,
                        self.a * o.a + self.b * o.b * r,

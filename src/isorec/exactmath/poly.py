@@ -144,6 +144,9 @@ class Poly:
         lifted into the field of a Poly other, because Python never tries
         the reflected operator of an operand of the same type.
         """
+        if isinstance(other, Poly) and other.field is self.field \
+                and other.var == self.var:
+            return self, other
         o = self._coerce_operand(other)
         if o is not NotImplemented:
             return self, o
@@ -191,11 +194,16 @@ class Poly:
         field, a, b = p.field, p.coeffs, q.coeffs
         if not a or not b:
             return Poly.zero(field, p.var)
+        one = field.one()
         if len(a) == 1:
             c = a[0]
+            if c == one:
+                return q
             return Poly._trusted(field, [c * bj for bj in b], p.var)
         if len(b) == 1:
             c = b[0]
+            if c == one:
+                return p
             return Poly._trusted(field, [ai * c for ai in a], p.var)
         zero = field.zero()
         out = [zero] * (len(a) + len(b) - 1)

@@ -166,6 +166,8 @@ class RatFn:
             return self
         if not c:
             return RatFn._reduced(c, d)
+        if b.degree() == 0 and d.degree() == 0:
+            return RatFn._reduced(a * c, b)
         if a.degree() > 0 and d.degree() > 0:
             g = poly_gcd(a, d)
             if g.degree() > 0:
