@@ -313,9 +313,8 @@ class QuadraticExtension:
         if not self.r:
             raise ValueError("extension modulus must be nonzero")
         self.uname = uname
-        two = base.coerce(2)
-        self._du = base.diff(self.r) / (two * self.r)
-        self._half = base.one() / two
+        self._du = None  # r'/(2r), made by the first diff()
+        self._half = base.one() / base.coerce(2)
         self._zero = ExtElem(self, base.zero(), base.zero())
         self._one = ExtElem(self, base.one(), base.zero())
 
@@ -337,6 +336,8 @@ class QuadraticExtension:
 
     def diff(self, e):
         e = self.coerce(e)
+        if self._du is None:
+            self._du = self.base.diff(self.r) / (self.base.coerce(2) * self.r)
         da = self.base.diff(e.a)
         db = self.base.diff(e.b)
         return ExtElem(self, da, db + e.b * self._du)
