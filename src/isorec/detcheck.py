@@ -716,6 +716,9 @@ class CorrelatorSeries:
             return {"kind": "no-basis", "reason": str(err)}
 
     def to_json(self):
+        """Each row's pole-basis decomposition, or what was proved of it: a
+        row is "vanishing" only when the exact zero test proves it, and
+        W_2^(0) gets the Bergman label only when (z1 - z2)^2 W_2^(0) = 1."""
         E = self.U.field
         out = {"order": self.order, "nmax": self.nmax, "point": self.U.point,
                "correlators": {}}
@@ -730,16 +733,18 @@ class CorrelatorSeries:
                     "value": self.w1[k].to_str(E.to_str)}
         for (n, k) in sorted(self.wn):
             tag = "%d,%d" % (n, k)
+            pf = self.wn[(n, k)]
             if (n, k) == (2, 0):
                 out["correlators"][tag] = {
                     "kind": "two-point",
-                    "diagonal": "double pole, matches the Bergman kernel"}
+                    "diagonal": "double pole, matches the Bergman kernel"
+                    if _bergman_diagonal(pf)
+                    else "differs from the Bergman kernel"}
             elif (k - n) % 2 == 0 and k >= 1:
                 out["correlators"][tag] = self._basis_json(n, k)
             else:
                 out["correlators"][tag] = {
-                    "kind": "vanishing" if not self.wn[(n, k)].terms
-                    or (k - n) % 2 else "coupled"}
+                    "kind": "vanishing" if pf.is_zero() else "nonzero"}
         return out
 
 
@@ -952,14 +957,9 @@ def _stable_rows(cors):
         yield (g, n)
 
 
-def _bergman_match(mser, cors):
-    """W_2^(0) (z1 - z2)^2 = 1, checked exactly, together with the vanishing
-    of the sheet-reflected trace that makes the diagonal double pole the
-    whole singularity."""
-    U = mser.U
-    pf = cors.wn.get((2, 0))
-    if pf is None:
-        return True
+def _bergman_diagonal(pf):
+    """W_2^(0) (z1 - z2)^2 = 1 for the two-point form pf, checked exactly."""
+    U = pf.U
     z = RatFn.gen(U.field, U.zvar)
     one = RatFn.one(U.field, U.zvar)
     two = U.field.coerce(2)
@@ -969,7 +969,17 @@ def _bergman_match(mser, cors):
         check.add(-coef * two, [f1 * z, f2 * z], coup)
         check.add(coef, [f1, f2 * z * z], coup)
     check.add(-U.field.one(), [one, one])
-    if not check.is_zero():
+    return check.is_zero()
+
+
+def _bergman_match(mser, cors):
+    """_bergman_diagonal, together with the vanishing of the sheet-reflected
+    trace that makes the diagonal double pole the whole singularity."""
+    U = mser.U
+    pf = cors.wn.get((2, 0))
+    if pf is None:
+        return True
+    if not _bergman_diagonal(pf):
         return False
 
     mz0 = _matrix_on_cover(mser.mats[0], U)

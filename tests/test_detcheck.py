@@ -141,6 +141,30 @@ def test_correlator_json_records_missing_basis(p1):
                   "branchpoint pole basis"}
 
 
+def test_correlator_json_reports_a_nonzero_odd_row(p1):
+    # the parity-odd row is "vanishing" because the zero test proves it,
+    # not because of its parity: xi_{0,2} (x) xi_{0,2} there is nonzero
+    _, cors = p1
+    U = cors.U
+    E = U.field
+    assert cors.to_json()["correlators"]["2,1"] == {"kind": "vanishing"}
+    pf = ProductForm(U, 2)
+    pf.add(E.one(), [xi_ratfn(E, U.zvar, 0, 2), xi_ratfn(E, U.zvar, 0, 2)])
+    blob = _with_two_point(cors, pf, 1).to_json()["correlators"]
+    assert blob["2,1"] == {"kind": "nonzero"}
+
+
+def test_correlator_json_labels_only_a_checked_bergman_kernel(p1):
+    _, cors = p1
+    blob = cors.to_json()["correlators"]
+    assert blob["2,0"] == {"kind": "two-point", "diagonal":
+                           "double pole, matches the Bergman kernel"}
+    doubled = cors.wn[(2, 0)].scaled(cors.U.field.coerce(2))
+    blob = _with_two_point(cors, doubled).to_json()["correlators"]
+    assert blob["2,0"] == {"kind": "two-point",
+                           "diagonal": "differs from the Bergman kernel"}
+
+
 def test_product_form_transposition_check():
     one = RatFn.one(QQ, "x")
     U = uniformize(classical_curve(Mat2(0 * one, RatFn.gen(QQ, "x"), one,
