@@ -1,19 +1,21 @@
-"""Rational functions in one variable, plus the residue toolkit built on them.
+"""Rational functions in one variable, plus the local expansions built on
+them.
 
 A RatFn is a reduced fraction of two Poly values over the same coefficient
 field: denominator monic, gcd(num, den) = 1, sign carried by the numerator.
 Canonical form makes equality a syntactic check.
 
-The module-level functions (local_expand, residue, partial_fractions,
-residue_sum_check, roots_in_field) are the workhorses everything above this
-layer uses to take residues without ever leaving exact arithmetic.
+The module-level functions (local_expand, partial_fractions,
+roots_in_field) are the workhorses everything above this layer uses to take
+residues without ever leaving exact arithmetic: the residue of f dx at a
+point p is the coefficient at exponent -1 of local_expand(f, p, -1).
 """
 
 from __future__ import annotations
 
 from ..errors import IrreducibleDenominator, TruncationTooShort
 from .poly import Poly, poly_gcd, squarefree_decomposition
-from .series import INF, Series
+from .series import Series
 
 
 class RatFn:
@@ -381,29 +383,23 @@ def roots_in_field(p, hints=()):
 
 
 # ---------------------------------------------------------------------------
-# local expansion and residues
+# local expansion and partial fractions
 
 
 def local_expand(f, p, K):
-    """Laurent window of f at p (finite or INF), exponents up to K inclusive.
+    """Laurent window of f at the point p, exponents up to K inclusive.
 
-    Exponents at INF count powers of 1/x.  Raises TruncationTooShort when K
-    lies below the leading exponent, i.e. the requested window is empty.
+    The residue of f dx at p is its coefficient at exponent -1.  Raises
+    TruncationTooShort when K lies below the leading exponent, i.e. the
+    requested window is empty.
     """
     field = f.field
     if not f:
         return Series(K + 1, [], K + 1, field.zero(), p)
-    if p is INF:
-        v = f.den.degree() - f.num.degree()
-        nn = Poly(field, list(reversed(f.num.coeffs)), f.var)
-        dd = Poly(field, list(reversed(f.den.coeffs)), f.var)
-        a = field.zero()
-    else:
-        p = field.coerce(p)
-        nn, an = _strip_root(f.num, p)
-        dd, ad = _strip_root(f.den, p)
-        v = an - ad
-        a = p
+    p = field.coerce(p)
+    nn, an = _strip_root(f.num, p)
+    dd, ad = _strip_root(f.den, p)
+    v = an - ad
     if K < v:
         if v < 0:
             raise TruncationTooShort(
@@ -411,29 +407,10 @@ def local_expand(f, p, K):
         # the function vanishes to order v > K: the window is honestly zero
         return Series(K + 1, [], K + 1, field.zero(), p)
     terms = K - v + 1
-    expand_at = field.zero() if p is INF else a
     zero = field.zero()
-    ns = Series(0, nn.taylor_at(expand_at, terms), terms, zero, p)
-    ds = Series(0, dd.taylor_at(expand_at, terms), terms, zero, p)
+    ns = Series(0, nn.taylor_at(p, terms), terms, zero, p)
+    ds = Series(0, dd.taylor_at(p, terms), terms, zero, p)
     return (ns * ds.inverse()).shift(v)
-
-
-def residue(f, p):
-    """Residue of f dx at p; at INF this is -(coefficient of 1/x)."""
-    field = f.field
-    if not f:
-        return field.zero()
-    if p is INF:
-        v = f.den.degree() - f.num.degree()
-        if v > 1:
-            return field.zero()
-        return -local_expand(f, INF, 1).coeff(1)
-    p = field.coerce(p)
-    an = _strip_root(f.num, p)[1]
-    ad = _strip_root(f.den, p)[1]
-    if an >= ad:
-        return field.zero()
-    return local_expand(f, p, -1).coeff(-1)
 
 
 def partial_fractions(f, hints=()):
@@ -470,12 +447,3 @@ def recombine(polypart, terms):
         lin = Poly(field, [-pole, field.one()], var)
         total = total + RatFn(Poly.const(field, coeff, var), lin ** order)
     return total
-
-
-def residue_sum_check(f, hints=()):
-    """Verify that the residues of f dx over all poles and INF sum to zero."""
-    field = f.field
-    total = residue(f, INF)
-    for pole, _ in roots_in_field(f.den, hints):
-        total = total + residue(f, pole)
-    return not total

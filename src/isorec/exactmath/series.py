@@ -1,10 +1,10 @@
 """Truncated Laurent series.
 
 One type serves both expansions of the chain: Laurent windows at a point of
-the x-line or z-line (the point is tagged, INF for infinity) and power series
-in the formal expansion parameter hbar (no point).  Coefficients live in any
-ring the caller supplies, together with its zero; products keep the order
-a*b of their factors, so matrix coefficients work too.
+the x-line or z-line (the point is tagged) and power series in the formal
+expansion parameter hbar (no point).  Coefficients live in any ring the
+caller supplies, together with its zero; products keep the order a*b of
+their factors, so matrix coefficients work too.
 
 Series refuse to answer coefficient queries beyond their guaranteed
 precision: silent zeros are how truncation bugs hide.
@@ -26,31 +26,14 @@ from math import lcm
 from ..errors import TruncationTooShort
 
 
-class _Infinity:
-    """Sentinel for the point at infinity on the x-line."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "oo"
-
-
-INF = _Infinity()
-
-
 class Series:
     """Finite window of a Laurent expansion.
 
-    Exponents count powers of the local uniformizer: (x - p) at a finite
-    point p, 1/x at INF, hbar when `point` is None.  `prec` is the first
-    exponent that is *not* known; everything from `kmin` up to prec - 1 is
-    guaranteed, and exponents below kmin are known zeros.  `zero` is the
-    coefficient ring's zero.
+    Exponents count powers of the local uniformizer: (x - p) at the point
+    p, hbar when `point` is None.  `prec` is the first exponent that is
+    *not* known; everything from `kmin` up to prec - 1 is guaranteed, and
+    exponents below kmin are known zeros.  `zero` is the coefficient ring's
+    zero.
     """
 
     __slots__ = ("kmin", "coeffs", "prec", "zero", "point")
@@ -110,7 +93,7 @@ class Series:
 
     def _same_point(self, other):
         a, b = self.point, other.point
-        return a is b or (a is not INF and b is not INF and a == b)
+        return a is b or a == b
 
     def _check_point(self, other):
         if not self._same_point(other):
@@ -259,7 +242,7 @@ class Series:
     def _mono(self, k):
         if self.point is None:
             return "hbar^%s" % k
-        return "%s^%s" % ("1/x" if self.point is INF else "w", k)
+        return "w^%s" % k
 
 
 def integer_numerators(coeffs):

@@ -1,4 +1,5 @@
-"""Exact arithmetic layer: ring axioms, residue calculus, the field tower."""
+"""Exact arithmetic layer: ring axioms, partial fractions and local
+expansions, the field tower."""
 
 import operator
 from fractions import Fraction
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from isorec.errors import IrreducibleDenominator, TruncationTooShort
 from isorec.exactmath import (
-    INF, FunctionField, HbarSeries, Poly, QQ,
+    FunctionField, HbarSeries, Poly, QQ,
     QuadraticExtension, RatFn, integer_product, local_expand, parse_element,
-    Series, partial_fractions, poly_gcd, poly_sqrt, recombine, residue,
-    residue_sum_check, roots_in_field, squarefree_decomposition,
+    Series, partial_fractions, poly_gcd, poly_sqrt, recombine,
+    roots_in_field, squarefree_decomposition,
 )
 from isorec.laxsystem import Mat2
 
@@ -120,32 +121,6 @@ def test_splitting_over_the_extension():
     assert recombine(pp, terms) == 1 / (x * x + 1)
 
 
-# --- residues ---------------------------------------------------------------
-
-
-def test_residue_basics():
-    x = X()
-    assert residue(1 / x, Fraction(0)) == 1
-    assert residue(1 / x, INF) == -1
-    assert residue(x / ((x - 1) * (x + 2)), Fraction(1)) == Fraction(1, 3)
-    assert residue(x ** 2, Fraction(0)) == 0
-    assert residue(x ** 2, INF) == 0
-
-
-@settings(deadline=None)
-@given(pole_sums())
-def test_residue_sum_vanishes(f):
-    assert residue_sum_check(f)
-
-
-@given(ratfns, st.integers(-3, 3))
-def test_residue_at_regular_point_is_zero(f, a):
-    a = Fraction(a)
-    if f and not f.den(a):
-        return
-    assert residue(f, a) == 0
-
-
 # --- local expansion --------------------------------------------------------
 
 
@@ -163,16 +138,9 @@ def test_pure_double_pole_window():
     assert s.coeff(0) == 0
 
 
-def test_expansion_at_infinity():
-    s = local_expand((X() + 1) / X(), INF, 2)
-    assert s.coeff(0) == 1
-    assert s.coeff(1) == 1
-    assert s.coeff(2) == 0
-
-
 def test_window_below_leading_exponent_refused():
     with pytest.raises(TruncationTooShort):
-        local_expand(X() ** 3, INF, -4)
+        local_expand(1 / X() ** 3, Fraction(0), -4)
 
 
 @settings(deadline=None)
@@ -192,13 +160,6 @@ def test_integer_product_is_the_truncated_convolution(a, b, n):
     want = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
             for k in range(n)]
     assert integer_product(a, b, n) == want
-
-
-def test_residue_matches_expansion_coefficient():
-    x = X()
-    f = (3 * x + 2) / (x ** 2 * (x - 1))
-    s = local_expand(f, Fraction(0), 1)
-    assert s.coeff(-1) == residue(f, Fraction(0))
 
 
 # --- the field tower --------------------------------------------------------
