@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from isorec.errors import IrreducibleDenominator, TruncationTooShort
 from isorec.exactmath import (
-    FunctionField, HbarSeries, Poly, QQ,
+    ExtElem, FunctionField, HbarSeries, Poly, QQ,
     QuadraticExtension, RatFn, integer_product, local_expand, parse_element,
     Series, partial_fractions, poly_gcd, poly_sqrt, recombine,
     roots_in_field, squarefree_decomposition,
@@ -178,6 +178,36 @@ def test_extension_product_rule(a0, a1, b0, b1):
     a = a0 + a1 * t * u
     b = b0 * t + b1 * u
     assert K.diff(a * b) == K.diff(a) * b + a * K.diff(b)
+
+
+EXT_PARTS = ["0", "1", "-3/2", "t", "t^2 - 1", "2/t", "(t + 1)/(t - 2)"]
+
+
+@st.composite
+def ext_operands(draw, K):
+    """a + b*u with a part that is zero in every shape but "general"."""
+    shape = draw(st.sampled_from(["zero", "base", "u-only", "general"]))
+    a, b = (parse_element(draw(st.sampled_from(EXT_PARTS)), Qt)
+            for _ in range(2))
+    if shape in ("zero", "u-only"):
+        a = Qt.zero()
+    if shape in ("zero", "base"):
+        b = Qt.zero()
+    return ExtElem(K, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extension_products_of_trivial_operands(data):
+    # (a + b u)(a' + b' u) = (a a' + b b' r) + (a b' + b a') u, built here
+    # from Q(t) arithmetic alone
+    K = ext_field()
+    x, y = data.draw(ext_operands(K)), data.draw(ext_operands(K))
+    got = x * y
+    assert got.field is K
+    assert (got.a, got.b) == (x.a * y.a + x.b * y.b * K.r,
+                              x.a * y.b + x.b * y.a)
+    assert y.a * x == ExtElem(K, x.a * y.a, x.b * y.a)
 
 
 def test_derivation_of_u_squared():
@@ -422,8 +452,8 @@ KERNEL_FIELDS = {
     "Q": (QQ, ["1", "-2", "1/3"], ["x", "x - 1", "x + 2"], 2),
     "Q(t)": (Qt, ["1", "t", "-1/t", "(t + 1)/(t - 2)"],
              ["x", "x - t", "x^2 - t^2", "t*x - 1"], 1),
-    "Q(t)[u]": (QuadraticExtension(Qt, Qt.gen(), "u"), ["1", "u", "-t"],
-                ["x", "x - u", "x^2 - t"], 1),
+    "Q(t)[u]": (QuadraticExtension(Qt, Qt.gen(), "u"),
+                ["1", "u", "-t", "t*u"], ["x", "x - u", "x^2 - t"], 1),
 }
 
 
@@ -629,6 +659,22 @@ def test_arithmetic_results_are_stripped_field_elements(name):
         for p in results:
             assert p.field is F
             assert_trusted(p, F)
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_product_by_the_unit_polynomial(name):
+    F = KERNEL_FIELDS[name][0]
+    polys = st.lists(st.sampled_from([F.zero()] + KERNEL_POOLS[name][1]),
+                     max_size=4).map(lambda cs: Poly(F, cs, "x"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(polys)
+    def check(p):
+        coeffs = p.coeffs
+        for one in (Poly.one(F, "x"), Poly(F, [1], "x")):
+            assert p * one == p and one * p == p
+            assert (p.coeffs, one.coeffs) == (coeffs, (F.one(),))
     check()
 
 
