@@ -6,6 +6,14 @@ a partial square root sqrt() returning None when no root exists in the field,
 and to_str() for canonical printing.  Elements are plain values: Fraction
 over Q, RatFn over Q(t), ExtElem over a quadratic extension.
 
+An ExtElem operand of the same extension object is used as it is, and a
+product where either factor has no u-part is two base products,
+(a + b u) a' = a a' + b a' u, with no product by the modulus r and no
+sums.  On weighted-homogeneous data every scalar is a monomial c t^i u^j,
+so one of its two parts is zero and most tower products take this path.
+The derivation's u'/u = r'/(2r) is made by the first diff(), since most
+extensions are never differentiated.
+
 Escalation up the tower is always explicit — nothing here invents new
 algebraic numbers behind the caller's back.  adjoin_roots is the only code
 that grows a scalar field, by one square root u at most; the one other

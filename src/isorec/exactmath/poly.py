@@ -18,6 +18,11 @@ gcd(a, c*x^k) = x^min(k, v) with v the index of the first nonzero
 coefficient of a (x^k when a = 0), and a divided by c*x^k is the
 coefficients of a from degree k up, times 1/c, with the coefficients below
 degree k as the remainder (Knuth, TAOCP 2, 4.6.1).
+
+Trivial operands cost no work either: an operand that is a Poly over the
+same field object and in the same variable is used as it is, with no
+coercion, and a product by the constant field.one() returns the other
+factor itself, which is safe because a Poly is immutable.
 """
 
 from __future__ import annotations

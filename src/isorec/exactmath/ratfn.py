@@ -5,6 +5,11 @@ A RatFn is a reduced fraction of two Poly values over the same coefficient
 field: denominator monic, gcd(num, den) = 1, sign carried by the numerator.
 Canonical form makes equality a syntactic check.
 
+Sums and products reduce by Henrici's cross-cancellation, never by a full
+gcd, and two polynomials skip even that: when both denominators are 1, the
+sum or product is that of the numerators over 1, with no gcd test and no
+product of the denominators.
+
 The module-level functions (local_expand, partial_fractions,
 roots_in_field) are the workhorses everything above this layer uses to take
 residues without ever leaving exact arithmetic: the residue of f dx at a
