@@ -131,8 +131,6 @@ class Poly:
             if isinstance(other, Poly):
                 if other.var != self.var:
                     return NotImplemented
-                if other.field is self.field:
-                    return other
                 coerce = self.field.coerce
                 return Poly._trusted(self.field,
                                      [coerce(c) for c in other.coeffs],
