@@ -185,7 +185,8 @@ EXT_PARTS = ["0", "1", "-3/2", "t", "t^2 - 1", "2/t", "(t + 1)/(t - 2)"]
 
 @st.composite
 def ext_operands(draw, K):
-    """a + b*u with a part that is zero in every shape but "general"."""
+    """a + b*u of one shape: zero, base-only (b = 0), u-only (a = 0) or
+    general."""
     shape = draw(st.sampled_from(["zero", "base", "u-only", "general"]))
     a, b = (parse_element(draw(st.sampled_from(EXT_PARTS)), Qt)
             for _ in range(2))
@@ -200,7 +201,7 @@ def ext_operands(draw, K):
 @given(st.data())
 def test_extension_products_of_trivial_operands(data):
     # (a + b u)(a' + b' u) = (a a' + b b' r) + (a b' + b a') u, built here
-    # from Q(t) arithmetic alone
+    # from Q(t) arithmetic alone; a Q(t) factor is coerced as b' = 0
     K = ext_field()
     x, y = data.draw(ext_operands(K)), data.draw(ext_operands(K))
     got = x * y
