@@ -32,8 +32,16 @@ them up.  With S = f_a(z) f_b(sigma z)/(4 y x'), the entry r_m reads S only
 at exponents -1-m and -1-j for j >= m >= 1 (wt^m starts at w^m), all at
 most -2; S has valuation v_a + v_b, v_a that of f_a/(4 y x') and v_b that
 of f_b(sigma z).  A pair with v_a + v_b >= -1 therefore has an empty row,
-and skipping it is exact: the bracket's other terms, and so the tables and
-the order of their keys, are what visiting every pair gives.
+and skipping it is exact: it adds nothing to any coefficient.
+
+The bracket is symmetric under swapping its two factors together with
+z <-> sigma(z).  The kernel numerator and 2 (y(z) - y(sigma z)) dx both
+change sign under sigma, so K(z0, sigma z) = K(z0, z), and a residue at a
+fixed point of sigma does not change under sigma^*; so the residue row of
+(a, b) is the row of (b, a), exactly.  The recursion visits each pair of
+mirror terms once and doubles its scalar.  The coefficients are the ones
+visiting both gives; a table's keys may come in another order, which no
+output shows (to_json sorts them).
 
 A curve over Q(t) or Q(t)[u], u^2 = c t, whose x(z) and y(z) are weighted-
 homogeneous (Painleve I is) is run over Q instead, at the time t0 where
@@ -59,7 +67,8 @@ numerators of c1 c2 r_m per key over the lcm of their denominators and
 writes one Fraction per key.  The kernel is exact and Fraction is
 canonical, so the tables, and every output printed from them, are
 byte-identical to the field path's, with one reduction per coefficient
-instead of one per operation.
+instead of one per operation.  The symmetry and involution checks of a new
+table read its integer numerators over the lcm of its denominators.
 """
 
 import itertools
@@ -172,15 +181,17 @@ class PoleBasisForm:
         return True
 
     def involution_image(self, kind, i):
-        """Substitute z_i -> sigma(z_i), staying inside the basis."""
-        one = self.field.one()
+        """Substitute z_i -> sigma(z_i), staying inside the basis.
+
+        The image's coefficients are ints, so the values may be field
+        elements or plain ints."""
         images = {}
         out = {}
         for key, v in self.table.items():
             slot = key[i]
             image = images.get(slot)
             if image is None:
-                image = images[slot] = [((slot[0], k2), c * one) for k2, c
+                image = images[slot] = [((slot[0], k2), c) for k2, c
                                         in sigma_slot_image(kind, *slot)]
             head, tail = key[:i], key[i + 1:]
             for slot2, c in image:
@@ -558,8 +569,15 @@ def _residue_contributions(win, omegas, g, n, table):
     of its free slots; it adds scalar * r_m at ((s, m+1),) + free keys for
     every entry (m, r_m) of the pair's residue row.  Terms are kept with
     their rows, integer rows over Q, and only when the row is not empty.
-    A pair whose valuations sum above -2 is not visited (its row is empty);
-    the others are visited in the order of the bracket.
+    A pair whose valuations sum above -2 is not visited (its row is empty).
+
+    A term and its mirror, the same two factors on swapped sheets, add the
+    same amounts: K(z0, sigma z) = K(z0, z) and sigma^* keeps a residue at
+    a fixed point of sigma, so row (a, b) is row (b, a).  Each mirror pair
+    is visited once with its scalar doubled: the split (g1, I1 | g2, I2)
+    when (g1, I1) < (g2, I2), the split that is its own mirror (n = 1,
+    g1 = g2) with weight one, and the key (a, b, J) of omega_{g-1,n+1},
+    which _verify_form has proved symmetric, when a <= b.
     """
     positions = list(range(1, n))
     one = win.field.one()
@@ -579,9 +597,11 @@ def _residue_contributions(win, omegas, g, n, table):
             if stored:
                 for key, c in stored.table.items():
                     a, b = key[0], key[1]
-                    if win.valuation(a, 0) + win.valuation(b, 1) <= -2:
-                        add(a, b, c, one, key[2:])
+                    if a <= b and (win.valuation(a, 0)
+                                   + win.valuation(b, 1) <= -2):
+                        add(a, b, c if a == b else c + c, one, key[2:])
     reach = {}
+    left = {}
 
     def right_terms(g2, nfree, bound):
         """The factors of omega_{g2,1+nfree} of valuation <= bound on sheet
@@ -593,6 +613,16 @@ def _residue_contributions(win, omegas, g, n, table):
                 if win.valuation(t[0], 1) <= bound]
         return out
 
+    def left_terms(g1, nfree, twice):
+        """The factors of omega_{g1,1+nfree}, each with its scalar (doubled
+        when twice) and the bound on its partner's valuation."""
+        out = left.get((g1, nfree, twice))
+        if out is None:
+            out = left[(g1, nfree, twice)] = [
+                (a, c + c if twice else c, k, -2 - win.valuation(a, 0))
+                for a, c, k in _factor_terms(win, omegas, g1, nfree)]
+        return out
+
     for g1 in range(g + 1):
         g2 = g - g1
         for r in range(len(positions) + 1):
@@ -600,12 +630,14 @@ def _residue_contributions(win, omegas, g, n, table):
                 I2 = tuple(p for p in positions if p not in I1)
                 if (g1 == 0 and not I1) or (g2 == 0 and not I2):
                     continue  # omega_{0,1} factors are excluded
+                if (g1, I1) > (g2, I2):
+                    continue  # visited as its mirror
                 # the free keys of both factors, put back in slot order
                 slots = I1 + I2
                 order = [slots.index(p) for p in positions]
                 pick = itemgetter(*order) if len(order) > 1 else tuple
-                for a, c1, k1 in _factor_terms(win, omegas, g1, len(I1)):
-                    bound = -2 - win.valuation(a, 0)
+                for a, c1, k1, bound in left_terms(g1, len(I1),
+                                                   (g1, I1) != (g2, I2)):
                     for b, c2, k2 in right_terms(g2, len(I2), bound):
                         add(a, b, c1, c2, pick(k1 + k2))
     if win.field is QQ:
@@ -695,14 +727,21 @@ def _recursion(U, gmax, nmax, prec):
 
 
 def _verify_form(form, kind, g, n):
+    """Refuse a form with a residue term, or one that is not symmetric or
+    not anti-invariant under the involution.  Over Q the last two checks
+    read the integer numerators over the lcm of the denominators: one
+    positive scale keeps every value nonzero and every verdict."""
     if form.has_residue_term():
         raise InvalidPoleStructure(
             "omega_{%d,%d} acquired a first-order pole" % (g, n))
+    if form.field is QQ:
+        nums, _ = integer_numerators(form.table.values())
+        form = form._like(dict(zip(form.table, nums)))
     if not form.is_symmetric():
         raise InvalidPoleStructure("omega_{%d,%d} is not symmetric" % (g, n))
     # Slot 0 is enough: for a symmetric form, sigma in slot i is the swap
     # of slots 0 and i, then sigma in slot 0, then the swap back.
-    if form.involution_image(kind, 0) != form.scaled(-form.field.one()):
+    if form.involution_image(kind, 0) != form.scaled(-1):
         raise InvalidPoleStructure(
             "omega_{%d,%d} is not anti-invariant under the involution"
             % (g, n))

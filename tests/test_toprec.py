@@ -131,10 +131,40 @@ def test_recursion_requests_only_rows_within_the_pair_bound(monkeypatch):
     assert nonempty >= 0.9 * len(requested), (nonempty, len(requested))
 
 
-@pytest.mark.parametrize("q_text", ["x", "(x-1)*(x-4)"])
+def test_residue_rows_are_unchanged_by_swapping_the_factors(monkeypatch):
+    # K(z0, sigma z) = K(z0, z) and a residue at a fixed point of sigma is
+    # unchanged by sigma^*, so the row of (a, b) is the row of (b, a); the
+    # recursion visits one term of each mirror pair on the strength of it
+    requested = set()
+
+    def spy(row_of):
+        def wrapped(win, a, b):
+            requested.add((win, a, b))
+            return row_of(win, a, b)
+        return wrapped
+
+    runs = [(BranchWindow.integer_row, eo_differentials, airy_U(), 0, 7),
+            (BranchWindow.integer_row, eo_differentials, twobranch_U(), 2, 1),
+            (BranchWindow.residue_row, functools.partial(
+                on_tower, eo_differentials), curve_over_qt("(x-1)*(x-3)"),
+             2, 1)]
+    for row_of, run, U, g, n in runs:
+        with monkeypatch.context() as mp:
+            mp.setattr(BranchWindow, row_of.__name__, spy(row_of))
+            run(U, g, n)
+        pairs = [(win, a, b) for win, a, b in requested if a is not None]
+        requested.clear()
+        for win, a, b in pairs:
+            assert row_of(win, a, b) == row_of(win, b, a), (win.s, a, b)
+        swapped = [a for win, a, b in pairs if a != b and row_of(win, a, b)]
+        assert len(swapped) >= 20, (U.field, g, n, len(swapped))
+
+
+@pytest.mark.parametrize("q_text", ["x", "(x-1)*(x-4)", "(x-1)*(x-3)"])
 def test_rational_contraction_matches_the_field_path(q_text):
     # x(z) of y^2 = (x-1)(x-4) has 3/4 and 5/2, so the contraction sums
-    # terms whose denominators are not powers of one prime
+    # terms whose denominators are not powers of one prime; (x-1)(x-3) runs
+    # the halved bracket of two branch windows on the tower as well
     got = eo_differentials(uniformize(curve_from_Q(q_text)), 2, 1)
     want = on_tower(eo_differentials, curve_over_qt(q_text), 2, 1)
     assert want.U.field is Qt
@@ -484,6 +514,78 @@ def test_verify_form_checks_anti_invariance_once():
     assert even.is_symmetric()
     with pytest.raises(InvalidPoleStructure, match="anti-invariant"):
         _verify_form(even, ONE_BRANCH, 0, 2)
+
+
+def verdict_on_fractions(form, kind):
+    """Whether the symmetry and involution checks hold on form's Fractions."""
+    return form.is_symmetric() and \
+        form.involution_image(kind, 0) == form.scaled(Fraction(-1))
+
+
+def verify_accepts(form, kind):
+    try:
+        _verify_form(form, kind, 0, form.n)
+    except InvalidPoleStructure:
+        return False
+    return True
+
+
+def test_verify_form_compares_values_over_one_denominator():
+    # each form's numerators, read without a common denominator, would pass
+    # the check it fails: 1/2 against 1/3 in mirrored keys, and on the
+    # two-branch kind, where v4 xi_{1,4} + v3 xi_{1,3} is anti-invariant
+    # exactly when v4 = v3, 1/2 against 1/3 again
+    lopsided = PoleBasisForm(QQ, 2, {((0, 2), (0, 4)): Fraction(1, 2),
+                                     ((0, 4), (0, 2)): Fraction(1, 3)})
+    with pytest.raises(InvalidPoleStructure, match="not symmetric"):
+        _verify_form(lopsided, ONE_BRANCH, 0, 2)
+    skewed = PoleBasisForm(QQ, 1, {((1, 4),): Fraction(1, 2),
+                                   ((1, 3),): Fraction(1, 3)})
+    with pytest.raises(InvalidPoleStructure, match="anti-invariant"):
+        _verify_form(skewed, TWO_BRANCH, 0, 1)
+    for form, kind in ((lopsided, ONE_BRANCH), (skewed, TWO_BRANCH)):
+        assert not verdict_on_fractions(form, kind)
+    even = PoleBasisForm(QQ, 1, {((1, 4),): Fraction(1, 2),
+                                 ((1, 3),): Fraction(1, 2),
+                                 ((1, 2),): Fraction(-3, 4)})
+    assert verify_accepts(even, TWO_BRANCH)
+
+
+MIXED = [Fraction(p, q) for p in (1, -1, 3, -3) for q in (1, 2, 3, 4)]
+
+
+@st.composite
+def mixed_denominator_forms(draw):
+    """Forms over Q whose values have mixed denominators, made anti-
+    invariant in every slot, symmetrized, or disturbed in one term."""
+    kind = draw(st.sampled_from([ONE_BRANCH, TWO_BRANCH]))
+    n = draw(st.integers(1, 3))
+    points = [0] if kind == ONE_BRANCH else [1, -1]
+    slot = st.tuples(st.sampled_from(points), st.integers(2, 4))
+    keys = st.tuples(*[slot] * n)
+    form = PoleBasisForm(QQ, n, draw(st.dictionaries(
+        keys, st.sampled_from(MIXED), min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        for i in range(n):  # (1 - sigma_i) is anti-invariant in slot i
+            image = add_term_involution_image(form, kind, i)
+            for key, v in image.table.items():
+                form.add_term(key, -v)
+    if draw(st.booleans()):
+        sym = PoleBasisForm(QQ, n)
+        for perm in itertools.permutations(range(n)):
+            for key, v in form.permuted(perm).table.items():
+                sym.add_term(key, v)
+        form = sym
+    if draw(st.booleans()):
+        form.add_term(draw(keys), draw(st.sampled_from(MIXED)))
+    return kind, form
+
+
+@settings(deadline=None, max_examples=150)
+@given(mixed_denominator_forms())
+def test_verify_form_verdict_is_the_fraction_verdict(kind_form):
+    kind, form = kind_form
+    assert verify_accepts(form, kind) == verdict_on_fractions(form, kind)
 
 
 @settings(deadline=None, max_examples=60)
