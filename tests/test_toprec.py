@@ -156,8 +156,8 @@ def test_residue_rows_are_unchanged_by_swapping_the_factors(monkeypatch):
         requested.clear()
         for win, a, b in pairs:
             assert row_of(win, a, b) == row_of(win, b, a), (win.s, a, b)
-        swapped = [a for win, a, b in pairs if a != b and row_of(win, a, b)]
-        assert len(swapped) >= 20, (U.field, g, n, len(swapped))
+        mirrored = [a for win, a, b in pairs if a != b and row_of(win, a, b)]
+        assert len(mirrored) >= 20, (U.field, g, n, len(mirrored))
 
 
 @pytest.mark.parametrize("q_text", ["x", "(x-1)*(x-4)", "(x-1)*(x-3)"])
