@@ -7,11 +7,10 @@ Everything is exact.  The square root of -det A^(0) is never a symbol: it is
 realized as -alpha*y in the double cover E(x)[y]/(y^2 - Q) of the classical
 curve (ClassicalCurve.cover), which turns every formula here into
 rational-function arithmetic on its two components.  Multi-variable
-correlators are kept in a separated form (products of one-variable functions
-over powers of x(z_i) - x(z_j)) so that no computation ever enters a nested
-field tower; their exact zero test is written once for both uniformization
-kinds, in terms of x(z) alone.  Whatever depends on the kind (the
-involution, the branch z-points) is read off the Uniformization.
+correlators are separated forms (separated.ProductForm: products of
+one-variable functions over powers of x(z_i) - x(z_j)), whose exact zero
+test runs on integers over Q.  Whatever depends on the uniformization kind
+(the involution, the branch z-points) is read off the Uniformization.
 
 When the curve is weighted-homogeneous over Q(t) or Q(t)[u]
 (grading.specialization), m_series expands L, A-hat and beta along the flow
@@ -30,21 +29,21 @@ their weights, because c t^a and c' t^a' can agree at t0.
 
 import itertools
 from fractions import Fraction
-from math import comb
 
 from . import grading
 from .errors import (CasePreconditionViolated, DegenerateAZero,
-                     IdentityFailed, IndexOutOfRange, InvalidPoleStructure,
-                     PlanMismatch, TruncationTooShort, UnexpectedPole)
-from .exactmath import (QQ, ExtElem, Poly, RatFn, local_expand,
-                        partial_derivation, poly_gcd, split_linear_factors)
+                     IdentityFailed, IndexOutOfRange, PlanMismatch,
+                     TruncationTooShort, UnexpectedPole)
+from .exactmath import (QQ, ExtElem, Poly, RatFn, partial_derivation,
+                        poly_gcd, split_linear_factors)
 from .hamflow import hbar_matrix_series, hbar_series
 from .isodeform import scaling_plan
 from .laxsystem import Mat2, assemble
+from .separated import ProductForm
 from .spectralcurve import (ONE_BRANCH, TWO_BRANCH, classical_curve, pullback,
                             uniformize)
 from .toprec import (PoleBasisForm, adjacent_transpositions,
-                     eo_differentials, symplectic_invariants, xi_ratfn)
+                     eo_differentials, symplectic_invariants)
 
 
 def beta_factor(aux):
@@ -110,9 +109,7 @@ def m_next(k, history, ahat, beta, curve, dt):
     E, var = curve.field, curve.var
     rhs = dt(history[k - 1], k - 1).map(lambda e: e * beta)
     for j in range(k):
-        am = ahat[k - j] * history[j]
-        ma = history[j] * ahat[k - j]
-        rhs = rhs - (am - ma)
+        rhs = rhs - ahat[k - j].commutator(history[j])
     if rhs.a + rhs.d:
         raise IdentityFailed("driving term at order %d is not trace-free" % k)
 
@@ -396,281 +393,19 @@ def check_singularities(mser):
                     % (k, ddeg, bound))
 
 
-# --- separated representation of multi-variable correlators ------------------
-
-class ProductForm:
-    """Sum of separated products of one-variable rational functions, divided
-    by powers of the pairwise differences x(z_i) - x(z_j).
-
-    A term is (coef, facs, coup): coef a scalar, facs one RatFn per variable
-    slot, coup a dict {(i, j): e} with i < j dividing by (x(z_i)-x(z_j))^e.
-    Slots are positional; every factor uses the same variable letter.
-    """
-
-    __slots__ = ("U", "n", "terms")
-
-    def __init__(self, U, n, terms=None):
-        self.U = U
-        self.n = n
-        self.terms = list(terms or [])
-
-    def add(self, coef, facs, coup=None):
-        if len(facs) != self.n:
-            raise InvalidPoleStructure(
-                "%d factors for a form in %d variables" % (len(facs), self.n))
-        self.terms.append((coef, tuple(facs), dict(coup or {})))
-
-    def __add__(self, other):
-        return ProductForm(self.U, self.n, self.terms + other.terms)
-
-    def scaled(self, c):
-        return ProductForm(self.U, self.n,
-                           [(coef * c, facs, coup)
-                            for coef, facs, coup in self.terms])
-
-    def __sub__(self, other):
-        return self + other.scaled(-self.U.field.one())
-
-    def permuted(self, perm):
-        """Relabel slots: slot i of the result is slot perm[i] of self."""
-        inv = [0] * self.n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        out = ProductForm(self.U, self.n)
-        for coef, facs, coup in self.terms:
-            nf = tuple(facs[perm[i]] for i in range(self.n))
-            nc = {}
-            for (i, j), e in coup.items():
-                i, j = inv[i], inv[j]
-                if i > j:
-                    # (x_j - x_i)^e = (-1)^e (x_i - x_j)^e
-                    i, j = j, i
-                    coef = -coef if e % 2 else coef
-                nc[(i, j)] = e
-            out.add(coef, nf, nc)
-        return out
-
-    # -- exact zero test ------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms or _sep_zero(self.U.field, self._cleared())
-
-    def _cleared(self):
-        """Common-denominator form: a list of (coef, [Poly per slot]).
-
-        Every term is brought up to the largest power of each coupling with
-        (x_i - x_j)^d = sum_a C(d, a) x_i^a (-x_j)^(d-a), the powers of x
-        going into the slot factors; each slot is then cleared against the
-        least common multiple of its grown factors' denominators.
-        """
-        U = self.U
-        E = U.field
-        emax = {}
-        for _, _, coup in self.terms:
-            for p, e in coup.items():
-                emax[p] = max(emax.get(p, 0), e)
-        xpows = [U.x ** a for a in range(max(emax.values(), default=0) + 1)]
-        grown = []
-        for coef, facs, coup in self.terms:
-            base = [(coef, facs)]
-            for (i, j), e in sorted(emax.items()):
-                d = e - coup.get((i, j), 0)
-                if d == 0:
-                    continue
-                split = []
-                for cf, fs in base:
-                    for a in range(d + 1):
-                        fs2 = list(fs)
-                        if a:
-                            fs2[i] = fs2[i] * xpows[a]
-                        if a < d:
-                            fs2[j] = fs2[j] * xpows[d - a]
-                        split.append(
-                            (cf * E.coerce(comb(d, a) * (-1) ** (d - a)),
-                             fs2))
-                base = split
-            grown.extend(base)
-        dens = [Poly.one(E, U.zvar) for _ in range(self.n)]
-        for _, facs in grown:
-            for i, f in enumerate(facs):
-                dens[i] = dens[i] * (f.den // poly_gcd(dens[i], f.den))
-        return [(coef, [f.num * (dens[i] // f.den)
-                        for i, f in enumerate(facs)])
-                for coef, facs in grown]
-
-    # -- extraction onto the branchpoint pole basis -----------------------
-
-    def to_pbf(self):
-        """Decompose over the pole basis, with proof of zero remainder.
-
-        Extraction walks the slots from the last to the first, expanding
-        around each branch z-point; couplings contribute Taylor factors
-        whose coefficients are rational in the remaining slots.  The
-        extracted form is then subtracted back and the difference is
-        checked to vanish identically.
-        """
-        pbf = self._extract()
-        diff = self - _pbf_product(pbf, self.U, self.n)
-        if not diff.is_zero():
-            raise UnexpectedPole(
-                "a correlator coefficient does not reduce to the "
-                "branchpoint pole basis")
-        return pbf
-
-    def _extract(self):
-        E = self.U.field
-        if self.n == 1:
-            f = None
-            for coef, facs, _ in self.terms:
-                piece = facs[0] * coef
-                f = piece if f is None else f + piece
-            if f is None or not f:
-                return PoleBasisForm(E, 1)
-            return PoleBasisForm.from_ratfn(f, self.U.branch_ints)
-        out = PoleBasisForm(E, self.n)
-        for s in self.U.branch_ints:
-            for (k, sub) in self._slices_at(s):
-                for key, c in sub._extract().table.items():
-                    out.add_term(key + ((s, k),), c)
-        return out
-
-    def _slices_at(self, s):
-        """Laurent slices of the last slot at branch z-point s.
-
-        Yields (k, ProductForm over the remaining slots) for each pole
-        order k >= 1 with a nonzero slice.
-        """
-        U = self.U
-        E = U.field
-        top = self.n - 1
-        sE = E.coerce(s)
-        xa = U.x - U.x(sE)
-        slices = {}
-        coup_cache = {}
-        for coef, facs, coup in self.terms:
-            loc = local_expand(facs[top], sE, -1)
-            if not loc.coeffs:
-                continue
-            ordk = -loc.kmin
-            pairs = sorted(p for p in coup if top in p)
-            rest = {p: e for p, e in coup.items() if top not in p}
-            room = ordk - 1
-            options = []
-            for p in pairs:
-                e = coup[p]
-                key = (s, e, room)
-                if key not in coup_cache:
-                    coup_cache[key] = _coupling_series(U, sE, e, room)
-                options.append((p[0] if p[1] == top else p[1],
-                                coup_cache[key]))
-            for ms in itertools.product(range(room + 1),
-                                        repeat=len(pairs)):
-                msum = sum(ms)
-                if msum > room:
-                    continue
-                choice_lists = [opt[1][m] for opt, m in zip(options, ms)]
-                if any(not cl for cl in choice_lists):
-                    continue
-                for mu in range(loc.kmin, 0):
-                    k = -(mu + msum)
-                    if k < 1:
-                        continue
-                    base = loc.coeff(mu)
-                    if not base:
-                        continue
-                    for picks in itertools.product(*choice_lists):
-                        c2 = coef * base
-                        nf = list(facs[:top])
-                        for (slot, _), (gamma, pi) in zip(options, picks):
-                            c2 = c2 * gamma
-                            nf[slot] = nf[slot] / xa ** pi
-                        slc = slices.setdefault(
-                            (s, k), ProductForm(U, self.n - 1))
-                        slc.add(c2, nf, rest)
-        for (_, k), sub in sorted(slices.items()):
-            yield k, sub
-
-
-def _coupling_series(U, sE, e, mmax):
-    """Taylor data of 1/(x(z_other) - x(z))^e around z = branch point.
-
-    Entry m lists (gamma, pi) pairs meaning gamma / (x(z_other) - x(s))^pi
-    as the coefficient of (z - s)^m.  With d = x(z) - x(s), which vanishes
-    to second order, the expansion is sum_i C(e+i-1, i) d^i / (.)^(e+i).
-    """
-    E = U.field
-    d = U.x - U.x(sE)
-    pows = [local_expand(d ** i, sE, mmax) for i in range(mmax // 2 + 1)]
-    out = []
-    for m in range(mmax + 1):
-        opts = []
-        for i in range(m // 2 + 1):
-            c = pows[i].coeff(m)
-            if c:
-                opts.append((E.coerce(comb(e + i - 1, i)) * c, e + i))
-        out.append(opts)
-    return out
-
-
-def _sep_zero(E, terms):
-    """Exact zero test of sum coef * tensor-product-of-polynomials.
-
-    Column-reduces the first-slot coefficient vectors and recurses on the
-    coordinates, so the cost stays proportional to the number of distinct
-    factors rather than to the expanded coefficient tensor.
-    """
-    if not terms:
-        return True
-    n = len(terms[0][1])
-    if n == 1:
-        tot = None
-        for coef, (p,) in terms:
-            piece = p.map_coeffs(lambda c: c * coef)
-            tot = piece if tot is None else tot + piece
-        return tot is None or not tot
-    width = 1 + max(p[0].degree() for _, p in terms)
-    zE = E.zero()
-    basis = []
-    buckets = []
-    for coef, polys in terms:
-        vec = list(polys[0].coeffs) + [zE] * (width - len(polys[0].coeffs))
-        coords = []
-        for bi, (pc, bv) in enumerate(basis):
-            f = vec[pc]
-            if f:
-                coords.append((bi, f))
-                vec = [x - f * y for x, y in zip(vec, bv)]
-        pc = next((i for i, x in enumerate(vec) if x), None)
-        if pc is not None:
-            pv = vec[pc]
-            basis.append((pc, [x / pv for x in vec]))
-            buckets.append([])
-            coords.append((len(basis) - 1, pv))
-        for bi, f in coords:
-            buckets[bi].append((coef * f, polys[1:]))
-    return all(_sep_zero(E, b) for b in buckets)
-
-
-def _pbf_product(pbf, U, n):
-    """A PoleBasisForm as a ProductForm (products of basis one-forms)."""
-    E = U.field
-    out = ProductForm(U, n)
-    for key, c in pbf.table.items():
-        out.add(c, [xi_ratfn(E, U.zvar, s, k) for s, k in key], {})
-    return out
-
-
 # --- connected correlators ---------------------------------------------------
 
 class CorrelatorSeries:
     """Connected n-point correlators, order by order in hbar.
 
     Stored as coefficients of prod dz_i on the cover: w1[k] is a plain
-    rational function of z; wn[(n, k)] a ProductForm.  Basis decompositions
-    are cached once extracted.
+    rational function of z; wn[(n, k)] a ProductForm.  Basis decompositions,
+    zero tests and the Bergman check of W_2^(0) are kept once proved, so
+    verify_tt and to_json share them.
     """
 
-    __slots__ = ("U", "order", "nmax", "w1", "wn", "_basis")
+    __slots__ = ("U", "order", "nmax", "w1", "wn", "_basis", "_zero",
+                 "_diagonal")
 
     def __init__(self, U, order, nmax, w1, wn):
         self.U = U
@@ -679,6 +414,8 @@ class CorrelatorSeries:
         self.w1 = w1
         self.wn = wn
         self._basis = {}
+        self._zero = {}
+        self._diagonal = None
 
     def form(self, n, k):
         first = -1 if n == 1 else 0
@@ -708,6 +445,19 @@ class CorrelatorSeries:
             self._basis[(n, k)] = pbf
         return self._basis[(n, k)]
 
+    def vanishes(self, n, k):
+        """The exact zero test of W_n^(k)."""
+        if (n, k) not in self._zero:
+            f = self.form(n, k)
+            self._zero[(n, k)] = not f if n == 1 else f.is_zero()
+        return self._zero[(n, k)]
+
+    def bergman_diagonal(self):
+        """_bergman_diagonal of W_2^(0)."""
+        if self._diagonal is None:
+            self._diagonal = _bergman_diagonal(self.form(2, 0))
+        return self._diagonal
+
     def _basis_json(self, n, k):
         try:
             return {"kind": "pole-basis",
@@ -733,18 +483,18 @@ class CorrelatorSeries:
                     "value": self.w1[k].to_str(E.to_str)}
         for (n, k) in sorted(self.wn):
             tag = "%d,%d" % (n, k)
-            pf = self.wn[(n, k)]
             if (n, k) == (2, 0):
                 out["correlators"][tag] = {
                     "kind": "two-point",
                     "diagonal": "double pole, matches the Bergman kernel"
-                    if _bergman_diagonal(pf)
+                    if self.bergman_diagonal()
                     else "differs from the Bergman kernel"}
             elif (k - n) % 2 == 0 and k >= 1:
                 out["correlators"][tag] = self._basis_json(n, k)
             else:
                 out["correlators"][tag] = {
-                    "kind": "vanishing" if pf.is_zero() else "nonzero"}
+                    "kind": "vanishing" if self.vanishes(n, k)
+                    else "nonzero"}
         return out
 
 
@@ -875,7 +625,7 @@ def verify_tt(mser, cors):
         # clauses 3 and 5: wrong parity, or below W_n^(k) = 0 for k < n - 2
         zero = False
         if odd or k < n - 2:
-            zero = (not f) if n == 1 else f.is_zero()
+            zero = cors.vanishes(n, k)
             if not zero and odd:
                 fail("3", {"n": n, "k": k,
                            "reason": "nonzero at parity-odd order"})
@@ -976,10 +726,9 @@ def _bergman_match(mser, cors):
     """_bergman_diagonal, together with the vanishing of the sheet-reflected
     trace that makes the diagonal double pole the whole singularity."""
     U = mser.U
-    pf = cors.wn.get((2, 0))
-    if pf is None:
+    if (2, 0) not in cors.wn:
         return True
-    if not _bergman_diagonal(pf):
+    if not cors.bergman_diagonal():
         return False
 
     mz0 = _matrix_on_cover(mser.mats[0], U)

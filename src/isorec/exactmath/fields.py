@@ -239,7 +239,8 @@ class ExtElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExtElem(self.field, self.a + o.a, self.b + o.b)
+        return ExtElem(self.field, self.a + o.a,
+                       self.b + o.b if o.b else self.b)
 
     __radd__ = __add__
 
@@ -250,7 +251,8 @@ class ExtElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExtElem(self.field, self.a - o.a, self.b - o.b)
+        return ExtElem(self.field, self.a - o.a,
+                       self.b - o.b if o.b else self.b)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -468,24 +470,27 @@ def partial_derivation(field, name):
 
 
 def substitute(elem, values, one):
-    """Evaluate a tower element with every variable assigned a value.
+    """Evaluate a tower element, variable by variable from the top.
 
     values maps variable names (function-field vars and quadratic generators)
-    to elements of some common target ring; `one` is that ring's unit, used
-    to lift bare rationals.  Division in the target ring must be available
-    for denominators that appear.
+    to elements of some common target ring; `one` is that ring's unit.  A
+    variable without a value stands for itself, and so does the rest of the
+    tower below it: the element is lifted into the target as one * elem, as
+    a bare rational is, and TypeError says the target cannot hold it.
+    Division in the target ring must be available for denominators that
+    appear.
     """
-    if isinstance(elem, ExtElem):
+    if isinstance(elem, ExtElem) and elem.field.uname in values:
         a = substitute(elem.a, values, one)
         b = substitute(elem.b, values, one)
         return a + b * values[elem.field.uname]
-    if isinstance(elem, RatFn):
+    if isinstance(elem, RatFn) and elem.var in values:
         x = values[elem.var]
         num = _subst_poly(elem.num, x, values, one)
         if elem.is_poly():
             return num  # RatFn keeps a constant denominator at 1
         return num / _subst_poly(elem.den, x, values, one)
-    return elem * one
+    return one * elem
 
 
 def _subst_poly(p, x, values, one):

@@ -8,7 +8,16 @@ Canonical form makes equality a syntactic check.
 Sums and products reduce by Henrici's cross-cancellation, never by a full
 gcd, and two polynomials skip even that: when both denominators are 1, the
 sum or product is that of the numerators over 1, with no gcd test and no
-product of the denominators.
+product of the denominators.  A sum with a zero operand is the other one.
+
+The derivative follows Hermite's rule: with g = gcd(d, d'),
+
+    (n/d)' = (n' (d/g) - n (d'/g)) / (d (d/g)),
+
+which is already reduced.  In characteristic 0 a pole of order e becomes
+one of order exactly e + 1, and d (d/g) is monic, so the result needs no
+gcd of its own.  tderiv keeps its gcd: a derivation of the coefficients may
+cancel a factor of the denominator.
 
 The module-level functions (local_expand, partial_fractions,
 roots_in_field) are the workhorses everything above this layer uses to take
@@ -150,6 +159,10 @@ class RatFn:
         """self + c/d for canonical c/d, reducing only by gcds of factors of
         the denominators (Henrici; Knuth, TAOCP 2, 4.5.1)."""
         a, b = self.num, self.den
+        if not c:
+            return self
+        if not a:
+            return RatFn._reduced(c, d)
         if b.degree() == 0 and d.degree() == 0:
             return RatFn._reduced(a + c, b)
         if b == d:
@@ -248,9 +261,14 @@ class RatFn:
     # -- calculus -----------------------------------------------------------
 
     def deriv(self):
-        """Derivative in the main variable."""
-        return RatFn(self.num.deriv() * self.den - self.num * self.den.deriv(),
-                     self.den * self.den)
+        """Derivative in the main variable, by Hermite's rule."""
+        n, d = self.num, self.den
+        if d.degree() == 0:
+            return RatFn._reduced(n.deriv(), d)
+        dd = d.deriv()
+        g = poly_gcd(d, dd)
+        dg = d // g
+        return RatFn._reduced(n.deriv() * dg - n * (dd // g), d * dg)
 
     def tderiv(self, derivation=None):
         """Derivative through the coefficients.

@@ -33,7 +33,8 @@ weights agree: `graded_equal` compares both.
 from fractions import Fraction
 
 from .errors import PlanMismatch
-from .exactmath import QQ, ExtElem, FunctionField, QuadraticExtension
+from .exactmath import (QQ, ExtElem, FunctionField, Poly,
+                        QuadraticExtension, RatFn)
 from .spectralcurve import ONE_BRANCH, Uniformization
 
 
@@ -177,7 +178,12 @@ class Specialization:
         b = n % 2 if self._quad else 0
         a = (n - b) // 2 if self._quad else n
         T = self._tfield
-        part = T.gen() ** a * (value / self.t0 ** a)
+        c = value / self.t0 ** a
+        if a >= 0:
+            part = RatFn(Poly(QQ, [0] * a + [c], T.var))
+        else:
+            part = RatFn(Poly(QQ, [c], T.var),
+                         Poly(QQ, [0] * -a + [1], T.var))
         if not self._quad:
             return part
         zero = T.zero()

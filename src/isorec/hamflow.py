@@ -23,7 +23,7 @@ from .errors import OrderMismatch, SingularHessian, UnsolvableInTower
 from .exactmath import (Poly, RatFn, Series, adjoin_roots, evaluate,
                         partial_derivation, split_linear_factors,
                         squarefree_decomposition, substitute)
-from .exactmath.fields import FunctionField, _generators
+from .exactmath.fields import FunctionField
 from .laxsystem import Mat2
 
 
@@ -169,20 +169,14 @@ def flow_values(flow, prec):
     """Assignment that makes substitute() evaluate along a flow.
 
     `flow` is anything with .q, .p, .field, .qname and .pname.
-    Every generator of flow.field stands for itself and the Darboux pair
-    for the flow's series cut to hbar^(prec-1).  Returns (values, one) for
+    The Darboux pair stands for the flow's series cut to hbar^(prec-1);
+    the generators of flow.field get no value, so substitute lifts a
+    scalar of flow.field as a constant series.  Returns (values, one) for
     substitute(elem, values, one), which then yields an hbar series.
     """
     E = flow.field
-    zE = E.zero()
-
-    def const(v):
-        return Series.constant(v, prec, zE)
-
-    vals = {name: const(g) for name, g in _generators(E).items()}
-    vals[flow.qname] = _cap(flow.q, prec)
-    vals[flow.pname] = _cap(flow.p, prec)
-    return vals, const(E.one())
+    vals = {flow.qname: _cap(flow.q, prec), flow.pname: _cap(flow.p, prec)}
+    return vals, Series.constant(E.one(), prec, E.zero())
 
 
 def hbar_series(f, flow, order):
@@ -219,9 +213,7 @@ def extend_flow(H, lead, order=4):
     """
     E2 = lead.field
     _, qname, pname, F = _split_tower(H)
-    scalars = dict(_generators(E2))
-    scalars[qname] = lead.q0
-    scalars[pname] = lead.p0
+    scalars = {qname: lead.q0, pname: lead.p0}
 
     def at_point(expr):
         return substitute(expr, scalars, E2.one())

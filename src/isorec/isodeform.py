@@ -311,5 +311,10 @@ def compatibility_residual(iso, flow, order):
     A = along(iso.aux)
     dL = L.map_coeffs(lambda m: m.map(lambda e: e.tderiv()))
     dA = A.map_coeffs(lambda m: m.map(lambda e: e.deriv()))
-    res = (dL - dA).shift(1) - (A * L - L * A)
-    return res.truncate(prec)
+    # [A, L] order by order: sum of [A_i, L_j] over i + j = k
+    comm = [zero] * prec
+    for i, a in A.known_items():
+        for j, lj in L.known_items():
+            if i + j < prec:
+                comm[i + j] = comm[i + j] + a.commutator(lj)
+    return (dL - dA).shift(1) - Series(0, comm, prec, zero)

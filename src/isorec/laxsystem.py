@@ -76,7 +76,14 @@ class Mat2:
         return self.a * self.d - self.b * self.c
 
     def commutator(self, other):
-        return self * other - other * self
+        """[X, Y] = XY - YX in six products: with X = (a, b; c, d) and
+        Y = (e, f; g, h) it is (bg - cf, f(a-d) - b(e-h); c(e-h) - g(a-d),
+        cf - bg), exact over any commutative ring."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        diag = b * g - c * f
+        ad, eh = a - d, e - h
+        return Mat2(diag, f * ad - b * eh, c * eh - g * ad, -diag)
 
     def is_trace_free(self):
         return not self.trace()

@@ -26,7 +26,7 @@ from .errors import (ConfluentBranchpoints, HigherGenus, InvalidPoleStructure,
 from .exactmath import (ExtElem, Poly, QuadraticExtension, RatFn,
                         adjoin_roots, evaluate, squarefree_decomposition,
                         split_linear_factors, substitute)
-from .exactmath.fields import FunctionField, _generators
+from .exactmath.fields import FunctionField
 from .laxsystem import assemble
 
 TWO_BRANCH = "two"
@@ -266,9 +266,7 @@ def leading_matrices(iso, lead):
     Returns matrices of RatFn in x over lead.field.
     """
     E2 = lead.field
-    scal = dict(_generators(E2))
-    scal["q"] = lead.q0
-    scal["p"] = lead.p0
+    scal = {"q": lead.q0, "p": lead.p0}
     one = E2.one()
 
     def down(m):

@@ -15,7 +15,7 @@ import pytest
 
 from isorec import grading
 from isorec.detcheck import (CorrelatorSeries, MSeries, ProductForm,
-                             _bergman_match, _sep_zero, check_singularities,
+                             _bergman_match, check_singularities,
                              correlators, m_series, tau_series, verify_tt)
 from isorec.errors import (IndexOutOfRange, InvalidPoleStructure,
                            TruncationTooShort, UnexpectedPole)
@@ -24,6 +24,7 @@ from isorec.exactmath import (QQ, ExtElem, FunctionField, RatFn,
 from isorec.hamflow import extend_flow, flow_values, leading_order
 from isorec.isodeform import build_isosystem
 from isorec.laxsystem import Mat2, PoleData, SIGMA_PLUS, Sl2Lax
+from isorec.separated import _sep_zero
 from isorec.spectralcurve import (classical_curve, curve_from_system,
                                   uniformize)
 from isorec.toprec import PoleBasisForm, eo_differentials, xi_ratfn
