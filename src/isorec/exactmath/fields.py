@@ -476,7 +476,7 @@ def substitute(elem, values, one):
     to elements of some common target ring; `one` is that ring's unit.  A
     variable without a value stands for itself, and so does the rest of the
     tower below it: the element is lifted into the target as one * elem, as
-    a bare rational is, and TypeError says the target cannot hold it.
+    a bare rational is, and raises TypeError when that product is undefined.
     Division in the target ring must be available for denominators that
     appear.
     """

@@ -1,17 +1,19 @@
 """The determinantal side on Painleve I through hbar^4: the projector-valued
 series M on the double cover, the equation it solves, and the correlators
 built from its traces, which verify_tt identifies with omega_{g,n} for
-n <= 3; the singularity statements on hand-built M in both growth cases;
-the exact zero test of separated forms on both uniformization kinds; and
-the tau-function identities H_2 = -dF_1/dt, H_4 = -dF_2/dt and
-H_6 = -dF_3/dt."""
+n <= 4; the singularity statements on hand-built M in both growth cases;
+the exact zero test of separated forms on both uniformization kinds, on
+integers over Q against the field path over Q(t); and the tau-function
+identities H_2 = -dF_1/dt, H_4 = -dF_2/dt and H_6 = -dF_3/dt."""
 
+import hashlib
 import itertools
 import json
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isorec import grading
 from isorec.detcheck import (CorrelatorSeries, MSeries, ProductForm,
@@ -19,7 +21,7 @@ from isorec.detcheck import (CorrelatorSeries, MSeries, ProductForm,
                              correlators, m_series, tau_series, verify_tt)
 from isorec.errors import (IndexOutOfRange, InvalidPoleStructure,
                            TruncationTooShort, UnexpectedPole)
-from isorec.exactmath import (QQ, ExtElem, FunctionField, RatFn,
+from isorec.exactmath import (QQ, ExtElem, FunctionField, Poly, RatFn,
                               parse_element, substitute)
 from isorec.hamflow import extend_flow, flow_values, leading_order
 from isorec.isodeform import build_isosystem
@@ -47,11 +49,16 @@ def p1_system():
     return iso, parse_element("-2*p^2 + 2*q^3 + 4*t*q", F)
 
 
-def curve_U(q_text):
-    """Uniformization of y^2 = Q(x) over Q."""
-    one = RatFn.one(QQ, "x")
-    Q = parse_element(q_text, FunctionField(QQ, "x"))
+def curve_U(q_text, field=QQ):
+    """Uniformization of y^2 = Q(x) over `field`."""
+    one = RatFn.one(field, "x")
+    Q = parse_element(q_text, FunctionField(field, "x"))
     return uniformize(classical_curve(Mat2(0 * one, Q, one, 0 * one)))
+
+
+def report_digest(report):
+    return hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +304,134 @@ def test_pole_basis_round_trip_through_coupling(q_text, table):
     assert pf.to_pbf() == PoleBasisForm(QQ, 2, table)
 
 
+# --- the zero test over Q on integers, against the field path over Q(t) ------
+
+Qt = FunctionField(QQ, "t")
+ZERO_TEST_CURVES = {q: curve_U(q) for q in ("x", "(x-1)*(x-3)")}
+# the same curves over Q(t), where the zero test takes the field path
+OVER_QT = {U: curve_U(q, Qt) for q, U in ZERO_TEST_CURVES.items()}
+
+
+def _over_qt(pf):
+    """The same form on the same curve over Q(t)."""
+    Ut = OVER_QT[pf.U]
+    assert Ut.x == pf.U.x.map_coeffs(Qt.coerce, Qt)
+    return ProductForm(Ut, pf.n, [
+        (Qt.coerce(c), tuple(f.map_coeffs(Qt.coerce, Qt) for f in facs), coup)
+        for c, facs, coup in pf.terms])
+
+
+def _zero_verdict(pf):
+    """pf.is_zero() over Q, checked against the field path over Q(t)."""
+    verdict = pf.is_zero()
+    assert _over_qt(pf).is_zero() == verdict
+    return verdict
+
+
+SLOT_DENS = [parse_element(d, FunctionField(QQ, "z")) for d in
+             ("1", "z", "z^2", "z - 1", "(z + 1)^2", "2*z*(z - 2)")]
+coefs = st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                  st.integers(1, 6))
+
+
+@st.composite
+def slot_factors(draw):
+    """c * N(z) / D(z): mixed scalar denominators, D from a small pool with
+    repeated factors, and N = 0 now and then."""
+    num = Poly(QQ, draw(st.lists(st.integers(-3, 3), max_size=3)), "z")
+    return RatFn(num) * draw(coefs) / draw(st.sampled_from(SLOT_DENS))
+
+
+@st.composite
+def separated_forms(draw):
+    U = ZERO_TEST_CURVES[draw(st.sampled_from(sorted(ZERO_TEST_CURVES)))]
+    n = draw(st.integers(1, 3))
+    pf = ProductForm(U, n)
+    for _ in range(draw(st.integers(1, 3))):
+        coup = {}
+        for pair in itertools.combinations(range(n), 2):
+            coup[pair] = draw(st.integers(0, 2))
+        pf.add(draw(coefs), [draw(slot_factors()) for _ in range(n)],
+               {pair: e for pair, e in coup.items() if e})
+    return pf
+
+
+@settings(max_examples=40, deadline=None)
+@given(separated_forms())
+def test_integer_zero_test_agrees_with_the_field_path(pf):
+    _zero_verdict(pf)
+
+
+@st.composite
+def rewritten_forms(draw):
+    """(pf, the same sum written otherwise): one term of pf has a factor
+    split in two, a coupling raised by one through
+    1/(xi - xj)^e = (xi - xj)/(xi - xj)^(e+1), or a scalar moved into a
+    slot."""
+    pf = draw(separated_forms())
+    U, n = pf.U, pf.n
+    k = draw(st.integers(0, len(pf.terms) - 1))
+    c, facs, coup = pf.terms[k]
+    how = draw(st.sampled_from(["split", "raise", "scalar"] if n > 1
+                               else ["split", "scalar"]))
+    i = draw(st.integers(0, n - 1))
+    if how == "split":
+        g = draw(slot_factors())
+        new = [(c, facs[:i] + (g,) + facs[i + 1:], coup),
+               (c, facs[:i] + (facs[i] - g,) + facs[i + 1:], coup)]
+    elif how == "scalar":
+        lam = draw(coefs)
+        new = [(c / lam, facs[:i] + (facs[i] * lam,) + facs[i + 1:], coup)]
+    else:
+        i, j = draw(st.sampled_from(list(itertools.combinations(range(n),
+                                                                2))))
+        up = dict(coup)
+        up[(i, j)] = coup.get((i, j), 0) + 1
+        xi, xj = list(facs), list(facs)
+        xi[i] = facs[i] * U.x
+        xj[j] = facs[j] * U.x
+        new = [(c, tuple(xi), up), (-c, tuple(xj), up)]
+    return pf, ProductForm(U, n, pf.terms[:k] + new + pf.terms[k + 1:])
+
+
+@settings(max_examples=30, deadline=None)
+@given(rewritten_forms())
+def test_zero_test_proves_sums_built_to_cancel(forms):
+    pf, other = forms
+    assert _zero_verdict(pf - other)
+
+
+@pytest.mark.parametrize("q_text", sorted(ZERO_TEST_CURVES))
+def test_zero_test_refuses_near_misses(q_text):
+    # each pair of terms has numerators that cancel once the denominators
+    # of its scalars, its slot factors or its couplings are dropped
+    U = ZERO_TEST_CURVES[q_text]
+    z = RatFn.gen(QQ, U.zvar)
+    one = RatFn.one(QQ, U.zvar)
+    zero = 0 * one
+    cases = [
+        (1, [(Fraction(1, 2), [one / z]), (Fraction(-1, 3), [one / z])]),
+        (2, [(Fraction(1, 2), [one / z, z]), (Fraction(-1, 3), [one / z, z])]),
+        (2, [(1, [one / (2 * z), z]), (-1, [one / (3 * z), z])]),
+        (2, [(1, [one / z, z]), (-1, [one / (z + 1), z])]),
+        (2, [(1, [one, z], {(0, 1): 1}), (-1, [one, z], {(0, 1): 2})]),
+        (3, [(1, [one / z, z, one / (2 * z)], {(1, 2): 1}),
+             (-1, [one / z, z, one / (3 * z)], {(1, 2): 1})]),
+        # a zero factor contributes nothing, here or in a cancelling sum
+        (2, [(1, [zero, z], {(0, 1): 1}), (1, [one / z, z])]),
+    ]
+    for n, terms in cases:
+        pf = ProductForm(U, n)
+        for term in terms:
+            pf.add(Fraction(term[0]), *term[1:])
+        assert not _zero_verdict(pf)
+        pf.add(Fraction(1), [zero] * n, {(0, n - 1): 1} if n > 1 else {})
+        assert _zero_verdict(pf - pf)
+        alone = ProductForm(U, n)
+        alone.add(Fraction(3), [zero] + [one / z] * (n - 1))
+        assert _zero_verdict(alone)
+
+
 def _with_two_point(cors, pf, k=0):
     wn = dict(cors.wn)
     wn[(2, k)] = pf
@@ -352,6 +487,53 @@ def test_p1_verify_tt_on_the_tower_is_the_graded_report(monkeypatch):
     monkeypatch.setattr(grading, "specialization", lambda U: None)
     assert report() == graded
     assert json.loads(graded)["pass"]
+
+
+def test_verify_tt_reports_are_the_committed_ones(p1, p1_order4_n3):
+    # the whole report, witnesses and certificate included, not only its
+    # verdicts: (M order, nmax) = (2, 2) and (4, 3)
+    mser, cors = p1
+    assert report_digest(verify_tt(mser, cors)) == (
+        "48b75faeb9f9dd31b2e95bbfa627868b30f3627dc9de8a44d65f1e3c1ae32c47")
+    assert report_digest(p1_order4_n3[0]) == (
+        "3eb053dd3094b603f0e4c61330f297d407c0d4429b52cdbf5b557ea410c1af7a")
+
+
+@pytest.fixture(scope="module")
+def p1_order4_n4():
+    iso, H = p1_system()
+    mser = m_series(iso, extend_flow(H, leading_order(H), 4), 4)
+    return verify_tt(mser, correlators(mser, nmax=4))
+
+
+def test_p1_verify_tt_passes_through_order_4_and_four_points(p1_order4_n4):
+    report = p1_order4_n4
+    failed = [c for c, v in report["clauses"].items() if not v["pass"]]
+    assert not failed
+    assert sorted(report["tr_equality"]) == sorted(
+        ["0,1", "0,2", "1,1", "2,1", "1,2", "2,2", "0,3", "1,3", "0,4",
+         "1,4"])
+    assert all(r["pass"] for r in report["tr_equality"].values())
+    assert report["pass"]
+    assert report_digest(report) == (
+        "13ed2f9c6607d455805fea29d4cb1f4070a668d52928ba3f7db5238bc53d1a26")
+
+
+def test_to_json_reads_the_verdicts_of_verify_tt(monkeypatch):
+    # verify_tt proves the zero rows, W_2^(0) and the decompositions once;
+    # to_json then labels every row without a zero test of its own
+    iso, H = p1_system()
+    mser = m_series(iso, extend_flow(H, leading_order(H), 4), 4)
+    cors = correlators(mser, nmax=3)
+    assert verify_tt(mser, cors)["pass"]
+    calls = []
+    is_zero = ProductForm.is_zero
+    monkeypatch.setattr(ProductForm, "is_zero",
+                        lambda pf: calls.append(pf) or is_zero(pf))
+    blob = cors.to_json()["correlators"]
+    assert not calls
+    assert blob["2,0"]["diagonal"] == "double pole, matches the Bergman kernel"
+    assert blob["3,0"] == {"kind": "vanishing"}
 
 
 def test_verify_tt_reads_symmetry_off_the_other_clauses(p1_order4_n3):

@@ -12,7 +12,7 @@ from isorec.exactmath import (
     ExtElem, FunctionField, HbarSeries, Poly, QQ,
     QuadraticExtension, RatFn, integer_product, local_expand, parse_element,
     Series, partial_fractions, poly_gcd, poly_sqrt, recombine,
-    roots_in_field, squarefree_decomposition,
+    roots_in_field, squarefree_decomposition, substitute,
 )
 from isorec.laxsystem import Mat2
 
@@ -561,6 +561,65 @@ def test_kernels_match_cross_products(name):
             assert (got.num, got.den) == want, op
             assert_canonical(got)
     check()
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(t)"])
+def test_deriv_is_the_reduced_quotient_rule(name):
+    # h^e gives the denominator a repeated factor (unless f's numerator
+    # cancels it); Hermite's rule must still land on RatFn's reduction of
+    # (n' d - n d') / d^2
+    factors = KERNEL_POOLS[name][2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_fractions(name), st.sampled_from(factors),
+           st.integers(1, 3))
+    def check(f, h, e):
+        g = f / h ** e
+        n, d = g.num, g.den
+        got = g.deriv()
+        want = RatFn(n.deriv() * d - n * d.deriv(), d * d)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert_canonical(got)
+    check()
+
+
+def test_deriv_raises_each_pole_order_by_one():
+    x = X()
+    f = (x + 1) / (x ** 2 * (x - 1) ** 3)
+    df = f.deriv()
+    # poles of order 2 and 3 become poles of order 3 and 4
+    assert df.den == (x ** 3 * (x - 1) ** 4).num
+    assert df == -(4 * x ** 2 + 4 * x - 2) / (x ** 3 * (x - 1) ** 4)
+    assert RatFn.one(QQ, "x").deriv() == 0 and x.deriv() == 1
+
+
+def test_substitute_lifts_an_unassigned_variable():
+    # t gets no value, so a Q(t) coefficient stands for itself and is
+    # lifted as a constant series; giving t its own value changes nothing
+    Fq = FunctionField(Qt, "q")
+    e = parse_element("t*q^2 + 1/t", Fq)
+    one = HbarSeries.constant(Qt.one(), 3, Qt.zero())
+    q = Series(0, [Qt.gen(), Qt.one()], 3, Qt.zero())  # t + hbar
+    got = substitute(e, {"q": q}, one)
+    assert [got.coeff(k) for k in range(3)] == [
+        parse_element(v, Qt) for v in ("t^3 + 1/t", "2*t^2", "t")]
+    t = HbarSeries.constant(Qt.gen(), 3, Qt.zero())
+    assert substitute(e, {"q": q, "t": t}, one) == got
+    # with no value for u, an element of Q(t)[u] is lifted whole
+    K = QuadraticExtension(Qt, Qt.gen(), "u")
+    w = parse_element("t*u + 1", K)
+    lifted = substitute(w, {}, HbarSeries.constant(K.one(), 2, K.zero()))
+    assert lifted == HbarSeries.constant(w, 2, K.zero())
+
+
+def test_substitute_refuses_an_element_the_target_cannot_hold():
+    # s gets no value, and Q(t) cannot hold an element of Q(s)
+    Qs = FunctionField(QQ, "s")
+    with pytest.raises(TypeError):
+        substitute(Qs.gen(), {}, Qt.one())
+    e = parse_element("s*q + 1", FunctionField(Qs, "q"))
+    with pytest.raises(TypeError):
+        substitute(e, {"q": Qt.gen()}, Qt.one())
 
 
 def test_kernel_explicit_cases():

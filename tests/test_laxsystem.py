@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isorec.errors import (DegenerateOrbit, IndexOutOfRange,
                            InvalidPoleStructure, PoleCollision)
@@ -292,3 +293,29 @@ def test_darboux_chart_identities():
         # (p - L11)(p - L22) - L12 L21 at x = q
         det = (p - L.a(q)) * (p - L.d(q)) - L.b(q) * L.c(q)
         assert not det
+
+
+COMMUTATOR_SCALARS = {
+    "Q": (QQ, ["0", "1", "-2", "3/5", "-7/4"]),
+    "Q(t)": (tower("t"), ["0", "1", "t", "-1/t", "t^2 - 3", "(t + 1)/(t - 2)"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTATOR_SCALARS))
+def test_commutator_is_xy_minus_yx(name):
+    # the six-product formula against the two full products, on matrices
+    # that are mostly not trace-free
+    F, pool = COMMUTATOR_SCALARS[name]
+    scalars = [parse_element(s, F) for s in pool]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(scalars), min_size=8, max_size=8))
+    def check(entries):
+        X, Y = Mat2(*entries[:4]), Mat2(*entries[4:])
+        assert X.commutator(Y) == X * Y - Y * X
+    check()
+    X = mat(F, (("1", "2"), ("3", "5")))
+    Y = mat(F, (("-1", "4"), ("1", "2")))
+    assert X.trace() and Y.trace()
+    assert X.commutator(Y) == X * Y - Y * X == mat(F, (("-10", "-10"),
+                                                       ("-5", "10")))
