@@ -23,8 +23,11 @@ homogeneous f of weight w, with dx the cover's derivation.  correlators and
 verify_tt then run over Q unchanged.  This is exact for the reason the
 recursion at t0 is (see toprec and grading): every zero test, pole location
 and degree bound is one of a homogeneous element, and a nonzero c t^a u^b
-stays nonzero at t0.  verify_tt compares a row's coefficients together with
-their weights, because c t^a and c' t^a' can agree at t0.
+stays nonzero at t0.  flow_grading also checks d_x + w_L = 1: hbar d/dx has
+the weight of L.  As d_x and w_L are the curve's w_x and w_y in these units,
+a pole-basis coefficient of W_n^(k), k = 2g - 2 + n, and the same one of
+omega_{g,n} differ in weight by k (d_x + w_L - 1) for n >= 2 and by
+2g (d_x + w_L - 1) for n = 1, so rows equal at t0 are equal on the tower.
 """
 
 import itertools
@@ -148,21 +151,17 @@ ENTRY_SIGNS = (0, 1, -1, 0)
 class FlowGrading:
     """Weights of the determinantal side, in scaling_plan's units.
 
-    x has weight d_x, t weight d_t and hbar weight 1; entry ij of L^(k)
-    has weight w_L + s_ij delta - k (w_L is `lax`), and entry ij of M^(k)
-    s_ij delta - k.  `spec` is the curve's Specialization, and `scale`
-    takes its weights to these units.
+    x has weight d_x, t weight d_t and hbar weight 1; entry ij of M^(k) has
+    weight s_ij delta - k.  `spec` is the curve's Specialization.
     """
 
-    __slots__ = ("spec", "d_x", "d_t", "lax", "delta", "scale")
+    __slots__ = ("spec", "d_x", "d_t", "delta")
 
-    def __init__(self, spec, d_x, d_t, lax, delta, scale):
+    def __init__(self, spec, d_x, d_t, delta):
         self.spec = spec
         self.d_x = d_x
         self.d_t = d_t
-        self.lax = lax
         self.delta = delta
-        self.scale = scale
 
     def time_derivative(self, cover):
         """dt(m, k) for m = M^(k) over the cover at t0, from the Euler
@@ -177,21 +176,6 @@ class FlowGrading:
                           for s, e in zip(ENTRY_SIGNS, m.entries())))
         return dt
 
-    def omega_weight(self, g, n, key):
-        return self.scale * self.spec.omega_weight(g, n, key)
-
-    def correlator_weight(self, n, k, key):
-        """Weight of a pole-basis coefficient of W_n^(k).
-
-        As the coefficient of prod dz_i, W_1^(k) = sum_j Tr L^(j) M^(k+1-j)
-        x' has weight w_L - 1 - k + d_x - w_z; for n >= 2, a trace of weight
-        -k over n couplings 1/(x_i - x_j) times n factors x' has weight
-        -k - n w_z.  The basis element dz_i/z_i^k_i has weight (1 - k_i) w_z.
-        """
-        w_z = self.scale * self.spec.weights["z"]
-        base = self.lax - 1 - k + self.d_x - w_z if n == 1 else -k - n * w_z
-        return base + w_z * sum(k_i for _, k_i in key)
-
 
 def flow_grading(iso, spec, lax, ahat, beta):
     """Check L^(k), A-hat^(k) and beta against scaling_plan's weights.
@@ -201,7 +185,7 @@ def flow_grading(iso, spec, lax, ahat, beta):
     w_L + s_ij delta - k (w_A for A-hat); w_L, w_A, delta and beta's weight
     are solved from the coefficients.  Returns a FlowGrading, or None when
     the coefficients are not homogeneous in these weights.  Weights that
-    contradict the curve's raise PlanMismatch.
+    contradict the curve's, or with d_x + w_L != 1, raise PlanMismatch.
     """
     plan = scaling_plan(iso.lax.poles, iso.case)
     if not plan.d_t:
@@ -228,7 +212,11 @@ def flow_grading(iso, spec, lax, ahat, beta):
             "weights along the flow (x %s, L %s) contradict the curve's "
             "(x %s, y %s)" % (plan.d_x, w["L"], scale * spec.weights["x"],
                               scale * spec.weights["y"]))
-    return FlowGrading(spec, plan.d_x, plan.d_t, w["L"], w["delta"], scale)
+    if plan.d_x + w["L"] != 1:
+        raise PlanMismatch(
+            "weights along the flow (x %s, L %s) give hbar d/dx a weight "
+            "other than L's" % (plan.d_x, w["L"]))
+    return FlowGrading(spec, plan.d_x, plan.d_t, w["delta"])
 
 
 class MSeries:
@@ -399,9 +387,9 @@ class CorrelatorSeries:
     """Connected n-point correlators, order by order in hbar.
 
     Stored as coefficients of prod dz_i on the cover: w1[k] is a plain
-    rational function of z; wn[(n, k)] a ProductForm.  Basis decompositions,
-    zero tests and the Bergman check of W_2^(0) are kept once proved, so
-    verify_tt and to_json share them.
+    rational function of z; wn[(n, k)] a ProductForm.  Basis decompositions
+    or their refusals, zero tests and the Bergman check of W_2^(0) are kept
+    once proved, so verify_tt and to_json share them.
     """
 
     __slots__ = ("U", "order", "nmax", "w1", "wn", "_basis", "_zero",
@@ -435,15 +423,20 @@ class CorrelatorSeries:
         return self.wn[(n, k)]
 
     def pole_basis(self, n, k):
-        """Decomposition over the branchpoint basis, with zero remainder."""
+        """Decomposition over the branchpoint basis, with zero remainder;
+        a row without one raises its recorded UnexpectedPole again."""
         if (n, k) not in self._basis:
             f = self.form(n, k)
-            if n == 1:
-                pbf = PoleBasisForm.from_ratfn(f, self.U.branch_ints)
-            else:
-                pbf = f.to_pbf()
-            self._basis[(n, k)] = pbf
-        return self._basis[(n, k)]
+            try:
+                self._basis[(n, k)] = (
+                    PoleBasisForm.from_ratfn(f, self.U.branch_ints)
+                    if n == 1 else f.to_pbf())
+            except UnexpectedPole as err:
+                self._basis[(n, k)] = err
+        got = self._basis[(n, k)]
+        if isinstance(got, UnexpectedPole):
+            raise got.with_traceback(None)
+        return got
 
     def vanishes(self, n, k):
         """The exact zero test of W_n^(k)."""
@@ -597,9 +590,10 @@ def verify_tt(mser, cors):
     compared with the recursion on the sheet-flipped cover; relabelling the
     sheets multiplies omega_{g,n} by (-1)^n, so the recursion runs on U
     and its tables are scaled by that sign.  For a series run at one time
-    (mser.grading) a row also needs each coefficient's weight to agree on
-    both sides; row (0,1) compares -y dx, whose weight flow_grading has
-    matched with that of L.
+    (mser.grading) equal rows at t0 are equal on the tower: flow_grading
+    has checked d_x + w_L = 1, which gives each coefficient the same weight
+    on both sides, and row (0,1) compares -y dx, whose weight flow_grading
+    has matched with that of L.
     """
     U = mser.U
     E = U.field
@@ -675,14 +669,7 @@ def verify_tt(mser, cors):
                             "reason": "no basis decomposition"}
             continue
         want = eo.omega(g, n).scaled(E.coerce((-1) ** n))
-        graded = mser.grading
-        if graded is None:
-            tr_rows[key] = {"pass": mine == want}
-        else:
-            k = 2 * g - 2 + n
-            tr_rows[key] = {"pass": grading.graded_equal(
-                mine, want, lambda idx: graded.correlator_weight(n, k, idx),
-                lambda idx: graded.omega_weight(g, n, idx))}
+        tr_rows[key] = {"pass": mine == want}
 
     ok = all(c["pass"] for c in clauses.values()) \
         and all(r["pass"] for r in tr_rows.values())

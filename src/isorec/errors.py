@@ -67,6 +67,10 @@ class OrderMismatch(IsorecError):
     """Series truncation orders of two inputs disagree."""
 
 
+class InvalidHamiltonian(IsorecError):
+    """H is not a polynomial in a Darboux pair (q, p) over the time field."""
+
+
 # --- spectral curve layer --------------------------------------------------
 
 class NilpotentLeading(IsorecError):

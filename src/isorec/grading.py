@@ -27,7 +27,10 @@ not vanish at z = 0, so a pole off the branch point z = 0 stays off it.
 With z of weight 0 (two branch points, sigma(z) = 1/z) a monic homogeneous
 polynomial in z has rational coefficients and does not change at all.
 Equality of two homogeneous elements at t0 implies equality only when their
-weights agree: `graded_equal` compares both.
+weights agree.  The recursion's coefficients have the weights of
+`Specialization.omega_weight`, and the determinantal side's have the same
+weights exactly when d_x + w_L = 1 (hbar d/dx has the weight of L), which
+detcheck.flow_grading checks once; so rows are compared at t0 alone.
 """
 
 from fractions import Fraction
@@ -216,8 +219,3 @@ def specialization(U):
         return None
     return Specialization(U, weights, *tower)
 
-
-def graded_equal(a, b, weight_a, weight_b):
-    """Two pole-basis forms at t0 are the same form on the tower: equal
-    tables, and each key of equal weight on both sides."""
-    return a == b and all(weight_a(key) == weight_b(key) for key in a.table)

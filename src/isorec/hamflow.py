@@ -19,7 +19,8 @@ and matrices in x, as isodeform and detcheck need.
 
 from __future__ import annotations
 
-from .errors import OrderMismatch, SingularHessian, UnsolvableInTower
+from .errors import (InvalidHamiltonian, OrderMismatch, SingularHessian,
+                     UnsolvableInTower)
 from .exactmath import (Poly, RatFn, Series, adjoin_roots, evaluate,
                         partial_derivation, split_linear_factors,
                         squarefree_decomposition, substitute)
@@ -30,19 +31,27 @@ from .laxsystem import Mat2
 class LeadingOrder:
     """A critical point of H, with the field it lives in.
 
-    `modulus` is the defining r(t) when a quadratic extension u^2 = r was
-    needed (None otherwise); `root` records which square root the caller
-    picked.
+    `qname` and `pname` name H's Darboux pair; `modulus` is the defining
+    r(t) when a quadratic extension u^2 = r was needed (None otherwise);
+    `root` records which square root the caller picked.
     """
 
-    __slots__ = ("field", "p0", "q0", "modulus", "root")
+    __slots__ = ("field", "p0", "q0", "qname", "pname", "modulus", "root")
 
-    def __init__(self, field, p0, q0, modulus=None, root="plus"):
+    def __init__(self, field, p0, q0, qname, pname, modulus=None,
+                 root="plus"):
         self.field = field
         self.p0 = field.coerce(p0)
         self.q0 = field.coerce(q0)
+        self.qname = qname
+        self.pname = pname
         self.modulus = modulus
         self.root = root
+
+    def at_point(self, expr):
+        """An element of the (q, p) tower at the critical point."""
+        return substitute(expr, {self.qname: self.q0, self.pname: self.p0},
+                          self.field.one())
 
     def __repr__(self):
         return ("LeadingOrder(p0=%s, q0=%s, modulus=%s)"
@@ -98,7 +107,8 @@ def _split_tower(H):
     """
     Fq = H.field
     if not isinstance(Fq, FunctionField):
-        raise TypeError("H must live in a (q, p) tower over the time field")
+        raise InvalidHamiltonian(
+            "H must live in a (q, p) tower over the time field")
     return Fq.base, Fq.var, H.var, FunctionField(Fq, H.var)
 
 
@@ -135,7 +145,7 @@ def leading_order(H, root="plus"):
     Hp = H.deriv()
     Hq = partial_derivation(F, qname)(H)
     if not Hp.is_poly() or not Hq.is_poly():
-        raise TypeError("H must be polynomial in the Darboux pair")
+        raise InvalidHamiltonian("H must be polynomial in the Darboux pair")
     np_ = Hp.as_poly()
     if np_.degree() != 1:
         raise UnsolvableInTower(
@@ -152,7 +162,7 @@ def leading_order(H, root="plus"):
     except ZeroDivisionError:
         raise UnsolvableInTower(
             "eliminated momentum has a pole at the critical point")
-    return LeadingOrder(field, p0, q0, modulus, root=root)
+    return LeadingOrder(field, p0, q0, qname, pname, modulus, root=root)
 
 
 def _cap(series, prec):
@@ -213,16 +223,11 @@ def extend_flow(H, lead, order=4):
     """
     E2 = lead.field
     _, qname, pname, F = _split_tower(H)
-    scalars = {qname: lead.q0, pname: lead.p0}
-
-    def at_point(expr):
-        return substitute(expr, scalars, E2.one())
-
     Hp = H.deriv()
     Hq = partial_derivation(F, qname)(H)
-    hpp = at_point(partial_derivation(F, pname)(Hp))
-    hpq = at_point(partial_derivation(F, qname)(Hp))
-    hqq = at_point(partial_derivation(F, qname)(Hq))
+    hpp = lead.at_point(partial_derivation(F, pname)(Hp))
+    hpq = lead.at_point(partial_derivation(F, qname)(Hp))
+    hqq = lead.at_point(partial_derivation(F, qname)(Hq))
     det = hpp * hqq - hpq * hpq
     if not det:
         raise SingularHessian(

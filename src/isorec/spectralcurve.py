@@ -25,7 +25,7 @@ from .errors import (ConfluentBranchpoints, HigherGenus, InvalidPoleStructure,
                      NotProportional)
 from .exactmath import (ExtElem, Poly, QuadraticExtension, RatFn,
                         adjoin_roots, evaluate, squarefree_decomposition,
-                        split_linear_factors, substitute)
+                        split_linear_factors)
 from .exactmath.fields import FunctionField
 from .laxsystem import assemble
 
@@ -262,16 +262,11 @@ def curve_from_system(iso, lead):
 def leading_matrices(iso, lead):
     """Substitute the leading Darboux values into (L, A).
 
-    `lead` is anything with .field, .q0, .p0 (a hamflow LeadingOrder).
+    `lead` is a hamflow LeadingOrder, which knows the names of the pair.
     Returns matrices of RatFn in x over lead.field.
     """
-    E2 = lead.field
-    scal = {"q": lead.q0, "p": lead.p0}
-    one = E2.one()
-
     def down(m):
-        return m.map(lambda e: e.map_coeffs(
-            lambda cf: substitute(cf, scal, one), E2))
+        return m.map(lambda e: e.map_coeffs(lead.at_point, lead.field))
 
     return down(assemble(iso.lax)), down(iso.aux)
 

@@ -134,19 +134,40 @@ def test_m_entries_live_on_the_cover(p1):
     assert mser.to_json()["mats"][0]["entries"][0]["f"] == "1/2"
 
 
+NO_BASIS = {"kind": "no-basis",
+            "reason": "a correlator coefficient does not reduce to the "
+                      "branchpoint pole basis"}
+
+
+def _without_basis(cors):
+    # a two-point entry with a pole away from the branchpoint has no basis
+    z = RatFn.gen(cors.U.field, cors.U.zvar)
+    pf = ProductForm(cors.U, 2)
+    pf.add(cors.U.field.one(), [1 / (z - 1), 1 / (z - 1)], {})
+    return _with_two_point(cors, pf, 2)
+
+
 def test_correlator_json_records_missing_basis(p1):
     _, cors = p1
     blob = cors.to_json()["correlators"]
     assert blob["1,1"]["kind"] == "pole-basis"
     assert blob["2,2"]["kind"] == "pole-basis"
-    # a two-point entry with a pole away from the branchpoint has no basis
-    z = RatFn.gen(cors.U.field, cors.U.zvar)
-    pf = ProductForm(cors.U, 2)
-    pf.add(cors.U.field.one(), [1 / (z - 1), 1 / (z - 1)], {})
-    assert _with_two_point(cors, pf, 2).to_json()["correlators"]["2,2"] == {
-        "kind": "no-basis",
-        "reason": "a correlator coefficient does not reduce to the "
-                  "branchpoint pole basis"}
+    assert _without_basis(cors).to_json()["correlators"]["2,2"] == NO_BASIS
+
+
+def test_missing_basis_is_proved_once(p1, monkeypatch):
+    # verify_tt refuses the decomposition; to_json then reports the
+    # recorded refusal without a zero test of its own
+    mser, cors = p1
+    row = _without_basis(cors)
+    assert verify_tt(mser, row)["tr_equality"]["1,2"] == {
+        "pass": False, "reason": "no basis decomposition"}
+    calls = []
+    is_zero = ProductForm.is_zero
+    monkeypatch.setattr(ProductForm, "is_zero",
+                        lambda pf: calls.append(pf) or is_zero(pf))
+    assert row.to_json()["correlators"]["2,2"] == NO_BASIS
+    assert not calls
 
 
 def test_correlator_json_reports_a_nonzero_odd_row(p1):

@@ -18,7 +18,6 @@ from isorec.hamflow import extend_flow, leading_order
 from isorec.laxsystem import Mat2
 from isorec.spectralcurve import (classical_curve, curve_from_system,
                                   uniformize)
-from isorec.toprec import PoleBasisForm
 
 from test_detcheck import p1_system
 
@@ -150,13 +149,19 @@ def test_flow_weights_contradicting_the_curve_raise(monkeypatch):
         detcheck.m_series(iso, flow, 1)
 
 
-def test_row_comparison_needs_equal_weights():
-    # c t^a and c' t^a' agree at t0 when c = c' t0^(a'-a): the values match,
-    # the weights do not, and the row fails
-    form = PoleBasisForm(QQ, 1, {((0, 4),): Fraction(3)})
-    same = PoleBasisForm(QQ, 1, {((0, 4),): Fraction(3)})
-    assert grading.graded_equal(form, same, lambda k: 2, lambda k: 2)
-    assert not grading.graded_equal(form, same, lambda k: 2, lambda k: 6)
-    assert not grading.graded_equal(
-        form, PoleBasisForm(QQ, 1, {((0, 4),): Fraction(1)}),
-        lambda k: 2, lambda k: 2)
+def test_hbar_d_dx_of_another_weight_than_l_raises(monkeypatch):
+    # w_L and the curve's y weight move together, so only d_x + w_L = 1
+    # breaks: the correlators would carry other weights than omega_{g,n}
+    iso, H = p1_system()
+    flow = extend_flow(H, leading_order(H), 1)
+    spec = grading.specialization(p1_curve())
+    spec.weights = dict(spec.weights, y=spec.weights["y"] + 5)
+    solve = grading.solve_weights
+
+    def shifted(rows):
+        w = solve(rows)
+        return dict(w, L=w["L"] + 1)
+    monkeypatch.setattr(grading, "specialization", lambda U: spec)
+    monkeypatch.setattr(grading, "solve_weights", shifted)
+    with pytest.raises(PlanMismatch, match="hbar d/dx"):
+        detcheck.m_series(iso, flow, 1)

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isorec.errors import SingularHessian, UnsolvableInTower
+from isorec.errors import (InvalidHamiltonian, SingularHessian,
+                           UnsolvableInTower)
 from isorec.exactmath import QQ, FunctionField, parse_element, poly_gcd
 from isorec.hamflow import (extend_flow, energy_drift, hamilton_residuals,
                             leading_order)
@@ -91,6 +92,14 @@ def test_leading_order_refuses_h_linear_in_p():
     # the Hamiltonians of sl2 Lax systems are quadratic in p = L11(q)
     with pytest.raises(UnsolvableInTower, match="degree 0 in p"):
         leading_order(parse_element("p*q - t*p + q^2", pq_field()))
+
+
+@pytest.mark.parametrize("text,names,reason", [
+    ("t^2 + 1", ("t",), "tower over the time field"),
+    ("1/p + q", ("t", "q", "p"), "polynomial in the Darboux pair")])
+def test_leading_order_refuses_what_is_no_hamiltonian(text, names, reason):
+    with pytest.raises(InvalidHamiltonian, match=reason):
+        leading_order(parse_element(text, tower(*names)))
 
 
 # --- order-by-order corrections ----------------------------------------------

@@ -1,6 +1,7 @@
 """Package-level checks: declared console scripts resolve, no module in
 src/ or tests/ imports a name it never uses, no module in src/ reads the
-environment, and only exactmath.adjoin_roots grows a scalar field."""
+environment, only exactmath.adjoin_roots grows a scalar field, and the
+pipeline stages raise named errors, not bare builtin ones."""
 
 import ast
 import importlib
@@ -66,6 +67,46 @@ def test_unused_import_scan_sees_re_exports_and_future(tmp_path):
                    "__all__ = ['pi']\n"
                    "print(os.path.sep, ld)\n")
     assert unused_imports(src) == [(3, "dumps")]
+
+
+BARE_ERRORS = ("TypeError", "ValueError", "ZeroDivisionError")
+
+
+def bare_raises(path):
+    """(line, name) of every raise of a builtin error in BARE_ERRORS, as a
+    class or a call, with or without a cause."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name) and exc.id in BARE_ERRORS:
+            found.append((node.lineno, exc.id))
+    return sorted(found)
+
+
+def test_stages_raise_named_errors():
+    # bad input to a stage raises an IsorecError; exactmath keeps the
+    # builtin errors of the number types it extends
+    found = ["%s:%d %s" % (p.relative_to(ROOT), line, name)
+             for p in sorted((ROOT / "src" / "isorec").glob("*.py"))
+             for line, name in bare_raises(p)]
+    assert not found, found
+
+
+def test_bare_raise_scan_sees_calls_classes_and_causes(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("try:\n"
+                   "    raise TypeError('a')\n"
+                   "except ZeroDivisionError as err:\n"
+                   "    raise ValueError from err\n"
+                   "except KeyError:\n"
+                   "    raise\n"
+                   "raise ZeroDivisionError\n"
+                   "raise RuntimeError('TypeError')\n")
+    assert bare_raises(src) == [(2, "TypeError"), (4, "ValueError"),
+                                (7, "ZeroDivisionError")]
 
 
 ENV_READERS = ("environ", "environb", "getenv", "getenvb")

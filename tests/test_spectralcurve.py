@@ -36,17 +36,21 @@ def airy_matrix():
     return xmat(QQ, ("0", "x", "1", "0"))
 
 
-def painleve1_setup(order=2):
-    F = tower("t", "q", "p")
+def painleve1_setup(q="q", p="p"):
+    """Painleve I with its Darboux pair named q and p."""
+    names = str.maketrans({"q": q, "p": p})
+    F = tower("t", q, p)
+
+    def parse(text):
+        return parse_element(text.translate(names), F)
     coeffs = {
-        (0, 2): Mat2(*(parse_element(s, F) for s in ("0", "1", "0", "0"))),
-        (0, 1): Mat2(*(parse_element(s, F) for s in ("0", "q", "1", "0"))),
-        (0, 0): Mat2(*(parse_element(s, F)
-                       for s in ("p", "q^2", "-q", "-p"))),
+        (0, 2): Mat2(*(parse(s) for s in ("0", "1", "0", "0"))),
+        (0, 1): Mat2(*(parse(s) for s in ("0", "q", "1", "0"))),
+        (0, 0): Mat2(*(parse(s) for s in ("p", "q^2", "-q", "-p"))),
     }
     seed = Sl2Lax(F, PoleData((), (), 2, SIGMA_PLUS), coeffs)
-    iso = build_isosystem(seed, beta="q")
-    H = parse_element("-2*p^2 + 2*q^3 + 4*t*q", F)
+    iso = build_isosystem(seed, beta=q)
+    H = parse("-2*p^2 + 2*q^3 + 4*t*q")
     lead = leading_order(H)
     return iso, lead
 
@@ -105,6 +109,13 @@ def test_painleve1_curve_is_degenerate_cubic():
     assert C.reduced.degree() == 1
     # A0 = alpha L0 with alpha = 2/(x - u)
     assert C.alpha == Fx.coerce(2) / (x - u)
+
+
+def test_painleve1_curve_does_not_depend_on_the_names_of_the_pair():
+    iso, lead = painleve1_setup(q="Q", p="P")
+    assert (lead.qname, lead.pname) == ("Q", "P")
+    got = uniformize(curve_from_system(iso, lead)).to_json()
+    assert got == uniformize(curve_from_system(*painleve1_setup())).to_json()
 
 
 # --- uniformization -------------------------------------------------------------
