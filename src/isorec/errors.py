@@ -20,6 +20,11 @@ class TruncationTooShort(IsorecError):
     """A series was queried (or needed) beyond its guaranteed order."""
 
 
+class InvalidExpression(IsorecError, ValueError):
+    """Text that parse_element refuses: a character, a name or a construct
+    outside its arithmetic, or nesting too deep for Python's parser."""
+
+
 class UnsolvableInTower(IsorecError):
     """An algebraic condition has no solution in Q(t) or the declared
     quadratic extension."""

@@ -18,15 +18,25 @@ Escalation up the tower is always explicit — nothing here invents new
 algebraic numbers behind the caller's back.  adjoin_roots is the only code
 that grows a scalar field, by one square root u at most; the one other
 QuadraticExtension in the package is the spectral curve's y-cover over E(x).
+
+parse_element reads text with Python's own parser once the characters pass
+a whitelist (ASCII digits and letters, _ + - * / ^ ( ), whitespace, and no
+number running into a name, so 0x2, 1_0 and 1e3 are refused).  The tree is
+walked against a whitelist too: integers, the tower's names, + - * /, unary
+signs, ^ or ** by an integer literal.  Each refusal is an InvalidExpression.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
+import re
+import string
 from fractions import Fraction
 
-from ..errors import UnsolvableInTower
-from .poly import Poly, poly_sqrt
+from ..errors import InvalidExpression, UnsolvableInTower
+from .poly import Poly, poly_sqrt, square_and_multiply
 from .ratfn import RatFn
 
 def _integer_roots(q):
@@ -88,8 +98,6 @@ class RationalField:
         if isinstance(v, Fraction):
             return v
         if isinstance(v, int):
-            return Fraction(v)
-        if isinstance(v, str):
             return Fraction(v)
         if isinstance(v, float):
             raise TypeError("floating point is not allowed in exact arithmetic")
@@ -294,15 +302,7 @@ class ExtElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return square_and_multiply(self.field.one(), self, n)
 
     def conjugate(self):
         return ExtElem(self.field, self.a, -self.b)
@@ -508,130 +508,21 @@ def _subst_poly(p, x, values, one):
 def _generators(field):
     """Map of variable names to elements, walked up the tower."""
     if isinstance(field, QuadraticExtension):
-        gens = {name: field.coerce(g)
-                for name, g in _generators(field.base).items()}
-        gens[field.uname] = field.u()
-        return gens
-    if isinstance(field, FunctionField):
-        gens = {name: field.coerce(g)
-                for name, g in _generators(field.base).items()}
-        gens[field.var] = field.gen()
-        return gens
-    return {}
+        top = {field.uname: field.u()}
+    elif isinstance(field, FunctionField):
+        top = {field.var: field.gen()}
+    else:
+        return {}
+    gens = {name: field.coerce(g)
+            for name, g in _generators(field.base).items()}
+    return gens | top
 
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        if text.startswith("**", i):
-            tokens.append(("op", "^"))
-            i += 2
-            continue
-        if ch in "+-*/^()":
-            tokens.append(("op", ch))
-            i += 1
-            continue
-        raise ValueError("unexpected character %r in %r" % (ch, text))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, field, gens):
-        self.tokens = tokens
-        self.pos = 0
-        self.field = field
-        self.gens = gens
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expr(self):
-        value = self.term()
-        while True:
-            tok = self.peek()
-            if tok == ("op", "+"):
-                self.take()
-                value = value + self.term()
-            elif tok == ("op", "-"):
-                self.take()
-                value = value - self.term()
-            else:
-                return value
-
-    def term(self):
-        value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok == ("op", "*"):
-                self.take()
-                value = value * self.factor()
-            elif tok == ("op", "/"):
-                self.take()
-                value = value / self.factor()
-            else:
-                return value
-
-    def factor(self):
-        tok = self.peek()
-        if tok == ("op", "-"):
-            self.take()
-            return -self.factor()
-        if tok == ("op", "+"):
-            self.take()
-            return self.factor()
-        value = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            sign = 1
-            if self.peek() == ("op", "-"):
-                self.take()
-                sign = -1
-            kind, n = self.take()
-            if kind != "int":
-                raise ValueError("exponent must be an integer")
-            value = value ** (sign * n)
-        return value
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "int":
-            return self.field.coerce(val)
-        if kind == "name":
-            if val not in self.gens:
-                raise ValueError("unknown symbol %r in this field tower" % val)
-            return self.gens[val]
-        if (kind, val) == ("op", "("):
-            inner = self.expr()
-            if self.take() != ("op", ")"):
-                raise ValueError("unbalanced parentheses")
-            return inner
-        raise ValueError("unexpected token %r" % ((kind, val),))
+_SYMBOLS = frozenset(string.ascii_letters + string.digits + "_+-*/^()")
+_NUMBER_INTO_NAME = re.compile(r"(?<![A-Za-z0-9_])[0-9]+[A-Za-z_]")
+_LEADING_ZEROS = re.compile(r"(?<![A-Za-z0-9_])0+(?=[0-9])")
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 def parse_element(text, field):
@@ -640,8 +531,66 @@ def parse_element(text, field):
     Understands integers, the tower's variable names, + - * / ^ (or **)
     and parentheses: "-(3/2)*t^2 + u/2" in Q(t)[u].
     """
-    parser = _Parser(_tokenize(text), field, _generators(field))
-    value = parser.expr()
-    if parser.peek() is not None:
-        raise ValueError("trailing input in %r" % text)
+    for ch in text:
+        if ch not in _SYMBOLS and not ch.isspace():
+            raise InvalidExpression("unexpected character %r in %r"
+                                    % (ch, text))
+    if _NUMBER_INTO_NAME.search(text):
+        raise InvalidExpression("a number runs into a name in %r" % text)
+    # one line, so a newline ends nothing and _exponent compares columns
+    source = _LEADING_ZEROS.sub("", " ".join(text.split())).replace("^", "**")
+    try:
+        tree = ast.parse(source, mode="eval")
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as err:
+        # CPython reports an integer over its digit limit as ValueError and
+        # a tree too deep as RecursionError or MemoryError
+        raise InvalidExpression("cannot parse %r: %s" % (text, err)) from None
+    return _evaluate(tree.body, field, _generators(field))
+
+
+def _evaluate(node, field, gens):
+    """The value of a parsed tree whose every node is whitelisted.
+
+    The + - * / of the left spine and a run of unary signs are walked in
+    loops, so only parentheses and powers recurse; CPython's parser itself
+    stops at about 3,000 operands in one chain.
+    """
+    spine = []
+    while isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
+        spine.append(node)
+        node = node.left
+    negate = False
+    while isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd,
+                                                              ast.USub):
+        negate ^= isinstance(node.op, ast.USub)
+        node = node.operand
+    if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
+        value = _evaluate(node, field, gens)
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        value = _evaluate(node.left, field, gens) ** _exponent(node)
+    elif isinstance(node, ast.Constant) and type(node.value) is int:
+        value = field.coerce(node.value)
+    elif isinstance(node, ast.Name) and node.id in gens:
+        value = gens[node.id]
+    else:
+        raise InvalidExpression("%s is not allowed in %r"
+                                % (ast.unparse(node), field))
+    if negate:
+        value = -value
+    for op in reversed(spine):
+        value = _ARITHMETIC[type(op.op)](value,
+                                         _evaluate(op.right, field, gens))
     return value
+
+
+def _exponent(power):
+    """The exponent of a power: an integer literal, negated or not, with no
+    parentheses of its own."""
+    node, sign = power.right, 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node, sign = node.operand, -1
+    if (isinstance(node, ast.Constant) and type(node.value) is int
+            and node.end_col_offset == power.end_col_offset):
+        return sign * node.value
+    raise InvalidExpression("the exponent of %s is not an integer"
+                            % ast.unparse(power))

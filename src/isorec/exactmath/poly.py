@@ -35,6 +35,19 @@ __all__ = [
 ]
 
 
+def square_and_multiply(one, base, n):
+    """one * base^n for n >= 0, multiplying by the squares of base whose
+    bit of n is set, lowest first, each on the right."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 class Poly:
     __slots__ = ("field", "var", "coeffs")
 
@@ -223,15 +236,8 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(self.field, self.field.one(), self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return square_and_multiply(
+            Poly.const(self.field, self.field.one(), self.var), self, n)
 
     def __divmod__(self, other):
         pair = self._pair(other)

@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import lcm
 
 from ..errors import TruncationTooShort
+from .poly import square_and_multiply
 
 
 class Series:
@@ -192,14 +193,8 @@ class Series:
             return self.inverse() ** (-n)
         # 1 + O(w^(prec - kmin)); with no known term, O(w^0)
         seed = [self.zero + 1] if self.prec > self.kmin else []
-        result = self._like(0, seed, self.prec - self.kmin)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return square_and_multiply(
+            self._like(0, seed, self.prec - self.kmin), self, n)
 
     # -- reshaping --------------------------------------------------------
 

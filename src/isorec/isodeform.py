@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (CasePreconditionViolated, IdentityFailed, NoDeformation,
-                     PlanMismatch)
+from .errors import (CasePreconditionViolated, IdentityFailed,
+                     InvalidExpression, NoDeformation, PlanMismatch)
 from .exactmath import RatFn, Series, parse_element, partial_derivation
 from .exactmath.fields import FunctionField
 from .hamflow import hbar_matrix_series
@@ -127,7 +127,7 @@ def _time_element(field):
     """Locate the time symbol t in the scalar tower, extending it on demand."""
     try:
         return field, parse_element("t", field), False
-    except ValueError:
+    except InvalidExpression:
         wrapped = FunctionField(field, "t")
         return wrapped, wrapped.gen(), True
 

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isorec.errors import IrreducibleDenominator, TruncationTooShort
+from isorec.errors import (InvalidExpression, IrreducibleDenominator,
+                           TruncationTooShort)
 from isorec.exactmath import (
-    ExtElem, FunctionField, HbarSeries, Poly, QQ,
-    QuadraticExtension, RatFn, integer_product, local_expand, parse_element,
+    ExtElem, FunctionField, HbarSeries, Poly, QQ, QuadraticExtension, RatFn,
+    adjoin_roots, integer_product, local_expand, parse_element,
     Series, partial_fractions, poly_gcd, poly_sqrt, recombine,
     roots_in_field, squarefree_decomposition, substitute,
 )
@@ -258,6 +259,47 @@ def test_parse_element_round_trip():
 def test_parse_rejects_foreign_symbols():
     with pytest.raises(ValueError):
         parse_element("x + 1", Qt)
+
+
+T = Qt.gen()
+
+
+@pytest.mark.parametrize("text,want", [
+    ("t**2", T * T),
+    ("+t", T),
+    ("t^-2 * 007", 7 / (T * T)),
+    ("t ^ - 2", 1 / (T * T)),
+    ("2*(t - (1 + (t - 1)))^3 + ((t))", T),
+    ("-(-t)/-2", -T / 2),
+])
+def test_parse_element_accepts(text, want):
+    assert parse_element(text, Qt) == want
+
+
+def test_parse_element_walks_long_chains_in_loops():
+    assert parse_element(" + ".join(["t"] * 1000), Qt) == 1000 * T
+    assert parse_element("-" * 1001 + "t", Qt) == -T
+
+
+@pytest.mark.parametrize("text", [
+    "0x2", "1_0", "1.5", "1e3", "2t", "t^q", "t^(1/2)", "t^(2)", "t^-(2)",
+    "t^2^2", "t//2", "f(t)", "t.real", "[t]", "True", "not t",
+    '__import__("os")', "\u0663", "", "t +", "x",
+    pytest.param("(" * 300 + "t" + ")" * 300, id="300-nested-parentheses"),
+])
+def test_parse_element_refuses(text):
+    with pytest.raises(InvalidExpression):
+        parse_element(text, Qt)
+
+
+def test_adjoin_roots_with_a_linear_term():
+    # X^2 + X + t has the roots (-1 -+ u)/2 with u^2 = 1 - 4t
+    ext, modulus, (minus, plus) = adjoin_roots(Poly(Qt, [T, 1, 1], "X"))
+    assert modulus == 1 - 4 * T
+    assert minus == parse_element("(-1 - u)/2", ext)
+    assert plus == parse_element("(-1 + u)/2", ext)
+    for root in (minus, plus):
+        assert not root * root + root + T
 
 
 # --- polynomial utilities ---------------------------------------------------

@@ -13,13 +13,11 @@ import pytest
 
 from isorec import detcheck, grading, toprec
 from isorec.errors import PlanMismatch
-from isorec.exactmath import QQ, FunctionField, RatFn, parse_element
+from isorec.exactmath import QQ, FunctionField, parse_element
 from isorec.hamflow import extend_flow, leading_order
-from isorec.laxsystem import Mat2
-from isorec.spectralcurve import (classical_curve, curve_from_system,
-                                  uniformize)
+from isorec.spectralcurve import curve_from_system, uniformize
 
-from test_detcheck import p1_system
+from test_detcheck import curve_U, p1_system
 
 Qt = FunctionField(QQ, "t")
 
@@ -34,13 +32,6 @@ def on_tower(fn, *args):
 def p1_curve():
     iso, H = p1_system()
     return uniformize(curve_from_system(iso, leading_order(H)))
-
-
-def curve_over_qt(q_text):
-    """Uniformization of y^2 = Q(x) with Q over Q(t)."""
-    one = RatFn.one(Qt, "x")
-    Q = parse_element(q_text, FunctionField(Qt, "x"))
-    return uniformize(classical_curve(Mat2(0 * one, Q, one, 0 * one)))
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +72,7 @@ def test_p1_recursion_matches_tower(gmax, nmax):
     ("(x-t)*(x-3*t)", 1, 2),       # two branch points, z of weight 0
 ])
 def test_homogeneous_qt_curves_match_tower(q_text, gmax, nmax):
-    U = curve_over_qt(q_text)
+    U = curve_U(q_text, Qt)
     assert grading.specialization(U) is not None
     got = toprec.eo_differentials(U, gmax, nmax)
     assert got.to_json() == on_tower(toprec.eo_differentials, U, gmax,
@@ -90,7 +81,7 @@ def test_homogeneous_qt_curves_match_tower(q_text, gmax, nmax):
 
 def test_nonhomogeneous_curve_takes_the_tower_path():
     # y^2 = (x-1)^2 (x-t): y(z) = z^3 + (t-1) z, and t - 1 has no weight
-    U = curve_over_qt("(x-1)^2*(x-t)")
+    U = curve_U("(x-1)^2*(x-t)", Qt)
     assert grading.specialization(U) is None
     got = toprec.eo_differentials(U, 1, 2)
     assert got.to_json() == on_tower(toprec.eo_differentials, U, 1,

@@ -8,6 +8,8 @@ from isorec.exactmath import QQ, FunctionField, parse_element, poly_gcd
 from isorec.hamflow import (extend_flow, energy_drift, hamilton_residuals,
                             leading_order)
 
+from test_detcheck import p1_system
+
 
 def tower(*names):
     f = QQ
@@ -86,6 +88,16 @@ def test_leading_order_critical_curve():
     F = pq_field()
     with pytest.raises(UnsolvableInTower):
         leading_order(parse_element("p^2", F))
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("-2*p^2 + q", "has no root"),
+    ("-2*p^2 + q^5/5 + t*q", "within one quadratic extension")])
+def test_leading_order_refuses_a_critical_equation_without_roots(text,
+                                                                reason):
+    # dH/dq at the eliminated p is the constant 1, or q^4 + t
+    with pytest.raises(UnsolvableInTower, match=reason):
+        leading_order(parse_element(text, pq_field()))
 
 
 def test_leading_order_refuses_h_linear_in_p():
@@ -244,18 +256,9 @@ def test_quadratic_wells_follow_their_center(coeffs):
 
 def test_flow_solves_zero_curvature_painleve1():
     # the full circle: the flow makes h dL/dt - h dA/dx - [A, L] vanish
-    from isorec.isodeform import build_isosystem, compatibility_residual
-    from isorec.laxsystem import Mat2, PoleData, SIGMA_PLUS, Sl2Lax
+    from isorec.isodeform import compatibility_residual
 
-    F = pq_field()
-    coeffs = {
-        (0, 2): Mat2(*(parse_element(s, F) for s in ("0", "1", "0", "0"))),
-        (0, 1): Mat2(*(parse_element(s, F) for s in ("0", "q", "1", "0"))),
-        (0, 0): Mat2(*(parse_element(s, F)
-                       for s in ("p", "q^2", "-q", "-p"))),
-    }
-    seed = Sl2Lax(F, PoleData((), (), 2, SIGMA_PLUS), coeffs)
-    iso = build_isosystem(seed, beta="q")
+    iso, _ = p1_system()
     H, flow = p1_flow(3)
     res = compatibility_residual(iso, flow, 3)
     assert not res

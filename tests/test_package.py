@@ -1,7 +1,8 @@
 """Package-level checks: declared console scripts resolve, no module in
 src/ or tests/ imports a name it never uses, no module in src/ reads the
-environment, only exactmath.adjoin_roots grows a scalar field, and the
-pipeline stages raise named errors, not bare builtin ones."""
+environment or runs text as code, only exactmath.adjoin_roots grows a
+scalar field, and the pipeline stages raise named errors, not bare builtin
+ones."""
 
 import ast
 import importlib
@@ -107,6 +108,45 @@ def test_bare_raise_scan_sees_calls_classes_and_causes(tmp_path):
                    "raise RuntimeError('TypeError')\n")
     assert bare_raises(src) == [(2, "TypeError"), (4, "ValueError"),
                                 (7, "ZeroDivisionError")]
+
+
+CODE_RUNNERS = ("eval", "exec", "compile")
+
+
+def code_runners(path):
+    """(line, name) of every use of the builtins eval, exec and compile: by
+    name, which covers calls and aliases alike, or through the builtins
+    module."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in CODE_RUNNERS:
+            found.append((node.lineno, node.id))
+        elif (isinstance(node, ast.Attribute) and node.attr in CODE_RUNNERS
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "builtins"):
+            found.append((node.lineno, "builtins." + node.attr))
+    return sorted(found)
+
+
+def test_no_module_runs_text_as_code():
+    # text becomes an element only through parse_element's whitelist walk
+    found = ["%s:%d %s" % (p.relative_to(ROOT), line, name)
+             for p in sorted((ROOT / "src").rglob("*.py"))
+             for line, name in code_runners(p)]
+    assert not found, found
+
+
+def test_code_runner_scan_sees_builtins_not_methods(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import builtins, re\n"
+                   "eval('1')\n"
+                   "pattern = re.compile('eval')\n"
+                   "builtins.exec('pass')\n"
+                   "run = compile\n"
+                   "print('exec(x)', pattern.compile)\n")
+    assert code_runners(src) == [(2, "eval"), (4, "builtins.exec"),
+                                 (5, "compile")]
 
 
 ENV_READERS = ("environ", "environb", "getenv", "getenvb")

@@ -13,46 +13,22 @@ from isorec.errors import (IndexOutOfRange, InvalidPoleStructure,
                            UnexpectedPole)
 from isorec.exactmath import (QQ, FunctionField, RatFn, local_expand,
                               parse_element)
-from isorec.hamflow import leading_order
-from isorec.isodeform import build_isosystem
-from isorec.laxsystem import Mat2, PoleData, SIGMA_PLUS, Sl2Lax
+from isorec.laxsystem import Mat2
 from isorec.spectralcurve import (ONE_BRANCH, TWO_BRANCH, Uniformization,
-                                  classical_curve, curve_from_system,
-                                  uniformize)
+                                  classical_curve, uniformize)
 from isorec.toprec import (BranchWindow, PoleBasisForm, _verify_form,
                            eo_differentials, sigma_slot_image, symplectic_invariants, xi_ratfn)
 
-from test_grading import Qt, curve_over_qt, on_tower
-
-
-def curve_from_Q(text):
-    F = FunctionField(QQ, "x")
-    one = RatFn.one(QQ, "x")
-    return classical_curve(Mat2(0 * one, parse_element(text, F), one, 0 * one))
+from test_detcheck import curve_U
+from test_grading import Qt, on_tower, p1_curve
 
 
 def airy_U():
-    return uniformize(curve_from_Q("x"))
+    return curve_U("x")
 
 
 def twobranch_U():
-    return uniformize(curve_from_Q("(x-1)*(x-3)"))
-
-
-def painleve1_U():
-    F = QQ
-    for name in ("t", "q", "p"):
-        F = FunctionField(F, name)
-    coeffs = {
-        (0, 2): Mat2(*(parse_element(s, F) for s in ("0", "1", "0", "0"))),
-        (0, 1): Mat2(*(parse_element(s, F) for s in ("0", "q", "1", "0"))),
-        (0, 0): Mat2(*(parse_element(s, F)
-                       for s in ("p", "q^2", "-q", "-p"))),
-    }
-    seed = Sl2Lax(F, PoleData((), (), 2, SIGMA_PLUS), coeffs)
-    iso = build_isosystem(seed, beta="q")
-    lead = leading_order(parse_element("-2*p^2 + 2*q^3 + 4*t*q", F))
-    return uniformize(curve_from_system(iso, lead))
+    return curve_U("(x-1)*(x-3)")
 
 
 def table_of(form):
@@ -88,11 +64,11 @@ def test_rational_residue_rows_match_the_field_path(q_text, monkeypatch):
         requested.add((win.s, a, b))
         return integer_row(win, a, b)
 
-    Uq = uniformize(curve_from_Q(q_text))
+    Uq = curve_U(q_text)
     with monkeypatch.context() as mp:
         mp.setattr(BranchWindow, "integer_row", spy)
         prec = eo_differentials(Uq, 2, 1).prec
-    Ut = curve_over_qt(q_text)
+    Ut = curve_U(q_text, Qt)
     assert Ut.branch_ints == Uq.branch_ints
     wins = {s: (BranchWindow(Uq, s, prec), BranchWindow(Ut, s, prec))
             for s in Uq.branch_ints}
@@ -125,7 +101,7 @@ def test_recursion_requests_only_rows_within_the_pair_bound(monkeypatch):
     for q_text in ("x", "(x-1)*(x-3)"):
         with monkeypatch.context() as mp:
             mp.setattr(BranchWindow, "integer_row", spy)
-            eo_differentials(uniformize(curve_from_Q(q_text)), 2, 1)
+            eo_differentials(curve_U(q_text), 2, 1)
     assert {key[0] for key in requested} == {"x", "(x-1)*(x-3)"}
     nonempty = sum(bool(row) for row in requested.values())
     assert nonempty >= 0.9 * len(requested), (nonempty, len(requested))
@@ -146,7 +122,7 @@ def test_residue_rows_are_unchanged_by_swapping_the_factors(monkeypatch):
     runs = [(BranchWindow.integer_row, eo_differentials, airy_U(), 0, 7),
             (BranchWindow.integer_row, eo_differentials, twobranch_U(), 2, 1),
             (BranchWindow.residue_row, functools.partial(
-                on_tower, eo_differentials), curve_over_qt("(x-1)*(x-3)"),
+                on_tower, eo_differentials), curve_U("(x-1)*(x-3)", Qt),
              2, 1)]
     for row_of, run, U, g, n in runs:
         with monkeypatch.context() as mp:
@@ -165,8 +141,8 @@ def test_rational_contraction_matches_the_field_path(q_text):
     # x(z) of y^2 = (x-1)(x-4) has 3/4 and 5/2, so the contraction sums
     # terms whose denominators are not powers of one prime; (x-1)(x-3) runs
     # the halved bracket of two branch windows on the tower as well
-    got = eo_differentials(uniformize(curve_from_Q(q_text)), 2, 1)
-    want = on_tower(eo_differentials, curve_over_qt(q_text), 2, 1)
+    got = eo_differentials(curve_U(q_text), 2, 1)
+    want = on_tower(eo_differentials, curve_U(q_text, Qt), 2, 1)
     assert want.U.field is Qt
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
@@ -185,7 +161,7 @@ def test_short_window_still_refuses_a_row_over_q(make):
 
 def test_nonsimple_branchpoint_rejected():
     with pytest.raises(NonSimpleBranchpoint):
-        eo_differentials(uniformize(curve_from_Q("x^3")), 1, 1)
+        eo_differentials(curve_U("x^3"), 1, 1)
 
 
 # --- frozen Airy goldens ----------------------------------------------------
@@ -413,7 +389,7 @@ def brute_sample(U, g, n, consts):
 @pytest.mark.parametrize("make,consts", [
     (airy_U, (5, 7, 11)),
     (twobranch_U, (5, 7, 11)),
-    (painleve1_U, (3, 5, 7)),
+    (p1_curve, (3, 5, 7)),
 ])
 def test_brute_samples_match_engine(make, consts):
     U = make()
@@ -762,7 +738,7 @@ def test_p1_run_over_extension_field():
     # y = z^3 - 3uz with u^2 = -2t/3; residues worked out by hand:
     # omega_{0,3} = (1/(6u)) prod dz_i/z_i^2  (the one-branch -1/(2 y'(0)))
     # omega_{1,1} = -dz/(96 t z^2) + dz/(48 u z^4)
-    U = painleve1_U()
+    U = p1_curve()
     res = eo_differentials(U, 1, 1)
     E = U.field
     yprime0 = U.y.deriv()(E.zero())
