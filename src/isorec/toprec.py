@@ -57,18 +57,18 @@ checks run on the tables at t0; a key permutation or the involution keeps
 the weight of a coefficient, so they hold at t0 exactly when they hold on
 the tower.  symplectic_invariants reads the restored tables on the tower.
 
-Over Q the residue rows and the contraction run on integers.  Each factor
-window, 1/(4 y x') and wt^m is cleared to integer numerators once; S is an
-integer convolution of them, taken only at the exponents a row reads, and
-no Fraction is built before the row.  A row is kept as integer numerators
-over one denominator, each entry an integer dot product of the numerators
-of S and of wt^m (BranchWindow.integer_row); the contraction sums the
-numerators of c1 c2 r_m per key over the lcm of their denominators and
-writes one Fraction per key.  The kernel is exact and Fraction is
-canonical, so the tables, and every output printed from them, are
-byte-identical to the field path's, with one reduction per coefficient
-instead of one per operation.  The symmetry and involution checks of a new
-table read its integer numerators over the lcm of its denominators.
+The residue rows and the contraction are one kernel on every field.  Each
+factor window, 1/(4 y x') and wt^m is cleared once to numerators over one
+denominator: integers over their lcm over Q, the coefficients over 1 on any
+other field.  S is a convolution of them, taken only at the exponents a row
+reads; a row is numerators over one denominator, each a dot product of the
+numerators of S and of wt^m (BranchWindow.row), and the contraction sums
+the numerators of c1 c2 r_m per key over the lcm of their denominators.
+Over Q no Fraction is built before the contraction writes one per key;
+Fraction is canonical, so the tables, and every output printed from them,
+are those of Fraction arithmetic, with one reduction per coefficient
+instead of one per operation.  The symmetry and involution checks of a
+table over Q read its integer numerators over the lcm of its denominators.
 """
 
 import itertools
@@ -279,16 +279,15 @@ class BranchWindow:
 
     A row reads S = f_a f_b/(4 y x') only at exponents <= -2, so it is empty
     when valuation(a, 0) + valuation(b, 1) >= -1; the recursion asks for no
-    such pair.  Over Q (integer_row) the windows are cleared to integer
-    numerators once each and S is built from them on integers, at the
-    exponents kmin..-2 only, with the kmin, prec and TruncationTooShort
-    refusals of residue_window; no Fraction is built before the row.  Over
-    any other field residue_window builds S as a Series.
+    such pair.  row() clears each window once (integer numerators over Q,
+    the coefficients over 1 on any other field) and builds S from them at
+    the exponents kmin..-2 only, with the kmin, prec and TruncationTooShort
+    refusals of the Series product it stands for.
     """
 
     __slots__ = ("field", "s", "point", "prec", "sig", "sig_prime", "dinv",
-                 "_factors", "_sig_pows", "_inv_pows", "_sig_nums", "_left",
-                 "_rows", "_int_dinv", "_int_left", "_int_right")
+                 "_factors", "_sig_pows", "_inv_pows", "_sig_nums", "_rows",
+                 "_cleared_dinv", "_cleared_left", "_cleared_right")
 
     def __init__(self, U, s, prec):
         E = U.field
@@ -309,11 +308,10 @@ class BranchWindow:
         self._sig_pows = {1: self.sig}
         self._inv_pows = {}
         self._sig_nums = {}
-        self._left = {}
         self._rows = {}
-        self._int_dinv = _cleared(self.dinv) if E is QQ else None
-        self._int_left = {}
-        self._int_right = {}
+        self._cleared_dinv = _cleared(self.dinv)
+        self._cleared_left = {}
+        self._cleared_right = {}
 
     def sig_pow(self, m):
         out = self._sig_pows.get(m)
@@ -383,25 +381,6 @@ class BranchWindow:
         gap = self.monomial(1) - self.sig
         return self.sig_prime * gap.inverse() ** 2
 
-    def residue_window(self, a, b):
-        """S = f_a(z) f_b(sigma z) / (4 y x'), checked long enough for every
-        row entry; a = b = None stands for omega_{0,2}(z, sigma z).
-
-        Returns None when no m >= 1 reaches the residue, i.e. the row is
-        empty.
-        """
-        if a is None:
-            S = self.bergman_diag() * self.dinv
-        else:
-            left = self._left.get(a)
-            if left is None:
-                left = self._left[a] = self.factor(a, 0) * self.dinv
-            S = left * self.factor(b, 1)
-        if not S or S.kmin >= -1:
-            return None
-        self._check_known(S.kmin, S.prec)
-        return S
-
     def _check_known(self, kmin, prec):
         """Refuse a window S (first exponent kmin, known below prec) unless
         exponent -1 of wt^m S is known for every m a row entry reads."""
@@ -414,66 +393,50 @@ class BranchWindow:
                     % (m, known))
 
     def residue_row(self, a, b):
-        """The residue row of f_a(z) f_b(sigma z) as [(m, r_m), ...]; a = b =
-        None stands for omega_{0,2}(z, sigma z).
+        """The residue row of f_a(z) f_b(sigma z) as [(m, r_m), ...], read
+        off row(a, b); a = b = None stands for omega_{0,2}(z, sigma z).
 
         With S = f_a f_b / (4 y x') and the kernel numerator expanded as
         sum_{m>=1} (w^m - wt^m)/(z0-s)^(m+1), the row holds
         r_m = S_{-1-m} - sum_j (wt^m)_j S_{-1-j} for every nonzero r_m.
-        Over Q the row is read off integer_row.
         """
+        den, row = self.row(a, b) or (1, [])
         if self.field is QQ:
-            den, row = self.integer_row(a, b) or (1, [])
             return [(m, Fraction(r, den)) for m, r in row]
-        row = self._rows.get((a, b))
-        if row is not None:
-            return row
-        S = self.residue_window(a, b)
-        row = []
-        for m in range(1, -S.kmin if S else 0):
-            sm = self.sig_pow(m)
-            r = S.coeff(-1 - m)
-            for j, c in enumerate(sm.coeffs, sm.kmin):
-                if -1 - j < S.kmin:
-                    break
-                if c:
-                    r = r - c * S.coeffs[-1 - j - S.kmin]
-            if r:
-                row.append((m, r))
-        self._rows[(a, b)] = row
         return row
 
-    def integer_row(self, a, b):
-        """Over Q, the residue row as (den, [(m, R_m), ...]) with
-        r_m = R_m / den, or () when the row is empty: each r_m is an integer
-        dot product of the numerators of S and of wt^m, and the row shares
-        one denominator.
+    def row(self, a, b):
+        """The residue row as (den, [(m, R_m), ...]) with r_m = R_m / den,
+        or () when the row is empty.  Each R_m is a dot product of the
+        numerators of S and of wt^m, and the row shares one denominator:
+        over Q the numerators are integers and the row is divided by their
+        gcd, over any other field they are the coefficients and den is 1.
 
-        S is built on integers from the cleared windows of f_a/(4 y x') and
+        S is built from the cleared windows of f_a/(4 y x') and
         f_b(sigma z), and only at the exponents kmin..-2 a row entry reads;
-        its kmin and prec are Series.__mul__'s, so residue_window would
-        accept or refuse it alike.
+        its kmin and prec are Series.__mul__'s, and it is refused unless it
+        is known far enough for every entry (_check_known).
         """
         row = self._rows.get((a, b))
         if row is not None:
             return row
         if a is None:
-            left, right = _cleared(self.bergman_diag()), self._int_dinv
+            left, right = _cleared(self.bergman_diag()), self._cleared_dinv
         else:
-            left = self._int_left.get(a)
+            left = self._cleared_left.get(a)
             if left is None:
-                left = self._int_left[a] = _cleared_product(
-                    _cleared(self.factor(a, 0)), self._int_dinv)
-            right = self._int_right.get(b)
+                left = self._cleared_left[a] = _cleared_product(
+                    _cleared(self.factor(a, 0)), self._cleared_dinv)
+            right = self._cleared_right.get(b)
             if right is None:
-                right = self._int_right[b] = _cleared(self.factor(b, 1))
+                right = self._cleared_right[b] = _cleared(self.factor(b, 1))
         kmin, prec, snum, sden = _cleared_product(left, right, -1)
         entries = []
         if kmin < min(prec, -1):
             self._check_known(kmin, prec)
             parts = []
             for m in range(1, -kmin):
-                j0, wnum, wden = self._sig_numerators(m)
+                j0, _, wnum, wden = self._sig_numerators(m)
                 # r_m sden wden = S_{-1-m} wden - sum_j (wt^m)_j S_{-1-j}
                 top = max(0, -j0 - kmin)
                 dot = sum(c * v for c, v in zip(wnum, reversed(snum[:top])))
@@ -483,23 +446,28 @@ class BranchWindow:
         row = ()
         if entries:
             den = sden * scale
-            common = gcd(den, *[r for _, r in entries])
-            row = (den // common, [(m, r // common) for m, r in entries])
+            if self.field is QQ:
+                common = gcd(den, *[r for _, r in entries])
+                den = den // common
+                entries = [(m, r // common) for m, r in entries]
+            row = (den, entries)
         self._rows[(a, b)] = row
         return row
 
     def _sig_numerators(self, m):
-        """(kmin, integer numerators, denominator) of the window wt^m."""
+        """The cleared window of wt^m, cached."""
         out = self._sig_nums.get(m)
         if out is None:
-            sm = self.sig_pow(m)
-            out = self._sig_nums[m] = (sm.kmin,
-                                       *integer_numerators(sm.coeffs))
+            out = self._sig_nums[m] = _cleared(self.sig_pow(m))
         return out
 
 
 def _cleared(series):
-    """A window over Q as (kmin, prec, integer numerators, denominator)."""
+    """A window as (kmin, prec, numerators, denominator): over Q integer
+    numerators over their lcm, over any other field the coefficients
+    over 1."""
+    if type(series.zero) is not Fraction:
+        return series.kmin, series.prec, list(series.coeffs), 1
     nums, den = integer_numerators(series.coeffs)
     return series.kmin, series.prec, nums, den
 
@@ -568,7 +536,7 @@ def _residue_contributions(win, omegas, g, n, table):
     Each bracket term is a pair of factor ids with two scalars and the keys
     of its free slots; it adds scalar * r_m at ((s, m+1),) + free keys for
     every entry (m, r_m) of the pair's residue row.  Terms are kept with
-    their rows, integer rows over Q, and only when the row is not empty.
+    their rows (BranchWindow.row), and only when the row is not empty.
     A pair whose valuations sum above -2 is not visited (its row is empty).
 
     A term and its mirror, the same two factors on swapped sheets, add the
@@ -581,11 +549,10 @@ def _residue_contributions(win, omegas, g, n, table):
     """
     positions = list(range(1, n))
     one = win.field.one()
-    row_of = win.integer_row if win.field is QQ else win.residue_row
     terms = []
 
     def add(a, b, c1, c2, rest):
-        row = row_of(a, b)
+        row = win.row(a, b)
         if row:
             terms.append((row, c1, c2, rest))
 
@@ -640,30 +607,23 @@ def _residue_contributions(win, omegas, g, n, table):
                                                    (g1, I1) != (g2, I2)):
                     for b, c2, k2 in right_terms(g2, len(I2), bound):
                         add(a, b, c1, c2, pick(k1 + k2))
-    if win.field is QQ:
-        _contract_qq(win.s, terms, table)
-        return
-    for row, c1, c2, rest in terms:
-        c = c1 * c2
-        for m, r in row:
-            key = ((win.s, m + 1),) + rest
-            cur = table.get(key)
-            v = c * r if cur is None else cur + c * r
-            if v:
-                table[key] = v
-            else:
-                del table[key]
+    _contract(win.s, terms, table, win.field is QQ)
 
 
-def _contract_qq(s, terms, table):
-    """The contraction over Q on integers: per key, c1 c2 r_m is summed as
-    an integer numerator over the lcm of the terms' denominators, and the
-    sum becomes one Fraction.  Every key's first slot is at the branch
-    point s, so no other window has written it to table."""
+def _contract(s, terms, table, rational):
+    """The contraction: per key, the terms' c1 c2 r_m are summed as one
+    numerator over the lcm of their denominators.  Over Q (rational) the
+    numerators are integers and each sum becomes one Fraction; over any
+    other field every denominator is 1 and the sum is written as it is.
+    Every key's first slot is at the branch point s, so no other window has
+    written it to table."""
     sums = {}
     for (row_den, row), c1, c2, rest in terms:
-        num = c1.numerator * c2.numerator
-        den = row_den * c1.denominator * c2.denominator
+        if rational:
+            num = c1.numerator * c2.numerator
+            den = row_den * c1.denominator * c2.denominator
+        else:
+            num, den = c1 * c2, row_den
         for m, r in row:
             key = ((s, m + 1),) + rest
             acc = sums.get(key)
@@ -677,7 +637,7 @@ def _contract_qq(s, terms, table):
                              + num * r * (common // den), common)
     for key, (total, den) in sums.items():
         if total:
-            table[key] = Fraction(total, den)
+            table[key] = Fraction(total, den) if rational else total
 
 
 def eo_differentials(U, gmax, nmax):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isorec import grading
 from isorec.errors import (IndexOutOfRange, InvalidPoleStructure,
                            NonSimpleBranchpoint, TruncationTooShort,
                            UnexpectedPole)
@@ -58,15 +59,15 @@ def test_rational_residue_rows_match_the_field_path(q_text, monkeypatch):
     # every pair a (2,1) run asks for, with its row over Q against the row
     # of the same curve over Q(t), which takes the field path
     requested = set()
-    integer_row = BranchWindow.integer_row
+    row_of = BranchWindow.row
 
     def spy(win, a, b):
         requested.add((win.s, a, b))
-        return integer_row(win, a, b)
+        return row_of(win, a, b)
 
     Uq = curve_U(q_text)
     with monkeypatch.context() as mp:
-        mp.setattr(BranchWindow, "integer_row", spy)
+        mp.setattr(BranchWindow, "row", spy)
         prec = eo_differentials(Uq, 2, 1).prec
     Ut = curve_U(q_text, Qt)
     assert Ut.branch_ints == Uq.branch_ints
@@ -89,10 +90,10 @@ def test_recursion_requests_only_rows_within_the_pair_bound(monkeypatch):
     # sum to at most -2, so the recursion asks for no other pair; on Airy
     # the pairs of odd total valuation still have empty rows (by parity)
     requested = {}
-    integer_row = BranchWindow.integer_row
+    row_of = BranchWindow.row
 
     def spy(win, a, b):
-        row = requested[(q_text, win.s, a, b)] = integer_row(win, a, b)
+        row = requested[(q_text, win.s, a, b)] = row_of(win, a, b)
         if a is not None:
             left = win.factor(a, 0).kmin + win.dinv.kmin
             assert left + win.factor(b, 1).kmin <= -2, (win.s, a, b)
@@ -100,7 +101,7 @@ def test_recursion_requests_only_rows_within_the_pair_bound(monkeypatch):
 
     for q_text in ("x", "(x-1)*(x-3)"):
         with monkeypatch.context() as mp:
-            mp.setattr(BranchWindow, "integer_row", spy)
+            mp.setattr(BranchWindow, "row", spy)
             eo_differentials(curve_U(q_text), 2, 1)
     assert {key[0] for key in requested} == {"x", "(x-1)*(x-3)"}
     nonempty = sum(bool(row) for row in requested.values())
@@ -119,9 +120,9 @@ def test_residue_rows_are_unchanged_by_swapping_the_factors(monkeypatch):
             return row_of(win, a, b)
         return wrapped
 
-    runs = [(BranchWindow.integer_row, eo_differentials, airy_U(), 0, 7),
-            (BranchWindow.integer_row, eo_differentials, twobranch_U(), 2, 1),
-            (BranchWindow.residue_row, functools.partial(
+    runs = [(BranchWindow.row, eo_differentials, airy_U(), 0, 7),
+            (BranchWindow.row, eo_differentials, twobranch_U(), 2, 1),
+            (BranchWindow.row, functools.partial(
                 on_tower, eo_differentials), curve_U("(x-1)*(x-3)", Qt),
              2, 1)]
     for row_of, run, U, g, n in runs:
@@ -352,6 +353,18 @@ def test_twobranch_gaussian_F2():
     assert set(res.omegas) == {(0, 3), (0, 4), (0, 5), (0, 6), (1, 1),
                                (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)}
     assert symplectic_invariants(res) == {2: Fraction(-1, 60)}
+
+
+def test_tower_gaussian_F2_with_a_moving_branch_point():
+    # y^2 = (x-1)(x-3-t) over Q(t) has no weights, so the recursion runs on
+    # the tower; it is the Gaussian curve with x scaled by (b-a)/2 = (2+t)/2,
+    # and y dx by its square, so F_2 = -1/60 (2/(b-a))^4 = -4/(15 (2+t)^4)
+    U = curve_U("(x-1)*(x-3-t)", Qt)
+    assert grading.specialization(U) is None
+    res = eo_differentials(U, 2, 1)
+    assert res.U.field is Qt
+    assert symplectic_invariants(res) == {
+        2: parse_element("-4/(15*(2+t)^4)", Qt)}
 
 
 # --- independent single-point samples ----------------------------------------
