@@ -523,13 +523,17 @@ _NUMBER_INTO_NAME = re.compile(r"(?<![A-Za-z0-9_])[0-9]+[A-Za-z_]")
 _LEADING_ZEROS = re.compile(r"(?<![A-Za-z0-9_])0+(?=[0-9])")
 _ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
                ast.Mult: operator.mul, ast.Div: operator.truediv}
+# the largest exponent literal parse_element accepts; it bounds what one
+# literal can build, so a few characters cannot ask for a huge power
+MAX_EXPONENT = 1000
 
 
 def parse_element(text, field):
     """Parse an arithmetic expression into an element of the given field.
 
     Understands integers, the tower's variable names, + - * / ^ (or **)
-    and parentheses: "-(3/2)*t^2 + u/2" in Q(t)[u].
+    and parentheses: "-(3/2)*t^2 + u/2" in Q(t)[u].  An exponent is an
+    integer literal of absolute value at most MAX_EXPONENT.
     """
     for ch in text:
         if ch not in _SYMBOLS and not ch.isspace():
@@ -567,7 +571,8 @@ def _evaluate(node, field, gens):
     if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
         value = _evaluate(node, field, gens)
     elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        value = _evaluate(node.left, field, gens) ** _exponent(node)
+        exponent = _exponent(node)
+        value = _evaluate(node.left, field, gens) ** exponent
     elif isinstance(node, ast.Constant) and type(node.value) is int:
         value = field.coerce(node.value)
     elif isinstance(node, ast.Name) and node.id in gens:
@@ -585,12 +590,15 @@ def _evaluate(node, field, gens):
 
 def _exponent(power):
     """The exponent of a power: an integer literal, negated or not, with no
-    parentheses of its own."""
+    parentheses of its own and at most MAX_EXPONENT in absolute value."""
     node, sign = power.right, 1
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         node, sign = node.operand, -1
-    if (isinstance(node, ast.Constant) and type(node.value) is int
+    if not (isinstance(node, ast.Constant) and type(node.value) is int
             and node.end_col_offset == power.end_col_offset):
-        return sign * node.value
-    raise InvalidExpression("the exponent of %s is not an integer"
-                            % ast.unparse(power))
+        raise InvalidExpression("the exponent of %s is not an integer"
+                                % ast.unparse(power))
+    if node.value > MAX_EXPONENT:
+        raise InvalidExpression("the exponent of %s is above %d"
+                                % (ast.unparse(power), MAX_EXPONENT))
+    return sign * node.value

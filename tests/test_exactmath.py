@@ -15,6 +15,7 @@ from isorec.exactmath import (
     Series, partial_fractions, poly_gcd, poly_sqrt, recombine,
     roots_in_field, squarefree_decomposition, substitute,
 )
+from isorec.exactmath.fields import MAX_EXPONENT
 from isorec.laxsystem import Mat2
 
 Qt = FunctionField(QQ, "t")
@@ -271,6 +272,7 @@ T = Qt.gen()
     ("t ^ - 2", 1 / (T * T)),
     ("2*(t - (1 + (t - 1)))^3 + ((t))", T),
     ("-(-t)/-2", -T / 2),
+    ("t^1000", T ** 1000),
 ])
 def test_parse_element_accepts(text, want):
     assert parse_element(text, Qt) == want
@@ -290,6 +292,20 @@ def test_parse_element_walks_long_chains_in_loops():
 def test_parse_element_refuses(text):
     with pytest.raises(InvalidExpression):
         parse_element(text, Qt)
+
+
+@pytest.mark.parametrize("text,field", [
+    ("p**-3466204", FunctionField(FunctionField(Qt, "q"), "p")),
+    ("2/u^593108/0^0", ext_field()),
+    ("9**8529749", QQ),
+    ("t^-1001", Qt),
+    ("(t^2)^1001", Qt),
+])
+def test_parse_element_refuses_an_exponent_over_the_bound(text, field):
+    # refused before any power is computed, so each returns at once
+    assert MAX_EXPONENT == 1000
+    with pytest.raises(InvalidExpression, match="above 1000"):
+        parse_element(text, field)
 
 
 def test_adjoin_roots_with_a_linear_term():
