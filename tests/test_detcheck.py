@@ -18,9 +18,11 @@ from hypothesis import given, settings, strategies as st
 from isorec import grading
 from isorec.detcheck import (CorrelatorSeries, MSeries, ProductForm,
                              _bergman_match, check_singularities,
-                             correlators, m_series, tau_series, verify_tt)
-from isorec.errors import (IndexOutOfRange, InvalidPoleStructure,
-                           TruncationTooShort, UnexpectedPole)
+                             correlators, m_next, m_series, m_zero,
+                             tau_series, verify_tt)
+from isorec.errors import (DegenerateAZero, IdentityFailed, IndexOutOfRange,
+                           InvalidPoleStructure, TruncationTooShort,
+                           UnexpectedPole)
 from isorec.exactmath import (QQ, ExtElem, FunctionField, Poly, RatFn,
                               parse_element, substitute)
 from isorec.hamflow import extend_flow, flow_values, leading_order
@@ -104,6 +106,35 @@ def test_m_solves_its_t_equation_through_order_3(p1_order3, k):
     for j in range(k + 1):
         res = res - mser.ahat[k - j].commutator(mser.mats[j])
     assert not res
+
+
+def test_m_zero_refuses_a_singular_leading_matrix(p1):
+    # A^(0) nilpotent: det = -1 + 1 = 0, so it has no square root to divide by
+    curve = p1[0].curve
+    one = RatFn.one(curve.field, curve.var)
+    with pytest.raises(DegenerateAZero):
+        m_zero(Mat2(one, one, -one, -one), curve)
+
+
+@pytest.mark.parametrize("extra,reason", [
+    ("identity", "not trace-free"),
+    ("ahat0", "not orthogonal to A-hat"),
+])
+def test_m_next_refuses_a_driving_term_off_the_identities(p1, extra, reason):
+    # the true time derivative gives back M^(1); adding the identity (it has
+    # a trace) or A-hat^(0) = [[a, b], [c, -a]] (trace-free, but
+    # 2a a + c b + b c = -2 det A-hat^(0) != 0) breaks one of the two
+    # identities m_next checks before it solves
+    mser, _ = p1
+    cover = mser.curve.cover
+    dt = mser.grading.time_derivative(cover)
+    args = (1, mser.mats[:1], mser.ahat, mser.beta, mser.curve)
+    assert m_next(*args, dt) == mser.mats[1]
+    one, zero = cover.one(), cover.zero()
+    X = (Mat2(one, zero, zero, one) if extra == "identity"
+         else mser.ahat[0]).map(lambda e: e / mser.beta)
+    with pytest.raises(IdentityFailed, match=reason):
+        m_next(*args, lambda m, k: dt(m, k) + X)
 
 
 def test_m_coeff_below_order_0_is_out_of_range(p1):
@@ -538,6 +569,23 @@ def test_p1_verify_tt_passes_through_order_4_and_four_points(p1_order4_n4):
     assert report["pass"]
     assert report_digest(report) == (
         "13ed2f9c6607d455805fea29d4cb1f4070a668d52928ba3f7db5238bc53d1a26")
+
+
+def test_p1_verify_tt_passes_through_order_6_and_three_points():
+    # M order 6 reaches genus 3: eleven rows, (0,1) through (3,2) and (2,3)
+    iso, H = p1_system()
+    mser = m_series(iso, extend_flow(H, leading_order(H), 6), 6)
+    report = verify_tt(mser, correlators(mser, nmax=3))
+    assert sorted(report["clauses"]) == ["1", "2", "3", "4", "5", "6"]
+    failed = [c for c, v in report["clauses"].items() if not v["pass"]]
+    assert not failed
+    assert sorted(report["tr_equality"]) == sorted(
+        ["0,1", "0,2", "1,1", "2,1", "1,2", "2,2", "0,3", "1,3", "3,1",
+         "3,2", "2,3"])
+    assert all(r["pass"] for r in report["tr_equality"].values())
+    assert report["pass"]
+    assert report_digest(report) == (
+        "ecbc82ad63cf6452e47c5f203ac0380ad95e74fe4fc7fd6acac827a1420d4cc0")
 
 
 def test_to_json_reads_the_verdicts_of_verify_tt(monkeypatch):

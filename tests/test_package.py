@@ -1,8 +1,8 @@
 """Package-level checks: declared console scripts resolve, no module in
 src/ or tests/ imports a name it never uses, no module in src/ reads the
 environment or runs text as code, only exactmath.adjoin_roots grows a
-scalar field, and the pipeline stages raise named errors, not bare builtin
-ones."""
+scalar field, the pipeline stages raise named errors, not bare builtin
+ones, and every named error is named in some test module."""
 
 import ast
 import importlib
@@ -108,6 +108,52 @@ def test_bare_raise_scan_sees_calls_classes_and_causes(tmp_path):
                    "raise RuntimeError('TypeError')\n")
     assert bare_raises(src) == [(2, "TypeError"), (4, "ValueError"),
                                 (7, "ZeroDivisionError")]
+
+
+def unnamed_classes(defining, readers):
+    """The top-level classes of the module `defining` that no module in
+    `readers` names: as a name it reads, an import or an attribute."""
+    tree = ast.parse(defining.read_text(), str(defining))
+    classes = [node.name for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    named = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return [name for name in classes if name not in named]
+
+
+def test_every_named_error_is_named_by_a_test():
+    # a refusal that no test names is one that no test has seen raised
+    from isorec import errors
+    defining = ROOT / "src" / "isorec" / "errors.py"
+    assert all(issubclass(getattr(errors, name), errors.IsorecError)
+               for name in unnamed_classes(defining, []))
+    missing = unnamed_classes(defining,
+                              sorted((ROOT / "tests").glob("test_*.py")))
+    assert not missing, missing
+
+
+def test_error_scan_sees_names_imports_and_attributes(tmp_path):
+    defining = tmp_path / "errors.py"
+    defining.write_text("".join("class %s(Exception):\n    pass\n" % c
+                                for c in "ABCDE"))
+    reader = tmp_path / "test_mod.py"
+    reader.write_text("import errors\n"
+                      "from errors import A\n"
+                      "def test_b():\n"
+                      "    raise errors.B('D')\n"
+                      "try:\n"
+                      "    pass\n"
+                      "except C:  # E\n"
+                      "    pass\n")
+    assert unnamed_classes(defining, [reader]) == ["D", "E"]
+    assert unnamed_classes(defining, []) == list("ABCDE")
 
 
 CODE_RUNNERS = ("eval", "exec", "compile")
