@@ -467,7 +467,7 @@ def _cleared(series):
     numerators over their lcm, over any other field the coefficients
     over 1."""
     if type(series.zero) is not Fraction:
-        return series.kmin, series.prec, list(series.coeffs), 1
+        return series.kmin, series.prec, series.coeffs, 1
     nums, den = integer_numerators(series.coeffs)
     return series.kmin, series.prec, nums, den
 
