@@ -9,13 +9,14 @@ from .fields import (ExtElem, FunctionField, QQ, QuadraticExtension,
 from .poly import Poly, poly_gcd, poly_sqrt, squarefree_decomposition
 from .ratfn import (RatFn, evaluate, local_expand, partial_fractions,
                     recombine, roots_in_field, split_linear_factors)
-from .series import (HbarSeries, LocalSeries, Series, integer_numerators,
-                     integer_product)
+from .series import (HbarSeries, LocalSeries, Series, clear, cleared,
+                     cleared_product, integer_numerators, integer_product)
 
 __all__ = [
     "ExtElem", "FunctionField", "HbarSeries", "LocalSeries", "Poly",
     "QQ", "QuadraticExtension", "RatFn", "RationalField", "Series",
-    "adjoin_roots", "evaluate", "integer_numerators", "integer_product",
+    "adjoin_roots", "clear", "cleared", "cleared_product", "evaluate",
+    "integer_numerators", "integer_product",
     "local_expand", "parse_element", "partial_derivation", "partial_fractions",
     "poly_gcd", "poly_sqrt", "recombine", "roots_in_field",
     "split_linear_factors", "squarefree_decomposition", "substitute",

@@ -9,13 +9,17 @@ their factors, so matrix coefficients work too.
 Series refuse to answer coefficient queries beyond their guaranteed
 precision: silent zeros are how truncation bugs hide.
 
-Over Q (the zero is a Fraction) products and inverses run on integers: each
-window is cleared to integer numerators over one common denominator, the
-convolution or the inverse recurrence runs in int, and each output
-coefficient is built as one Fraction, reduced once.  The kernel is exact
-and Fraction is canonical, so its results are the field path's, coefficient
-for coefficient and byte for byte when printed; kmin, prec and every
-TruncationTooShort refusal are the same on both paths.
+Every product, on every ring, runs one kernel (cleared_product): each
+factor is cleared to numerators over one denominator (clear), integers over
+their lcm when both factors are over Q, the coefficients over 1 on any
+other ring, and only the coefficients the product reads are cleared.  Over
+Q one Fraction is built per output coefficient; Fraction is canonical, so
+the results are those of Fraction arithmetic, byte for byte when printed.
+toprec's residue rows and separated's slot vectors read the same kernel.
+
+The inverse keeps two recurrences: fraction-free on integers over Q, and
+dividing by the leading coefficient elsewhere, where the fraction-free one
+made the tower F_2 run of the tests about a fifth slower.
 """
 
 from __future__ import annotations
@@ -141,19 +145,14 @@ class Series:
         prec = min(self.prec + other.kmin, other.prec + self.kmin)
         if not self.coeffs or not other.coeffs:
             return self._like(prec, [], prec)
-        kmin = self.kmin + other.kmin
-        if type(self.zero) is Fraction and type(other.zero) is Fraction:
-            return self._like(kmin, _mul_qq(self.coeffs, other.coeffs,
-                                            prec - kmin, self.zero), prec)
-        out = [self.zero] * (prec - kmin)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if kmin + i + j >= prec:
-                    break
-                out[i + j] = out[i + j] + a * b
-        return self._like(kmin, out, prec)
+        rational = type(self.zero) is type(other.zero) is Fraction
+        n = prec - self.kmin - other.kmin
+        kmin, prec, nums, den = cleared_product(
+            cleared(self, rational, n), cleared(other, rational, n),
+            0 if rational else self.zero)
+        if rational:
+            nums = [Fraction(c, den) if c else self.zero for c in nums]
+        return self._like(kmin, nums, prec)
 
     def __rmul__(self, other):
         # scalar * series, with the scalar acting on the left of each term
@@ -246,9 +245,16 @@ def integer_numerators(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def integer_product(a, b, n):
-    """The first n coefficients of the product of two integer sequences."""
-    out = [0] * n
+def clear(coeffs, rational):
+    """Coefficients as (numerators, denominator): over Q (rational) integer
+    numerators over their lcm, on any other ring the coefficients over 1."""
+    return integer_numerators(coeffs) if rational else (coeffs, 1)
+
+
+def integer_product(a, b, n, zero=0):
+    """The first n coefficients of the product a*b of two sequences, summed
+    onto zero (0 for integers, the ring's zero otherwise)."""
+    out = [zero] * n
     for i, x in enumerate(a[:n]):
         if x:
             for j, y in enumerate(b[:n - i], i):
@@ -256,13 +262,23 @@ def integer_product(a, b, n):
     return out
 
 
-def _mul_qq(a, b, n, zero):
-    """The first n coefficients of the product of two windows over Q."""
-    an, ad = integer_numerators(a[:n])
-    bn, bd = integer_numerators(b[:n])
-    den = ad * bd
-    return [Fraction(c, den) if c else zero
-            for c in integer_product(an, bn, n)]
+def cleared(series, rational, n=None):
+    """A window as (kmin, prec, numerators, denominator), its first n
+    coefficients cleared (all of them, read in place, when n is None)."""
+    coeffs = series.coeffs if n is None else series.coeffs[:n]
+    return (series.kmin, series.prec) + clear(coeffs, rational)
+
+
+def cleared_product(x, y, zero, top=None):
+    """The product of two cleared windows, as one, with numerators summed
+    onto zero and only below the exponent top (when top is not None).  The
+    leading numerators are nonzero, so kmin is the product's valuation."""
+    xk, xp, xn, xd = x
+    yk, yp, yn, yd = y
+    kmin = xk + yk
+    prec = min(xp + yk, yp + xk)
+    n = (prec if top is None else min(prec, top)) - kmin
+    return kmin, prec, integer_product(xn, yn, max(n, 0), zero), xd * yd
 
 
 def _inverse_qq(coeffs, zero):

@@ -11,11 +11,11 @@ numerators, and the elimination is fraction-free (see _sep_zero).
 
 import itertools
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from .errors import InvalidPoleStructure, UnexpectedPole
-from .exactmath import (QQ, Poly, RatFn, integer_numerators, integer_product,
-                        local_expand, poly_gcd)
+from .exactmath import (QQ, Poly, RatFn, clear, integer_product, local_expand,
+                        poly_gcd)
 from .toprec import PoleBasisForm, xi_ratfn
 
 
@@ -84,10 +84,10 @@ class ProductForm:
         going into the slot factors; each slot is then cleared against the
         least common multiple of its grown factors' denominators.  A grown
         factor f x^k is built and cleared once per distinct (slot, f, k),
-        and the terms share its coefficient list.  Over Q the coefficients
-        are integer numerators, the product of those of the cleared
-        numerator and of the cofactor, whose denominators go into the
-        term's rational coef.
+        and the terms share its coefficient list: the product, by
+        exactmath's kernel, of the cleared numerator and cofactor.  Over Q
+        the coefficients are integer numerators and their denominators go
+        into the term's coef; on any other field the denominators are 1.
         """
         U = self.U
         E = U.field
@@ -130,25 +130,19 @@ class ProductForm:
         for (i, _, _), f in slot_facs.items():
             dens[i] = dens[i] * (f.den // poly_gcd(dens[i], f.den))
         ints = E is QQ
+        zero = 0 if ints else E.zero()
         cleared = {}
         for key, f in slot_facs.items():
-            co = dens[key[0]] // f.den
-            if ints:
-                a, da = integer_numerators(f.num.coeffs)
-                b, db = integer_numerators(co.coeffs)
-                cleared[key] = (integer_product(a, b, len(a) + len(b) - 1),
-                                da * db)
-            else:
-                cleared[key] = ((f.num * co).coeffs, 1)
+            a, da = clear(f.num.coeffs, ints)
+            b, db = clear((dens[key[0]] // f.den).coeffs, ints)
+            cleared[key] = (integer_product(a, b, len(a) + len(b) - 1, zero),
+                            da * db)
         out = []
         for coef, keys in grown:
             vecs = [cleared[key] for key in keys]
-            if ints:
-                den = coef.denominator
-                for _, d in vecs:
-                    den *= d
-                coef = Fraction(coef.numerator, den)
-            out.append((coef, [v for v, _ in vecs]))
+            den = prod(d for _, d in vecs)
+            out.append((coef / den if den != 1 else coef,
+                        [v for v, _ in vecs]))
         return out
 
     # -- extraction onto the branchpoint pole basis -----------------------

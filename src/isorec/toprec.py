@@ -58,12 +58,13 @@ the weight of a coefficient, so they hold at t0 exactly when they hold on
 the tower.  symplectic_invariants reads the restored tables on the tower.
 
 The residue rows and the contraction are one kernel on every field.  Each
-factor window, 1/(4 y x') and wt^m is cleared once to numerators over one
-denominator: integers over their lcm over Q, the coefficients over 1 on any
-other field.  S is a convolution of them, taken only at the exponents a row
-reads; a row is numerators over one denominator, each a dot product of the
-numerators of S and of wt^m (BranchWindow.row), and the contraction sums
-the numerators of c1 c2 r_m per key over the lcm of their denominators.
+factor window, 1/(4 y x') and wt^m is cleared once by exactmath's product
+kernel (cleared: integer numerators over their lcm over Q, the coefficients
+over 1 elsewhere), and S is its product of them (cleared_product, as in
+Series.__mul__) at the exponents a row reads only.  A row (BranchWindow.row)
+is numerators over one denominator, each a dot product of the numerators of
+S and of wt^m; the contraction sums the numerators of c1 c2 r_m per key over
+the lcm of their denominators.
 Over Q no Fraction is built before the contraction writes one per key;
 Fraction is canonical, so the tables, and every output printed from them,
 are those of Fraction arithmetic, with one reduction per coefficient
@@ -79,8 +80,8 @@ from operator import itemgetter
 from . import grading
 from .errors import (IndexOutOfRange, InvalidPoleStructure,
                      NonSimpleBranchpoint, TruncationTooShort, UnexpectedPole)
-from .exactmath import (QQ, RatFn, Series, integer_numerators,
-                        integer_product, local_expand, partial_fractions)
+from .exactmath import (QQ, RatFn, Series, cleared, cleared_product,
+                        integer_numerators, local_expand, partial_fractions)
 from .spectralcurve import ONE_BRANCH
 
 # factor-id tag of the m-th term of omega_{0,2}'s expansion at a branch point
@@ -279,10 +280,9 @@ class BranchWindow:
 
     A row reads S = f_a f_b/(4 y x') only at exponents <= -2, so it is empty
     when valuation(a, 0) + valuation(b, 1) >= -1; the recursion asks for no
-    such pair.  row() clears each window once (integer numerators over Q,
-    the coefficients over 1 on any other field) and builds S from them at
-    the exponents kmin..-2 only, with the kmin, prec and TruncationTooShort
-    refusals of the Series product it stands for.
+    such pair.  row() clears each window once and builds S at the
+    exponents kmin..-2 only, both with exactmath's product kernel, the one
+    Series.__mul__ runs: S has that product's kmin and prec.
     """
 
     __slots__ = ("field", "s", "point", "prec", "sig", "sig_prime", "dinv",
@@ -309,7 +309,7 @@ class BranchWindow:
         self._inv_pows = {}
         self._sig_nums = {}
         self._rows = {}
-        self._cleared_dinv = _cleared(self.dinv)
+        self._cleared_dinv = cleared(self.dinv, E is QQ)
         self._cleared_left = {}
         self._cleared_right = {}
 
@@ -392,19 +392,6 @@ class BranchWindow:
                     "residue of wt^%d S needs exponent -1, known below %d"
                     % (m, known))
 
-    def residue_row(self, a, b):
-        """The residue row of f_a(z) f_b(sigma z) as [(m, r_m), ...], read
-        off row(a, b); a = b = None stands for omega_{0,2}(z, sigma z).
-
-        With S = f_a f_b / (4 y x') and the kernel numerator expanded as
-        sum_{m>=1} (w^m - wt^m)/(z0-s)^(m+1), the row holds
-        r_m = S_{-1-m} - sum_j (wt^m)_j S_{-1-j} for every nonzero r_m.
-        """
-        den, row = self.row(a, b) or (1, [])
-        if self.field is QQ:
-            return [(m, Fraction(r, den)) for m, r in row]
-        return row
-
     def row(self, a, b):
         """The residue row as (den, [(m, R_m), ...]) with r_m = R_m / den,
         or () when the row is empty.  Each R_m is a dot product of the
@@ -412,25 +399,29 @@ class BranchWindow:
         over Q the numerators are integers and the row is divided by their
         gcd, over any other field they are the coefficients and den is 1.
 
-        S is built from the cleared windows of f_a/(4 y x') and
-        f_b(sigma z), and only at the exponents kmin..-2 a row entry reads;
-        its kmin and prec are Series.__mul__'s, and it is refused unless it
-        is known far enough for every entry (_check_known).
+        S is cleared_product of the cleared windows of f_a/(4 y x') and
+        f_b(sigma z), taken only at the exponents kmin..-2 a row entry
+        reads; it is refused unless it is known far enough for every entry
+        (_check_known).
         """
         row = self._rows.get((a, b))
         if row is not None:
             return row
+        rational = self.field is QQ
         if a is None:
-            left, right = _cleared(self.bergman_diag()), self._cleared_dinv
+            left = cleared(self.bergman_diag(), rational)
+            right = self._cleared_dinv
         else:
             left = self._cleared_left.get(a)
             if left is None:
-                left = self._cleared_left[a] = _cleared_product(
-                    _cleared(self.factor(a, 0)), self._cleared_dinv)
+                left = self._cleared_left[a] = cleared_product(
+                    cleared(self.factor(a, 0), rational), self._cleared_dinv,
+                    0)
             right = self._cleared_right.get(b)
             if right is None:
-                right = self._cleared_right[b] = _cleared(self.factor(b, 1))
-        kmin, prec, snum, sden = _cleared_product(left, right, -1)
+                right = self._cleared_right[b] = cleared(
+                    self.factor(b, 1), rational)
+        kmin, prec, snum, sden = cleared_product(left, right, 0, -1)
         entries = []
         if kmin < min(prec, -1):
             self._check_known(kmin, prec)
@@ -446,7 +437,7 @@ class BranchWindow:
         row = ()
         if entries:
             den = sden * scale
-            if self.field is QQ:
+            if rational:
                 common = gcd(den, *[r for _, r in entries])
                 den = den // common
                 entries = [(m, r // common) for m, r in entries]
@@ -458,34 +449,9 @@ class BranchWindow:
         """The cleared window of wt^m, cached."""
         out = self._sig_nums.get(m)
         if out is None:
-            out = self._sig_nums[m] = _cleared(self.sig_pow(m))
+            out = self._sig_nums[m] = cleared(self.sig_pow(m),
+                                              self.field is QQ)
         return out
-
-
-def _cleared(series):
-    """A window as (kmin, prec, numerators, denominator): over Q integer
-    numerators over their lcm, over any other field the coefficients
-    over 1."""
-    if type(series.zero) is not Fraction:
-        return series.kmin, series.prec, series.coeffs, 1
-    nums, den = integer_numerators(series.coeffs)
-    return series.kmin, series.prec, nums, den
-
-
-def _cleared_product(x, y, top=None):
-    """The product of two cleared windows, with numerators only at the
-    exponents below top (all known ones when top is None).
-
-    kmin and prec follow Series.__mul__; the leading numerators are
-    nonzero, so kmin is the product's valuation, and the product is empty
-    exactly when prec <= kmin.
-    """
-    xk, xp, xn, xd = x
-    yk, yp, yn, yd = y
-    kmin = xk + yk
-    prec = min(xp + yk, yp + xk)
-    n = (prec if top is None else min(prec, top)) - kmin
-    return kmin, prec, integer_product(xn, yn, max(n, 0)), xd * yd
 
 
 class RecursionResult:

@@ -478,6 +478,44 @@ def test_rational_series_kernel_matches_field_path(a, b, e):
                 got.coeff(k)
 
 
+def convolution(a, b):
+    """a * b by the double loop over both windows: the product starts at
+    kmin_a + kmin_b and is known below the first exponent where either
+    factor's unknown terms reach it."""
+    prec = min(a.prec + b.kmin, b.prec + a.kmin)
+    kmin = min(a.kmin + b.kmin, prec)
+    out = [a.zero] * (prec - kmin)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            k = a.kmin + b.kmin + i + j
+            if k < prec:
+                out[k - kmin] = out[k - kmin] + x * y
+    return Series(kmin, out, prec, a.zero)
+
+
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("name", ["Q", "Q(t)", "Q(t)[u]"])
+@given(data=st.data())
+def test_series_product_is_the_convolution_on_every_field(name, data):
+    # the one product kernel against the double loop, with kmin and prec,
+    # on integers over Q and on the coefficients over Q(t) and Q(t)[u]
+    F, scalars = KERNEL_FIELDS[name][:2]
+    pool = [F.zero()] + [parse_element(c, F) for c in scalars]
+
+    def window():
+        kmin = data.draw(st.integers(-3, 3))
+        coeffs = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+        prec = kmin + len(coeffs) + data.draw(st.integers(0, 2))
+        return Series(kmin, coeffs, prec, F.zero())
+
+    a, b = window(), window()
+    for x, y in ((a, b), (b, a), (a, a)):
+        got, want = x * y, convolution(x, y)
+        assert (got.kmin, got.prec, got.coeffs) == (
+            want.kmin, want.prec, want.coeffs)
+        assert all(type(c) is type(F.zero()) for c in got.coeffs)
+
+
 @pytest.mark.parametrize("zero", [QQ.zero(), Qt.zero()],
                          ids=["Q", "Q(t)"])
 def test_power_of_a_window_with_no_known_term(zero):
