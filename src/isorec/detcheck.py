@@ -659,7 +659,8 @@ def verify_tt(mser, cors):
     lead = cors.w1.get(-1)
     if lead is not None:
         tr_rows["0,1"] = {"pass": lead == -(U.y * xp)}
-    tr_rows["0,2"] = {"pass": two_ok}
+    if (2, 0) in cors.wn:
+        tr_rows["0,2"] = {"pass": two_ok}
     for g, n in stable:
         key = "%d,%d" % (g, n)
         try:
@@ -711,7 +712,8 @@ def _bergman_diagonal(pf):
 
 def _bergman_match(mser, cors):
     """_bergman_diagonal, together with the vanishing of the sheet-reflected
-    trace that makes the diagonal double pole the whole singularity."""
+    trace that makes the diagonal double pole the whole singularity; True
+    when no W_2^(0) was computed (verify_tt then reports no row "0,2")."""
     U = mser.U
     if (2, 0) not in cors.wn:
         return True

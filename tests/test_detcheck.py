@@ -501,6 +501,18 @@ def test_bergman_match_rejects_altered_two_point(p1):
     assert not _bergman_match(mser, _with_two_point(cors, dropped))
 
 
+def test_verify_tt_reports_no_two_point_row_it_did_not_compute(p1):
+    # with nmax = 1 no W_2^(0) exists, so there is no row "0,2", as there
+    # is a row "0,1" only when W_1^(-1) exists
+    mser, _ = p1
+    cors = correlators(mser, nmax=1)
+    assert not cors.wn and -1 in cors.w1
+    report = verify_tt(mser, cors)
+    assert sorted(report["tr_equality"]) == ["0,1", "1,1"]
+    assert report["clauses"]["6"] == {"pass": True, "witnesses": []}
+    assert report["pass"]
+
+
 @pytest.fixture(scope="module")
 def p1_order4_n3():
     """verify_tt at M order 4 with nmax=3, and the number of times it
