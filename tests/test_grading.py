@@ -15,9 +15,12 @@ from isorec import detcheck, grading, toprec
 from isorec.errors import PlanMismatch
 from isorec.exactmath import QQ, FunctionField, parse_element
 from isorec.hamflow import extend_flow, leading_order
+from isorec.isodeform import build_isosystem, scaling_plan
+from isorec.laxsystem import Mat2, PoleData, SIGMA3, Sl2Lax
 from isorec.spectralcurve import curve_from_system, uniformize
 
 from test_detcheck import curve_U, p1_system
+from test_isodeform import mat
 
 Qt = FunctionField(QQ, "t")
 
@@ -156,3 +159,68 @@ def test_hbar_d_dx_of_another_weight_than_l_raises(monkeypatch):
     monkeypatch.setattr(grading, "solve_weights", shifted)
     with pytest.raises(PlanMismatch, match="hbar d/dx"):
         detcheck.m_series(iso, flow, 1)
+
+
+@pytest.fixture(scope="module")
+def p1_grading_args():
+    """The arguments m_series gives flow_grading for P1 at order 2: the
+    system, the curve's Specialization, L^(k), A-hat^(k) and beta."""
+    iso, H = p1_system()
+    seen = []
+    grade = detcheck.flow_grading
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detcheck, "flow_grading",
+                   lambda *args: seen.append(args) or grade(*args))
+        detcheck.m_series(iso, extend_flow(H, leading_order(H), 2), 2)
+    assert detcheck.flow_grading(*seen[0]) is not None
+    return seen[0]
+
+
+def _spy(monkeypatch, name):
+    """The return values of grading.<name>, recorded as it is called."""
+    out = []
+    fn = getattr(grading, name)
+    monkeypatch.setattr(grading, name,
+                        lambda *args: out.append(fn(*args)) or out[-1])
+    return out
+
+
+def test_flow_grading_declines_a_plan_without_time_weight(p1_grading_args):
+    # the Fuchsian moving-pole system: its time is a pole position, and
+    # scaling_plan gives it weight d_t = 0
+    F = QQ
+    m1 = mat(F, (("1", "2"), ("3", "-1")))
+    m2 = mat(F, (("0", "1"), ("1", "0")))
+    m3 = -(Mat2.sigma3(F.one(), F.zero()) + m1 + m2)
+    pd = PoleData((Fraction(0), Fraction(1), Fraction(2)), (1, 1, 1), -1,
+                  SIGMA3)
+    iso = build_isosystem(Sl2Lax(F, pd, {(1, 1): m1, (2, 1): m2,
+                                         (3, 1): m3}))
+    assert not scaling_plan(iso.lax.poles, iso.case).d_t
+    _, spec, lax, ahat, beta = p1_grading_args
+    assert detcheck.flow_grading(iso, spec, lax, ahat, beta) is None
+
+
+def test_flow_grading_declines_a_coefficient_that_is_no_monomial(
+        p1_grading_args, monkeypatch):
+    # 1 + t in the constant coefficient of L^(1)'s first entry
+    iso, spec, lax, ahat, beta = p1_grading_args
+    a, b, c, d = lax[1].entries()
+    lax = [lax[0], Mat2(a + parse_element("1 + t", spec.field), b, c, d),
+           lax[2]]
+    rows = _spy(monkeypatch, "term_rows")
+    assert detcheck.flow_grading(iso, spec, lax, ahat, beta) is None
+    assert rows[-1] is None
+
+
+def test_flow_grading_declines_weights_that_contradict(p1_grading_args,
+                                                       monkeypatch):
+    # one entry of L^(2) times t: every coefficient is a monomial, but no
+    # weights make all of them homogeneous
+    iso, spec, lax, ahat, beta = p1_grading_args
+    a, b, c, d = lax[2].entries()
+    lax = [lax[0], lax[1], Mat2(a, b * parse_element("t", spec.field), c, d)]
+    rows = _spy(monkeypatch, "term_rows")
+    weights = _spy(monkeypatch, "solve_weights")
+    assert detcheck.flow_grading(iso, spec, lax, ahat, beta) is None
+    assert None not in rows and weights == [None]
