@@ -10,12 +10,14 @@ from .poly import Poly, poly_gcd, poly_sqrt, squarefree_decomposition
 from .ratfn import (RatFn, evaluate, local_expand, partial_fractions,
                     recombine, roots_in_field, split_linear_factors)
 from .series import (HbarSeries, LocalSeries, Series, clear, cleared,
-                     cleared_product, integer_numerators, integer_product)
+                     cleared_inverse, cleared_product, integer_numerators,
+                     integer_product)
 
 __all__ = [
     "ExtElem", "FunctionField", "HbarSeries", "LocalSeries", "Poly",
     "QQ", "QuadraticExtension", "RatFn", "RationalField", "Series",
-    "adjoin_roots", "clear", "cleared", "cleared_product", "evaluate",
+    "adjoin_roots", "clear", "cleared", "cleared_inverse", "cleared_product",
+    "evaluate",
     "integer_numerators", "integer_product",
     "local_expand", "parse_element", "partial_derivation", "partial_fractions",
     "poly_gcd", "poly_sqrt", "recombine", "roots_in_field",

@@ -17,15 +17,18 @@ Q one Fraction is built per output coefficient; Fraction is canonical, so
 the results are those of Fraction arithmetic, byte for byte when printed.
 toprec's residue rows and separated's slot vectors read the same kernel.
 
-The inverse keeps two recurrences: fraction-free on integers over Q, and
-dividing by the leading coefficient elsewhere, where the fraction-free one
-made the tower F_2 run of the tests about a fifth slower.
+The inverse keeps two recurrences.  Over Q it is fraction-free on
+integers (cleared_inverse), with numerators in lowest terms over a positive
+denominator: Series.inverse builds one Fraction per coefficient from them,
+toprec's branch windows none.  Elsewhere it divides by the leading
+coefficient, where the fraction-free one made the tower F_2 run of the
+tests about a fifth slower.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ..errors import TruncationTooShort
 from .poly import square_and_multiply
@@ -163,20 +166,14 @@ class Series:
         """Multiplicative inverse, precise to prec - 2*kmin exponents."""
         if not self.coeffs:
             raise ZeroDivisionError("inverting a series with no known nonzero term")
-        n = self.prec - self.kmin
         if type(self.zero) is Fraction:
-            out = _inverse_qq(self.coeffs, self.zero)
-        else:
-            inv_lead = 1 / self.coeffs[0]
-            out = [self.zero] * n
-            out[0] = inv_lead
-            for k in range(1, n):
-                acc = self.zero
-                for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                    acc = acc + self.coeffs[j] * out[k - j]
-                out[k] = -(inv_lead * acc)
+            kmin, prec, nums, den = cleared_inverse(cleared(self, True), True)
+            return self._like(kmin, [Fraction(c, den) if c else self.zero
+                                     for c in nums], prec)
+        n = self.prec - self.kmin
         kmin = -self.kmin
-        return self._like(kmin, out, kmin + n)
+        return self._like(kmin, _inverse_divided(self.coeffs, n, self.zero),
+                          kmin + n)
 
     def __truediv__(self, other):
         if isinstance(other, Series):
@@ -281,22 +278,48 @@ def cleared_product(x, y, zero, top=None):
     return kmin, prec, integer_product(xn, yn, max(n, 0), zero), xd * yd
 
 
-def _inverse_qq(coeffs, zero):
-    """The window of 1/a over Q, as long as a's, a_0 = coeffs[0] != 0.
-
-    With a = A/d in integers, 1/a = d * sum_k C_k w^k / A_0^(k+1), where
-    C_0 = 1 and C_k = -sum_{j=1..k} A_j A_0^(j-1) C_{k-j} stay integers.
-    """
-    num, den = integer_numerators(coeffs)
-    lead = num[0]
-    terms = [(j, c * lead ** (j - 1)) for j, c in enumerate(num) if j and c]
+def cleared_inverse(x, rational):
+    """The inverse of a cleared window x, as one, as long as x (numerators
+    past the end of x's list are zeros).  Over Q (rational) its integer
+    numerators in lowest terms over a positive denominator, by the
+    fraction-free recurrence; on any other ring the coefficients over 1,
+    dividing by the leading one."""
+    kmin, prec, nums, den = x
+    if not nums:
+        raise ZeroDivisionError(
+            "inverting a window with no known nonzero term")
+    n = prec - kmin
+    if not rational:
+        return -kmin, n - kmin, _inverse_divided(nums, n, 0), 1
+    # x = A/den: 1/x = den * sum_k C_k w^k / A_0^(k+1), where C_0 = 1 and
+    # C_k = -sum_{j=1..k} A_j A_0^(j-1) C_{k-j} stay integers; put over A_0^n
+    lead = nums[0]
+    terms = [(j, c * lead ** (j - 1)) for j, c in enumerate(nums) if j and c]
     out = [1]
-    for k in range(1, len(coeffs)):
+    for k in range(1, n):
         out.append(-sum(c * out[k - j] for j, c in terms if j <= k))
-    scale = lead
-    for k, c in enumerate(out):
-        out[k] = Fraction(den * c, scale) if c else zero
+    scale = den
+    for k in range(n - 1, -1, -1):
+        out[k] *= scale
         scale *= lead
+    scale //= den
+    if scale < 0:
+        scale, out = -scale, [-c for c in out]
+    common = gcd(scale, *out)
+    return -kmin, n - kmin, [c // common for c in out], scale // common
+
+
+def _inverse_divided(coeffs, n, zero):
+    """The first n coefficients of 1/a on any field, dividing by a_0 =
+    coeffs[0] != 0; the sums start from zero."""
+    inv_lead = 1 / coeffs[0]
+    out = [zero] * n
+    out[0] = inv_lead
+    for k in range(1, n):
+        acc = zero
+        for j in range(1, min(k, len(coeffs) - 1) + 1):
+            acc = acc + coeffs[j] * out[k - j]
+        out[k] = -(inv_lead * acc)
     return out
 
 

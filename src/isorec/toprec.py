@@ -32,7 +32,20 @@ them up.  With S = f_a(z) f_b(sigma z)/(4 y x'), the entry r_m reads S only
 at exponents -1-m and -1-j for j >= m >= 1 (wt^m starts at w^m), all at
 most -2; S has valuation v_a + v_b, v_a that of f_a/(4 y x') and v_b that
 of f_b(sigma z).  A pair with v_a + v_b >= -1 therefore has an empty row,
-and skipping it is exact: it adds nothing to any coefficient.
+and skipping it is exact: it adds nothing to any coefficient.  The
+valuations are known in closed form, so no window is built to find them:
+s is a simple fixed point of sigma (wt has valuation 1, sigma'(s) = -1)
+and 4 y x' has a double zero there, so a basis element at s of order k
+has v_a = -k-2 and v_b = -k, one at the other branch point v_a = -2 and
+v_b = 0, and omega_{0,2}'s m-th term v_a = m-2 and v_b = m.
+
+The windows are as long as the top row needs.  omega_{g,n} has poles of
+order at most 6g-4+2n, and a row that writes order m+1 reads S down to
+exponent -1-m; the windows are cut at prec = 2(3 gmax - 2 + nmax), the
+largest such order among the computed forms, and a row whose S is not
+known far enough raises TruncationTooShort instead of reading a zero that
+is not known.  A run with no stable form (gmax = 0, nmax <= 2) builds no
+window.
 
 The bracket is symmetric under swapping its two factors together with
 z <-> sigma(z).  The kernel numerator and 2 (y(z) - y(sigma z)) dx both
@@ -58,14 +71,17 @@ the weight of a coefficient, so they hold at t0 exactly when they hold on
 the tower.  symplectic_invariants reads the restored tables on the tower.
 
 The residue rows and the contraction are one kernel on every field.  Each
-factor window, 1/(4 y x') and wt^m is cleared once by exactmath's product
-kernel (cleared: integer numerators over their lcm over Q, the coefficients
-over 1 elsewhere), and S is its product of them (cleared_product, as in
-Series.__mul__) at the exponents a row reads only.  A row (BranchWindow.row)
-is numerators over one denominator, each a dot product of the numerators of
-S and of wt^m; the contraction sums the numerators of c1 c2 r_m per key over
-the lcm of their denominators.
-Over Q no Fraction is built before the contraction writes one per key;
+window a row reads (the factors on either sheet, 1/(4 y x'), sigma' and
+wt^m) is built once, when a row first reads it, in exactmath's cleared form
+(integer numerators in lowest terms over one denominator over Q, the
+coefficients over 1 elsewhere): powers and products by cleared_product,
+inverses by cleared_inverse.  S is the product of two of them
+(cleared_product, as in Series.__mul__) at the exponents a row reads only.
+A row (BranchWindow.row) is numerators over one denominator, each a dot
+product of the numerators of S and of wt^m; the contraction sums the
+numerators of c1 c2 r_m per key over the lcm of their denominators.
+Over Q no factor window builds a Series product or a Fraction, and no
+Fraction is built before the contraction writes one per key;
 Fraction is canonical, so the tables, and every output printed from them,
 are those of Fraction arithmetic, with one reduction per coefficient
 instead of one per operation.  The symmetry and involution checks of a
@@ -80,8 +96,9 @@ from operator import itemgetter
 from . import grading
 from .errors import (IndexOutOfRange, InvalidPoleStructure,
                      NonSimpleBranchpoint, TruncationTooShort, UnexpectedPole)
-from .exactmath import (QQ, RatFn, Series, cleared, cleared_product,
-                        integer_numerators, local_expand, partial_fractions)
+from .exactmath import (QQ, RatFn, Series, cleared, cleared_inverse,
+                        cleared_product, integer_numerators, local_expand,
+                        partial_fractions)
 from .spectralcurve import ONE_BRANCH
 
 # factor-id tag of the m-th term of omega_{0,2}'s expansion at a branch point
@@ -219,13 +236,10 @@ class PoleBasisForm:
         return total
 
     def to_json(self):
-        field = self.field
-        items = []
-        for key, v in self.table.items():
-            items.append({"idx": [[s, k] for s, k in key],
-                          "coef": field.to_str(v)})
-        items.sort(key=lambda e: e["idx"])
-        return items
+        """The terms in key order (tuples of pairs sort as their lists)."""
+        to_str, table = self.field.to_str, self.table
+        return [{"idx": [[s, k] for s, k in key], "coef": to_str(table[key])}
+                for key in sorted(table)]
 
     @classmethod
     def from_ratfn(cls, f, points):
@@ -273,124 +287,164 @@ class BranchWindow:
 
         Res_{z->s} K(z0,z) f_a(z) f_b(sigma z) = sum_m r_m dz0/(z0-s)^(m+1).
 
-    The windows behind a row are wt = sigma(z)-s, expanded from the
-    uniformization's sigma, and its derivative; the inverse of 4 y x'
-    (whose double zero at the branch point is the simplicity requirement);
-    and the factors seen from this point on either sheet.
+    A row reads two windows (window): f_a(z)/(4 y x') on sheet 0 and
+    f_b(sigma z) sigma' on sheet 1.  They are built from wt = sigma(z)-s
+    (sig, expanded from the uniformization's sigma), from sigma' and from
+    the inverse of 4 y x', whose double zero at the branch point is the
+    simplicity requirement.  The powers of wt, (z-s')^-k on either sheet,
+    sigma', 1/(4 y x') and the factor windows are kept cleared, as (kmin,
+    prec, numerators, denominator) in exactmath's product kernel, each
+    built once, from the last power or by one cleared_product or
+    cleared_inverse, when a row first reads it.  Over Q their numerators
+    are integers in lowest terms, and none of them builds a Series product
+    or a Fraction; elsewhere they are the coefficients over 1.  Only sig
+    and omega_{0,2}'s diagonal (bergman_diag, read by one row) are Series.
+    On sheet 0 a factor at s or of omega_{0,2} is a power of w, and its
+    window is the shifted window of 1/(4 y x').
 
     A row reads S = f_a f_b/(4 y x') only at exponents <= -2, so it is empty
     when valuation(a, 0) + valuation(b, 1) >= -1; the recursion asks for no
-    such pair.  row() clears each window once and builds S at the
-    exponents kmin..-2 only, both with exactmath's product kernel, the one
+    such pair.  valuation is in closed form and builds no window.  row()
+    takes S at the exponents kmin..-2 only, with the product kernel that
     Series.__mul__ runs: S has that product's kmin and prec.
+
+    How far each window is known follows from prec: wt below exponent
+    prec+2, sigma' and 4 y x' below prec+1, s-s'+w below prec, and every
+    inverse and product as far as its operands carry it (Series' rule).
+    prec below 2 is refused: the double zero of 4 y x' sits at exponent 2,
+    and a shorter expansion would take it for a zero of higher order.
     """
 
-    __slots__ = ("field", "s", "point", "prec", "sig", "sig_prime", "dinv",
-                 "_factors", "_sig_pows", "_inv_pows", "_sig_nums", "_rows",
-                 "_cleared_dinv", "_cleared_left", "_cleared_right")
+    __slots__ = ("field", "s", "point", "prec", "rational", "sig",
+                 "sig_prime", "dinv", "w02_terms", "_windows", "_sig_pows",
+                 "_inv_pows", "_rows", "_known")
 
     def __init__(self, U, s, prec):
+        if prec < 2:
+            raise TruncationTooShort(
+                "a branch window to exponent %d cannot see the double zero "
+                "of 4 y x' at exponent 2" % prec)
         E = U.field
         self.field = E
         self.s = s
         self.point = E.coerce(s)
         self.prec = prec
+        self.rational = rational = E is QQ
         self.sig = local_expand(U.sigma - self.point, self.point, prec + 1)
-        self.sig_prime = self.sig.deriv()
+        self.sig_prime = cleared(self.sig.deriv(), rational)
         dd = local_expand((U.y * U.x.deriv()) * 4, self.point, prec)
         if (not dd) or dd.valuation() != 2:
             raise NonSimpleBranchpoint(
                 "omega_{0,1}(z) - omega_{0,1}(sigma z) vanishes to order %s "
                 "at z=%s (order 2 required)"
                 % (dd.valuation() if dd else "all", s))
-        self.dinv = dd.inverse()
-        self._factors = {}
-        self._sig_pows = {1: self.sig}
+        self.dinv = cleared_inverse(cleared(dd, rational), rational)
+        # omega_{0,2}(z, z1) = sum_m (m+1) w^m dz dz1/(z1-s)^(m+2)
+        self.w02_terms = [((W02, m), E.coerce(m + 1), ((s, m + 2),))
+                          for m in range(prec)]
+        self._windows = {}
+        self._sig_pows = {1: cleared(self.sig, rational)}
         self._inv_pows = {}
-        self._sig_nums = {}
         self._rows = {}
-        self._cleared_dinv = cleared(self.dinv, E is QQ)
-        self._cleared_left = {}
-        self._cleared_right = {}
+        self._known = set()
+
+    def _product(self, x, y):
+        """cleared_product of two windows; over Q in lowest terms."""
+        kmin, prec, nums, den = cleared_product(x, y, 0)
+        if self.rational:
+            common = gcd(den, *nums)
+            if common > 1:
+                nums = [c // common for c in nums]
+                den //= common
+        return kmin, prec, nums, den
 
     def sig_pow(self, m):
+        """The window of wt^m, each power one product from the last."""
         out = self._sig_pows.get(m)
         if out is None:
-            out = self.sig_pow(m - 1) * self.sig
-            self._sig_pows[m] = out
+            out = self._sig_pows[m] = self._product(self.sig_pow(m - 1),
+                                                    self._sig_pows[1])
         return out
 
-    def monomial(self, k):
-        return Series(k, [self.field.one()], k + 3 * self.prec,
-                      self.field.zero(), self.point)
-
-    def xi(self, s2, k, sheet):
-        """Window of dz/(z-s2)^k at z = s+w (sheet 0) or sigma(z) (sheet 1).
-
-        Sheet 1 includes the Jacobian d(sigma z)/dw.
-        """
-        if sheet == 0 and s2 == self.s:
-            return self.monomial(-k)
-        out = self._inv_pow(s2, sheet, k)
-        return out * self.sig_prime if sheet else out
-
     def _inv_pow(self, s2, sheet, k):
-        """Window of (z-s2)^-k at z = s+w (sheet 0) or sigma(z) (sheet 1),
-        each power one product from the last."""
+        """The window of (z-s2)^-k at z = s+w (sheet 0) or sigma(z) (sheet
+        1), each power one product from the last."""
         out = self._inv_pows.get((s2, sheet, k))
         if out is None:
-            E = self.field
             if k > 1:
-                out = (self._inv_pow(s2, sheet, k - 1)
-                       * self._inv_pow(s2, sheet, 1))
-            elif sheet == 0:
-                out = Series(0, [self.point - E.coerce(s2), E.one()],
-                             self.prec, E.zero(), self.point).inverse()
-            elif s2 == self.s:
-                out = self.sig.inverse()
+                out = self._product(self._inv_pow(s2, sheet, k - 1),
+                                    self._inv_pow(s2, sheet, 1))
             else:
-                out = (self.sig + (self.point - E.coerce(s2))).inverse()
+                lift = int if self.rational else self.field.coerce
+                if sheet == 0:
+                    # s - s2 + w, its numerators from exponent 2 on zero
+                    base = (0, self.prec, [lift(self.s - s2), lift(1)], 1)
+                elif s2 == self.s:
+                    base = self._sig_pows[1]
+                else:
+                    # s - s2 + wt
+                    _, prec, nums, den = self._sig_pows[1]
+                    base = (0, prec, [lift((self.s - s2) * den)] + nums, den)
+                out = cleared_inverse(base, self.rational)
             self._inv_pows[(s2, sheet, k)] = out
         return out
 
-    def factor(self, fid, sheet):
-        """Window of the factor fid on the given sheet, cached."""
-        out = self._factors.get((fid, sheet))
+    def window(self, fid, sheet):
+        """The window a row reads for the factor fid, built once: f(z)/(4 y
+        x') on sheet 0, f(sigma z) sigma' on sheet 1."""
+        out = self._windows.get((fid, sheet))
         if out is None:
             tag, k = fid
-            if tag != W02:
-                out = self.xi(tag, k, sheet)
-            elif sheet == 0:
-                out = self.monomial(k)
+            if sheet == 1:
+                if tag == W02:
+                    out = (self._product(self.sig_pow(k), self.sig_prime)
+                           if k else self.sig_prime)
+                else:
+                    out = self._product(self._inv_pow(tag, 1, k),
+                                        self.sig_prime)
+            elif tag == W02 or tag == self.s:
+                # w^k or w^-k times 1/(4 y x')
+                kmin, prec, nums, den = self.dinv
+                shift = k if tag == W02 else -k
+                out = (kmin + shift, prec + shift, nums, den)
             else:
-                out = self.sig_pow(k) * self.sig_prime if k else self.sig_prime
-            self._factors[(fid, sheet)] = out
+                out = self._product(self._inv_pow(tag, 0, k), self.dinv)
+            self._windows[(fid, sheet)] = out
         return out
 
     def valuation(self, fid, sheet):
-        """Valuation of f(sigma z) on sheet 1, of f(z)/(4 y x') on sheet 0.
+        """The first exponent of window(fid, sheet), without building it.
 
-        The row of (a, b) can be nonempty only when valuation(a, 0) +
-        valuation(b, 1) <= -2.
+        sigma(z) - s has valuation 1 and sigma'(s) = -1 (s is a simple fixed
+        point), so dz/(z-s')^k is of valuation -k at s' = s and 0 elsewhere
+        on either sheet, and omega_{0,2}'s w^k dz of valuation k; on sheet 0,
+        1/(4 y x') adds -2.  The row of (a, b) can be nonempty only when
+        valuation(a, 0) + valuation(b, 1) <= -2.
         """
-        v = self.factor(fid, sheet).kmin
-        return v + self.dinv.kmin if sheet == 0 else v
+        tag, k = fid
+        v = k if tag == W02 else -k if tag == self.s else 0
+        return v - 2 if sheet == 0 else v
 
     def bergman_diag(self):
         """omega_{0,2}(z, sigma z) / dz^2 as a window: wt'/(w - wt)^2."""
-        gap = self.monomial(1) - self.sig
-        return self.sig_prime * gap.inverse() ** 2
+        E, sig = self.field, self.sig
+        gap = Series(1, [E.one()], sig.prec, E.zero(), self.point) - sig
+        return sig.deriv() * gap.inverse() ** 2
 
     def _check_known(self, kmin, prec):
         """Refuse a window S (first exponent kmin, known below prec) unless
-        exponent -1 of wt^m S is known for every m a row entry reads."""
+        exponent -1 of wt^m S is known for every m a row entry reads.  A
+        (kmin, prec) that passed is not checked again."""
+        if (kmin, prec) in self._known:
+            return
         for m in range(1, -kmin):
-            sm = self.sig_pow(m)
-            known = min(sm.prec + kmin, prec + sm.kmin)
+            sk, sp, _, _ = self.sig_pow(m)
+            known = min(sp + kmin, prec + sk)
             if known <= -1:
                 raise TruncationTooShort(
                     "residue of wt^%d S needs exponent -1, known below %d"
                     % (m, known))
+        self._known.add((kmin, prec))
 
     def row(self, a, b):
         """The residue row as (den, [(m, R_m), ...]) with r_m = R_m / den,
@@ -399,35 +453,25 @@ class BranchWindow:
         over Q the numerators are integers and the row is divided by their
         gcd, over any other field they are the coefficients and den is 1.
 
-        S is cleared_product of the cleared windows of f_a/(4 y x') and
-        f_b(sigma z), taken only at the exponents kmin..-2 a row entry
-        reads; it is refused unless it is known far enough for every entry
-        (_check_known).
+        S is cleared_product of window(a, 0) and window(b, 1), taken only
+        at the exponents kmin..-2 a row entry reads; it is refused unless it
+        is known far enough for every entry (_check_known).
         """
         row = self._rows.get((a, b))
         if row is not None:
             return row
-        rational = self.field is QQ
         if a is None:
-            left = cleared(self.bergman_diag(), rational)
-            right = self._cleared_dinv
+            left = cleared(self.bergman_diag(), self.rational)
+            right = self.dinv
         else:
-            left = self._cleared_left.get(a)
-            if left is None:
-                left = self._cleared_left[a] = cleared_product(
-                    cleared(self.factor(a, 0), rational), self._cleared_dinv,
-                    0)
-            right = self._cleared_right.get(b)
-            if right is None:
-                right = self._cleared_right[b] = cleared(
-                    self.factor(b, 1), rational)
+            left, right = self.window(a, 0), self.window(b, 1)
         kmin, prec, snum, sden = cleared_product(left, right, 0, -1)
         entries = []
-        if kmin < min(prec, -1):
+        if kmin < -1:
             self._check_known(kmin, prec)
             parts = []
             for m in range(1, -kmin):
-                j0, _, wnum, wden = self._sig_numerators(m)
+                j0, _, wnum, wden = self.sig_pow(m)
                 # r_m sden wden = S_{-1-m} wden - sum_j (wt^m)_j S_{-1-j}
                 top = max(0, -j0 - kmin)
                 dot = sum(c * v for c, v in zip(wnum, reversed(snum[:top])))
@@ -437,21 +481,13 @@ class BranchWindow:
         row = ()
         if entries:
             den = sden * scale
-            if rational:
+            if self.rational:
                 common = gcd(den, *[r for _, r in entries])
                 den = den // common
                 entries = [(m, r // common) for m, r in entries]
             row = (den, entries)
         self._rows[(a, b)] = row
         return row
-
-    def _sig_numerators(self, m):
-        """The cleared window of wt^m, cached."""
-        out = self._sig_nums.get(m)
-        if out is None:
-            out = self._sig_nums[m] = cleared(self.sig_pow(m),
-                                              self.field is QQ)
-        return out
 
 
 class RecursionResult:
@@ -488,8 +524,7 @@ def _factor_terms(win, omegas, g, nfree):
     contributing basis orders m+2 at the free slot.
     """
     if g == 0 and nfree == 1:
-        return [((W02, m), win.field.coerce(m + 1), ((win.s, m + 2),))
-                for m in range(win.prec)]
+        return win.w02_terms
     stored = omegas.get((g, 1 + nfree))
     if not stored:
         return []
@@ -619,7 +654,7 @@ def eo_differentials(U, gmax, nmax):
         raise IndexOutOfRange(
             "the recursion needs gmax >= 0 and nmax >= 1, not %d and %d"
             % (gmax, nmax))
-    prec = 2 * (3 * gmax - 2 + nmax) + 4
+    prec = 2 * (3 * gmax - 2 + nmax)
     spec = grading.specialization(U)
     if spec is None:
         return RecursionResult(U, gmax, nmax, prec,
@@ -635,6 +670,8 @@ def eo_differentials(U, gmax, nmax):
 def _recursion(U, gmax, nmax, prec):
     """The verified tables of omega_{g,n} over U's own field."""
     chi_max = 2 * gmax - 2 + nmax
+    if chi_max < 1:
+        return {}  # no stable form: no row, and no window
     E = U.field
     wins = [BranchWindow(U, s, prec) for s in U.branch_ints]
     omegas = {}

@@ -1,6 +1,7 @@
 """Exact arithmetic layer: ring axioms, partial fractions and local
 expansions, the field tower."""
 
+import math
 import operator
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from isorec.errors import (InvalidExpression, IrreducibleDenominator,
                            TruncationTooShort)
 from isorec.exactmath import (
     ExtElem, FunctionField, HbarSeries, Poly, QQ, QuadraticExtension, RatFn,
-    adjoin_roots, integer_product, local_expand, parse_element,
+    adjoin_roots, cleared, cleared_inverse, integer_product, local_expand,
+    parse_element,
     Series, partial_fractions, poly_gcd, poly_sqrt, recombine,
     roots_in_field, squarefree_decomposition, substitute,
 )
@@ -451,6 +453,14 @@ def over_qt(s):
                   Qt.zero(), s.point)
 
 
+def cleared_inverse_qq(a):
+    """a's inverse by cleared_inverse over Q, checked to be in lowest terms
+    over a positive denominator, as a window of Fractions."""
+    kmin, prec, nums, den = cleared_inverse(cleared(a, True), True)
+    assert den > 0 and math.gcd(den, *nums) == 1
+    return Series(kmin, [Fraction(c, den) for c in nums], prec, QQ.zero())
+
+
 @settings(max_examples=150, deadline=None)
 @given(rational_windows(), rational_windows(), st.integers(-3, 3))
 def test_rational_series_kernel_matches_field_path(a, b, e):
@@ -460,6 +470,7 @@ def test_rational_series_kernel_matches_field_path(a, b, e):
              (lambda: a * b, lambda: ea * eb),
              (lambda: b * a, lambda: eb * ea),
              (a.inverse, ea.inverse),
+             (lambda: cleared_inverse_qq(a), ea.inverse),
              (lambda: a ** e, lambda: ea ** e)]
     for on_q, on_qt in pairs:
         try:

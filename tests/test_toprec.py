@@ -17,8 +17,9 @@ from isorec.exactmath import (QQ, FunctionField, RatFn, local_expand,
 from isorec.laxsystem import Mat2
 from isorec.spectralcurve import (ONE_BRANCH, TWO_BRANCH, Uniformization,
                                   classical_curve, uniformize)
-from isorec.toprec import (BranchWindow, PoleBasisForm, _verify_form,
-                           eo_differentials, sigma_slot_image, symplectic_invariants, xi_ratfn)
+from isorec.toprec import (BranchWindow, PoleBasisForm, _recursion,
+                           _verify_form, eo_differentials, sigma_slot_image,
+                           symplectic_invariants, xi_ratfn)
 
 from test_detcheck import curve_U
 from test_grading import Qt, on_tower, p1_curve
@@ -96,8 +97,8 @@ def test_recursion_requests_only_rows_within_the_pair_bound(monkeypatch):
     def spy(win, a, b):
         row = requested[(q_text, win.s, a, b)] = row_of(win, a, b)
         if a is not None:
-            left = win.factor(a, 0).kmin + win.dinv.kmin
-            assert left + win.factor(b, 1).kmin <= -2, (win.s, a, b)
+            left = win.window(a, 0)[0]
+            assert left + win.window(b, 1)[0] <= -2, (win.s, a, b)
         return row
 
     for q_text in ("x", "(x-1)*(x-3)"):
@@ -107,6 +108,84 @@ def test_recursion_requests_only_rows_within_the_pair_bound(monkeypatch):
     assert {key[0] for key in requested} == {"x", "(x-1)*(x-3)"}
     nonempty = sum(bool(row) for row in requested.values())
     assert nonempty >= 0.9 * len(requested), (nonempty, len(requested))
+
+
+@pytest.mark.parametrize("make", [
+    airy_U, twobranch_U, lambda: curve_U("(x-1)*(x-4)"),
+    lambda: curve_U("(x-1)*(x-3)", Qt)])
+def test_closed_form_valuations_are_the_first_exponents_of_the_windows(
+        make, monkeypatch):
+    # valuation builds no window; for every factor a (2,1) run asks about,
+    # on both sheets, it is the first exponent of the window a row reads
+    # (the leading numerator of a built window is nonzero)
+    asked = set()
+    valuation_of, row_of = BranchWindow.valuation, BranchWindow.row
+
+    def spy_valuation(win, fid, sheet):
+        asked.add((win, fid))
+        return valuation_of(win, fid, sheet)
+
+    def spy_row(win, a, b):
+        asked.update((win, fid) for fid in (a, b) if fid is not None)
+        return row_of(win, a, b)
+
+    U = make()
+    with monkeypatch.context() as mp:
+        mp.setattr(BranchWindow, "valuation", spy_valuation)
+        mp.setattr(BranchWindow, "row", spy_row)
+        on_tower(eo_differentials, U, 2, 1)
+    assert len({win for win, _ in asked}) == len(U.branch_ints)
+    for win, fid in asked:
+        for sheet in (0, 1):
+            kmin, _, nums, _ = win.window(fid, sheet)
+            assert nums[0] and kmin == win.valuation(fid, sheet), \
+                (win.s, fid, sheet)
+    assert len(asked) >= 10 * len(U.branch_ints), len(asked)
+
+
+@pytest.mark.parametrize("make, g, n", [(airy_U, 0, 7), (twobranch_U, 2, 1)])
+def test_windows_four_orders_longer_give_the_same_tables(make, g, n):
+    # the windows are cut at the top pole order, 2(3 gmax - 2 + nmax);
+    # the tables there are the committed ones (tests/test_bench_contract.py
+    # digests these two runs), and longer windows do not change them
+    U = make()
+    res = eo_differentials(U, g, n)
+    assert res.prec == 10
+    assert _recursion(U, g, n, res.prec + 4) == res.omegas
+
+
+@pytest.mark.parametrize("make, g, n, least", [
+    (twobranch_U, 2, 1, 10), (airy_U, 0, 7, 10), (twobranch_U, 3, 1, 16)])
+def test_windows_one_order_short_are_refused(make, g, n, least):
+    # one order below the top pole order a row is refused, never read as a
+    # silent zero
+    with pytest.raises(TruncationTooShort):
+        _recursion(make(), g, n, least - 1)
+
+
+@pytest.mark.parametrize("make", [airy_U, twobranch_U])
+def test_window_below_the_double_zero_is_refused_as_too_short(make):
+    # 4 y x' vanishes to order 2 at a simple branch point; a window that
+    # does not reach exponent 2 must not take it for a higher-order zero
+    U = make()
+    for s in U.branch_ints:
+        for prec in (1, 0, -2):
+            with pytest.raises(TruncationTooShort):
+                BranchWindow(U, s, prec)
+        assert BranchWindow(U, s, 2).dinv[0] == -2
+
+
+@pytest.mark.parametrize("make", [airy_U, twobranch_U])
+@pytest.mark.parametrize("nmax", [1, 2])
+def test_runs_with_no_stable_form_build_no_window(make, nmax, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a branch window was built")
+
+    U = make()
+    monkeypatch.setattr(BranchWindow, "__init__", refuse)
+    res = eo_differentials(U, 0, nmax)
+    assert res.to_json() == {"omegas": {}, "F": {}}
+    assert symplectic_invariants(res) == {}
 
 
 def test_residue_rows_are_unchanged_by_swapping_the_factors(monkeypatch):
@@ -343,6 +422,7 @@ def test_twobranch_frozen_tables():
 def test_twobranch_gaussian_F3():
     # the same formula at g = 3: (1/42)/(6*4) * 4^4 * 2^-4 = 1/63
     res = eo_differentials(twobranch_U(), 3, 1)
+    assert res.prec == 16  # the top pole order, 6g-4+2n at (3,1)
     assert symplectic_invariants(res) == {2: Fraction(-1, 60),
                                           3: Fraction(1, 63)}
 
