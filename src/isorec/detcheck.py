@@ -224,12 +224,14 @@ class MSeries:
 
     mats[k] is M^(k) as a Mat2 over curve.cover; lax and ahat carry L^(k)
     and the cleared auxiliary coefficients on the same cover, so correlators
-    can be formed without leaving the representation.  `grading` is the
-    FlowGrading of a series run at one time (U.point), else None.
+    can be formed without leaving the representation.  mz[k] is M^(k)
+    pulled back to the z-line once, as rows of RatFn in z, and read by
+    check_singularities, correlators and the Bergman check.  `grading` is
+    the FlowGrading of a series run at one time (U.point), else None.
     """
 
     __slots__ = ("curve", "U", "order", "mats", "lax", "ahat", "beta",
-                 "grading")
+                 "grading", "mz")
 
     def __init__(self, curve, U, order, mats, lax, ahat, beta, grading=None):
         self.curve = curve
@@ -240,6 +242,7 @@ class MSeries:
         self.ahat = ahat
         self.beta = beta
         self.grading = grading
+        self.mz = [_matrix_on_cover(m, U) for m in mats]
 
     def coeff(self, k):
         if k < 0:
@@ -357,9 +360,8 @@ def check_singularities(mser):
         allowed.append(0)
     targets = [E.coerce(s) for s in allowed]
 
-    for k, m in enumerate(mser.mats):
-        for ent in m.entries():
-            fz = pullback(ent, U)
+    for k, m in enumerate(mser.mz):
+        for fz in m[0] + m[1]:
             if not fz:
                 continue
             roots, rest = split_linear_factors(fz.den, hints=allowed)
@@ -506,8 +508,7 @@ def correlators(mser, nmax):
     order = mser.order
     U = mser.U
     E = U.field
-    xp = U.x.deriv()
-    mz = [_matrix_on_cover(m, U) for m in mser.mats]
+    mz, xp = mser.mz, U.dx
     lz = [_matrix_on_cover(m, U) for m in mser.lax]
 
     w1 = {}
@@ -655,10 +656,9 @@ def verify_tt(mser, cors):
         nmax = max(n for _, n in stable)
         eo = eo_differentials(U, max(gmax, 0), max(nmax, 1))
 
-    xp = U.x.deriv()
     lead = cors.w1.get(-1)
     if lead is not None:
-        tr_rows["0,1"] = {"pass": lead == -(U.y * xp)}
+        tr_rows["0,1"] = {"pass": lead == -(U.y * U.dx)}
     if (2, 0) in cors.wn:
         tr_rows["0,2"] = {"pass": two_ok}
     for g, n in stable:
@@ -720,7 +720,7 @@ def _bergman_match(mser, cors):
     if not cors.bergman_diagonal():
         return False
 
-    mz0 = _matrix_on_cover(mser.mats[0], U)
+    mz0 = mser.mz[0]
     refl = None
     for r in range(2):
         for c in range(2):

@@ -129,10 +129,6 @@ class Poly:
             return NotImplemented
         return pair[0].coeffs == pair[1].coeffs
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __hash__(self):
         return hash((self.var, self.coeffs))
 
@@ -320,10 +316,13 @@ class Poly:
     def taylor_at(self, a, n):
         """First n coefficients of self(a + w) as a list (ascending in w).
 
-        Computed by repeated synthetic division, which stays exact and cheap.
+        Computed by repeated synthetic division, which stays exact and cheap;
+        at a = 0 the shift is the identity and reads the coefficients.
         """
         a = self.field.coerce(a)
         zero = self.field.zero()
+        if not a:
+            return (list(self.coeffs) + [zero] * n)[:n]
         rem = list(self.coeffs)
         out = []
         for _ in range(n):

@@ -318,22 +318,14 @@ def evaluate(f, value, ring):
 # root finding in the coefficient field
 
 
-def _strip_root(p, a):
-    """Divide out (x - a) as often as possible; return (quotient, order)."""
-    field = p.field
-    lin = Poly(field, [-a, field.one()], p.var)
-    n = 0
-    while p.degree() >= 1:
-        q, r = divmod(p, lin)
-        if r:
-            break
-        p = q
-        n += 1
-    return p, n
+def _drop_root(p, a):
+    """p / (x - a) for a root a of p."""
+    return p // Poly(p.field, [-a, p.field.one()], p.var)
 
 
 def _peel_roots(g, hints):
-    """Strip every discoverable linear factor off a squarefree g.
+    """Strip every discoverable linear factor off a squarefree g, each
+    by one division: its roots are simple.
 
     Returns (roots, leftover); leftover is constant iff g split fully."""
     field = g.field
@@ -341,16 +333,16 @@ def _peel_roots(g, hints):
     for h in hints:
         h = field.coerce(h)
         if g.degree() >= 1 and not g(h):
-            g, _ = _strip_root(g, h)
+            g = _drop_root(g, h)
             roots.append(h)
     # constant term zero means a root at the origin
     if g.degree() >= 1 and not g.constant():
-        g, _ = _strip_root(g, field.zero())
+        g = _drop_root(g, field.zero())
         roots.append(field.zero())
     rational_roots = getattr(field, "rational_roots", None)
     if rational_roots is not None and g.degree() > 2:
         for c in rational_roots(g.coeffs):
-            g, _ = _strip_root(g, c)
+            g = _drop_root(g, c)
             roots.append(c)
     if g.degree() == 1:
         roots.append(-g.coeff(0) / g.coeff(1))
@@ -414,14 +406,17 @@ def local_expand(f, p, K):
 
     The residue of f dx at p is its coefficient at exponent -1.  Raises
     TruncationTooShort when K lies below the leading exponent, i.e. the
-    requested window is empty.
+    requested window is empty.  The order of p as a root of the numerator
+    and of the denominator is the number of leading zeros of its shift.
     """
     field = f.field
     if not f:
         return Series(K + 1, [], K + 1, field.zero(), p)
     p = field.coerce(p)
-    nn, an = _strip_root(f.num, p)
-    dd, ad = _strip_root(f.den, p)
+    tn = f.num.taylor_at(p, f.num.degree() + 1)
+    td = f.den.taylor_at(p, f.den.degree() + 1)
+    an = next(i for i, c in enumerate(tn) if c)
+    ad = next(i for i, c in enumerate(td) if c)
     v = an - ad
     if K < v:
         if v < 0:
@@ -431,8 +426,8 @@ def local_expand(f, p, K):
         return Series(K + 1, [], K + 1, field.zero(), p)
     terms = K - v + 1
     zero = field.zero()
-    ns = Series(0, nn.taylor_at(p, terms), terms, zero, p)
-    ds = Series(0, dd.taylor_at(p, terms), terms, zero, p)
+    ns = Series(0, tn[an:an + terms], terms, zero, p)
+    ds = Series(0, td[ad:ad + terms], terms, zero, p)
     return (ns * ds.inverse()).shift(v)
 
 
@@ -451,7 +446,7 @@ def partial_fractions(f, hints=()):
     if f.den.degree() > 0 and rem:
         tail = RatFn(rem, f.den)
         for pole, mult in roots_in_field(f.den, hints):
-            if _strip_root(tail.den, pole)[1] == 0:
+            if tail.den(pole):
                 continue  # the reduced fraction lost this pole
             window = local_expand(tail, pole, -1)
             for j in range(1, mult + 1):

@@ -271,9 +271,6 @@ class HamiltonianSet:
     def value(self, nu, i):
         return self.entries.get((nu, i), self.field.zero())
 
-    def keys(self):
-        return sorted(self.entries.keys())
-
     def reassemble(self):
         field, var = self.field, self.var
         x = Poly.gen(field, var)

@@ -125,13 +125,15 @@ class Uniformization:
     branch z-points +1, -1.  kind ONE_BRANCH: x(z) = a + z^2,
     sigma(z) = -z, branch z-point 0 (the second branchpoint is
     x = infinity).  y(z) is rational; y(sigma(z)) = -y(z).  `sigma` is the
-    involution as a RatFn of z, `branch_ints` the branch z-points as ints
-    and `branch_zpoints` the same points in the field.  `point` is None, or
+    involution as a RatFn of z, `dx` is x'(z), derived once here, where it
+    is checked to vanish exactly at the branch z-points, and read by every
+    later stage; `branch_ints` are the branch z-points as ints and
+    `branch_zpoints` the same points in the field.  `point` is None, or
     for a curve over Q(t) taken at one time (grading.Specialization) that
     time, e.g. {"t": "-3/2", "u": "1"}.
     """
 
-    __slots__ = ("kind", "field", "zvar", "a", "b", "x", "y", "sigma",
+    __slots__ = ("kind", "field", "zvar", "a", "b", "x", "y", "sigma", "dx",
                  "branch_ints", "branch_zpoints", "modulus", "point")
 
     def __init__(self, kind, field, zvar, a, b, x, y, modulus=None,
@@ -160,7 +162,8 @@ class Uniformization:
             raise InvalidUniformization("x is not involution-invariant")
         if self.apply_sigma(y) != -y:
             raise InvalidUniformization("y is not involution-odd")
-        num = x.deriv().num
+        self.dx = x.deriv()
+        num = self.dx.num
         zg = Poly.gen(field, zvar)
         for s in self.branch_zpoints:
             num, rem = divmod(num, zg - s)

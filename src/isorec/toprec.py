@@ -71,17 +71,17 @@ the weight of a coefficient, so they hold at t0 exactly when they hold on
 the tower.  symplectic_invariants reads the restored tables on the tower.
 
 The residue rows and the contraction are one kernel on every field.  Each
-window a row reads (the factors on either sheet, 1/(4 y x'), sigma' and
-wt^m) is built once, when a row first reads it, in exactmath's cleared form
-(integer numerators in lowest terms over one denominator over Q, the
-coefficients over 1 elsewhere): powers and products by cleared_product,
-inverses by cleared_inverse.  S is the product of two of them
-(cleared_product, as in Series.__mul__) at the exponents a row reads only.
-A row (BranchWindow.row) is numerators over one denominator, each a dot
-product of the numerators of S and of wt^m; the contraction sums the
-numerators of c1 c2 r_m per key over the lcm of their denominators.
-Over Q no factor window builds a Series product or a Fraction, and no
-Fraction is built before the contraction writes one per key;
+window a row reads (the factors on either sheet, 1/(4 y x'), sigma', wt^m
+and omega_{0,2}(z, sigma z)) is built once, when a row first reads it, in
+exactmath's cleared form (integer numerators in lowest terms over one
+denominator over Q, the coefficients over 1 elsewhere): powers and products
+by cleared_product, inverses by cleared_inverse.  S is the product of two
+of them (cleared_product, as in Series.__mul__) at the exponents a row
+reads only.  A row (BranchWindow.row) is numerators over one denominator,
+each a dot product of the numerators of S and of wt^m; the contraction sums
+the numerators of c1 c2 r_m per key over the lcm of their denominators.
+Over Q no window builds a Series product or a Fraction, and no Fraction is
+built before the contraction writes one per key;
 Fraction is canonical, so the tables, and every output printed from them,
 are those of Fraction arithmetic, with one reduction per coefficient
 instead of one per operation.  The symmetry and involution checks of a
@@ -96,7 +96,7 @@ from operator import itemgetter
 from . import grading
 from .errors import (IndexOutOfRange, InvalidPoleStructure,
                      NonSimpleBranchpoint, TruncationTooShort, UnexpectedPole)
-from .exactmath import (QQ, RatFn, Series, cleared, cleared_inverse,
+from .exactmath import (QQ, RatFn, cleared, cleared_inverse,
                         cleared_product, integer_numerators, local_expand,
                         partial_fractions)
 from .spectralcurve import ONE_BRANCH
@@ -295,12 +295,12 @@ class BranchWindow:
     sigma', 1/(4 y x') and the factor windows are kept cleared, as (kmin,
     prec, numerators, denominator) in exactmath's product kernel, each
     built once, from the last power or by one cleared_product or
-    cleared_inverse, when a row first reads it.  Over Q their numerators
-    are integers in lowest terms, and none of them builds a Series product
-    or a Fraction; elsewhere they are the coefficients over 1.  Only sig
-    and omega_{0,2}'s diagonal (bergman_diag, read by one row) are Series.
-    On sheet 0 a factor at s or of omega_{0,2} is a power of w, and its
-    window is the shifted window of 1/(4 y x').
+    cleared_inverse, when a row first reads it; omega_{0,2}'s diagonal
+    (bergman_diag, read by one row) from the inverse of w - wt and two
+    products.  Over Q their numerators are integers in lowest terms, and
+    none of them builds a Series product or a Fraction; elsewhere they are
+    the coefficients over 1.  On sheet 0 a factor at s or of omega_{0,2} is
+    a power of w, and its window is the shifted window of 1/(4 y x').
 
     A row reads S = f_a f_b/(4 y x') only at exponents <= -2, so it is empty
     when valuation(a, 0) + valuation(b, 1) >= -1; the recursion asks for no
@@ -332,7 +332,7 @@ class BranchWindow:
         self.rational = rational = E is QQ
         self.sig = local_expand(U.sigma - self.point, self.point, prec + 1)
         self.sig_prime = cleared(self.sig.deriv(), rational)
-        dd = local_expand((U.y * U.x.deriv()) * 4, self.point, prec)
+        dd = local_expand((U.y * U.dx) * 4, self.point, prec)
         if (not dd) or dd.valuation() != 2:
             raise NonSimpleBranchpoint(
                 "omega_{0,1}(z) - omega_{0,1}(sigma z) vanishes to order %s "
@@ -427,9 +427,10 @@ class BranchWindow:
 
     def bergman_diag(self):
         """omega_{0,2}(z, sigma z) / dz^2 as a window: wt'/(w - wt)^2."""
-        E, sig = self.field, self.sig
-        gap = Series(1, [E.one()], sig.prec, E.zero(), self.point) - sig
-        return sig.deriv() * gap.inverse() ** 2
+        kmin, prec, nums, den = self._sig_pows[1]  # wt = -w + ..., kmin 1
+        gap = cleared_inverse((kmin, prec, [den - nums[0]] + [
+            -c for c in nums[1:]], den), self.rational)
+        return self._product(self.sig_prime, self._product(gap, gap))
 
     def _check_known(self, kmin, prec):
         """Refuse a window S (first exponent kmin, known below prec) unless
@@ -461,8 +462,7 @@ class BranchWindow:
         if row is not None:
             return row
         if a is None:
-            left = cleared(self.bergman_diag(), self.rational)
-            right = self.dinv
+            left, right = self.bergman_diag(), self.dinv
         else:
             left, right = self.window(a, 0), self.window(b, 1)
         kmin, prec, snum, sden = cleared_product(left, right, 0, -1)
@@ -661,7 +661,7 @@ def eo_differentials(U, gmax, nmax):
                                _recursion(U, gmax, nmax, prec))
     omegas = {}
     for (g, n), form in _recursion(spec.curve, gmax, nmax, prec).items():
-        omegas[(g, n)] = PoleBasisForm(U.field, n, {
+        omegas[(g, n)] = PoleBasisForm(U.field, n)._like({
             key: spec.restore(c, spec.omega_weight(g, n, key))
             for key, c in form.table.items()})
     return RecursionResult(U, gmax, nmax, prec, omegas)
@@ -683,7 +683,7 @@ def _recursion(U, gmax, nmax, prec):
             table = {}
             for win in wins:
                 _residue_contributions(win, omegas, g, n, table)
-            form = PoleBasisForm(E, n, table)
+            form = PoleBasisForm(E, n)._like(table)  # _contract writes no 0
             _verify_form(form, U.kind, g, n)
             omegas[(g, n)] = form
     return omegas
@@ -721,10 +721,10 @@ def symplectic_invariants(result):
     E = U.field
     out = {}
     phi = {}
+    ydx = U.y * U.dx
     for s, point in zip(U.branch_ints, U.branch_zpoints):
-        ydx = local_expand(U.y * U.x.deriv(), point, result.prec)
         terms = {}
-        for j, c in ydx.known_items():
+        for j, c in local_expand(ydx, point, result.prec).known_items():
             terms[j + 1] = c / (j + 1)
         phi[s] = terms  # Phi = sum terms[j] w^j, constant term irrelevant
     for (g, n), form in sorted(result.omegas.items()):

@@ -147,6 +147,64 @@ def test_window_below_leading_exponent_refused():
         local_expand(1 / X() ** 3, Fraction(0), -4)
 
 
+def strip_then_taylor(f, p, K):
+    """(v, window): local_expand the long way.  (x - p) is divided out of
+    the numerator and the denominator as often as it goes, v is the
+    difference of the two counts, and what is left of each is expanded at p
+    and divided."""
+    field = f.num.field
+    lin = Poly(field, [-p, field.one()], f.num.var)
+    orders, rests = [], []
+    for q in (f.num, f.den):
+        k = 0
+        while True:
+            quo, rem = divmod(q, lin)
+            if rem:
+                break
+            q, k = quo, k + 1
+        orders.append(k)
+        rests.append(q)
+    v = orders[0] - orders[1]
+    terms = K - v + 1
+    num, den = (Series(0, q.taylor_at(p, terms), terms, field.zero(), p)
+                for q in rests)
+    return v, (num * den.inverse()).shift(v)
+
+
+# a field, a point p of it other than 0, and g, h with g(p), h(p) != 0
+EXPANSION_POINTS = {
+    "Q": (QQ, "3/2", "x^2 + 1", "2*x - 1"),
+    "Q(t)": (Qt, "t + 1", "x^2 + t", "t*x - 2"),
+    "Q(t)[u]": (QuadraticExtension(Qt, Qt.gen(), "u"), "u + 1", "x^2 - t",
+                "x + u"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSION_POINTS))
+@pytest.mark.parametrize("i, j", [(i, j) for i in range(4)
+                                  for j in range(4)])
+def test_local_expand_at_a_root_of_the_numerator_and_the_denominator(
+        name, i, j):
+    # f = (x-p)^i g / ((x-p)^j h) has order v = i - j at p: every window
+    # from K = v on is the reference's, below it a pole is refused and a
+    # zero gives the honestly zero window O(w^(K+1))
+    F, p_text, g_text, h_text = EXPANSION_POINTS[name]
+    p = parse_element(p_text, F)
+    f = parse_element("(x - (%s))^%d*(%s)/((x - (%s))^%d*(%s))"
+                      % (p_text, i, g_text, p_text, j, h_text),
+                      FunctionField(F, "x"))
+    v = i - j
+    for K in range(v - 2, v + 4):
+        if K >= v:
+            assert strip_then_taylor(f, p, K) == (v, local_expand(f, p, K))
+        elif v < 0:
+            with pytest.raises(TruncationTooShort):
+                local_expand(f, p, K)
+        else:
+            assert local_expand(f, p, K) == Series(K + 1, [], K + 1,
+                                                   F.zero(), p)
+
+
 @settings(deadline=None)
 @given(ratfns, ratfns, st.integers(0, 4))
 def test_local_expand_is_multiplicative(f, g, K):

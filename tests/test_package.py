@@ -131,15 +131,18 @@ UNCALLED = {
     "darboux": "ROADMAP item 6: a stage of the runner",
     "HamiltonianSet.reassemble": "ROADMAP item 6: with hamiltonians",
     "HamiltonianSet.classify": "ROADMAP item 6: with hamiltonians",
+    "recombine": "test oracle: inverts partial_fractions",
 }
 
 
 def test_every_function_is_named_by_the_package_or_the_bench():
-    # code that only tests reach is code no stage runs
+    # code that only tests reach is code no stage runs; a package's
+    # __init__ re-exports names, and a re-export is no use
     src = sorted((ROOT / "src").rglob("*.py"))
     found = unnamed_functions(
         sorted((ROOT / "src" / "isorec").rglob("*.py")),
-        src + sorted((ROOT / "isobench").rglob("*.py")))
+        [p for p in src if p.name != "__init__.py"]
+        + sorted((ROOT / "isobench").rglob("*.py")))
     assert sorted(found) == sorted(UNCALLED)
 
 

@@ -12,8 +12,8 @@ from isorec import grading
 from isorec.errors import (IndexOutOfRange, InvalidPoleStructure,
                            NonSimpleBranchpoint, TruncationTooShort,
                            UnexpectedPole)
-from isorec.exactmath import (QQ, FunctionField, RatFn, local_expand,
-                              parse_element)
+from isorec.exactmath import (QQ, FunctionField, RatFn, Series,
+                              local_expand, parse_element)
 from isorec.laxsystem import Mat2
 from isorec.spectralcurve import (ONE_BRANCH, TWO_BRANCH, Uniformization,
                                   classical_curve, uniformize)
@@ -43,9 +43,29 @@ def table_of(form):
 def test_airy_bergman_diagonal_window():
     # omega_{0,2}(z, sigma(z)) = -dz^2/(4 z^2)
     win = BranchWindow(airy_U(), 0, 8)
-    diag = win.bergman_diag()
-    assert diag.coeff(-2) == -Fraction(1, 4)
-    assert all(k == -2 for k, _ in diag.known_items())
+    kmin, _, nums, den = win.bergman_diag()
+    assert (kmin, Fraction(nums[0], den)) == (-2, -Fraction(1, 4))
+    assert not any(nums[1:])
+
+
+@pytest.mark.parametrize("q_text, field", [
+    ("x", QQ), ("(x-1)*(x-3)", QQ), ("(x-1)*(x-4)", QQ),
+    ("(x-1)*(x-3-t)", Qt)])
+def test_bergman_diagonal_window_is_the_series_formula(q_text, field):
+    # the cleared window against wt'/(w - wt)^2 in Series arithmetic, at
+    # the same kmin and prec, on every branch point
+    U = curve_U(q_text, field)
+    E = U.field
+    for s in U.branch_ints:
+        for prec in (2, 5, 8):
+            win = BranchWindow(U, s, prec)
+            sig = win.sig
+            gap = Series(1, [E.one()], sig.prec, E.zero(), sig.point) - sig
+            want = sig.deriv() * gap.inverse() ** 2
+            kmin, got_prec, nums, den = win.bergman_diag()
+            assert (kmin, got_prec) == (want.kmin, want.prec)
+            assert [E.coerce(c) / E.coerce(den) for c in nums] \
+                == want.coeffs
 
 
 def test_twobranch_sigma_window():
