@@ -27,6 +27,9 @@ factor itself, which is safe because a Poly is immutable.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 __all__ = [
     "Poly",
     "poly_gcd",
@@ -383,8 +386,10 @@ class Poly:
 
 def poly_gcd(a, b):
     """Monic gcd (coefficients form a field): x^min(k, v) against a monomial
-    c*x^k, with v the valuation of the other operand, else by the Euclidean
-    algorithm."""
+    c*x^k, with v the valuation of the other operand.  Over Q and over a
+    function field K(t) the coefficients are cleared into Z or K[t] and the
+    gcd is taken there by the primitive remainder sequence; over any other
+    field by the Euclidean algorithm."""
     if a.var != b.var:
         raise TypeError("gcd of polynomials in %s and in %s" % (a.var, b.var))
     if (a and a.degree() == 0) or (b and b.degree() == 0):
@@ -397,11 +402,64 @@ def poly_gcd(a, b):
             k = min(k, next(i for i, c in enumerate(a.coeffs) if c))
         field = b.field
         return Poly._trusted(field, [field.zero()] * k + [field.one()], b.var)
+    if not (a and b):
+        return (a or b).monic()[0]
+    from .ratfn import RatFn  # ratfn imports this module
+    kind = type(a.field.zero())
+    if kind is Fraction or kind is RatFn:
+        g = _primitive_gcd(_cleared(a.coeffs), _cleared(b.coeffs))
+        return Poly._trusted(a.field, [kind(c, g[-1]) for c in g], a.var)
     while b:
         a, b = b, a % b
-    if not a:
-        return a
     return a.monic()[0]
+
+
+def _cleared(coeffs):
+    """Rationals, or rational functions over K, times the least common
+    multiple of their denominators: a primitive list of integers or of
+    polynomials over K."""
+    if type(coeffs[0]) is Fraction:
+        den = lcm(*[c.denominator for c in coeffs])
+        return _primitive([c.numerator * (den // c.denominator)
+                           for c in coeffs])
+    den = coeffs[0].den
+    for c in coeffs[1:]:
+        den = den // poly_gcd(den, c.den) * c.den
+    return _primitive([c.num * (den // c.den) for c in coeffs])
+
+
+def _primitive(row):
+    """Integers, or polynomials over a field, not all zero, divided by their
+    gcd: the last one comes out positive, or monic."""
+    if type(row[-1]) is int:
+        g = gcd(*row) if row[-1] > 0 else -gcd(*row)
+    else:
+        g = row[-1]
+        for c in row:
+            g = poly_gcd(g, c)
+        g = g * row[-1].leading()
+    return [c // g for c in row]
+
+
+def _primitive_gcd(u, v):
+    """The gcd of two primitive coefficient lists over Z or K[t], by
+    pseudo-division, each remainder made primitive (Knuth, TAOCP 2, 4.6.1,
+    Algorithm E).  No fraction is built on the way; Euclid over Q or K(t)
+    reduces one at every coefficient operation, on entries that swell."""
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        lead, n, r = v[-1], len(v), u
+        while len(r) >= n:
+            c, k = r[-1], len(r) - n
+            r = [lead * x for x in r[:k]] + [
+                lead * x - c * y for x, y in zip(r[k:-1], v)]
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return v
+        u, v = v, _primitive(r)
+    return v[-1:]
 
 
 def squarefree_decomposition(p):

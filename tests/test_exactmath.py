@@ -748,6 +748,30 @@ def test_deriv_is_the_reduced_quotient_rule(name):
     check()
 
 
+# a field, a common factor g and two coprime cofactors p, q over it
+GCD_CASES = {
+    "Q": (QQ, "(x - 2/3)^2*(3*x + 1)", "x^3 - 5/7", "x^2 + x/4 + 9"),
+    "Q(t)": (Qt, "(x - t)^2*(t*x - 1)", "x^3 - (t + 1)/(t - 2)",
+             "x^2 + x/t + t^2"),
+    "Q(s)(t)": (FunctionField(FunctionField(QQ, "s"), "t"),
+                "(x - t)^2*(s*x - t)", "x^3 - s/(t - 2)", "x^2 + s*x/t + 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GCD_CASES))
+def test_gcd_by_primitive_remainders_is_euclids(name):
+    # over Q and K(t) poly_gcd runs on cleared coefficients; it must land on
+    # the monic gcd of the test-local Euclid, whatever the operands' order,
+    # signs or difference of degrees
+    F, g, p, q = GCD_CASES[name]
+    g, p, q = (parse_element(s, FunctionField(F, "x")).num
+               for s in (g, p, q))
+    a, b = g * p, g * q
+    assert ref_gcd(a, b) == g.monic()[0]
+    for u, v in [(a, b), (b, a), (-a, b), (a * q, b)]:
+        assert poly_gcd(u, v) == ref_gcd(u, v)
+
+
 def test_deriv_raises_each_pole_order_by_one():
     x = X()
     f = (x + 1) / (x ** 2 * (x - 1) ** 3)
