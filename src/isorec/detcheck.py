@@ -12,10 +12,10 @@ one-variable functions over powers of x(z_i) - x(z_j)), whose exact zero
 test runs on integers over Q.  Whatever depends on the uniformization kind
 (the involution, the branch z-points) is read off the Uniformization.
 
-When the curve is weighted-homogeneous over Q(t) or Q(t)[u]
-(grading.specialization), m_series expands L, A-hat and beta along the flow
-on the tower, checks every coefficient against the weights of
-scaling_plan (hbar has weight 1), and then runs at the time t0 where u = 1.
+m_series expands L, A-hat and beta along the flow on the tower.  When they
+are homogeneous over Q(t) or Q(t)[u] in the weights of scaling_plan, hbar
+of weight 1 (flow_grading), it maps them to the time t0 where u = 1
+(grading.time_point) first, and builds the curve and U once, over Q.
 M^(k)_ij has weight s_ij delta - k, with s = 0 on the diagonal, +1 above
 and -1 below it, and delta read off L; the one time derivative, in m_next,
 comes from the Euler relation d_t t0 dt f = w f - d_x x dx f of a
@@ -24,10 +24,11 @@ verify_tt then run over Q unchanged.  This is exact for the reason the
 recursion at t0 is (see toprec and grading): every zero test, pole location
 and degree bound is one of a homogeneous element, and a nonzero c t^a u^b
 stays nonzero at t0.  flow_grading also checks d_x + w_L = 1: hbar d/dx has
-the weight of L.  As d_x and w_L are the curve's w_x and w_y in these units,
-a pole-basis coefficient of W_n^(k), k = 2g - 2 + n, and the same one of
-omega_{g,n} differ in weight by k (d_x + w_L - 1) for n >= 2 and by
-2g (d_x + w_L - 1) for n = 1, so rows equal at t0 are equal on the tower.
+the weight of L.  As d_x and w_L are the curve's w_x and w_y in these units
+(flow_grading says why), a pole-basis coefficient of W_n^(k),
+k = 2g - 2 + n, and the same one of omega_{g,n} differ in weight by
+k (d_x + w_L - 1) for n >= 2 and by 2g (d_x + w_L - 1) for n = 1, so rows
+equal at t0 are equal on the tower.
 """
 
 import itertools
@@ -36,8 +37,8 @@ from fractions import Fraction
 from . import grading
 from .errors import (CasePreconditionViolated, DegenerateAZero,
                      IdentityFailed, IndexOutOfRange, PlanMismatch,
-                     TruncationTooShort, UnexpectedPole)
-from .exactmath import (QQ, ExtElem, Poly, RatFn, partial_derivation,
+                     TruncationTooShort, UnexpectedPole, UnsolvableInTower)
+from .exactmath import (ExtElem, Poly, RatFn, partial_derivation,
                         poly_gcd, split_linear_factors)
 from .hamflow import hbar_matrix_series, hbar_series
 from .isodeform import scaling_plan
@@ -152,13 +153,13 @@ class FlowGrading:
     """Weights of the determinantal side, in scaling_plan's units.
 
     x has weight d_x, t weight d_t and hbar weight 1; entry ij of M^(k) has
-    weight s_ij delta - k.  `spec` is the curve's Specialization.
+    weight s_ij delta - k.  `time` is the grading.TimePoint it runs at.
     """
 
-    __slots__ = ("spec", "d_x", "d_t", "delta")
+    __slots__ = ("time", "d_x", "d_t", "delta")
 
-    def __init__(self, spec, d_x, d_t, delta):
-        self.spec = spec
+    def __init__(self, time, d_x, d_t, delta):
+        self.time = time
         self.d_x = d_x
         self.d_t = d_t
         self.delta = delta
@@ -167,7 +168,7 @@ class FlowGrading:
         """dt(m, k) for m = M^(k) over the cover at t0, from the Euler
         relation d_t t0 dt f = w f - d_x x dx f, entry by entry."""
         x = cover.coerce(cover.base.gen())
-        inv = 1 / (self.d_t * self.spec.t0)
+        inv = 1 / (self.d_t * self.time.t0)
         xcoef = self.d_x * inv
 
         def dt(m, k):
@@ -177,20 +178,29 @@ class FlowGrading:
         return dt
 
 
-def flow_grading(iso, spec, lax, ahat, beta):
+def flow_grading(iso, lax, ahat, beta):
     """Check L^(k), A-hat^(k) and beta against scaling_plan's weights.
 
     Every nonzero coefficient of every entry must be a monomial c t^a u^b
-    whose weight, with hbar of weight 1, gives the entry the weight
+    over the field of beta, Q(t) or Q(t)[u] (grading.time_point), whose
+    weight, with hbar of weight 1, gives the entry the weight
     w_L + s_ij delta - k (w_A for A-hat); w_L, w_A, delta and beta's weight
     are solved from the coefficients.  Returns a FlowGrading, or None when
-    the coefficients are not homogeneous in these weights.  Weights that
-    contradict the curve's, or with d_x + w_L != 1, raise PlanMismatch.
+    the field has no time point or the coefficients are not homogeneous in
+    these weights.  Weights with d_x + w_L != 1 raise PlanMismatch.
+
+    The rows give the curve its weights too: they fix x at d_x, and each
+    entry of L^(0) is homogeneous, so y^2 = -det L^(0) has weight 2 w_L;
+    weights are unique (grading.solve_weights), so the curve's x and y
+    have the weights d_x and w_L.
     """
     plan = scaling_plan(iso.lax.poles, iso.case)
     if not plan.d_t:
         return None
-    E = spec.field
+    E = beta.field
+    time = grading.time_point(E)
+    if time is None:
+        return None
     rows = [({"t": Fraction(1)}, plan.d_t), ({"x": Fraction(1)}, plan.d_x)]
     checks = [(e, ((name, 1), ("delta", s)), -k)
               for name, series in (("L", lax), ("A", ahat))
@@ -205,18 +215,11 @@ def flow_grading(iso, spec, lax, ahat, beta):
     w = grading.solve_weights(rows)
     if w is None:
         return None
-    scale = plan.d_t / spec.weights["t"]
-    if (plan.d_x != scale * spec.weights["x"]
-            or w["L"] != scale * spec.weights["y"]):
-        raise PlanMismatch(
-            "weights along the flow (x %s, L %s) contradict the curve's "
-            "(x %s, y %s)" % (plan.d_x, w["L"], scale * spec.weights["x"],
-                              scale * spec.weights["y"]))
     if plan.d_x + w["L"] != 1:
         raise PlanMismatch(
             "weights along the flow (x %s, L %s) give hbar d/dx a weight "
             "other than L's" % (plan.d_x, w["L"]))
-    return FlowGrading(spec, plan.d_x, plan.d_t, w["delta"])
+    return FlowGrading(time, plan.d_x, plan.d_t, w["delta"])
 
 
 class MSeries:
@@ -290,37 +293,32 @@ def m_series(iso, flow, order):
     The a-posteriori singularity statements are then verified: poles of
     every M^(k) only over branchpoints (and over x = infinity when the
     growth case allows it), with the entry-wise degree bounds in the two
-    classified growth cases.  When the curve and the expansions are
-    homogeneous (flow_grading), M is built over Q at the curve's
-    specialization point.
+    classified growth cases.  Homogeneous expansions (flow_grading) are
+    mapped to Q at their field's time point first, and the curve, U and M
+    are built there, once; a U past the expansions' field is refused.
     """
     lser = hbar_matrix_series(assemble(iso.lax), flow, order)
     beta_t, ahat_t = beta_factor(iso.aux)
     aser = hbar_matrix_series(ahat_t, flow, order)
     beta_E = _constant_in_hbar(hbar_series(RatFn(beta_t), flow, order))
-
-    def remap(fn, field):
-        return ([m.map(lambda e: e.map_coeffs(fn, field)) for m in lser],
-                [m.map(lambda e: e.map_coeffs(fn, field)) for m in aser],
-                beta_E.map_coeffs(fn, field))
-
+    graded = flow_grading(iso, lser, aser, beta_E)
+    if graded is not None:
+        at = graded.time.ratfn_at
+        lser = [m.map(at) for m in lser]
+        aser = [m.map(at) for m in aser]
+        beta_E = at(beta_E)
     curve = classical_curve(lser[0], aser[0])
     U = uniformize(curve)
     if U.field is not curve.field:
-        lser, aser, beta_E = remap(U.field.coerce, U.field)
-        curve = classical_curve(lser[0], aser[0])
-    spec = grading.specialization(U)
-    graded = None if spec is None else flow_grading(iso, spec, lser, aser,
-                                                    beta_E)
+        raise UnsolvableInTower("uniformizing needs %s, past the flow's %s"
+                                % (U.field, curve.field))
     if graded is None:
         d = partial_derivation(curve.cover, iso.tname)
 
         def dt(m, k):
             return m.map(d)
     else:
-        lser, aser, beta_E = remap(spec.at, QQ)
-        curve = classical_curve(lser[0], aser[0])
-        U = spec.curve
+        U.point = graded.time.point
         dt = graded.time_derivative(curve.cover)
 
     K = curve.cover
@@ -593,8 +591,8 @@ def verify_tt(mser, cors):
     and its tables are scaled by that sign.  For a series run at one time
     (mser.grading) equal rows at t0 are equal on the tower: flow_grading
     has checked d_x + w_L = 1, which gives each coefficient the same weight
-    on both sides, and row (0,1) compares -y dx, whose weight flow_grading
-    has matched with that of L.
+    on both sides, and row (0,1) compares -y dx, where y has the weight of
+    L (flow_grading says why).
     """
     U = mser.U
     E = U.field

@@ -9,12 +9,13 @@ Painleve weights are those of Iwaki-Marchal-Saenz, arXiv:1601.02517).  A
 homogeneous element of weight w is c t^a u^b with (a, b) fixed by w, so
 its value c t0^a at one time t0 gives it back.
 
-`specialization(U)` solves the weights of a uniformized curve over Q(t), or
-over Q(t)[u] with u^2 = c t, from x(z) and y(z), and returns the ring map
-t -> t0, u -> 1 with t0 = 1/c (t0 = 1 over Q(t)) together with the curve's
-image over Q.  `Specialization.restore` inverts the map on a coefficient of
-known weight.  Curves that are not homogeneous, or whose weights do not fix
-the weight of t, get None, and their stages run on the tower as given.
+`time_point(E)` is the ring map t -> t0, u -> 1 of E = Q(t), or of
+Q(t)[u] with u^2 = c t, where t0 = 1/c (t0 = 1 over Q(t)).
+`specialization(U)` adds the weights of a curve over such a field, solved
+from x(z) and y(z), and its image over Q; `Specialization.restore` inverts
+the map on a coefficient of known weight.  Other fields, and curves that
+are not homogeneous or whose weights leave t free, get None, and their
+stages run on the tower as given.
 
 Why a stage run at t0 is exact.  A ring map commutes with sums, products
 and quotients, and the stages divide by, and test for zero, only
@@ -28,9 +29,10 @@ With z of weight 0 (two branch points, sigma(z) = 1/z) a monic homogeneous
 polynomial in z has rational coefficients and does not change at all.
 Equality of two homogeneous elements at t0 implies equality only when their
 weights agree.  The recursion's coefficients have the weights of
-`Specialization.omega_weight`, and the determinantal side's have the same
-weights exactly when d_x + w_L = 1 (hbar d/dx has the weight of L), which
-detcheck.flow_grading checks once; so rows are compared at t0 alone.
+`Specialization.omega_weight`, and the determinantal side's, solved from
+the flow alone (detcheck.flow_grading), have the same weights exactly when
+d_x + w_L = 1 (hbar d/dx has the weight of L), which flow_grading checks
+once; so rows are compared at t0 alone.
 """
 
 from fractions import Fraction
@@ -45,14 +47,41 @@ def _is_qt(F):
     return isinstance(F, FunctionField) and F.base == QQ
 
 
-def _time_field(E):
-    """(Q(t), c) when E is Q(t) (c None) or Q(t)[u] with u^2 = c t."""
+class TimePoint:
+    """The ring map t -> t0, u -> 1 of Q(t), or of Q(t)[u] with u^2 = c t,
+    to Q: t0 = 1/c, so that u = 1, and t0 = 1 over Q(t).  `point` is the
+    time as strings for JSON, e.g. {"t": "-3/2", "u": "1"}."""
+
+    __slots__ = ("field", "quad", "t0", "point")
+
+    def __init__(self, field, c=None):
+        self.field = field
+        self.quad = c is not None
+        self.t0 = 1 / Fraction(c) if self.quad else Fraction(1)
+        self.point = {"t": str(self.t0)}
+        if self.quad:
+            self.point[field.uname] = "1"
+
+    def at(self, e):
+        """The value of a field element at t0, u = 1."""
+        if self.quad:
+            return e.a(self.t0) + e.b(self.t0)
+        return e(self.t0)
+
+    def ratfn_at(self, f):
+        """A rational function over the tower with its coefficients at t0."""
+        return f.map_coeffs(self.at, QQ)
+
+
+def time_point(E):
+    """The TimePoint of E = Q(t) or Q(t)[u] with u^2 = c t; None for every
+    other field."""
     if _is_qt(E):
-        return E, None
+        return TimePoint(E)
     if isinstance(E, QuadraticExtension) and _is_qt(E.base):
         r = E.r
         if r.is_poly() and r.num.degree() == 1 and not r.num.coeff(0):
-            return E.base, r.num.coeff(1)
+            return TimePoint(E, r.num.coeff(1))
     return None
 
 
@@ -125,38 +154,19 @@ def solve_weights(rows):
 
 
 class Specialization:
-    """The ring map t -> t0, u -> 1 of a homogeneous curve's field to Q.
+    """A homogeneous curve's TimePoint `time`, its `weights` ("z", "x", "y"
+    and "t"; u has half the weight of t), and its uniformization `curve`
+    over Q at t0, labelled with the time's `point`."""
 
-    `weights` maps "z", "x", "y" and "t" to the curve's weights (u has half
-    the weight of t); `curve` is the uniformization over Q at t0, whose
-    `point` gives the time as strings for JSON.
-    """
+    __slots__ = ("time", "weights", "curve")
 
-    __slots__ = ("field", "weights", "t0", "curve", "_tfield", "_quad")
-
-    def __init__(self, U, weights, tfield, c):
-        self.field = U.field
+    def __init__(self, time, U, weights):
+        self.time = time
         self.weights = weights
-        self._tfield = tfield
-        self._quad = c is not None
-        self.t0 = 1 / Fraction(c) if self._quad else Fraction(1)
-        point = {"t": str(self.t0)}
-        if self._quad:
-            point[self.field.uname] = "1"
-        at = self.at
+        at = time.at
         self.curve = Uniformization(
             U.kind, QQ, U.zvar, at(U.a), None if U.b is None else at(U.b),
-            self.ratfn_at(U.x), self.ratfn_at(U.y), point=point)
-
-    def at(self, e):
-        """The value of a field element at t0, u = 1."""
-        if self._quad:
-            return e.a(self.t0) + e.b(self.t0)
-        return e(self.t0)
-
-    def ratfn_at(self, f):
-        """A rational function over the tower with its coefficients at t0."""
-        return f.map_coeffs(self.at, QQ)
+            time.ratfn_at(U.x), time.ratfn_at(U.y), point=time.point)
 
     def omega_weight(self, g, n, key):
         """Weight of the coefficient of prod dz_i/(z_i - s_i)^k_i in
@@ -168,26 +178,27 @@ class Specialization:
     def restore(self, value, weight):
         """The element c t^a u^b of the given weight whose value at t0 is
         `value`; PlanMismatch when no monomial has that weight."""
-        E = self.field
+        time = self.time
+        E = time.field
         if not value:
             return E.zero()
         wt = self.weights["t"]
-        n = weight / (wt / 2 if self._quad else wt)
+        n = weight / (wt / 2 if time.quad else wt)
         if n.denominator != 1:
             raise PlanMismatch(
                 "a nonzero coefficient has weight %s, which no monomial in "
                 "%s has" % (weight, E))
         n = n.numerator
-        b = n % 2 if self._quad else 0
-        a = (n - b) // 2 if self._quad else n
-        T = self._tfield
-        c = value / self.t0 ** a
+        b = n % 2 if time.quad else 0
+        a = (n - b) // 2 if time.quad else n
+        T = E.base if time.quad else E
+        c = value / time.t0 ** a
         if a >= 0:
             part = RatFn(Poly(QQ, [0] * a + [c], T.var))
         else:
             part = RatFn(Poly(QQ, [c], T.var),
                          Poly(QQ, [0] * -a + [1], T.var))
-        if not self._quad:
+        if not time.quad:
             return part
         zero = T.zero()
         return ExtElem(E, zero, part) if b else ExtElem(E, part, zero)
@@ -201,8 +212,8 @@ def specialization(U):
     involution 1/z and the branch points +-1 fix it); the weights of t, x
     and y are solved from the coefficients of x(z) and y(z).
     """
-    tower = _time_field(U.field)
-    if tower is None:
+    time = time_point(U.field)
+    if time is None:
         return None
     if U.kind == ONE_BRANCH:
         rows = [({"z": Fraction(1)}, Fraction(1))]
@@ -217,5 +228,5 @@ def specialization(U):
     weights = solve_weights(rows)
     if weights is None or not weights["t"]:
         return None
-    return Specialization(U, weights, *tower)
+    return Specialization(time, U, weights)
 

@@ -129,7 +129,7 @@ class Uniformization:
     is checked to vanish exactly at the branch z-points, and read by every
     later stage; `branch_ints` are the branch z-points as ints and
     `branch_zpoints` the same points in the field.  `point` is None, or
-    for a curve over Q(t) taken at one time (grading.Specialization) that
+    for a curve over Q(t) taken at one time (grading.TimePoint) that
     time, e.g. {"t": "-3/2", "u": "1"}.
     """
 

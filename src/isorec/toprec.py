@@ -179,14 +179,6 @@ class PoleBasisForm:
             return self._like({})
         return self._like({key: v * c for key, v in self.table.items()})
 
-    def permuted(self, perm):
-        """Relabel variables: slot i of the result is slot perm[i].
-
-        perm is a permutation of range(n), so distinct keys stay distinct.
-        """
-        return self._like({tuple(key[p] for p in perm): v
-                           for key, v in self.table.items()})
-
     def is_symmetric(self):
         """Invariance under each swap of adjacent slots, read off the table:
         every key's swapped key holds the same value."""
@@ -220,20 +212,6 @@ class PoleBasisForm:
 
     def has_residue_term(self):
         return any(k == 1 for key in self.table for _, k in key)
-
-    def evaluate(self, args, one):
-        """Plug in field elements for the z_i (the dz factors are dropped)."""
-        if len(args) != self.n:
-            raise InvalidPoleStructure("expected %d arguments" % self.n)
-        total = one - one
-        for key, v in self.table.items():
-            term = v * one
-            for a, (s, k) in zip(args, key):
-                den = a - one * s
-                for _ in range(k):
-                    term = term / den
-            total = total + term
-        return total
 
     def to_json(self):
         """The terms in key order (tuples of pairs sort as their lists)."""

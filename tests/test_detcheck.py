@@ -15,17 +15,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isorec import grading
+from isorec import detcheck, grading
 from isorec.detcheck import (CorrelatorSeries, MSeries, ProductForm,
-                             _bergman_match, check_singularities,
-                             correlators, m_next, m_series, m_zero,
-                             tau_series, verify_tt)
-from isorec.errors import (DegenerateAZero, IdentityFailed, IndexOutOfRange,
+                             _bergman_match, _constant_in_hbar, beta_factor,
+                             check_singularities, correlators, m_next,
+                             m_series, m_zero, tau_series, verify_tt)
+from isorec.errors import (CasePreconditionViolated, DegenerateAZero,
+                           IdentityFailed, IndexOutOfRange,
                            InvalidPoleStructure, TruncationTooShort,
-                           UnexpectedPole)
+                           UnexpectedPole, UnsolvableInTower)
 from isorec.exactmath import (QQ, ExtElem, FunctionField, Poly, RatFn,
                               parse_element, substitute)
-from isorec.hamflow import extend_flow, flow_values, leading_order
+from isorec.hamflow import (extend_flow, flow_values, hbar_series,
+                            leading_order)
 from isorec.isodeform import build_isosystem
 from isorec.laxsystem import Mat2, PoleData, SIGMA_PLUS, Sl2Lax
 from isorec.separated import _sep_zero
@@ -135,6 +137,38 @@ def test_m_next_refuses_a_driving_term_off_the_identities(p1, extra, reason):
          else mser.ahat[0]).map(lambda e: e / mser.beta)
     with pytest.raises(IdentityFailed, match=reason):
         m_next(*args, lambda m, k: dt(m, k) + X)
+
+
+def test_beta_factor_refuses_a_denominator_it_did_not_clear(monkeypatch):
+    # a gcd that swallows every denominator leaves beta = 1, and the entry
+    # 1/(x - 1) is then no polynomial
+    one = RatFn.one(QQ, "x")
+    aux = Mat2(one / parse_element("x - 1", FunctionField(QQ, "x")), one,
+               one, -one)
+    monkeypatch.setattr(detcheck, "poly_gcd", lambda a, b: b)
+    with pytest.raises(CasePreconditionViolated, match="fails to clear"):
+        beta_factor(aux)
+
+
+def test_a_denominator_that_moves_along_the_flow_is_refused():
+    # x - q: q picks up an hbar^2 term along the P1 flow
+    iso, H = p1_system()
+    flow = extend_flow(H, leading_order(H), 2)
+    f = parse_element("x - q", FunctionField(H.field, "x"))
+    with pytest.raises(CasePreconditionViolated, match="depends on hbar"):
+        _constant_in_hbar(hbar_series(f, flow, 2))
+
+
+def test_m_series_refuses_a_uniformization_past_the_flows_field(
+        monkeypatch):
+    # the flow lives over Q at t0; a curve needing sqrt(2) would need the
+    # flow and M carried into Q(sqrt 2) as well
+    iso, H = p1_system()
+    flow = extend_flow(H, leading_order(H), 1)
+    monkeypatch.setattr(detcheck, "uniformize",
+                        lambda curve: curve_U("x^2 - 2"))
+    with pytest.raises(UnsolvableInTower, match="past the flow's"):
+        m_series(iso, flow, 1)
 
 
 def test_m_coeff_below_order_0_is_out_of_range(p1):
@@ -548,7 +582,7 @@ def test_p1_verify_tt_on_the_tower_is_the_graded_report(monkeypatch):
         return json.dumps(verify_tt(mser, correlators(mser, nmax=3)),
                           sort_keys=True)
     graded = report()
-    monkeypatch.setattr(grading, "specialization", lambda U: None)
+    monkeypatch.setattr(grading, "time_point", lambda E: None)
     assert report() == graded
     assert json.loads(graded)["pass"]
 
@@ -649,6 +683,25 @@ def test_verify_tt_witnesses_an_asymmetric_two_point_row(p1, k, clause,
     want = {"2": [swap, own]} if clause == "2" else {"2": [swap],
                                                     clause: [own]}
     assert got == want
+    assert not report["pass"]
+
+
+def test_verify_tt_witnesses_a_nonzero_row_below_leading_order(p1):
+    # W_4^(0) = xi_{0,2}^(x4): symmetric, of even parity, and nonzero,
+    # though W_n^(k) vanishes for k < n - 2; only clause 5 names it
+    mser, cors = p1
+    U = mser.U
+    E = U.field
+    pf = ProductForm(U, 4)
+    pf.add(E.one(), [xi_ratfn(E, U.zvar, 0, 2)] * 4)
+    wn = dict(cors.wn)
+    wn[(4, 0)] = pf
+    report = verify_tt(mser, CorrelatorSeries(U, cors.order, cors.nmax,
+                                              cors.w1, wn))
+    got = {c: v["witnesses"] for c, v in report["clauses"].items()
+           if v["witnesses"]}
+    assert got == {"5": [{"n": 4, "k": 0,
+                          "reason": "nonzero below leading order"}]}
     assert not report["pass"]
 
 

@@ -1,9 +1,11 @@
 """Stages run at one time t0 by weighted homogeneity, against the tower.
 
 Painleve I's recursion and determinantal side run over Q at t0 = -3/2,
-where u = 1.  The tower path, taken by every curve that is not
-homogeneous, is the reference: patching grading.specialization to return
-None forces it, and each stage must give the same result both ways.
+where u = 1.  The tower path, taken by every curve and flow that is not
+homogeneous, is the reference: patching grading.time_point to return None
+forces it, for the recursion and for M alike, and each stage must give the
+same result both ways.  m_series maps the flow to t0 before it builds the
+curve, so it builds one curve and one uniformization on either path.
 """
 
 import json
@@ -26,9 +28,9 @@ Qt = FunctionField(QQ, "t")
 
 
 def on_tower(fn, *args):
-    """fn(*args) with every curve refused by the homogeneity test."""
+    """fn(*args) with every field refused a time point."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grading, "specialization", lambda U: None)
+        mp.setattr(grading, "time_point", lambda E: None)
         return fn(*args)
 
 
@@ -56,7 +58,7 @@ def p1_order3():
 def test_p1_curve_weights():
     spec = grading.specialization(p1_curve())
     assert spec.weights == {"z": 1, "x": 2, "y": 3, "t": 4}
-    assert spec.t0 == Fraction(-3, 2)
+    assert spec.time.t0 == Fraction(-3, 2)
     assert spec.curve.field is QQ
     assert spec.curve.point == {"t": "-3/2", "u": "1"}
 
@@ -102,9 +104,18 @@ def test_p1_m_series_runs_over_q(p1_order3):
     assert tower.to_json()["point"] is tower_cors.to_json()["point"] is None
 
 
+def test_p1_m_series_curve_is_the_specialized_tower_curve(p1_order3):
+    (mser, _, _), _ = p1_order3
+    want = grading.specialization(p1_curve()).curve
+    got = mser.U
+    assert (got.kind, got.a, got.b, got.x, got.y) == (
+        want.kind, want.a, want.b, want.x, want.y)
+    assert got.point == want.point
+
+
 def test_p1_m_series_is_the_tower_series_at_t0(p1_order3):
     (mser, _, _), (tower, _, _) = p1_order3
-    at = mser.grading.spec.ratfn_at
+    at = mser.grading.time.ratfn_at
     for mine, theirs in ((mser.mats, tower.mats), (mser.lax, tower.lax),
                          (mser.ahat, tower.ahat)):
         assert len(mine) == len(theirs) == 4
@@ -120,11 +131,29 @@ def test_p1_verify_tt_report_matches_tower(p1_order3):
     assert report["tr_equality"]["0,3"]["pass"]
 
 
+@pytest.mark.parametrize("tower", [False, True])
+def test_p1_m_series_builds_one_curve(monkeypatch, tower):
+    # the flow is mapped to t0 first, so neither path builds a curve only
+    # to learn the time
+    iso, H = p1_system()
+    flow = extend_flow(H, leading_order(H), 1)
+    calls = []
+    for name in ("classical_curve", "uniformize"):
+        fn = getattr(detcheck, name)
+        monkeypatch.setattr(detcheck, name, lambda *args, fn=fn, name=name:
+                            calls.append(name) or fn(*args))
+    if tower:
+        monkeypatch.setattr(grading, "time_point", lambda E: None)
+    mser = detcheck.m_series(iso, flow, 1)
+    assert calls == ["classical_curve", "uniformize"]
+    assert (mser.grading is None) == tower
+
+
 # --- guards ------------------------------------------------------------------------
 
 def test_restore_of_a_weight_no_monomial_has_is_refused():
     spec = grading.specialization(p1_curve())
-    E = spec.field
+    E = spec.time.field
     # weights are multiples of 2 (u); 6 is u t, -8 is 1/t^2
     assert spec.restore(Fraction(5), 6) == parse_element("(-10/3)*u*t", E)
     assert spec.restore(Fraction(1), -8) == parse_element("(9/4)/t^2", E)
@@ -133,29 +162,15 @@ def test_restore_of_a_weight_no_monomial_has_is_refused():
         spec.restore(Fraction(1), 1)
 
 
-def test_flow_weights_contradicting_the_curve_raise(monkeypatch):
-    iso, H = p1_system()
-    flow = extend_flow(H, leading_order(H), 1)
-    spec = grading.specialization(p1_curve())
-    spec.weights = dict(spec.weights, y=Fraction(4))
-    monkeypatch.setattr(grading, "specialization", lambda U: spec)
-    with pytest.raises(PlanMismatch):
-        detcheck.m_series(iso, flow, 1)
-
-
 def test_hbar_d_dx_of_another_weight_than_l_raises(monkeypatch):
-    # w_L and the curve's y weight move together, so only d_x + w_L = 1
-    # breaks: the correlators would carry other weights than omega_{g,n}
+    # the correlators would carry other weights than omega_{g,n}
     iso, H = p1_system()
     flow = extend_flow(H, leading_order(H), 1)
-    spec = grading.specialization(p1_curve())
-    spec.weights = dict(spec.weights, y=spec.weights["y"] + 5)
     solve = grading.solve_weights
 
     def shifted(rows):
         w = solve(rows)
         return dict(w, L=w["L"] + 1)
-    monkeypatch.setattr(grading, "specialization", lambda U: spec)
     monkeypatch.setattr(grading, "solve_weights", shifted)
     with pytest.raises(PlanMismatch, match="hbar d/dx"):
         detcheck.m_series(iso, flow, 1)
@@ -164,7 +179,7 @@ def test_hbar_d_dx_of_another_weight_than_l_raises(monkeypatch):
 @pytest.fixture(scope="module")
 def p1_grading_args():
     """The arguments m_series gives flow_grading for P1 at order 2: the
-    system, the curve's Specialization, L^(k), A-hat^(k) and beta."""
+    system, L^(k), A-hat^(k) and beta."""
     iso, H = p1_system()
     seen = []
     grade = detcheck.flow_grading
@@ -197,19 +212,19 @@ def test_flow_grading_declines_a_plan_without_time_weight(p1_grading_args):
     iso = build_isosystem(Sl2Lax(F, pd, {(1, 1): m1, (2, 1): m2,
                                          (3, 1): m3}))
     assert not scaling_plan(iso.lax.poles, iso.case).d_t
-    _, spec, lax, ahat, beta = p1_grading_args
-    assert detcheck.flow_grading(iso, spec, lax, ahat, beta) is None
+    _, lax, ahat, beta = p1_grading_args
+    assert detcheck.flow_grading(iso, lax, ahat, beta) is None
 
 
 def test_flow_grading_declines_a_coefficient_that_is_no_monomial(
         p1_grading_args, monkeypatch):
     # 1 + t in the constant coefficient of L^(1)'s first entry
-    iso, spec, lax, ahat, beta = p1_grading_args
+    iso, lax, ahat, beta = p1_grading_args
     a, b, c, d = lax[1].entries()
-    lax = [lax[0], Mat2(a + parse_element("1 + t", spec.field), b, c, d),
+    lax = [lax[0], Mat2(a + parse_element("1 + t", beta.field), b, c, d),
            lax[2]]
     rows = _spy(monkeypatch, "term_rows")
-    assert detcheck.flow_grading(iso, spec, lax, ahat, beta) is None
+    assert detcheck.flow_grading(iso, lax, ahat, beta) is None
     assert rows[-1] is None
 
 
@@ -217,10 +232,10 @@ def test_flow_grading_declines_weights_that_contradict(p1_grading_args,
                                                        monkeypatch):
     # one entry of L^(2) times t: every coefficient is a monomial, but no
     # weights make all of them homogeneous
-    iso, spec, lax, ahat, beta = p1_grading_args
+    iso, lax, ahat, beta = p1_grading_args
     a, b, c, d = lax[2].entries()
-    lax = [lax[0], lax[1], Mat2(a, b * parse_element("t", spec.field), c, d)]
+    lax = [lax[0], lax[1], Mat2(a, b * parse_element("t", beta.field), c, d)]
     rows = _spy(monkeypatch, "term_rows")
     weights = _spy(monkeypatch, "solve_weights")
-    assert detcheck.flow_grading(iso, spec, lax, ahat, beta) is None
+    assert detcheck.flow_grading(iso, lax, ahat, beta) is None
     assert None not in rows and weights == [None]
