@@ -3,14 +3,15 @@ connected correlators built from its traces, and the battery of exact checks
 that identifies those correlators with the topological-recursion
 differentials of the classical spectral curve.
 
-Everything is exact.  The square root of -det A^(0) is never a symbol: it is
-realized as -alpha*y in the double cover E(x)[y]/(y^2 - Q) of the classical
-curve (ClassicalCurve.cover), which turns every formula here into
-rational-function arithmetic on its two components.  Multi-variable
-correlators are separated forms (separated.ProductForm: products of
-one-variable functions over powers of x(z_i) - x(z_j)), whose exact zero
-test runs on integers over Q.  Whatever depends on the uniformization kind
-(the involution, the branch z-points) is read off the Uniformization.
+Everything is exact, and everything lives on the z-line of the
+uniformization.  m_series pulls L^(k), A-hat^(k) and beta back along x(z)
+once, and M is solved there as rational functions of z: the square root of
+-det A-hat^(0) is -alpha(x(z)) y(z), rational on the z-line, the involution
+swaps the sheets, and d/dx is (1/x'(z)) d/dz.  Multi-variable correlators
+are separated forms (separated.ProductForm: products of one-variable
+functions over powers of x(z_i) - x(z_j)), whose exact zero test runs on
+integers over Q.  Whatever depends on the uniformization kind (the
+involution, the branch z-points) is read off the Uniformization.
 
 m_series expands L, A-hat and beta along the flow on the tower.  When they
 are homogeneous over Q(t) or Q(t)[u] in the weights of scaling_plan, hbar
@@ -19,12 +20,13 @@ of weight 1 (flow_grading), it maps them to the time t0 where u = 1
 M^(k)_ij has weight s_ij delta - k, with s = 0 on the diagonal, +1 above
 and -1 below it, and delta read off L; the one time derivative, in m_next,
 comes from the Euler relation d_t t0 dt f = w f - d_x x dx f of a
-homogeneous f of weight w, with dx the cover's derivation.  correlators and
-verify_tt then run over Q unchanged.  This is exact for the reason the
-recursion at t0 is (see toprec and grading): every zero test, pole location
-and degree bound is one of a homogeneous element, and a nonzero c t^a u^b
-stays nonzero at t0.  flow_grading also checks d_x + w_L = 1: hbar d/dx has
-the weight of L.  As d_x and w_L are the curve's w_x and w_y in these units
+homogeneous f of weight w.  On the tower it is d/dt at fixed x, which is
+d/dt at fixed z minus (d_t x(z) / x'(z)) d/dz.  correlators and verify_tt
+then run over Q unchanged.  This is exact for the reason the recursion at
+t0 is (see toprec and grading): every zero test, pole location and degree
+bound is one of a homogeneous element, and a nonzero c t^a u^b stays
+nonzero at t0.  flow_grading also checks d_x + w_L = 1: hbar d/dx has the
+weight of L.  As d_x and w_L are the curve's w_x and w_y in these units
 (flow_grading says why), a pole-basis coefficient of W_n^(k),
 k = 2g - 2 + n, and the same one of omega_{g,n} differ in weight by
 k (d_x + w_L - 1) for n >= 2 and by 2g (d_x + w_L - 1) for n = 1, so rows
@@ -38,8 +40,8 @@ from . import grading
 from .errors import (CasePreconditionViolated, DegenerateAZero,
                      IdentityFailed, IndexOutOfRange, PlanMismatch,
                      TruncationTooShort, UnexpectedPole, UnsolvableInTower)
-from .exactmath import (ExtElem, Poly, RatFn, partial_derivation,
-                        poly_gcd, split_linear_factors)
+from .exactmath import (Poly, RatFn, partial_derivation, poly_gcd,
+                        split_linear_factors)
 from .hamflow import hbar_matrix_series, hbar_series
 from .isodeform import scaling_plan
 from .laxsystem import Mat2, assemble
@@ -77,32 +79,28 @@ def beta_factor(aux):
 
 # --- the projector-valued series M ------------------------------------------
 
-def m_zero(A0, curve):
+def m_zero(A0, root):
     """Closed form of the leading matrix: 1/2 I + A^(0)/(2 sqrt(-det A^(0))).
 
-    The square root is realized as -alpha*y on the double cover of `curve`,
-    the classical curve of A^(0), which makes the entries
-    (1/2) delta_ij - L0_ij * y / (2 Q): the projector onto the -y eigenspace
-    of L0.  Any rational prefactor of A^(0) cancels.
+    A^(0) is a Mat2 of RatFn in z and `root` the square root of
+    -det A^(0) on the z-line, -alpha(x(z)) y(z) for A^(0) = alpha L0, so the
+    entries are (1/2) delta_ij - L0_ij(x(z)) / (2 y(z)): the projector onto
+    the -y eigenspace of L0.  Any rational prefactor of A^(0) cancels.
     """
     if not -A0.det():
         raise DegenerateAZero("det of the leading auxiliary matrix vanishes")
-    E, var = curve.field, curve.var
-    half = RatFn.const(E, E.one() / E.coerce(2), var)
-    zero = RatFn.zero(E, var)
-    den = curve.Q + curve.Q
-    return Mat2(*(ExtElem(curve.cover, half if i in (0, 3) else zero, -e / den)
-                  for i, e in enumerate(curve.L0.entries())))
+    den = root + root
+    return Mat2(root + A0.a, A0.b, A0.c, root + A0.d).map(lambda e: e / den)
 
 
-def m_next(k, history, ahat, beta, curve, dt):
+def m_next(k, history, ahat, beta, root, dt):
     """One step of the recursion determining M^(k) from M^(0..k-1).
 
     `history` holds the earlier coefficients, `ahat` the polynomial
-    auxiliary matrix coefficients (both Mat2 over curve.cover), `curve` the
-    classical curve of A-hat^(0), so that curve.alpha is set, `beta` the
-    cleared denominator as a RatFn over the scalar field, and dt(m, j) the
-    time derivative at fixed x of m = M^(j).  The commutator equation
+    auxiliary matrix coefficients, `beta` their cleared denominator and
+    `root` the square root -alpha y of -det A-hat^(0), all on the z-line
+    (m_series), and dt(m, j) the time derivative at fixed x of m = M^(j).
+    The commutator equation
 
         [A-hat^(0), M^(k)] = beta dt M^(k-1) - sum_{j<k} [A-hat^(k-j), M^(j)]
 
@@ -110,7 +108,6 @@ def m_next(k, history, ahat, beta, curve, dt):
     diagonal trace part, and the order-k projector identity supplies the
     missing scalar equation.
     """
-    E, var = curve.field, curve.var
     rhs = dt(history[k - 1], k - 1).map(lambda e: e * beta)
     for j in range(k):
         rhs = rhs - ahat[k - j].commutator(history[j])
@@ -130,14 +127,12 @@ def m_next(k, history, ahat, beta, curve, dt):
             + history[j].b * history[k - j].c
         r4 = piece if r4 is None else r4 + piece
 
-    s_root = ExtElem(curve.cover, RatFn.zero(E, var), -curve.alpha)
-    half = RatFn.const(E, E.one() / E.coerce(2), var)
-    dinv = (-a0.det()).inverse()
-    m1 = -(a * r1 + c * r2) * half
-    m2 = (a * r2 - b * r1) * half
-    m3 = (c * r1 - a * r3) * half
+    dinv = (a0.det() * -2).inverse()
+    m1 = -(a * r1 + c * r2)
+    m2 = a * r2 - b * r1
+    m3 = c * r1 - a * r3
     if r4 is not None:
-        sr4 = -(s_root * r4)
+        sr4 = -(root + root) * r4
         m1 = m1 + a * sr4
         m2 = m2 + b * sr4
         m3 = m3 + c * sr4
@@ -153,7 +148,8 @@ class FlowGrading:
     """Weights of the determinantal side, in scaling_plan's units.
 
     x has weight d_x, t weight d_t and hbar weight 1; entry ij of M^(k) has
-    weight s_ij delta - k.  `time` is the grading.TimePoint it runs at.
+    weight s_ij delta - k.  `time` is the grading.TimePoint it runs at, and
+    time_derivative gives m_series the one time derivative of M there.
     """
 
     __slots__ = ("time", "d_x", "d_t", "delta")
@@ -164,16 +160,16 @@ class FlowGrading:
         self.d_t = d_t
         self.delta = delta
 
-    def time_derivative(self, cover):
-        """dt(m, k) for m = M^(k) over the cover at t0, from the Euler
-        relation d_t t0 dt f = w f - d_x x dx f, entry by entry."""
-        x = cover.coerce(cover.base.gen())
+    def time_derivative(self, U):
+        """dt(m, k) for m = M^(k) on the z-line of U at t0, from the Euler
+        relation d_t t0 dt f = w f - d_x x dx f, entry by entry, with
+        dx = (1/x'(z)) d/dz."""
         inv = 1 / (self.d_t * self.time.t0)
-        xcoef = self.d_x * inv
+        xdx = U.x / U.dx * (self.d_x * inv)
 
         def dt(m, k):
             return Mat2(*(e * ((s * self.delta - k) * inv)
-                          - x * cover.diff(e) * xcoef if e else e
+                          - xdx * e.deriv() if e else e
                           for s, e in zip(ENTRY_SIGNS, m.entries())))
         return dt
 
@@ -225,16 +221,16 @@ def flow_grading(iso, lax, ahat, beta):
 class MSeries:
     """Truncated hbar-expansion of the projector-valued solution M.
 
-    mats[k] is M^(k) as a Mat2 over curve.cover; lax and ahat carry L^(k)
-    and the cleared auxiliary coefficients on the same cover, so correlators
-    can be formed without leaving the representation.  mz[k] is M^(k)
-    pulled back to the z-line once, as rows of RatFn in z, and read by
-    check_singularities, correlators and the Bergman check.  `grading` is
-    the FlowGrading of a series run at one time (U.point), else None.
+    mats[k] is M^(k) as a Mat2 of RatFn in U.zvar over U.field; lax, ahat
+    and beta are L^(k), the cleared auxiliary coefficients A-hat^(k) and
+    their denominator, pulled back to the same z-line once, so correlators
+    and the checks never leave it.  `curve` is the classical curve of L^(0)
+    and A-hat^(0) in x.  `grading` is the FlowGrading of a series run at one
+    time (U.point), else None.
     """
 
     __slots__ = ("curve", "U", "order", "mats", "lax", "ahat", "beta",
-                 "grading", "mz")
+                 "grading")
 
     def __init__(self, curve, U, order, mats, lax, ahat, beta, grading=None):
         self.curve = curve
@@ -245,7 +241,6 @@ class MSeries:
         self.ahat = ahat
         self.beta = beta
         self.grading = grading
-        self.mz = [_matrix_on_cover(m, U) for m in mats]
 
     def coeff(self, k):
         if k < 0:
@@ -271,24 +266,22 @@ class MSeries:
     def sheet_defect(self, k):
         """M^(k)(z) + M^(k)(sigma z) minus its required value (I or 0)."""
         m = self.coeff(k)
-        both = m + m.map(lambda e: e.conjugate())
+        both = m + m.map(self.U.apply_sigma)
         if k == 0:
             return Mat2(both.a - 1, both.b, both.c, both.d - 1)
         return both
 
     def to_json(self):
-        fmt = self.curve.field.to_str
-        out = []
-        for k, m in enumerate(self.mats):
-            out.append({"k": k, "entries": [
-                {"f": e.a.to_str(fmt), "g": e.b.to_str(fmt)}
-                for e in m.entries()]})
+        fmt = self.U.field.to_str
+        out = [{"k": k, "entries": [e.to_str(fmt) for e in m.entries()]}
+               for k, m in enumerate(self.mats)]
         return {"order": self.order, "point": self.U.point, "mats": out}
 
 
 def m_series(iso, flow, order):
     """Drive the whole construction: expand (L, A-hat) along the flow, build
-    the classical curve and its cover, then recurse M^(0) .. M^(order).
+    the classical curve and its uniformization, pull the expansions back to
+    the z-line, then recurse M^(0) .. M^(order) there.
 
     The a-posteriori singularity statements are then verified: poles of
     every M^(k) only over branchpoints (and over x = infinity when the
@@ -313,21 +306,27 @@ def m_series(iso, flow, order):
         raise UnsolvableInTower("uniformizing needs %s, past the flow's %s"
                                 % (U.field, curve.field))
     if graded is None:
-        d = partial_derivation(curve.cover, iso.tname)
+        # d/dt at fixed x = d/dt at fixed z - (d_t x(z) / x'(z)) d/dz
+        d = partial_derivation(U.field, iso.tname)
+        drift = U.x.tderiv(d) / U.dx
 
         def dt(m, k):
-            return m.map(d)
+            return m.map(lambda e: e.tderiv(d) - drift * e.deriv())
     else:
         U.point = graded.time.point
-        dt = graded.time_derivative(curve.cover)
+        dt = graded.time_derivative(U)
 
-    K = curve.cover
-    acf = [m.map(K.coerce) for m in aser]
-    lcf = [m.map(K.coerce) for m in lser]
-    mats = [m_zero(aser[0], curve)]
+    def on_z(m):
+        return m.map(lambda e: pullback(e, U))
+
+    lax = [on_z(m) for m in lser]
+    ahat = [on_z(m) for m in aser]
+    beta = pullback(beta_E, U)
+    root = -pullback(curve.alpha, U) * U.y
+    mats = [m_zero(ahat[0], root)]
     for k in range(1, order + 1):
-        mats.append(m_next(k, mats, acf, beta_E, curve, dt))
-    mser = MSeries(curve, U, order, mats, lcf, acf, beta_E, graded)
+        mats.append(m_next(k, mats, ahat, beta, root, dt))
+    mser = MSeries(curve, U, order, mats, lax, ahat, beta, graded)
     check_singularities(mser)
     return mser
 
@@ -344,22 +343,22 @@ def check_singularities(mser):
     """Poles only over branchpoints, plus the infinity growth bounds."""
     U = mser.U
     E = U.field
-    d0 = -mser.ahat[0].det()
-    degd = d0.a.num.degree() if d0.a.is_poly() else None
+    d0 = -mser.curve.A0.det()
+    degd = d0.num.degree() if d0.is_poly() else None
     growth = None
     if degd == 2 and U.kind == TWO_BRANCH:
         growth = "bounded"
     elif degd == 1 and U.kind == ONE_BRANCH:
         growth = "half"
-    # z = 0 lies over x = infinity on the two-branch cover; in the bounded
+    # z = 0 lies over x = infinity on the two-branch z-line; in the bounded
     # case it is not allowed, so a pole there is refused with the others
     allowed = list(U.branch_ints)
     if U.kind == TWO_BRANCH and growth is None:
         allowed.append(0)
     targets = [E.coerce(s) for s in allowed]
 
-    for k, m in enumerate(mser.mz):
-        for fz in m[0] + m[1]:
+    for k, m in enumerate(mser.mats):
+        for fz in m.entries():
             if not fz:
                 continue
             roots, rest = split_linear_factors(fz.den, hints=allowed)
@@ -386,7 +385,7 @@ def check_singularities(mser):
 class CorrelatorSeries:
     """Connected n-point correlators, order by order in hbar.
 
-    Stored as coefficients of prod dz_i on the cover: w1[k] is a plain
+    Stored as coefficients of prod dz_i on the z-line: w1[k] is a plain
     rational function of z; wn[(n, k)] a ProductForm.  Basis decompositions
     or their refusals, zero tests and the Bergman check of W_2^(0) are kept
     once proved, so verify_tt and to_json share them.
@@ -506,17 +505,14 @@ def correlators(mser, nmax):
     order = mser.order
     U = mser.U
     E = U.field
-    mz, xp = mser.mz, U.dx
-    lz = [_matrix_on_cover(m, U) for m in mser.lax]
+    xp = U.dx
+    ents = [m.entries() for m in mser.mats]
 
     w1 = {}
     for k in range(-1, order):
         tot = RatFn.zero(E, U.zvar)
         for j in range(k + 2):
-            a = lz[j]
-            b = mz[k + 1 - j]
-            tot = tot + a[0][0] * b[0][0] + a[0][1] * b[1][0] \
-                + a[1][0] * b[0][1] + a[1][1] * b[1][1]
+            tot = tot + _trace_product(mser.lax[j], mser.mats[k + 1 - j])
         w1[k] = tot * xp
 
     wn = {}
@@ -539,7 +535,7 @@ def correlators(mser, nmax):
                         facs = [None] * n
                         dead = False
                         for m in range(n):
-                            f = mz[js[m]][path[m]][path[(m + 1) % n]]
+                            f = ents[js[m]][2 * path[m] + path[(m + 1) % n]]
                             if not f:
                                 dead = True
                                 break
@@ -551,9 +547,9 @@ def correlators(mser, nmax):
     return CorrelatorSeries(U, order, nmax, w1, wn)
 
 
-def _matrix_on_cover(m, U):
-    e = [pullback(x, U) for x in m.entries()]
-    return [[e[0], e[1]], [e[2], e[3]]]
+def _trace_product(m, n):
+    """Tr(m n), in four products."""
+    return m.a * n.a + m.b * n.c + m.c * n.b + m.d * n.d
 
 
 def _compositions(k, n):
@@ -586,7 +582,7 @@ def verify_tt(mser, cors):
     pf - pf.permuted(tau) for each adjacent transposition tau.
 
     The leading one-form of the correlators is -y dx, so they are
-    compared with the recursion on the sheet-flipped cover; relabelling the
+    compared with the recursion on the sheet-flipped curve; relabelling the
     sheets multiplies omega_{g,n} by (-1)^n, so the recursion runs on U
     and its tables are scaled by that sign.  For a series run at one time
     (mser.grading) equal rows at t0 are equal on the tower: flow_grading
@@ -718,13 +714,8 @@ def _bergman_match(mser, cors):
     if not cors.bergman_diagonal():
         return False
 
-    mz0 = mser.mz[0]
-    refl = None
-    for r in range(2):
-        for c in range(2):
-            piece = mz0[r][c] * U.apply_sigma(mz0[c][r])
-            refl = piece if refl is None else refl + piece
-    return not refl
+    m0 = mser.mats[0]
+    return not _trace_product(m0, m0.map(U.apply_sigma))
 
 
 # --- the tau-series ----------------------------------------------------------

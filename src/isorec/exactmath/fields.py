@@ -16,8 +16,8 @@ extensions are never differentiated.
 
 Escalation up the tower is always explicit — nothing here invents new
 algebraic numbers behind the caller's back.  adjoin_roots is the only code
-that grows a scalar field, by one square root u at most; the one other
-QuadraticExtension in the package is the spectral curve's y-cover over E(x).
+that grows a scalar field, by one square root u at most, and the only code
+of the package that builds a QuadraticExtension.
 
 parse_element reads text with Python's own parser once the characters pass
 a whitelist (ASCII digits and letters, _ + - * / ^ ( ), whitespace, and no
@@ -303,9 +303,6 @@ class ExtElem:
         if n < 0:
             return self.inverse() ** (-n)
         return square_and_multiply(self.field.one(), self, n)
-
-    def conjugate(self):
-        return ExtElem(self.field, self.a, -self.b)
 
     def __str__(self):
         return self.field.to_str(self)

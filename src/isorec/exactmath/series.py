@@ -17,12 +17,12 @@ Q one Fraction is built per output coefficient; Fraction is canonical, so
 the results are those of Fraction arithmetic, byte for byte when printed.
 toprec's residue rows and separated's slot vectors read the same kernel.
 
-The inverse keeps two recurrences.  Over Q it is fraction-free on
-integers (cleared_inverse), with numerators in lowest terms over a positive
-denominator: Series.inverse builds one Fraction per coefficient from them,
-toprec's branch windows none.  Elsewhere it divides by the leading
-coefficient, where the fraction-free one made the tower F_2 run of the
-tests about a fifth slower.
+Every inverse runs one kernel too (cleared_inverse), which keeps two
+recurrences.  Over Q it is fraction-free on integers, with numerators in
+lowest terms over a positive denominator: Series.inverse builds one
+Fraction per coefficient from them, toprec's branch windows none.
+Elsewhere it divides by the leading coefficient, where the fraction-free
+one made the tower F_2 run of the tests about a fifth slower.
 """
 
 from __future__ import annotations
@@ -109,14 +109,8 @@ class Series:
 
     # -- ring operations --------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Series):
-            self._check_point(other)
-            return other
-        return self._like(0, [other], self.prec)
-
     def __add__(self, other):
-        other = self._coerce(other)
+        self._check_point(other)
         prec = min(self.prec, other.prec)
         kmin = min(self.kmin, other.kmin, prec)
         out = [self.zero] * (prec - kmin)
@@ -127,17 +121,11 @@ class Series:
                     out[k - kmin] = out[k - kmin] + c
         return self._like(kmin, out, prec)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         return self._like(self.kmin, [-c for c in self.coeffs], self.prec)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, Series):
@@ -164,25 +152,15 @@ class Series:
 
     def inverse(self):
         """Multiplicative inverse, precise to prec - 2*kmin exponents."""
-        if not self.coeffs:
-            raise ZeroDivisionError("inverting a series with no known nonzero term")
-        if type(self.zero) is Fraction:
-            kmin, prec, nums, den = cleared_inverse(cleared(self, True), True)
-            return self._like(kmin, [Fraction(c, den) if c else self.zero
-                                     for c in nums], prec)
-        n = self.prec - self.kmin
-        kmin = -self.kmin
-        return self._like(kmin, _inverse_divided(self.coeffs, n, self.zero),
-                          kmin + n)
+        rational = type(self.zero) is Fraction
+        kmin, prec, nums, den = cleared_inverse(cleared(self, rational),
+                                                rational)
+        if rational:
+            nums = [Fraction(c, den) if c else self.zero for c in nums]
+        return self._like(kmin, nums, prec)
 
     def __truediv__(self, other):
-        if isinstance(other, Series):
-            return self * other.inverse()
-        return self._like(self.kmin, [c / other for c in self.coeffs],
-                          self.prec)
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
+        return self * other.inverse()
 
     def __pow__(self, n):
         if n < 0:
@@ -219,10 +197,6 @@ class Series:
             return NotImplemented
         return (self._same_point(other) and self.prec == other.prec
                 and self.kmin == other.kmin and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.point, self.kmin, self.prec,
-                     tuple(str(c) for c in self.coeffs)))
 
     def __repr__(self):
         if not self.coeffs:

@@ -11,11 +11,6 @@ Both are uniformized by degree-2 rational maps x(z) with involution sigma
 exchanging the sheets.  Sheet 1 is the one where y ~ +sqrt(Q) as z -> inf.
 Uniformization is the one owner of what depends on the kind: sigma as a
 rational function of z and the branch z-points.
-
-Functions f(x) + g(x) y on the double cover are elements of the quadratic
-extension E(x)[y]/(y^2 - Q) held as ClassicalCurve.cover: conjugate() swaps
-the sheets, cover.diff is d/dx with y' = Q'/(2Q) y, and pullback() takes them
-to rational functions of z.
 """
 
 from __future__ import annotations
@@ -23,9 +18,8 @@ from __future__ import annotations
 from .errors import (ConfluentBranchpoints, HigherGenus, InvalidPoleStructure,
                      InvalidUniformization, NilpotentLeading, NoBranchpoints,
                      NotProportional)
-from .exactmath import (ExtElem, Poly, QuadraticExtension, RatFn,
-                        adjoin_roots, evaluate, squarefree_decomposition,
-                        split_linear_factors)
+from .exactmath import (Poly, RatFn, adjoin_roots, evaluate,
+                        squarefree_decomposition, split_linear_factors)
 from .exactmath.fields import FunctionField
 from .laxsystem import assemble
 
@@ -38,12 +32,11 @@ class ClassicalCurve:
 
     `reduced` is monic squarefree (the odd part of Q), `square` a rational
     function, `c` a scalar; alpha is the proportionality A0 = alpha * L0
-    when an auxiliary matrix was supplied.  `cover` is the double cover,
-    field[var][y]/(y^2 - Q).
+    when an auxiliary matrix was supplied.
     """
 
     __slots__ = ("field", "var", "Q", "square", "reduced", "c", "alpha",
-                 "L0", "A0", "cover")
+                 "L0", "A0")
 
     def __init__(self, field, var, Q, square, reduced, c, alpha, L0, A0):
         self.field = field
@@ -55,7 +48,6 @@ class ClassicalCurve:
         self.alpha = alpha
         self.L0 = L0
         self.A0 = A0
-        self.cover = QuadraticExtension(FunctionField(field, var), Q, "y")
 
     def __repr__(self):
         return "ClassicalCurve(y^2 = %s)" % (self.Q,)
@@ -275,11 +267,8 @@ def leading_matrices(iso, lead):
 
 
 def pullback(f, U):
-    """f(x(z)): substitute the parametrization into a function of x.
-
-    An element f + g y of the double cover goes to f(x(z)) + g(x(z)) y(z).
-    """
-    if isinstance(f, ExtElem):
-        return pullback(f.a, U) + pullback(f.b, U) * U.y
-    return evaluate(f, U.x, U.field)
+    """f(x(z)): substitute the parametrization into a function of x, as a
+    RatFn in z also when f is constant."""
+    fz = evaluate(f, U.x, U.field)
+    return fz if isinstance(fz, RatFn) else RatFn.const(U.field, fz, U.zvar)
 

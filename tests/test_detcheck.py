@@ -1,5 +1,5 @@
 """The determinantal side on Painleve I through hbar^4: the projector-valued
-series M on the double cover, the equation it solves, and the correlators
+series M on the z-line, the equation it solves, and the correlators
 built from its traces, which verify_tt identifies with omega_{g,n} for
 n <= 4; the singularity statements on hand-built M in both growth cases;
 the exact zero test of separated forms on both uniformization kinds, on
@@ -24,15 +24,15 @@ from isorec.errors import (CasePreconditionViolated, DegenerateAZero,
                            IdentityFailed, IndexOutOfRange,
                            InvalidPoleStructure, TruncationTooShort,
                            UnexpectedPole, UnsolvableInTower)
-from isorec.exactmath import (QQ, ExtElem, FunctionField, Poly, RatFn,
-                              parse_element, substitute)
+from isorec.exactmath import (QQ, FunctionField, Poly, RatFn, parse_element,
+                              substitute)
 from isorec.hamflow import (extend_flow, flow_values, hbar_series,
                             leading_order)
 from isorec.isodeform import build_isosystem
 from isorec.laxsystem import Mat2, PoleData, SIGMA_PLUS, Sl2Lax
 from isorec.separated import _sep_zero
 from isorec.spectralcurve import (classical_curve, curve_from_system,
-                                  uniformize)
+                                  pullback, uniformize)
 from isorec.toprec import PoleBasisForm, eo_differentials, xi_ratfn
 
 ORDER = 2
@@ -103,19 +103,24 @@ def test_m_solves_its_t_equation_through_order_3(p1_order3, k):
     # beta dt M^(k-1) = sum_{j<=k} [A-hat^(k-j), M^(j)], the equation whose
     # order-k part m_next solves for M^(k)
     mser = p1_order3
-    dt = mser.grading.time_derivative(mser.curve.cover)
+    dt = mser.grading.time_derivative(mser.U)
     res = dt(mser.mats[k - 1], k - 1).map(lambda e: e * mser.beta)
     for j in range(k + 1):
         res = res - mser.ahat[k - j].commutator(mser.mats[j])
     assert not res
 
 
+def _root(mser):
+    """The square root -alpha(x(z)) y(z) of -det A-hat^(0) on the z-line."""
+    return -pullback(mser.curve.alpha, mser.U) * mser.U.y
+
+
 def test_m_zero_refuses_a_singular_leading_matrix(p1):
     # A^(0) nilpotent: det = -1 + 1 = 0, so it has no square root to divide by
-    curve = p1[0].curve
-    one = RatFn.one(curve.field, curve.var)
+    mser = p1[0]
+    one = RatFn.one(mser.U.field, mser.U.zvar)
     with pytest.raises(DegenerateAZero):
-        m_zero(Mat2(one, one, -one, -one), curve)
+        m_zero(Mat2(one, one, -one, -one), _root(mser))
 
 
 @pytest.mark.parametrize("extra,reason", [
@@ -128,11 +133,11 @@ def test_m_next_refuses_a_driving_term_off_the_identities(p1, extra, reason):
     # 2a a + c b + b c = -2 det A-hat^(0) != 0) breaks one of the two
     # identities m_next checks before it solves
     mser, _ = p1
-    cover = mser.curve.cover
-    dt = mser.grading.time_derivative(cover)
-    args = (1, mser.mats[:1], mser.ahat, mser.beta, mser.curve)
+    U = mser.U
+    dt = mser.grading.time_derivative(U)
+    args = (1, mser.mats[:1], mser.ahat, mser.beta, _root(mser))
     assert m_next(*args, dt) == mser.mats[1]
-    one, zero = cover.one(), cover.zero()
+    one, zero = RatFn.one(U.field, U.zvar), RatFn.zero(U.field, U.zvar)
     X = (Mat2(one, zero, zero, one) if extra == "identity"
          else mser.ahat[0]).map(lambda e: e / mser.beta)
     with pytest.raises(IdentityFailed, match=reason):
@@ -191,12 +196,13 @@ def test_correlator_form_past_order_is_truncation(p1, n, k):
         p1[1].form(n, k)
 
 
-def test_m_entries_live_on_the_cover(p1):
+def test_m_entries_live_on_the_z_line(p1):
     mser, _ = p1
-    K = mser.curve.cover
-    for m in mser.mats:
-        assert all(e.field is K for e in m.entries())
-    assert mser.to_json()["mats"][0]["entries"][0]["f"] == "1/2"
+    U = mser.U
+    for m in mser.mats + mser.lax + mser.ahat + [Mat2.zero(mser.beta)]:
+        assert all(isinstance(e, RatFn) and e.field == U.field
+                   and e.var == U.zvar for e in m.entries())
+    assert mser.to_json()["mats"][0]["entries"][0] == "1/2"
 
 
 NO_BASIS = {"kind": "no-basis",
@@ -284,22 +290,22 @@ def test_product_form_add_refuses_the_wrong_number_of_factors():
 
 def _hand_mseries(q_text, k, entry):
     """An MSeries on y^2 = Q(x) over Q whose M^(k) has the (1,1) entry
-    f + g y, entry = (f, g), and whose other entries vanish.
+    f(x(z)) + g(x(z)) y(z), entry = (f, g), and whose other entries vanish.
 
-    A-hat^(0) = [[0, Q], [1, 0]], so -det A-hat^(0) = Q picks the growth
-    case: bounded for deg Q = 2, half for deg Q = 1.
+    A-hat^(0) = L0 = [[0, Q], [1, 0]], so -det A-hat^(0) = Q picks the
+    growth case: bounded for deg Q = 2, half for deg Q = 1.
     """
     Fx = FunctionField(QQ, "x")
     one = RatFn.one(QQ, "x")
     L0 = Mat2(0 * one, parse_element(q_text, Fx), one, 0 * one)
-    curve = classical_curve(L0)
-    K = curve.cover
-    zero = K.coerce(0 * one)
-    f, g = (parse_element(t, Fx) for t in entry)
+    curve = classical_curve(L0, L0)
+    U = uniformize(curve)
+    zero = RatFn.zero(QQ, U.zvar)
+    f, g = (pullback(parse_element(t, Fx), U) for t in entry)
     mats = [Mat2.zero(zero) for _ in range(k)]
-    mats.append(Mat2(ExtElem(K, f, g), zero, zero, zero))
-    lax = [L0.map(K.coerce)]
-    return MSeries(curve, uniformize(curve), k, mats, lax, lax, one)
+    mats.append(Mat2(f + g * U.y, zero, zero, zero))
+    lax = [L0.map(lambda e: pullback(e, U))]
+    return MSeries(curve, U, k, mats, lax, lax, RatFn.one(QQ, U.zvar))
 
 
 @pytest.mark.parametrize("entry, message", [

@@ -13,7 +13,7 @@ from isorec.errors import (InvalidExpression, IrreducibleDenominator,
 from isorec.exactmath import (
     ExtElem, FunctionField, HbarSeries, Poly, QQ, QuadraticExtension, RatFn,
     adjoin_roots, cleared, cleared_inverse, integer_product, local_expand,
-    parse_element,
+    parse_element, partial_derivation,
     Series, partial_fractions, poly_gcd, poly_sqrt, recombine,
     roots_in_field, squarefree_decomposition, substitute,
 )
@@ -377,6 +377,53 @@ def test_adjoin_roots_with_a_linear_term():
     for root in (minus, plus):
         assert not root * root + root + T
 
+
+
+# --- an extension over a function field: y^2 = Q(x) over Q(t)(x) ------------
+
+
+def curve_x2():
+    """(Q(t)(x), Q, the extension y^2 = Q) for Q = x^2 + 4t."""
+    Fx = FunctionField(Qt, "x")
+    Q = parse_element("x^2 + 4*t", Fx)
+    return Fx, Q, QuadraticExtension(Fx, Q, "y")
+
+
+def test_curvefn_norm_and_inverse():
+    Fx, Q, K = curve_x2()
+    f = ExtElem(K, Fx.gen(), Fx.one())
+    n = f * ExtElem(K, f.a, -f.b)
+    assert not n.b
+    assert n.a == Fx.gen() ** 2 - Q
+    inv = f.inverse()
+    assert f * inv == K.coerce(Fx.one())
+
+
+def test_curvefn_square_of_y():
+    _, Q, K = curve_x2()
+    y = K.u()
+    ysq = y * y
+    assert not ysq.b
+    assert ysq.a == Q
+
+
+def test_curvefn_dx_leibniz_and_y():
+    Fx, Q, K = curve_x2()
+    y = K.u()
+    f = ExtElem(K, Fx.gen() ** 2, Fx.gen())
+    lhs = K.diff(f * y)
+    rhs = K.diff(f) * y + f * K.diff(y)
+    assert lhs == rhs
+    # (y^2)' = Q' both ways
+    assert K.diff(y * y).a == Q.deriv()
+
+
+def test_curvefn_dt_of_y():
+    Fx, Q, K = curve_x2()
+    dy = partial_derivation(K, "t")(K.u())
+    # y_t = Q_t/(2y) = (Q_t/(2Q)) y with Q_t = 4
+    assert not dy.a
+    assert dy.b == Fx.coerce(2) / Q
 
 # --- polynomial utilities ---------------------------------------------------
 

@@ -15,7 +15,8 @@ import pytest
 
 from isorec import detcheck, grading, toprec
 from isorec.errors import PlanMismatch
-from isorec.exactmath import QQ, FunctionField, parse_element
+from isorec.exactmath import (QQ, FunctionField, parse_element,
+                              partial_derivation)
 from isorec.hamflow import extend_flow, leading_order
 from isorec.isodeform import build_isosystem, scaling_plan
 from isorec.laxsystem import Mat2, PoleData, SIGMA3, Sl2Lax
@@ -121,7 +122,25 @@ def test_p1_m_series_is_the_tower_series_at_t0(p1_order3):
         assert len(mine) == len(theirs) == 4
         for m, t in zip(mine, theirs):
             for e, f in zip(m.entries(), t.entries()):
-                assert (e.a, e.b) == (at(f.a), at(f.b))
+                assert e == at(f)
+
+
+def test_p1_tower_m_solves_its_t_equation_through_order_3(p1_order3):
+    # beta dt M^(k-1) = sum_{j<=k} [A-hat^(k-j), M^(j)] on the tower, with
+    # dt at fixed x by the chain rule on the z-line: d/dt at fixed z minus
+    # (d_t x(z) / x'(z)) d/dz
+    _, (tower, _, _) = p1_order3
+    U = tower.U
+    d = partial_derivation(U.field, "t")
+    drift = U.x.tderiv(d) / U.dx
+
+    def dt(e):
+        return e.tderiv(d) - drift * e.deriv()
+    for k in range(1, 4):
+        res = tower.mats[k - 1].map(lambda e: dt(e) * tower.beta)
+        for j in range(k + 1):
+            res = res - tower.ahat[k - j].commutator(tower.mats[j])
+        assert not res, k
 
 
 def test_p1_verify_tt_report_matches_tower(p1_order3):

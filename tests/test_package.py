@@ -373,14 +373,12 @@ def quadratic_extension_calls(path):
 
 
 def test_only_adjoin_roots_grows_a_scalar_field():
-    # the tower holds one square root, adjoined and named in one place; the
-    # spectral curve's y-cover over E(x) is the other extension, not a scalar
+    # the tower holds one square root, adjoined and named in one place, and
+    # no other code of the package builds a quadratic extension
     found = {(p.relative_to(ROOT).as_posix(), scope)
              for p in sorted((ROOT / "src").rglob("*.py"))
              for _line, scope in quadratic_extension_calls(p)}
-    assert found == {("src/isorec/exactmath/fields.py", "adjoin_roots"),
-                     ("src/isorec/spectralcurve.py",
-                      "ClassicalCurve.__init__")}
+    assert found == {("src/isorec/exactmath/fields.py", "adjoin_roots")}
 
 
 def test_extension_scan_sees_scopes_aliases_and_attributes(tmp_path):

@@ -9,8 +9,8 @@ from isorec.errors import (ConfluentBranchpoints, HigherGenus,
                            InvalidPoleStructure, InvalidUniformization,
                            NilpotentLeading, NoBranchpoints, NotProportional,
                            UnsolvableInTower)
-from isorec.exactmath import (QQ, ExtElem, FunctionField, QuadraticExtension,
-                              parse_element, partial_derivation)
+from isorec.exactmath import (QQ, FunctionField, QuadraticExtension,
+                              parse_element)
 from isorec.hamflow import leading_order
 from isorec.isodeform import build_isosystem
 from isorec.laxsystem import Mat2, PoleData, SIGMA_PLUS, Sl2Lax
@@ -288,64 +288,3 @@ def test_pullback_is_a_homomorphism(a0, a1, b0, b1):
     g = Fx.coerce(b0) + Fx.coerce(b1) * x * x
     assert pullback(f * g, U) == pullback(f, U) * pullback(g, U)
     assert pullback(f + g, U) == pullback(f, U) + pullback(g, U)
-
-
-# --- functions on the double cover ----------------------------------------------
-
-
-def curve_x2():
-    E = tower("t")
-    return classical_curve(xmat(E, ("0", "x^2 + 4*t", "1", "0")))
-
-
-def test_curvefn_norm_and_inverse():
-    C = curve_x2()
-    K = C.cover
-    Fx = FunctionField(C.field, C.var)
-    f = ExtElem(K, Fx.gen(), Fx.one())
-    n = f * f.conjugate()
-    assert not n.b
-    assert n.a == Fx.gen() ** 2 - C.Q
-    inv = f.inverse()
-    assert f * inv == K.coerce(Fx.one())
-
-
-def test_curvefn_square_of_y():
-    C = curve_x2()
-    y = C.cover.u()
-    ysq = y * y
-    assert not ysq.b
-    assert ysq.a == C.Q
-
-
-def test_curvefn_dx_leibniz_and_y():
-    C = curve_x2()
-    K = C.cover
-    Fx = FunctionField(C.field, C.var)
-    y = K.u()
-    f = ExtElem(K, Fx.gen() ** 2, Fx.gen())
-    lhs = K.diff(f * y)
-    rhs = K.diff(f) * y + f * K.diff(y)
-    assert lhs == rhs
-    # (y^2)' = Q' both ways
-    assert K.diff(y * y).a == C.Q.deriv()
-
-
-def test_curvefn_dt_of_y():
-    C = curve_x2()
-    y = C.cover.u()
-    dy = partial_derivation(C.cover, "t")(y)
-    # y_t = Q_t/(2y) = (Q_t/(2Q)) y with Q_t = 4
-    Fx = FunctionField(C.field, C.var)
-    assert not dy.a
-    assert dy.b == Fx.coerce(2) / C.Q
-
-
-def test_curvefn_to_z_matches_uniformization():
-    C = curve_x2()
-    U = uniformize(C)
-    y = C.cover.u()
-    assert pullback(y, U) == U.y
-    Fx = FunctionField(C.field, C.var)
-    f = ExtElem(C.cover, Fx.gen(), Fx.one())
-    assert pullback(f, U) == U.x + U.y
