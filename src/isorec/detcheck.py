@@ -48,8 +48,8 @@ from .laxsystem import Mat2, assemble
 from .separated import ProductForm
 from .spectralcurve import (ONE_BRANCH, TWO_BRANCH, classical_curve, pullback,
                             uniformize)
-from .toprec import (PoleBasisForm, adjacent_transpositions,
-                     eo_differentials, symplectic_invariants)
+from .toprec import (adjacent_transpositions, eo_differentials,
+                     symplectic_invariants)
 
 
 def beta_factor(aux):
@@ -259,6 +259,15 @@ class MSeries:
             acc = term if acc is None else acc + term
         return acc - self.coeff(k)
 
+    def x_defect(self, k):
+        """d_x M^(k-1) - sum_{j=0..k} [L^(k-j), M^(j)], d_x = (1/x'(z)) d/dz:
+        zero iff hbar d_x M = [L, M] holds at order k >= 1."""
+        dx = self.U.dx
+        acc = self.coeff(k - 1).map(lambda e: e.deriv() / dx)
+        for j in range(k + 1):
+            acc = acc - self.lax[k - j].commutator(self.coeff(j))
+        return acc
+
     def trace_defect(self, k):
         tr = self.coeff(k).trace()
         return tr - 1 if k == 0 else tr
@@ -283,7 +292,9 @@ def m_series(iso, flow, order):
     the classical curve and its uniformization, pull the expansions back to
     the z-line, then recurse M^(0) .. M^(order) there.
 
-    The a-posteriori singularity statements are then verified: poles of
+    The solved x-equation is checked at every order (x_defect; the
+    identities m_next checks are necessary, not sufficient), and the
+    a-posteriori singularity statements are then verified: poles of
     every M^(k) only over branchpoints (and over x = infinity when the
     growth case allows it), with the entry-wise degree bounds in the two
     classified growth cases.  Homogeneous expansions (flow_grading) are
@@ -327,6 +338,10 @@ def m_series(iso, flow, order):
     for k in range(1, order + 1):
         mats.append(m_next(k, mats, ahat, beta, root, dt))
     mser = MSeries(curve, U, order, mats, lax, ahat, beta, graded)
+    for k in range(1, order + 1):
+        if mser.x_defect(k):
+            raise IdentityFailed(
+                "M^(%d) does not solve hbar d_x M = [L, M]" % k)
     check_singularities(mser)
     return mser
 
@@ -386,9 +401,11 @@ class CorrelatorSeries:
     """Connected n-point correlators, order by order in hbar.
 
     Stored as coefficients of prod dz_i on the z-line: w1[k] is a plain
-    rational function of z; wn[(n, k)] a ProductForm.  Basis decompositions
-    or their refusals, zero tests and the Bergman check of W_2^(0) are kept
-    once proved, so verify_tt and to_json share them.
+    rational function of z; wn[(n, k)] a ProductForm.  Every row, W_1 as a
+    one-slot ProductForm, is decomposed over the branchpoint basis by
+    ProductForm.to_pbf, which proves the remainder zero.  Basis
+    decompositions or their refusals, zero tests and the Bergman check of
+    W_2^(0) are kept once proved, so verify_tt and to_json share them.
     """
 
     __slots__ = ("U", "order", "nmax", "w1", "wn", "_basis", "_zero",
@@ -426,10 +443,10 @@ class CorrelatorSeries:
         a row without one raises its recorded UnexpectedPole again."""
         if (n, k) not in self._basis:
             f = self.form(n, k)
+            if n == 1:
+                f = ProductForm(self.U, 1, [(self.U.field.one(), (f,), {})])
             try:
-                self._basis[(n, k)] = (
-                    PoleBasisForm.from_ratfn(f, self.U.branch_ints)
-                    if n == 1 else f.to_pbf())
+                self._basis[(n, k)] = f.to_pbf()
             except UnexpectedPole as err:
                 self._basis[(n, k)] = err
         got = self._basis[(n, k)]
@@ -506,7 +523,7 @@ def correlators(mser, nmax):
     U = mser.U
     E = U.field
     xp = U.dx
-    ents = [m.entries() for m in mser.mats]
+    ents = [[e * xp for e in m.entries()] for m in mser.mats]
 
     w1 = {}
     for k in range(-1, order):
@@ -542,7 +559,7 @@ def correlators(mser, nmax):
                             facs[arr[m]] = f
                         if dead:
                             continue
-                        pf.add(sgn, [f * xp for f in facs], coup)
+                        pf.add(sgn, facs, coup)
             wn[(n, k)] = pf
     return CorrelatorSeries(U, order, nmax, w1, wn)
 

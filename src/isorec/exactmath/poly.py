@@ -195,12 +195,6 @@ class Poly:
             return NotImplemented
         return pair[0] + (-pair[1])
 
-    def __rsub__(self, other):
-        other = self._coerce_operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         pair = self._pair(other)
         if pair is None:

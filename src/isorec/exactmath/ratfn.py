@@ -40,8 +40,6 @@ class RatFn:
             raise TypeError("numerator must be a Poly")
         if den is None:
             den = Poly.one(num.field, num.var)
-        if not isinstance(den, Poly):
-            den = Poly.const(num.field, den, num.var)
         if num.field != den.field or num.var != den.var:
             raise ValueError("numerator and denominator disagree on field or variable")
         if not den:
@@ -134,9 +132,6 @@ class RatFn:
                 return other
             # a rational function in another variable may still be a scalar
             # of our coefficient field; fall through to field coercion
-        if isinstance(other, Poly) and other.field == self.field \
-                and other.var == self.var:
-            return RatFn._reduced(other, Poly.one(other.field, other.var))
         try:
             c = self.field.coerce(other)
         except (TypeError, ValueError):
@@ -201,8 +196,7 @@ class RatFn:
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
-            s = self._lift_into(other)
-            return NotImplemented if s is NotImplemented else s + other
+            return NotImplemented
         return self._sum(o.num, o.den)
 
     def __radd__(self, other):
@@ -214,8 +208,7 @@ class RatFn:
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
-            s = self._lift_into(other)
-            return NotImplemented if s is NotImplemented else s - other
+            return NotImplemented
         return self._sum(-o.num, o.den)
 
     def __rsub__(self, other):
@@ -234,8 +227,7 @@ class RatFn:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
-            s = self._lift_into(other)
-            return NotImplemented if s is NotImplemented else s / other
+            return NotImplemented
         if not o:
             raise ZeroDivisionError("division by zero rational function")
         o = o.inverse()

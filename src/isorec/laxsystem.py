@@ -65,10 +65,6 @@ class Mat2:
                         self.c * other.b + self.d * other.d)
         return self.map(lambda e: e * other)
 
-    def __rmul__(self, other):
-        # scalar * matrix
-        return self.map(lambda e: other * e)
-
     def trace(self):
         return self.a + self.d
 

@@ -4,7 +4,8 @@ pairwise differences x(z_i) - x(z_j), so that no computation ever enters a
 nested field tower.
 
 Their exact zero test and their extraction onto the branchpoint pole basis
-are written once for both uniformization kinds, in terms of x(z) alone.
+are written once for both uniformization kinds and every number of slots
+(a W_1 row is a one-slot form), in terms of x(z) alone.
 Over Q the zero test runs on integers: each slot is cleared to integer
 numerators, and the elimination is fraction-free (see _sep_zero).
 """
@@ -165,19 +166,13 @@ class ProductForm:
         return pbf
 
     def _extract(self):
-        E = self.U.field
-        if self.n == 1:
-            coefs = {}  # factor -> its summed coef
-            for coef, (g,), _ in self.terms:
-                coefs[g] = coefs[g] + coef if g in coefs else coef
-            f = None
-            for g, coef in coefs.items():
-                piece = g * coef
-                f = piece if f is None else f + piece
-            if f is None or not f:
-                return PoleBasisForm(E, 1)
-            return PoleBasisForm.from_ratfn(f, self.U.branch_ints)
-        out = PoleBasisForm(E, self.n)
+        """Pole-basis table: the last slot is sliced at each branch z-point
+        and each slice extracted in turn; no slots is the coefs' sum at ()."""
+        out = PoleBasisForm(self.U.field, self.n)
+        if not self.n:
+            for coef, _, _ in self.terms:
+                out.add_term((), coef)
+            return out
         for s in self.U.branch_ints:
             for (k, sub) in self._slices_at(s):
                 for key, c in sub._extract().table.items():

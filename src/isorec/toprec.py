@@ -95,10 +95,9 @@ from operator import itemgetter
 
 from . import grading
 from .errors import (IndexOutOfRange, InvalidPoleStructure,
-                     NonSimpleBranchpoint, TruncationTooShort, UnexpectedPole)
+                     NonSimpleBranchpoint, TruncationTooShort)
 from .exactmath import (QQ, RatFn, cleared, cleared_inverse,
-                        cleared_product, integer_numerators, local_expand,
-                        partial_fractions)
+                        cleared_product, integer_numerators, local_expand)
 from .spectralcurve import ONE_BRANCH
 
 # factor-id tag of the m-th term of omega_{0,2}'s expansion at a branch point
@@ -218,31 +217,6 @@ class PoleBasisForm:
         to_str, table = self.field.to_str, self.table
         return [{"idx": [[s, k] for s, k in key], "coef": to_str(table[key])}
                 for key in sorted(table)]
-
-    @classmethod
-    def from_ratfn(cls, f, points):
-        """Convert a one-variable rational function into the pole basis.
-
-        `points` lists the admissible pole locations (ints).  Any polynomial
-        part or pole elsewhere is a hard error: differentials produced by the
-        recursion and by the determinantal correlators must decompose with
-        zero remainder.
-        """
-        field = f.field
-        allowed = [(field.coerce(s), s) for s in points]
-        polypart, terms = partial_fractions(f, hints=[p for p, _ in allowed])
-        if polypart:
-            raise UnexpectedPole(
-                "polynomial remainder %s outside the pole basis"
-                % polypart.to_str())
-        out = cls(field, 1)
-        for pole, k, c in terms:
-            hit = next((s for p, s in allowed if p == pole), None)
-            if hit is None:
-                raise UnexpectedPole(
-                    "pole at %s is not a branch z-point" % field.to_str(pole))
-            out.add_term(((hit, k),), c)
-        return out
 
 
 def xi_ratfn(field, var, s, k):

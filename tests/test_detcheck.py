@@ -115,6 +115,18 @@ def _root(mser):
     return -pullback(mser.curve.alpha, mser.U) * mser.U.y
 
 
+def test_m_series_refuses_an_m_off_its_x_equation(monkeypatch):
+    # twice the true M^(1) has its poles and degrees, so only the check of
+    # hbar d_x M = [L, M] at order 1 can refuse it
+    iso, H = p1_system()
+    flow = extend_flow(H, leading_order(H), 1)
+    solve = detcheck.m_next
+    monkeypatch.setattr(detcheck, "m_next",
+                        lambda *args: solve(*args).map(lambda e: e + e))
+    with pytest.raises(IdentityFailed, match=r"M\^\(1\)"):
+        m_series(iso, flow, 1)
+
+
 def test_m_zero_refuses_a_singular_leading_matrix(p1):
     # A^(0) nilpotent: det = -1 + 1 = 0, so it has no square root to divide by
     mser = p1[0]
@@ -239,6 +251,23 @@ def test_missing_basis_is_proved_once(p1, monkeypatch):
                         lambda pf: calls.append(pf) or is_zero(pf))
     assert row.to_json()["correlators"]["2,2"] == NO_BASIS
     assert not calls
+
+
+def test_w1_row_off_the_basis_gets_the_rows_refusal(p1):
+    # W_1^(1) with a pole at z = 2 is decomposed by the extractor of the
+    # W_n rows and gets its refusal; verify_tt records it without raising
+    mser, cors = p1
+    U = cors.U
+    w1 = dict(cors.w1)
+    w1[1] = w1[1] + 1 / (RatFn.gen(U.field, U.zvar) - 2)
+    row = CorrelatorSeries(U, cors.order, cors.nmax, w1, cors.wn)
+    assert row.to_json()["correlators"]["1,1"] == NO_BASIS
+    report = verify_tt(mser, row)
+    assert report["clauses"]["4"] == {
+        "pass": False,
+        "witnesses": [{"n": 1, "k": 1, "reason": NO_BASIS["reason"]}]}
+    assert report["tr_equality"]["1,1"] == {
+        "pass": False, "reason": "no basis decomposition"}
 
 
 def test_correlator_json_reports_a_nonzero_odd_row(p1):

@@ -15,6 +15,7 @@ from isorec.errors import (IndexOutOfRange, InvalidPoleStructure,
 from isorec.exactmath import (QQ, FunctionField, RatFn, Series,
                               local_expand, parse_element)
 from isorec.laxsystem import Mat2
+from isorec.separated import ProductForm
 from isorec.spectralcurve import (ONE_BRANCH, TWO_BRANCH, Uniformization,
                                   classical_curve, uniformize)
 from isorec.toprec import (BranchWindow, PoleBasisForm, _recursion,
@@ -31,6 +32,9 @@ def airy_U():
 
 def twobranch_U():
     return curve_U("(x-1)*(x-3)")
+
+
+TWOBRANCH_U = twobranch_U()
 
 
 def table_of(form):
@@ -566,6 +570,11 @@ def small_tables(draw):
     return {k: v for k, v in table.items() if v}
 
 
+def one_slot(U, f):
+    """f as a one-slot ProductForm on U: how a W_1 row is decomposed."""
+    return ProductForm(U, 1, [(U.field.one(), (f,), {})])
+
+
 @given(small_tables())
 @settings(max_examples=60, deadline=None)
 def test_single_variable_roundtrip_through_rational(table):
@@ -573,20 +582,25 @@ def test_single_variable_roundtrip_through_rational(table):
     f = RatFn.zero(QQ, "z")
     for ((s, k),), c in table.items():
         f = f + xi_ratfn(QQ, "z", s, k) * c
-    back = PoleBasisForm.from_ratfn(f, [1, -1])
-    assert back == form
+    assert one_slot(TWOBRANCH_U, f).to_pbf() == form
 
 
-def test_from_ratfn_rejects_polynomial_part():
+def test_one_slot_extraction_rejects_polynomial_part():
     F = FunctionField(QQ, "z")
     with pytest.raises(UnexpectedPole):
-        PoleBasisForm.from_ratfn(parse_element("z + 1/z^2", F), [0])
+        one_slot(airy_U(), parse_element("z + 1/z^2", F)).to_pbf()
 
 
-def test_from_ratfn_rejects_foreign_pole():
+def test_one_slot_extraction_rejects_foreign_pole():
     F = FunctionField(QQ, "z")
     with pytest.raises(UnexpectedPole):
-        PoleBasisForm.from_ratfn(parse_element("1/(z-2)^2", F), [0, 1, -1])
+        one_slot(TWOBRANCH_U, parse_element("1/(z-2)^2", F)).to_pbf()
+
+
+@pytest.mark.parametrize("U", [airy_U(), TWOBRANCH_U],
+                         ids=["airy", "twobranch"])
+def test_zero_one_slot_form_extracts_to_an_empty_form(U):
+    assert one_slot(U, RatFn.zero(QQ, "z")).to_pbf() == PoleBasisForm(QQ, 1)
 
 
 def test_form_checks_catch_tampering():
