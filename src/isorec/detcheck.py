@@ -104,40 +104,34 @@ def m_next(k, history, ahat, beta, root, dt):
 
         [A-hat^(0), M^(k)] = beta dt M^(k-1) - sum_{j<k} [A-hat^(k-j), M^(j)]
 
-    (the order-k part of beta hbar dt M = [A-hat, M]) fixes M^(k) up to its
-    diagonal trace part, and the order-k projector identity supplies the
-    missing scalar equation.
+    (the order-k part of beta hbar dt M = [A-hat, M]) is solvable when its
+    right side R is trace-free and orthogonal to A = A-hat^(0).  In sl2,
+    XY + YX = tr(XY) I, so then [A, [A, R]] = -4 det(A) R, and with the
+    multiple of A that the order-k projector identity fixes,
+    M^(k) = ([A, R] - 4 root r4 A) / (-4 det A), r4 the (1,1) entry of
+    sum_{0<j<k} M^(j) M^(k-j).
     """
     rhs = dt(history[k - 1], k - 1).map(lambda e: e * beta)
     for j in range(k):
         rhs = rhs - ahat[k - j].commutator(history[j])
     if rhs.a + rhs.d:
         raise IdentityFailed("driving term at order %d is not trace-free" % k)
-
     a0 = ahat[0]
-    a, b, c = a0.a, a0.b, a0.c
-    r1, r2, r3 = rhs.a, rhs.b, rhs.c
-    if (a + a) * r1 + c * r2 + b * r3:
+    if (a0.a + a0.a) * rhs.a + a0.c * rhs.b + a0.b * rhs.c:
         raise IdentityFailed(
             "driving term at order %d is not orthogonal to A-hat^(0)" % k)
 
+    m = a0.commutator(rhs)
     r4 = None
     for j in range(1, k):
         piece = history[j].a * history[k - j].a \
             + history[j].b * history[k - j].c
         r4 = piece if r4 is None else r4 + piece
-
-    dinv = (a0.det() * -2).inverse()
-    m1 = -(a * r1 + c * r2)
-    m2 = a * r2 - b * r1
-    m3 = c * r1 - a * r3
     if r4 is not None:
-        sr4 = -(root + root) * r4
-        m1 = m1 + a * sr4
-        m2 = m2 + b * sr4
-        m3 = m3 + c * sr4
-    m1, m2, m3 = m1 * dinv, m2 * dinv, m3 * dinv
-    return Mat2(m1, m2, m3, -m1)
+        s = (root + root) * r4
+        m = m - a0.map(lambda e: e * (s + s))
+    dinv = (a0.det() * -4).inverse()
+    return m.map(lambda e: e * dinv)
 
 
 # the sign s_ij of delta in the weight of entry a, b, c, d of a Mat2
@@ -665,7 +659,7 @@ def verify_tt(mser, cors):
     if stable:
         gmax = max(g for g, _ in stable)
         nmax = max(n for _, n in stable)
-        eo = eo_differentials(U, max(gmax, 0), max(nmax, 1))
+        eo = eo_differentials(U, gmax, nmax)
 
     lead = cors.w1.get(-1)
     if lead is not None:

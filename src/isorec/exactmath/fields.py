@@ -36,8 +36,9 @@ import string
 from fractions import Fraction
 
 from ..errors import InvalidExpression, UnsolvableInTower
-from .poly import Poly, poly_sqrt, square_and_multiply
-from .ratfn import RatFn
+from .poly import (Poly, integer_numerators, poly_sqrt, square_and_multiply,
+                   squarefree_decomposition)
+from .ratfn import RatFn, split_linear_factors
 
 def _integer_roots(q):
     """The integer roots of a squarefree monic polynomial q over Z.
@@ -123,9 +124,7 @@ class RationalField:
         a_n^(n-1) p(y/a_n) has leading coefficient 1, so its rational roots
         are integers y, and the roots of p are the y/a_n.
         """
-        fracs = [self.coerce(c) for c in coeffs]
-        lcm = math.lcm(*(c.denominator for c in fracs))
-        ints = [int(c * lcm) for c in fracs]
+        ints, _ = integer_numerators([self.coerce(c) for c in coeffs])
         n, lead = len(ints) - 1, ints[-1]
         monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])]
         q = Poly(self, [Fraction(c) for c in monic] + [self.one()])
@@ -433,6 +432,25 @@ def adjoin_roots(quad):
     half = ext.one() / ext.coerce(2)
     bb = ext.coerce(b)
     return ext, modulus, ((-bb - u) * half, (-bb + u) * half)
+
+
+def roots_in_one_extension(p):
+    """(roots, field, modulus): the roots of p over E in split_linear_factors
+    order, with field E and modulus None, or else adjoin_roots' (minus, plus)
+    of p's first quadratic factor with the extension and its modulus.  With
+    neither, or over an extension already, raises UnsolvableInTower."""
+    E = p.field
+    roots, rest = split_linear_factors(p)
+    if roots:
+        return [r for r, _ in roots], E, None
+    _, factors = squarefree_decomposition(rest)
+    quad = next((g for g, _ in factors if g.degree() == 2), None)
+    if quad is None:
+        raise UnsolvableInTower(
+            "%s = 0 has no root within one quadratic extension of %r"
+            % (p.to_str(E.to_str), E))
+    ext, modulus, pair = adjoin_roots(quad)
+    return list(pair), ext, modulus
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = [
-    "Poly",
-    "poly_gcd",
-    "squarefree_decomposition",
-    "poly_sqrt",
-]
-
-
 def square_and_multiply(one, base, n):
     """one * base^n for n >= 0, multiplying by the squares of base whose
     bit of n is set, lowest first, each on the right."""
@@ -131,9 +123,6 @@ class Poly:
         if pair is None:
             return NotImplemented
         return pair[0].coeffs == pair[1].coeffs
-
-    def __hash__(self):
-        return hash((self.var, self.coeffs))
 
     # --- arithmetic --------------------------------------------------------
 
@@ -408,14 +397,18 @@ def poly_gcd(a, b):
     return a.monic()[0]
 
 
+def integer_numerators(coeffs):
+    """Integer numerators of rationals over their least common denominator."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _cleared(coeffs):
     """Rationals, or rational functions over K, times the least common
     multiple of their denominators: a primitive list of integers or of
     polynomials over K."""
     if type(coeffs[0]) is Fraction:
-        den = lcm(*[c.denominator for c in coeffs])
-        return _primitive([c.numerator * (den // c.denominator)
-                           for c in coeffs])
+        return _primitive(integer_numerators(coeffs)[0])
     den = coeffs[0].den
     for c in coeffs[1:]:
         den = den // poly_gcd(den, c.den) * c.den

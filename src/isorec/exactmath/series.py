@@ -28,10 +28,10 @@ one made the tower F_2 run of the tests about a fifth slower.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from ..errors import TruncationTooShort
-from .poly import square_and_multiply
+from .poly import integer_numerators, square_and_multiply
 
 
 class Series:
@@ -208,12 +208,6 @@ class Series:
         if self.point is None:
             return "hbar^%s" % k
         return "w^%s" % k
-
-
-def integer_numerators(coeffs):
-    """Integer numerators of rationals over their least common denominator."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def clear(coeffs, rational):

@@ -10,7 +10,7 @@ a critical point of H in (p, q); each next order is a 2x2 linear solve
 against the Hessian there.  Coefficients stay in Q(t) or a single quadratic
 extension Q(t)[u]/(u^2 - r(t)) — the derivation knows u' = r' u / (2r).
 The critical point's extension, when one is needed, comes from
-exactmath.adjoin_roots, which refuses to extend a second time.
+exactmath.roots_in_one_extension, which refuses to extend a second time.
 
 flow_values is the one way to evaluate a tower element along a flow;
 hbar_series and hbar_matrix_series build on it to expand rational functions
@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from .errors import (InvalidHamiltonian, OrderMismatch, SingularHessian,
                      UnsolvableInTower)
-from .exactmath import (Poly, RatFn, Series, adjoin_roots, evaluate,
-                        partial_derivation, split_linear_factors,
-                        squarefree_decomposition, substitute)
+from .exactmath import (Poly, RatFn, Series, evaluate, partial_derivation,
+                        roots_in_one_extension, substitute)
 from .exactmath.fields import FunctionField
 from .laxsystem import Mat2
 
@@ -99,8 +98,9 @@ class FlowSeries:
 
 
 def _split_tower(H):
-    """H over ...(t)(q)(p): return (E, qname, pname, F) with E the time
-    field and F the full tower containing H.
+    """H over ...(t)(q)(p): return (E, qname, pname, F, Hp, Hq) with E the
+    time field, F the full tower containing H, and Hp, Hq the partial
+    derivatives dH/dp and dH/dq.
 
     A tower element is a RatFn in the outermost variable whose .field is
     the coefficient ring one level down, hence the reconstruction here.
@@ -109,26 +109,9 @@ def _split_tower(H):
     if not isinstance(Fq, FunctionField):
         raise InvalidHamiltonian(
             "H must live in a (q, p) tower over the time field")
-    return Fq.base, Fq.var, H.var, FunctionField(Fq, H.var)
-
-
-def _factor_roots(poly, root):
-    """Roots of a univariate Poly over E, escalating by at most one
-    quadratic extension.  Returns (value, field, modulus)."""
-    E = poly.field
-    if poly.degree() < 1:
-        raise UnsolvableInTower(
-            "critical equation %s has no root" % (poly,))
-    roots, rest = split_linear_factors(poly)
-    if roots:
-        return roots[0][0], E, None
-    _, factors = squarefree_decomposition(rest)
-    quad = next((g for g, _m in factors if g.degree() == 2), None)
-    if quad is None:
-        raise UnsolvableInTower(
-            "no critical point within one quadratic extension of %r" % (E,))
-    ext, modulus, (minus, plus) = adjoin_roots(quad)
-    return (plus if root == "plus" else minus), ext, modulus
+    F = FunctionField(Fq, H.var)
+    return (Fq.base, Fq.var, H.var, F, H.deriv(),
+            partial_derivation(F, Fq.var)(H))
 
 
 def leading_order(H, root="plus"):
@@ -141,9 +124,7 @@ def leading_order(H, root="plus"):
     equation is an irreducible quadratic, `root` selects the branch ("plus"
     or "minus"); deeper extensions are refused.
     """
-    E, qname, pname, F = _split_tower(H)
-    Hp = H.deriv()
-    Hq = partial_derivation(F, qname)(H)
+    _, qname, pname, _, Hp, Hq = _split_tower(H)
     if not Hp.is_poly() or not Hq.is_poly():
         raise InvalidHamiltonian("H must be polynomial in the Darboux pair")
     np_ = Hp.as_poly()
@@ -156,7 +137,8 @@ def leading_order(H, root="plus"):
     g = Hq(psol)
     if not g:
         raise UnsolvableInTower("critical locus is a curve, not a point")
-    q0, field, modulus = _factor_roots(g.num, root)
+    roots, field, modulus = roots_in_one_extension(g.num)
+    q0 = roots[1] if modulus is not None and root == "plus" else roots[0]
     try:
         p0 = evaluate(psol, q0, field)
     except ZeroDivisionError:
@@ -222,9 +204,7 @@ def extend_flow(H, lead, order=4):
     Hessian means the genericity assumption behind the recursion fails.
     """
     E2 = lead.field
-    _, qname, pname, F = _split_tower(H)
-    Hp = H.deriv()
-    Hq = partial_derivation(F, qname)(H)
+    _, qname, pname, F, Hp, Hq = _split_tower(H)
     hpp = lead.at_point(partial_derivation(F, pname)(Hp))
     hpq = lead.at_point(partial_derivation(F, qname)(Hp))
     hqq = lead.at_point(partial_derivation(F, qname)(Hq))
@@ -266,8 +246,7 @@ def hamilton_residuals(H, flow):
     """
     E = flow.field
     vals, one_h = flow_values(flow, flow.order + 1)
-    Hp = H.deriv()
-    Hq = partial_derivation(_split_tower(H)[3], flow.qname)(H)
+    Hp, Hq = _split_tower(H)[4:]
     dq = flow.q.map_coeffs(E.diff).shift(1)
     dp = flow.p.map_coeffs(E.diff).shift(1)
     r1 = dq - substitute(Hp, vals, one_h)
@@ -285,7 +264,7 @@ def energy_drift(H, flow):
     E = flow.field
     prec = flow.order + 1
     vals, one_h = flow_values(flow, prec)
-    base, _, _, F = _split_tower(H)
+    base, _, _, F, _, _ = _split_tower(H)
     along = substitute(H, vals, one_h)
     total = along.map_coeffs(E.diff)
     if isinstance(base, FunctionField):

@@ -146,16 +146,6 @@ class PoleData:
         """Number of spectral Darboux pairs: r0 + sum(r_nu) - 1."""
         return self.r0 + self.finite_order_total - 1
 
-    def __eq__(self, other):
-        if not isinstance(other, PoleData):
-            return NotImplemented
-        return (self.points == other.points and self.orders == other.orders
-                and self.r0 == other.r0 and self.kind == other.kind)
-
-    def __repr__(self):
-        return ("PoleData(points=%r, orders=%r, r0=%r, kind=%r)"
-                % (self.points, self.orders, self.r0, self.kind))
-
 
 class Sl2Lax:
     """Coefficient-matrix form of a traceless rational Lax matrix.

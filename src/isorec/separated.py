@@ -12,11 +12,11 @@ numerators, and the elimination is fraction-free (see _sep_zero).
 
 import itertools
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, prod
 
 from .errors import InvalidPoleStructure, UnexpectedPole
-from .exactmath import (QQ, Poly, RatFn, clear, integer_product, local_expand,
-                        poly_gcd)
+from .exactmath import (QQ, Poly, RatFn, clear, integer_numerators,
+                        integer_product, local_expand, poly_gcd)
 from .toprec import PoleBasisForm, xi_ratfn
 
 
@@ -284,9 +284,8 @@ def _sep_zero(E, terms):
     width = max(len(vecs[0]) for _, vecs in terms)
     if len(terms[0][1]) == 1:
         if ints:
-            den = lcm(*(coef.denominator for coef, _ in terms))
-            terms = [(coef.numerator * (den // coef.denominator), vecs)
-                     for coef, vecs in terms]
+            nums, _ = integer_numerators([coef for coef, _ in terms])
+            terms = [(n, vecs) for n, (_, vecs) in zip(nums, terms)]
         tot = [zero] * width
         for coef, (vec,) in terms:
             for i, x in enumerate(vec):

@@ -19,7 +19,7 @@ from .errors import (ConfluentBranchpoints, HigherGenus, InvalidPoleStructure,
                      InvalidUniformization, NilpotentLeading, NoBranchpoints,
                      NotProportional)
 from .exactmath import (Poly, RatFn, adjoin_roots, evaluate,
-                        squarefree_decomposition, split_linear_factors)
+                        roots_in_one_extension, squarefree_decomposition)
 from .exactmath.fields import FunctionField
 from .laxsystem import assemble
 
@@ -188,15 +188,6 @@ class Uniformization:
         return "Uniformization(%s, x=%s)" % (self.kind, self.x)
 
 
-def _two_roots(red, E):
-    """Both roots of a monic squarefree quadratic, extending at most once."""
-    roots, rest = split_linear_factors(red)
-    if len(roots) == 2:
-        return roots[0][0], roots[1][0], E, None
-    ext, modulus, (minus, plus) = adjoin_roots(red)
-    return minus, plus, ext, modulus
-
-
 def uniformize(curve):
     """Exact rational parametrization of the reduced curve.
 
@@ -216,7 +207,7 @@ def uniformize(curve):
             % deg)
     modulus = None
     if deg == 2:
-        a, b, E2, modulus = _two_roots(red, E)
+        (a, b), E2, modulus = roots_in_one_extension(red)
     else:
         a, b, E2 = -red.coeff(0), None, E
     c = E2.coerce(curve.c)

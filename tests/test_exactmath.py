@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isorec.errors import (InvalidExpression, IrreducibleDenominator,
-                           TruncationTooShort)
+                           TruncationTooShort, UnsolvableInTower)
 from isorec.exactmath import (
     ExtElem, FunctionField, HbarSeries, Poly, QQ, QuadraticExtension, RatFn,
     adjoin_roots, cleared, cleared_inverse, integer_product, local_expand,
     parse_element, partial_derivation,
     Series, partial_fractions, poly_gcd, poly_sqrt, recombine,
-    roots_in_field, squarefree_decomposition, substitute,
+    roots_in_field, roots_in_one_extension, split_linear_factors,
+    squarefree_decomposition, substitute,
 )
 from isorec.exactmath.fields import MAX_EXPONENT
 from isorec.laxsystem import Mat2
@@ -376,6 +377,52 @@ def test_adjoin_roots_with_a_linear_term():
     assert plus == parse_element("(-1 + u)/2", ext)
     for root in (minus, plus):
         assert not root * root + root + T
+
+
+def test_roots_in_one_extension_keeps_the_split_order():
+    # (X - 3)(X + 1)(X - 1/2)(X^2 + 1): the roots in the field, as
+    # split_linear_factors sorts them, and no extension for the quadratic
+    p = (Poly(QQ, [-3, 1], "X") * Poly(QQ, [1, 1], "X")
+         * Poly(QQ, [Fraction(-1, 2), 1], "X") * Poly(QQ, [1, 0, 1], "X"))
+    roots, field, modulus = roots_in_one_extension(p)
+    assert roots == [r for r, _ in split_linear_factors(p)[0]]
+    assert roots == [-1, Fraction(1, 2), 3]
+    assert field is QQ and modulus is None
+
+
+@pytest.mark.parametrize("quad,power,square", [
+    ([-T, 0, 1], 1, T),          # X^2 - t: u^2 = t
+    ([T, 1, 1], 1, 1 - 4 * T),   # X^2 + X + t: u^2 = 1 - 4t
+    ([T, 1, 1], 2, 1 - 4 * T),   # its square has the same factor
+])
+def test_roots_in_one_extension_adjoins_minus_then_plus(quad, power, square):
+    p = Poly(Qt, quad, "X") ** power
+    roots, ext, modulus = roots_in_one_extension(p)
+    assert modulus == square and ext.r == square
+    u = ext.u()
+    if quad[1]:
+        assert roots == [(-1 - u) / 2, (-1 + u) / 2]
+    else:
+        assert roots == [-u, u]
+    for root in roots:
+        assert not p(root)
+
+
+def test_roots_in_one_extension_refuses_a_cubic_without_roots():
+    # X^3 - 2 over Q has no root and no quadratic factor
+    with pytest.raises(UnsolvableInTower, match="within one quadratic"):
+        roots_in_one_extension(Poly(QQ, [-2, 0, 0, 1], "X"))
+
+
+def test_roots_in_one_extension_refuses_a_second_extension():
+    # over Q(sqrt 2), X^2 - 3 needs sqrt 3 as well
+    ext, _, _ = adjoin_roots(Poly(QQ, [-2, 0, 1], "X"))
+    with pytest.raises(UnsolvableInTower, match="second quadratic extension"):
+        roots_in_one_extension(Poly(ext, [-3, 0, 1], "X"))
+    # a root the extension already holds needs none
+    roots, field, modulus = roots_in_one_extension(Poly(ext, [-8, 0, 1], "X"))
+    assert field is ext and modulus is None
+    assert roots == sorted(roots, key=ext.to_str) and len(roots) == 2
 
 
 

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isorec import isodeform
 from isorec.detcheck import beta_factor
-from isorec.errors import (CasePreconditionViolated, NoDeformation,
-                           OrderMismatch)
+from isorec.errors import (CasePreconditionViolated, IdentityFailed,
+                           NoDeformation, OrderMismatch)
 from isorec.exactmath import (QQ, FunctionField, HbarSeries,
                               QuadraticExtension, RatFn, parse_element)
 from isorec.hamflow import extend_flow, leading_order
@@ -105,6 +106,17 @@ def test_build_painleve1():
     assert iso.aux.b == parse_element("2*x + 4*q", Fx)
     assert iso.aux.c == parse_element("2", Fx)
     assert not iso.aux.a and not iso.aux.d
+
+
+def test_build_refuses_an_auxiliary_matrix_off_the_identity(monkeypatch):
+    # twice the generator breaks dL/dt|expl = dA/dx in the b entry, and the
+    # refusal prints the residual matrix
+    real = isodeform.auxiliary_matrix
+    monkeypatch.setattr(isodeform, "auxiliary_matrix",
+                        lambda system, nu, i: real(system, nu, i) * 2)
+    with pytest.raises(IdentityFailed,
+                       match=r"failed: \[\[0, -2\], \[0, 0\]\]$"):
+        build_isosystem(painleve1_isospectral(), beta="q")
 
 
 def test_build_wraps_missing_time():
