@@ -198,17 +198,6 @@ class Series:
         return (self._same_point(other) and self.prec == other.prec
                 and self.kmin == other.kmin and self.coeffs == other.coeffs)
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "O(%s)" % self._mono(self.prec)
-        parts = ["(%s)*%s" % (c, self._mono(k)) for k, c in self.known_items()]
-        return " + ".join(parts) + " + O(%s)" % self._mono(self.prec)
-
-    def _mono(self, k):
-        if self.point is None:
-            return "hbar^%s" % k
-        return "w^%s" % k
-
 
 def clear(coeffs, rational):
     """Coefficients as (numerators, denominator): over Q (rational) integer

@@ -21,11 +21,11 @@ term of the bracket is a field scalar times f_a(z) f_b(sigma z), where a
 factor f is a basis element or one term of omega_{0,2}'s expansion, and the
 residue of K(z0,z) f_a(z) f_b(sigma z) is a fixed vector over the basis
 elements dz0/(z0-s)^(m+1) that depends only on the curve.  BranchWindow
-computes that residue row once per pair of factors from exact Laurent
-windows; a form's table is then a contraction, scalar times row, summed
-into dicts.  Poles of order one never arise (m starts at 1): computed forms
-are residue-free by construction, and the invariant checks verify symmetry
-and involution anti-invariance on top of that.
+computes that residue row once per unordered pair of factors from exact
+Laurent windows; a form's table is then a contraction, scalar times row,
+summed into dicts.  Poles of order one never arise (m starts at 1):
+computed forms are residue-free by construction, and the invariant checks
+verify symmetry and involution anti-invariance on top of that.
 
 Most pairs of factors have an empty row, and the recursion does not look
 them up.  With S = f_a(z) f_b(sigma z)/(4 y x'), the entry r_m reads S only
@@ -51,10 +51,29 @@ The bracket is symmetric under swapping its two factors together with
 z <-> sigma(z).  The kernel numerator and 2 (y(z) - y(sigma z)) dx both
 change sign under sigma, so K(z0, sigma z) = K(z0, z), and a residue at a
 fixed point of sigma does not change under sigma^*; so the residue row of
-(a, b) is the row of (b, a), exactly.  The recursion visits each pair of
-mirror terms once and doubles its scalar.  The coefficients are the ones
-visiting both gives; a table's keys may come in another order, which no
-output shows (to_json sorts them).
+(a, b) is the row of (b, a), exactly.  BranchWindow.row builds it once and
+caches it under both orders.
+
+omega_{g,n} is symmetric, and the recursion computes only its canonical
+keys, those whose free slots 1..n-1 are sorted.  At such a key with free
+slots R, a split of the free slots between the bracket's two factors is a
+split of the multiset R into A and B, and prod_v C(m_R(v), m_A(v)) splits
+give the same A: that count is an integer weight, which _contract folds
+into the numerators.  A term and its mirror (the same factors on swapped
+sheets) add the same amounts, so each mirror class is visited once, its
+weight doubled: the splits of genus and size (g1, |A|) < (g2, |B|), and the
+keys (a, b, J) of omega_{g-1,n+1} with a < b, read with J sorted off the
+canonical key (a, R) for each distinct b in R; the split class that is its
+own mirror (g1 = g2, |A| = |B|) and the keys with a = b keep weight one.
+Symmetry in slots 1..n-1 holds by construction, and with it the swaps of
+slots 0 and i generate every permutation, so _verify_form checks those on
+the canonical table: (k0, R) must hold the value of (v, sorted(R - v + k0))
+for every distinct v in R.  The involution in slot 0 keeps a key
+canonical, so anti-invariance is checked there as well.  Each verified
+form (restored, on a graded curve) is then expanded once into the full
+table, each distinct ordering of R written once.  The coefficients are the ones the full recursion gives;
+a table's keys may come in another order, which no output shows (to_json
+sorts them).
 
 A curve over Q(t) or Q(t)[u], u^2 = c t, whose x(z) and y(z) are weighted-
 homogeneous (Painleve I is) is run over Q instead, at the time t0 where
@@ -88,10 +107,8 @@ instead of one per operation.  The symmetry and involution checks of a
 table over Q read its integer numerators over the lcm of its denominators.
 """
 
-import itertools
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import itemgetter
 
 from . import grading
 from .errors import (IndexOutOfRange, InvalidPoleStructure,
@@ -159,9 +176,6 @@ class PoleBasisForm:
             self.table[key] = c
         elif cur is not None:
             del self.table[key]
-
-    def __bool__(self):
-        return bool(self.table)
 
     def __eq__(self, other):
         return (isinstance(other, PoleBasisForm) and self.n == other.n
@@ -234,8 +248,9 @@ class BranchWindow:
     scalar.  A factor is a basis element (s', k), i.e. dz/(z-s')^k, or the
     m-th term (W02, m) of omega_{0,2}'s expansion about the branch point,
     w^m dz without its scalar m+1.  The residue of K(z0,z) times such a
-    product depends only on the curve and the two factor ids, so it is
-    computed once per run and kept as a residue row: the pairs (m, r_m) with
+    product depends only on the curve and the unordered pair of factor
+    ids, so it is computed once per run and kept as a residue row: the
+    pairs (m, r_m) with
 
         Res_{z->s} K(z0,z) f_a(z) f_b(sigma z) = sum_m r_m dz0/(z0-s)^(m+1).
 
@@ -408,7 +423,8 @@ class BranchWindow:
 
         S is cleared_product of window(a, 0) and window(b, 1), taken only
         at the exponents kmin..-2 a row entry reads; it is refused unless it
-        is known far enough for every entry (_check_known).
+        is known far enough for every entry (_check_known).  (b, a) has
+        the same row, and the row is cached under both orders.
         """
         row = self._rows.get((a, b))
         if row is not None:
@@ -438,12 +454,13 @@ class BranchWindow:
                 den = den // common
                 entries = [(m, r // common) for m, r in entries]
             row = (den, entries)
-        self._rows[(a, b)] = row
+        self._rows[(a, b)] = self._rows[(b, a)] = row
         return row
 
 
 class RecursionResult:
-    """All omega_{g,n} with 2g-2+n <= 2*gmax-2+nmax and g <= gmax."""
+    """All omega_{g,n} with 2g-2+n <= 2*gmax-2+nmax and g <= gmax, as full
+    tables: the canonical ones the recursion computed, expanded."""
 
     __slots__ = ("U", "gmax", "nmax", "prec", "omegas", "F")
 
@@ -471,57 +488,60 @@ def _factor_terms(win, omegas, g, nfree):
     """Factors of omega_{g,1+nfree} with its first slot at the branch point
     and the remaining slots at free outer variables.
 
-    Returns (factor id, scalar, free-slot keys) triples; omega_{0,2} with
-    one free variable expands through its pole at the branch point,
+    Returns (factor id, scalar, free-slot keys) triples, read off the
+    canonical table, so the free-slot keys are sorted; omega_{0,2} with one
+    free variable expands through its pole at the branch point,
     contributing basis orders m+2 at the free slot.
     """
     if g == 0 and nfree == 1:
         return win.w02_terms
-    stored = omegas.get((g, 1 + nfree))
-    if not stored:
-        return []
-    return [(key[0], c, key[1:]) for key, c in stored.table.items()]
+    return [(key[0], c, key[1:]) for key, c in omegas[(g, 1 + nfree)].items()]
+
+
+def _merge(A, B):
+    """The sorted union R of two sorted tuples of slot keys, and the number
+    of ways to place A's keys among R's slots: prod_v C(m_R(v), m_A(v))
+    over the keys v the two share (the others place in one way)."""
+    R = tuple(sorted(A + B))
+    weight = 1
+    for v in set(A).intersection(B):
+        weight *= comb(R.count(v), A.count(v))
+    return R, weight
 
 
 def _residue_contributions(win, omegas, g, n, table):
-    """Add Res_{z->s} K(z0,z) [ ... ] to the coefficient table of omega_{g,n}.
+    """Add Res_{z->s} K(z0,z) [ ... ] to the canonical table of omega_{g,n}.
 
-    Each bracket term is a pair of factor ids with two scalars and the keys
-    of its free slots; it adds scalar * r_m at ((s, m+1),) + free keys for
-    every entry (m, r_m) of the pair's residue row.  Terms are kept with
-    their rows (BranchWindow.row), and only when the row is not empty.
-    A pair whose valuations sum above -2 is not visited (its row is empty).
-
-    A term and its mirror, the same two factors on swapped sheets, add the
-    same amounts: K(z0, sigma z) = K(z0, z) and sigma^* keeps a residue at
-    a fixed point of sigma, so row (a, b) is row (b, a).  Each mirror pair
-    is visited once with its scalar doubled: the split (g1, I1 | g2, I2)
-    when (g1, I1) < (g2, I2), the split that is its own mirror (n = 1,
-    g1 = g2) with weight one, and the key (a, b, J) of omega_{g-1,n+1},
-    which _verify_form has proved symmetric, when a <= b.
+    Each bracket term is a pair of factor ids with two scalars, the sorted
+    keys R of its free slots and an integer weight; it adds weight *
+    scalars * r_m at ((s, m+1),) + R for every entry (m, r_m) of the pair's
+    residue row.  Terms are kept with their rows (BranchWindow.row), and
+    only when the row is not empty; a pair whose valuations sum above -2 is
+    not visited (its row is empty).  The weight counts the splits of the
+    free slots that a term stands for, times 2 for a mirror class visited
+    once (the module docstring has both).
     """
-    positions = list(range(1, n))
     one = win.field.one()
     terms = []
 
-    def add(a, b, c1, c2, rest):
+    def add(a, b, c1, c2, rest, weight):
         row = win.row(a, b)
         if row:
-            terms.append((row, c1, c2, rest))
+            terms.append((row, c1, c2, rest, weight))
 
-    if g >= 1:
-        if (g - 1, n + 1) == (0, 2):
-            add(None, None, one, one, ())
-        else:
-            stored = omegas.get((g - 1, n + 1))
-            if stored:
-                for key, c in stored.table.items():
-                    a, b = key[0], key[1]
-                    if a <= b and (win.valuation(a, 0)
-                                   + win.valuation(b, 1) <= -2):
-                        add(a, b, c if a == b else c + c, one, key[2:])
+    if (g - 1, n + 1) == (0, 2):
+        add(None, None, one, one, (), 1)
+    elif g >= 1:
+        for key, c in omegas[(g - 1, n + 1)].items():
+            a, tail = key[0], key[1:]
+            bound = -2 - win.valuation(a, 0)
+            for i, b in enumerate(tail):
+                if ((i and b == tail[i - 1]) or b < a
+                        or win.valuation(b, 1) > bound):
+                    continue
+                add(a, b, c, one, tail[:i] + tail[i + 1:], 1 if a == b else 2)
     reach = {}
-    left = {}
+    merged = {}
 
     def right_terms(g2, nfree, bound):
         """The factors of omega_{g2,1+nfree} of valuation <= bound on sheet
@@ -533,50 +553,41 @@ def _residue_contributions(win, omegas, g, n, table):
                 if win.valuation(t[0], 1) <= bound]
         return out
 
-    def left_terms(g1, nfree, twice):
-        """The factors of omega_{g1,1+nfree}, each with its scalar (doubled
-        when twice) and the bound on its partner's valuation."""
-        out = left.get((g1, nfree, twice))
-        if out is None:
-            out = left[(g1, nfree, twice)] = [
-                (a, c + c if twice else c, k, -2 - win.valuation(a, 0))
-                for a, c, k in _factor_terms(win, omegas, g1, nfree)]
-        return out
-
     for g1 in range(g + 1):
         g2 = g - g1
-        for r in range(len(positions) + 1):
-            for I1 in itertools.combinations(positions, r):
-                I2 = tuple(p for p in positions if p not in I1)
-                if (g1 == 0 and not I1) or (g2 == 0 and not I2):
-                    continue  # omega_{0,1} factors are excluded
-                if (g1, I1) > (g2, I2):
-                    continue  # visited as its mirror
-                # the free keys of both factors, put back in slot order
-                slots = I1 + I2
-                order = [slots.index(p) for p in positions]
-                pick = itemgetter(*order) if len(order) > 1 else tuple
-                for a, c1, k1, bound in left_terms(g1, len(I1),
-                                                   (g1, I1) != (g2, I2)):
-                    for b, c2, k2 in right_terms(g2, len(I2), bound):
-                        add(a, b, c1, c2, pick(k1 + k2))
+        for r1 in range(n):
+            r2 = n - 1 - r1
+            if (g1 == 0 and not r1) or (g2 == 0 and not r2):
+                continue  # omega_{0,1} factors are excluded
+            if (g1, r1) > (g2, r2):
+                continue  # visited as its mirror
+            mirror = 1 if (g1, r1) == (g2, r2) else 2
+            for a, c1, A in _factor_terms(win, omegas, g1, r1):
+                for b, c2, B in right_terms(g2, r2,
+                                            -2 - win.valuation(a, 0)):
+                    split = merged.get((A, B))
+                    if split is None:
+                        split = merged[(A, B)] = _merge(A, B)
+                    add(a, b, c1, c2, split[0], split[1] * mirror)
     _contract(win.s, terms, table, win.field is QQ)
 
 
 def _contract(s, terms, table, rational):
-    """The contraction: per key, the terms' c1 c2 r_m are summed as one
-    numerator over the lcm of their denominators.  Over Q (rational) the
-    numerators are integers and each sum becomes one Fraction; over any
-    other field every denominator is 1 and the sum is written as it is.
-    Every key's first slot is at the branch point s, so no other window has
-    written it to table."""
+    """The contraction: per key, the terms' weight c1 c2 r_m are summed as
+    one numerator over the lcm of their denominators.  Over Q (rational)
+    the numerators are integers, the weight is one more integer factor, and
+    each sum becomes one Fraction; over any other field every denominator
+    is 1 and the sum is written as it is.  Every key's first slot is at the
+    branch point s, so no other window has written it to table."""
     sums = {}
-    for (row_den, row), c1, c2, rest in terms:
+    for (row_den, row), c1, c2, rest, weight in terms:
         if rational:
-            num = c1.numerator * c2.numerator
+            num = c1.numerator * c2.numerator * weight
             den = row_den * c1.denominator * c2.denominator
         else:
             num, den = c1 * c2, row_den
+            if weight != 1:
+                num = num * weight
         for m, r in row:
             key = ((s, m + 1),) + rest
             acc = sums.get(key)
@@ -591,6 +602,30 @@ def _contract(s, terms, table, rational):
     for key, (total, den) in sums.items():
         if total:
             table[key] = Fraction(total, den) if rational else total
+
+
+def _orderings(keys):
+    """The distinct orderings of a sorted tuple, each once."""
+    if len(keys) < 2:
+        return [keys]
+    return [(v,) + rest for i, v in enumerate(keys)
+            if not i or v != keys[i - 1]
+            for rest in _orderings(keys[:i] + keys[i + 1:])]
+
+
+def _expanded(table):
+    """The full table of a canonical one: the value of (k0, R) at every
+    distinct ordering of R."""
+    orderings = {}
+    out = {}
+    for key, c in table.items():
+        head, tail = key[:1], key[1:]
+        tails = orderings.get(tail)
+        if tails is None:
+            tails = orderings[tail] = _orderings(tail)
+        for t in tails:
+            out[head + t] = c
+    return out
 
 
 def eo_differentials(U, gmax, nmax):
@@ -608,19 +643,18 @@ def eo_differentials(U, gmax, nmax):
             % (gmax, nmax))
     prec = 2 * (3 * gmax - 2 + nmax)
     spec = grading.specialization(U)
-    if spec is None:
-        return RecursionResult(U, gmax, nmax, prec,
-                               _recursion(U, gmax, nmax, prec))
+    curve = U if spec is None else spec.curve
     omegas = {}
-    for (g, n), form in _recursion(spec.curve, gmax, nmax, prec).items():
-        omegas[(g, n)] = PoleBasisForm(U.field, n)._like({
-            key: spec.restore(c, spec.omega_weight(g, n, key))
-            for key, c in form.table.items()})
+    for (g, n), table in _recursion(curve, gmax, nmax, prec).items():
+        if spec is not None:  # the weight is the same at every ordering
+            table = {key: spec.restore(c, spec.omega_weight(g, n, key))
+                     for key, c in table.items()}
+        omegas[(g, n)] = PoleBasisForm(U.field, n)._like(_expanded(table))
     return RecursionResult(U, gmax, nmax, prec, omegas)
 
 
 def _recursion(U, gmax, nmax, prec):
-    """The verified tables of omega_{g,n} over U's own field."""
+    """The verified canonical tables of omega_{g,n} over U's own field."""
     chi_max = 2 * gmax - 2 + nmax
     if chi_max < 1:
         return {}  # no stable form: no row, and no window
@@ -637,23 +671,33 @@ def _recursion(U, gmax, nmax, prec):
                 _residue_contributions(win, omegas, g, n, table)
             form = PoleBasisForm(E, n)._like(table)  # _contract writes no 0
             _verify_form(form, U.kind, g, n)
-            omegas[(g, n)] = form
+            omegas[(g, n)] = table
     return omegas
 
 
 def _verify_form(form, kind, g, n):
-    """Refuse a form with a residue term, or one that is not symmetric or
-    not anti-invariant under the involution.  Over Q the last two checks
-    read the integer numerators over the lcm of the denominators: one
-    positive scale keeps every value nonzero and every verdict."""
+    """Refuse a canonical form (only the keys whose slots 1..n-1 are
+    sorted) whose expansion has a residue term, or is not symmetric or not
+    anti-invariant under the involution; the checks read the canonical
+    table (see the module docstring).  Over Q the last two read the integer
+    numerators over the lcm of the denominators: one positive scale keeps
+    every value nonzero and every verdict."""
     if form.has_residue_term():
         raise InvalidPoleStructure(
             "omega_{%d,%d} acquired a first-order pole" % (g, n))
     if form.field is QQ:
         nums, _ = integer_numerators(form.table.values())
         form = form._like(dict(zip(form.table, nums)))
-    if not form.is_symmetric():
-        raise InvalidPoleStructure("omega_{%d,%d} is not symmetric" % (g, n))
+    table = form.table
+    for key, c in table.items():
+        head, tail = key[0], key[1:]
+        for i, v in enumerate(tail):
+            if v == head or (i and v == tail[i - 1]):
+                continue  # the same key, or the swap just checked
+            swapped = (v,) + tuple(sorted(tail[:i] + (head,) + tail[i + 1:]))
+            if table.get(swapped) != c:
+                raise InvalidPoleStructure(
+                    "omega_{%d,%d} is not symmetric" % (g, n))
     # Slot 0 is enough: for a symmetric form, sigma in slot i is the swap
     # of slots 0 and i, then sigma in slot 0, then the swap back.
     if form.involution_image(kind, 0) != form.scaled(-1):

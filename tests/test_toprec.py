@@ -18,9 +18,9 @@ from isorec.laxsystem import Mat2
 from isorec.separated import ProductForm
 from isorec.spectralcurve import (ONE_BRANCH, TWO_BRANCH, Uniformization,
                                   classical_curve, uniformize)
-from isorec.toprec import (BranchWindow, PoleBasisForm, _recursion,
-                           _verify_form, eo_differentials, sigma_slot_image,
-                           symplectic_invariants, xi_ratfn)
+from isorec.toprec import (BranchWindow, PoleBasisForm, _expanded,
+                           _recursion, _verify_form, eo_differentials,
+                           sigma_slot_image, symplectic_invariants, xi_ratfn)
 
 from test_detcheck import curve_U
 from test_grading import Qt, on_tower, p1_curve
@@ -81,8 +81,9 @@ def test_twobranch_sigma_window():
 
 @pytest.mark.parametrize("q_text", ["x", "(x-1)*(x-3)", "(x-1)*(x-4)"])
 def test_rational_residue_rows_match_the_field_path(q_text, monkeypatch):
-    # every pair a (2,1) run asks for, with its row over Q against the row
-    # of the same curve over Q(t), which takes the field path
+    # every pair a (2,2) run asks for, with its row over Q against the row
+    # of the same curve over Q(t), which takes the field path; a (2,1) run
+    # of Airy asks for fewer than 20 nonempty rows
     requested = set()
     row_of = BranchWindow.row
 
@@ -93,7 +94,7 @@ def test_rational_residue_rows_match_the_field_path(q_text, monkeypatch):
     Uq = curve_U(q_text)
     with monkeypatch.context() as mp:
         mp.setattr(BranchWindow, "row", spy)
-        prec = eo_differentials(Uq, 2, 1).prec
+        prec = eo_differentials(Uq, 2, 2).prec
     Ut = curve_U(q_text, Qt)
     assert Ut.branch_ints == Uq.branch_ints
     wins = {s: (BranchWindow(Uq, s, prec), BranchWindow(Ut, s, prec))
@@ -175,7 +176,9 @@ def test_windows_four_orders_longer_give_the_same_tables(make, g, n):
     U = make()
     res = eo_differentials(U, g, n)
     assert res.prec == 10
-    assert _recursion(U, g, n, res.prec + 4) == res.omegas
+    longer = _recursion(U, g, n, res.prec + 4)
+    assert {gn: _expanded(table) for gn, table in longer.items()} == {
+        gn: form.table for gn, form in res.omegas.items()}
 
 
 @pytest.mark.parametrize("make, g, n, least", [
@@ -215,30 +218,38 @@ def test_runs_with_no_stable_form_build_no_window(make, nmax, monkeypatch):
 def test_residue_rows_are_unchanged_by_swapping_the_factors(monkeypatch):
     # K(z0, sigma z) = K(z0, z) and a residue at a fixed point of sigma is
     # unchanged by sigma^*, so the row of (a, b) is the row of (b, a); the
-    # recursion visits one term of each mirror pair on the strength of it
+    # recursion visits one term of each mirror pair on the strength of it,
+    # and a window caches a row under both orders, so the two orders of
+    # each unordered pair are built on two windows of their own
     requested = set()
+    row_of = BranchWindow.row
 
-    def spy(row_of):
-        def wrapped(win, a, b):
-            requested.add((win, a, b))
-            return row_of(win, a, b)
-        return wrapped
+    def spy(win, a, b):
+        requested.add((win.s, win.prec, a, b))
+        return row_of(win, a, b)
 
-    runs = [(BranchWindow.row, eo_differentials, airy_U(), 0, 7),
-            (BranchWindow.row, eo_differentials, twobranch_U(), 2, 1),
-            (BranchWindow.row, functools.partial(
-                on_tower, eo_differentials), curve_U("(x-1)*(x-3)", Qt),
-             2, 1)]
-    for row_of, run, U, g, n in runs:
+    runs = [(eo_differentials, airy_U(), 0, 8),
+            (eo_differentials, twobranch_U(), 2, 1),
+            (functools.partial(on_tower, eo_differentials),
+             curve_U("(x-1)*(x-3)", Qt), 2, 1)]
+    for run, U, g, n in runs:
         with monkeypatch.context() as mp:
-            mp.setattr(BranchWindow, row_of.__name__, spy(row_of))
+            mp.setattr(BranchWindow, "row", spy)
             run(U, g, n)
-        pairs = [(win, a, b) for win, a, b in requested if a is not None]
+        pairs = {}
+        for s, prec, a, b in requested:
+            if a is not None:
+                pairs.setdefault((s, prec, frozenset((a, b))), (a, b))
         requested.clear()
-        for win, a, b in pairs:
-            assert row_of(win, a, b) == row_of(win, b, a), (win.s, a, b)
-        mirrored = [a for win, a, b in pairs if a != b and row_of(win, a, b)]
-        assert len(mirrored) >= 20, (U.field, g, n, len(mirrored))
+        wins = {key[:2]: (BranchWindow(U, *key[:2]), BranchWindow(U, *key[:2]))
+                for key in pairs}
+        mirrored = 0
+        for key, (a, b) in pairs.items():
+            one, other = wins[key[:2]]
+            row = one.row(a, b)
+            assert row == other.row(b, a), (key[0], a, b)
+            mirrored += a != b and bool(row)
+        assert mirrored >= 20, (U.field, g, n, mirrored)
 
 
 @pytest.mark.parametrize("q_text", ["x", "(x-1)*(x-4)", "(x-1)*(x-3)"])
@@ -400,7 +411,9 @@ def test_airy_matches_dvv_intersection_numbers():
     res = eo_differentials(airy_U(), 3, 2)
     assert set(res.omegas) == {(g, n) for g in range(4) for n in range(1, 9)
                                if 0 < 2 * g - 2 + n <= 6}
-    for (g, n), form in res.omegas.items():
+    forms = dict(res.omegas)
+    forms[(0, 9)] = eo_differentials(airy_U(), 0, 9).omega(0, 9)
+    for (g, n), form in forms.items():
         c = Fraction(-1, 2) ** (2 * g - 2 + n)
         want = {}
         for ds in compositions(3 * g - 3 + n, n):
@@ -633,6 +646,34 @@ def test_verify_form_checks_anti_invariance_once():
         _verify_form(even, ONE_BRANCH, 0, 2)
 
 
+def canonical(form):
+    """The keys of form whose slots 1..n-1 are sorted, as the recursion
+    keeps them, with their values."""
+    return PoleBasisForm(form.field, form.n, {
+        key: v for key, v in form.table.items()
+        if list(key[1:]) == sorted(key[1:])})
+
+
+def test_symmetry_check_refuses_one_changed_swap_of_slot_zero():
+    # the canonical table of a computed form passes; changing the value of
+    # any key that a swap of slot 0 with a free slot moves is refused, and
+    # so is the expansion by the check over all slots
+    form = canonical(eo_differentials(twobranch_U(), 0, 5).omega(0, 5))
+    assert len(form.table) < len(_expanded(form.table))
+    _verify_form(form, TWO_BRANCH, 0, 5)
+    changed = 0
+    for key, v in form.table.items():
+        if all(slot == key[0] for slot in key[1:]):
+            continue  # no swap of slot 0 moves it
+        bad = PoleBasisForm(QQ, 5, form.table)
+        bad.table[key] = v * 2
+        with pytest.raises(InvalidPoleStructure, match="not symmetric"):
+            _verify_form(bad, TWO_BRANCH, 0, 5)
+        assert not PoleBasisForm(QQ, 5, _expanded(bad.table)).is_symmetric()
+        changed += 1
+    assert changed >= 20, changed
+
+
 def verdict_on_fractions(form, kind):
     """Whether the symmetry and involution checks hold on form's Fractions."""
     return form.is_symmetric() and \
@@ -674,7 +715,8 @@ MIXED = [Fraction(p, q) for p in (1, -1, 3, -3) for q in (1, 2, 3, 4)]
 @st.composite
 def mixed_denominator_forms(draw):
     """Forms over Q whose values have mixed denominators, made anti-
-    invariant in every slot, symmetrized, or disturbed in one term."""
+    invariant in every slot, symmetrized, or disturbed in one term whose
+    slots 1..n-1 are sorted."""
     kind = draw(st.sampled_from([ONE_BRANCH, TWO_BRANCH]))
     n = draw(st.integers(1, 3))
     points = [0] if kind == ONE_BRANCH else [1, -1]
@@ -694,15 +736,22 @@ def mixed_denominator_forms(draw):
                 sym.add_term(key, v)
         form = sym
     if draw(st.booleans()):
-        form.add_term(draw(keys), draw(st.sampled_from(MIXED)))
+        key = draw(keys)
+        form.add_term(key[:1] + tuple(sorted(key[1:])),
+                      draw(st.sampled_from(MIXED)))
     return kind, form
 
 
 @settings(deadline=None, max_examples=150)
 @given(mixed_denominator_forms())
 def test_verify_form_verdict_is_the_fraction_verdict(kind_form):
+    # _verify_form reads a canonical table, whose expansion is symmetric in
+    # slots 1..n-1 by construction; its verdict is that of the checks over
+    # all slots on the expansion's Fractions
     kind, form = kind_form
-    assert verify_accepts(form, kind) == verdict_on_fractions(form, kind)
+    canon = canonical(form)
+    full = PoleBasisForm(QQ, form.n, _expanded(canon.table))
+    assert verify_accepts(canon, kind) == verdict_on_fractions(full, kind)
 
 
 @settings(deadline=None, max_examples=60)

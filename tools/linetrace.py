@@ -10,8 +10,10 @@ src/isorec/**/*.py that no line event reached, as
     src/isorec/module.py:LINE  [refusal]  first line of the statement
 
 A refusal is a raise, or a statement of a block that ends in one.  The
-summary line counts the unreached statements and the refusals among them;
-the exit status is pytest's.
+summary line counts the unreached statements and the refusals among them
+and names the Hypothesis seed; the exit status is pytest's.  Unless the
+arguments give one, pytest gets --hypothesis-seed=0, so that the property
+tests draw the same examples, and the count repeats, from run to run.
 The package is imported only after the tracer is installed, so its
 import-time statements count.  Tracing makes tier-1 several times slower;
 a code object stops being traced once every one of its lines has run.
@@ -24,6 +26,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "isorec")
 DEFAULT_PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", "tests"]
+DEFAULT_SEED = "0"
 
 
 class LineTracer:
@@ -112,14 +115,27 @@ def run_workloads():
         gate.evaluate(name, out)
 
 
+def seeded(pytest_args):
+    """The pytest arguments with a Hypothesis seed, and that seed."""
+    args = list(pytest_args or DEFAULT_PYTEST_ARGS)
+    for i, arg in enumerate(args):
+        if arg.startswith("--hypothesis-seed="):
+            return args, arg.partition("=")[2]
+        if arg == "--hypothesis-seed" and i + 1 < len(args):
+            return args, args[i + 1]
+    return args + ["--hypothesis-seed=" + DEFAULT_SEED], DEFAULT_SEED
+
+
 def main(pytest_args):
     import pytest
+    pytest_args, seed = seeded(pytest_args)
+    print("hypothesis seed %s" % seed)
     os.chdir(ROOT)
     sys.path.insert(0, os.path.join(ROOT, "src"))
     tracer = LineTracer(PACKAGE)
     tracer.install()
     try:
-        status = pytest.main(pytest_args or DEFAULT_PYTEST_ARGS)
+        status = pytest.main(pytest_args)
         run_workloads()
     finally:
         tracer.remove()
@@ -133,8 +149,8 @@ def main(pytest_args):
                 refusals += refusal
                 print("%s:%d  %s%s" % (os.path.relpath(path, ROOT), line,
                                        "[refusal]  " if refusal else "", text))
-    print("%d statements unreached, %d of them refusals (pytest exit %d)"
-          % (total, refusals, status))
+    print("%d statements unreached, %d of them refusals (pytest exit %d, "
+          "hypothesis seed %s)" % (total, refusals, status, seed))
     return int(status)
 
 
