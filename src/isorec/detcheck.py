@@ -286,14 +286,15 @@ def m_series(iso, flow, order):
     the classical curve and its uniformization, pull the expansions back to
     the z-line, then recurse M^(0) .. M^(order) there.
 
-    The solved x-equation is checked at every order (x_defect; the
-    identities m_next checks are necessary, not sufficient), and the
-    a-posteriori singularity statements are then verified: poles of
-    every M^(k) only over branchpoints (and over x = infinity when the
-    growth case allows it), with the entry-wise degree bounds in the two
-    classified growth cases.  Homogeneous expansions (flow_grading) are
-    mapped to Q at their field's time point first, and the curve, U and M
-    are built there, once; a U past the expansions' field is refused.
+    The solved x-equation, the trace, the sheet sum and M^2 = M are checked
+    at every order (the identities m_next checks are necessary, not
+    sufficient), and the a-posteriori singularity statements are then
+    verified: poles of every M^(k) only over branchpoints (and over
+    x = infinity when the growth case allows it), with the entry-wise
+    degree bounds in the two classified growth cases.  Homogeneous
+    expansions (flow_grading) are mapped to Q at their field's time point
+    first, and the curve, U and M are built there, once; a U past the
+    expansions' field is refused.
     """
     lser = hbar_matrix_series(assemble(iso.lax), flow, order)
     beta_t, ahat_t = beta_factor(iso.aux)
@@ -332,10 +333,15 @@ def m_series(iso, flow, order):
     for k in range(1, order + 1):
         mats.append(m_next(k, mats, ahat, beta, root, dt))
     mser = MSeries(curve, U, order, mats, lax, ahat, beta, graded)
-    for k in range(1, order + 1):
-        if mser.x_defect(k):
+    for k in range(order + 1):
+        if k and mser.x_defect(k):
             raise IdentityFailed(
                 "M^(%d) does not solve hbar d_x M = [L, M]" % k)
+        for defect in (mser.trace_defect, mser.sheet_defect,
+                       mser.projector_defect):
+            if defect(k):
+                raise IdentityFailed("M^(%d) has a nonzero %s"
+                                     % (k, defect.__name__))
     check_singularities(mser)
     return mser
 

@@ -51,8 +51,6 @@ def _integer_roots(q):
     chain = [q, q.deriv()]
     while chain[-1].degree() > 0:
         rem = chain[-2] % chain[-1]
-        if not rem:
-            break
         chain.append(-rem)
 
     def changes(x):
@@ -100,8 +98,6 @@ class RationalField:
             return v
         if isinstance(v, int):
             return Fraction(v)
-        if isinstance(v, float):
-            raise TypeError("floating point is not allowed in exact arithmetic")
         raise TypeError("cannot coerce %r into Q" % (v,))
 
     def diff(self, e):
@@ -135,9 +131,6 @@ class RationalField:
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
 
     def __repr__(self):
         return "QQ"
@@ -177,8 +170,6 @@ class FunctionField:
     def coerce(self, v):
         if isinstance(v, RatFn) and v.field == self.base and v.var == self.var:
             return v
-        if isinstance(v, Poly) and v.field == self.base and v.var == self.var:
-            return RatFn(v)
         return RatFn.const(self.base, self.base.coerce(v), self.var)
 
     def diff(self, e):
@@ -186,8 +177,6 @@ class FunctionField:
 
     def sqrt(self, e):
         e = self.coerce(e)
-        if not e:
-            return e
         sn = poly_sqrt(e.num)
         if sn is None:
             return None
@@ -204,9 +193,6 @@ class FunctionField:
             return True
         return (isinstance(other, FunctionField)
                 and self.base == other.base and self.var == other.var)
-
-    def __hash__(self):
-        return hash(("FunctionField", self.base, self.var))
 
     def __repr__(self):
         return "%r(%s)" % (self.base, self.var)
@@ -350,8 +336,6 @@ class QuadraticExtension:
 
     def sqrt(self, e):
         e = self.coerce(e)
-        if not e:
-            return e
         if not e.b:
             s = self.base.sqrt(e.a)
             if s is not None:
@@ -365,11 +349,10 @@ class QuadraticExtension:
         s = self.base.sqrt(norm)
         if s is None:
             return None
+        # c^2 = 0 would make b^2 r = 0, so neither candidate is zero
         for c2 in ((e.a + s) * self._half, (e.a - s) * self._half):
-            if not c2:
-                continue
             c = self.base.sqrt(c2)
-            if c is not None and c:
+            if c is not None:
                 d = e.b * self._half / c
                 cand = ExtElem(self, c, d)
                 if cand * cand == e:
@@ -399,10 +382,6 @@ class QuadraticExtension:
         return (isinstance(other, QuadraticExtension)
                 and self.base == other.base and self.uname == other.uname
                 and self.r == other.r)
-
-    def __hash__(self):
-        return hash(("QuadraticExtension", self.base, self.uname,
-                     str(self.r)))
 
     def __repr__(self):
         return "%r[%s^2=%s]" % (self.base, self.uname,
@@ -460,8 +439,9 @@ def roots_in_one_extension(p):
 def partial_derivation(field, name):
     """The derivation d/d(name) on the given tower, as a callable on elements.
 
-    Variables other than `name` are held fixed; a quadratic generator u is
-    chained through u' = r'/(2r) u using the derivative of its modulus.
+    `name` is one of the tower's function-field variables.  The others are
+    held fixed; a quadratic generator u is chained through u' = r'/(2r) u
+    using the derivative of its modulus.
     """
     if isinstance(field, QuadraticExtension):
         if name == field.uname:
@@ -475,30 +455,24 @@ def partial_derivation(field, name):
             e = field.coerce(e)
             return ExtElem(field, dbase(e.a), dbase(e.b) + e.b * du)
         return d
-    if isinstance(field, FunctionField):
-        if name == field.var:
-            return lambda e: field.coerce(e).deriv()
-        dbase = partial_derivation(field.base, name)
-        return lambda e: field.coerce(e).tderiv(dbase)
-    # constants below: everything is killed
-    return lambda e: field.zero()
+    if name == field.var:
+        return lambda e: field.coerce(e).deriv()
+    dbase = partial_derivation(field.base, name)
+    return lambda e: field.coerce(e).tderiv(dbase)
 
 
 def substitute(elem, values, one):
     """Evaluate a tower element, variable by variable from the top.
 
-    values maps variable names (function-field vars and quadratic generators)
-    to elements of some common target ring; `one` is that ring's unit.  A
-    variable without a value stands for itself, and so does the rest of the
-    tower below it: the element is lifted into the target as one * elem, as
-    a bare rational is, and raises TypeError when that product is undefined.
+    values maps function-field variable names to elements of some common
+    target ring; `one` is that ring's unit.  A variable without a value
+    stands for itself, and so does the rest of the tower below it: the
+    element is lifted into the target as one * elem, as a bare rational is,
+    and raises TypeError when that product is undefined.  A quadratic
+    generator takes no value, so an element of an extension is lifted whole.
     Division in the target ring must be available for denominators that
     appear.
     """
-    if isinstance(elem, ExtElem) and elem.field.uname in values:
-        a = substitute(elem.a, values, one)
-        b = substitute(elem.b, values, one)
-        return a + b * values[elem.field.uname]
     if isinstance(elem, RatFn) and elem.var in values:
         x = values[elem.var]
         num = _subst_poly(elem.num, x, values, one)

@@ -104,13 +104,11 @@ class Poly:
         return bool(c) and not any(c[:-1])
 
     def leading(self):
-        if not self.coeffs:
-            return self.field.zero()
+        """The leading coefficient of a nonzero polynomial."""
         return self.coeffs[-1]
 
     def constant(self):
-        if not self.coeffs:
-            return self.field.zero()
+        """The constant coefficient of a nonzero polynomial."""
         return self.coeffs[0]
 
     def coeff(self, k):
@@ -330,9 +328,7 @@ class Poly:
         return out
 
     def monic(self):
-        """(monic polynomial, leading coefficient)."""
-        if not self.coeffs:
-            return self, self.field.one()
+        """(monic polynomial, leading coefficient) of a nonzero polynomial."""
         lc = self.leading()
         if lc == self.field.one():
             return self, lc
@@ -362,9 +358,6 @@ class Poly:
                     parts.append(f"({cs})*{xs}" if needs_paren else f"{cs}*{xs}")
         s = " + ".join(parts)
         return s.replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"Poly({self.to_str()})"
 
 
 def poly_gcd(a, b):

@@ -438,8 +438,6 @@ def partial_fractions(f, hints=()):
     if f.den.degree() > 0 and rem:
         tail = RatFn(rem, f.den)
         for pole, mult in roots_in_field(f.den, hints):
-            if tail.den(pole):
-                continue  # the reduced fraction lost this pole
             window = local_expand(tail, pole, -1)
             for j in range(1, mult + 1):
                 c = window.coeff(-j)

@@ -93,9 +93,6 @@ class FlowSeries:
             blob["extension"] = None
         return blob
 
-    def __repr__(self):
-        return "FlowSeries(order=%s over %r)" % (self.order, self.field)
-
 
 def _split_tower(H):
     """H over ...(t)(q)(p): return (E, qname, pname, F, Hp, Hq) with E the

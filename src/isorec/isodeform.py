@@ -78,11 +78,6 @@ class DeformCase:
             return NotImplemented
         return self.kind == other.kind and self.nu == other.nu
 
-    def __repr__(self):
-        if self.kind == CASE_INFINITY:
-            return "DeformCase(3)"
-        return "DeformCase(%s, nu=%s)" % (self.kind, self.nu)
-
 
 def select_case(poles):
     """Pick the default de-autonomization for a pole structure.
@@ -118,9 +113,6 @@ class IsoSystem:
         self.aux = aux
         self.tname = tname
         self.case = case
-
-    def __repr__(self):
-        return "IsoSystem(case=%r, t=%s)" % (self.case, self.tname)
 
 
 def _time_element(field):
@@ -236,10 +228,6 @@ class ScalingPlan:
             },
             "darboux_exponents": {"p": str(self.d_p), "q": str(self.d_q)},
         }
-
-    def __repr__(self):
-        return ("ScalingPlan(d_x=%s, d_t=%s, rank=%s, main=%r)"
-                % (self.d_x, self.d_t, self.rank, self.main))
 
 
 def scaling_plan(poles, case=None):

@@ -172,11 +172,8 @@ class Sl2Lax:
 
     def _check_index(self, nu, i):
         if nu == 0:
-            if not 0 <= i <= max(self.poles.r0, -1):
+            if not 0 <= i <= self.poles.r0:
                 raise IndexOutOfRange("no polynomial coefficient x^%s" % i)
-            if self.poles.r0 == -1:
-                raise IndexOutOfRange(
-                    "no polynomial part when infinity has order -1")
         else:
             if not 1 <= nu <= self.poles.n:
                 raise IndexOutOfRange("no finite pole with index %s" % nu)

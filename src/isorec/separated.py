@@ -277,8 +277,6 @@ def _sep_zero(E, terms):
     The one-slot sum runs on integers over the lcm of the coefs'
     denominators.
     """
-    if not terms:
-        return True
     ints = E is QQ
     zero = 0 if ints else E.zero()
     width = max(len(vecs[0]) for _, vecs in terms)

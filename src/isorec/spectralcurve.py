@@ -49,9 +49,6 @@ class ClassicalCurve:
         self.L0 = L0
         self.A0 = A0
 
-    def __repr__(self):
-        return "ClassicalCurve(y^2 = %s)" % (self.Q,)
-
 
 def classical_curve(L0, A0=None):
     """Curve of a leading Lax matrix (entries: RatFn in x over a scalar
@@ -183,9 +180,6 @@ class Uniformization:
         else:
             blob["extension"] = None
         return blob
-
-    def __repr__(self):
-        return "Uniformization(%s, x=%s)" % (self.kind, self.x)
 
 
 def uniformize(curve):

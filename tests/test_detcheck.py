@@ -127,6 +127,29 @@ def test_m_series_refuses_an_m_off_its_x_equation(monkeypatch):
         m_series(iso, flow, 1)
 
 
+@pytest.mark.parametrize("extra, defect", [
+    # each addition to M^(1) commutes with L^(0), so hbar d_x M = [L, M]
+    # still holds at order 1; the identity has trace 2, A-hat^(0) is even
+    # under sigma, and root * A-hat^(0) is odd and breaks M^2 = M
+    (lambda a0, root: Mat2(1 + 0 * root, 0 * root, 0 * root, 1 + 0 * root),
+     "trace_defect"),
+    (lambda a0, root: a0, "sheet_defect"),
+    (lambda a0, root: a0.map(lambda e: e * root), "projector_defect"),
+])
+def test_m_series_refuses_an_m_off_its_other_identities(monkeypatch, extra,
+                                                         defect):
+    iso, H = p1_system()
+    flow = extend_flow(H, leading_order(H), 1)
+    solve = detcheck.m_next
+
+    def m_next(k, history, ahat, beta, root, dt):
+        return solve(k, history, ahat, beta, root, dt) + extra(ahat[0], root)
+    monkeypatch.setattr(detcheck, "m_next", m_next)
+    with pytest.raises(IdentityFailed, match=r"M\^\(1\) has a nonzero "
+                       + defect):
+        m_series(iso, flow, 1)
+
+
 def test_m_zero_refuses_a_singular_leading_matrix(p1):
     # A^(0) nilpotent: det = -1 + 1 = 0, so it has no square root to divide by
     mser = p1[0]

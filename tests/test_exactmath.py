@@ -19,6 +19,7 @@ from isorec.exactmath import (
     squarefree_decomposition, substitute,
 )
 from isorec.exactmath.fields import MAX_EXPONENT
+from isorec.isodeform import CASE_INFINITY, DeformCase
 from isorec.laxsystem import Mat2
 
 Qt = FunctionField(QQ, "t")
@@ -301,7 +302,11 @@ def test_sqrt_cases_in_extension():
     # (1 + u)^2 = 1 - 2t/3 + 2u is a square with both parts nonzero
     s3 = K.sqrt((1 + u) * (1 + u))
     assert s3 == 1 + u or s3 == -(1 + u)
-    assert K.sqrt(K.coerce(Qt.gen() + 1) * u) is None or True  # no crash
+    assert K.sqrt(K.coerce(Qt.gen() + 1) * u) is None  # norm not a square
+    # 9 + 6v = 3 (1 + v)^2 in Q(v), v^2 = 2: its norm 9 is a square, and
+    # neither candidate (9 +- 3)/2 for c^2 is
+    v = QuadraticExtension(QQ, 2, "v").u()
+    assert v.field.sqrt(9 + 6 * v) is None
 
 
 def test_function_field_sqrt():
@@ -309,6 +314,7 @@ def test_function_field_sqrt():
     s = Qt.sqrt(f)
     assert s is not None and s * s == f
     assert Qt.sqrt(Qt.gen()) is None
+    assert Qt.sqrt(1 / Qt.gen()) is None  # a square numerator, not a square
 
 
 def test_parse_element_round_trip():
@@ -496,6 +502,8 @@ def test_poly_sqrt():
     assert q is not None and q * q == p
     assert poly_sqrt(x ** 2 + 1) is None
     assert poly_sqrt(2 * x ** 2) is None  # leading 2 is not a rational square
+    zero = Poly.zero(QQ, "x")
+    assert poly_sqrt(zero) == zero and Qt.sqrt(Qt.zero()) == 0
 
 
 @given(nonzero_polys, nonzero_polys)
@@ -1045,6 +1053,64 @@ def test_mixed_fields_keep_the_coercing_constructor():
 def test_polys_in_different_variables_do_not_mix(op):
     with pytest.raises(TypeError):
         op(Poly(QQ, [1, 1], "x"), Poly(QQ, [1, 1], "y"))
+
+
+def test_mixed_operands_are_unequal_and_do_not_mix():
+    # each operator gives NotImplemented: == falls back to identity, and
+    # + - / raise TypeError
+    x, y = X(), RatFn.gen(QQ, "y")
+    u2, u3 = (QuadraticExtension(QQ, r, "u").u() for r in (2, 3))
+    for a, b in ((x, y), (u2, u3)):
+        assert a != b
+        for op in (operator.add, operator.sub, operator.truediv):
+            with pytest.raises(TypeError):
+                op(a, b)
+    series = HbarSeries.constant(QQ.one(), 2, QQ.zero())
+    for a in (series, Mat2.zero(x), DeformCase(CASE_INFINITY)):
+        assert a != 0
+
+
+def test_polynomial_coefficients_outside_the_degrees_are_zero():
+    p = Poly(QQ, [1, 2], "x")
+    assert p.coeff(-1) == 0 and p.coeff(2) == 0
+
+
+def test_split_linear_factors_keeps_a_quadratic_with_negative_discriminant():
+    p = Poly(QQ, [1, 0, 1], "x")
+    assert split_linear_factors(p) == ([], p)
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: QuadraticExtension(QQ, 2, "u").zero().inverse(),
+     ZeroDivisionError, "inverting zero"),
+    (lambda: (2 + QuadraticExtension(QQ, 4, "u").u()).inverse(),
+     ZeroDivisionError, "norm vanishes"),
+    (lambda: QuadraticExtension(QQ, 0, "u"), ValueError, "nonzero"),
+    (lambda: partial_derivation(QuadraticExtension(Qt, Qt.gen(), "u"), "u"),
+     ValueError, "algebraic"),
+    (lambda: Poly(QQ, [1, 1]) ** -1, ValueError, "negative power"),
+    (lambda: divmod(Poly(QQ, [1, 1]), Poly.zero(QQ)), ZeroDivisionError,
+     "division by zero"),
+    (lambda: Poly(QQ, [1, 1]) / Poly(QQ, [1, 0, 1]), ValueError, "inexact"),
+    (lambda: squarefree_decomposition(Poly.zero(QQ)), ValueError, "of zero"),
+    (lambda: RatFn(Fraction(1)), TypeError, "must be a Poly"),
+    (lambda: RatFn(Poly(QQ, [1], "x"), Poly(QQ, [1], "y")), ValueError,
+     "disagree"),
+    (lambda: RatFn(Poly(QQ, [1]), Poly.zero(QQ)), ZeroDivisionError,
+     "zero denominator"),
+    (lambda: (1 / X()).as_poly(), ValueError, "not a polynomial"),
+    (lambda: X() / RatFn.zero(QQ, "x"), ZeroDivisionError, "division by"),
+    (lambda: RatFn.zero(QQ, "x").inverse(), ZeroDivisionError, "inverting"),
+    (lambda: (1 / X())(0), ZeroDivisionError, "at a pole"),
+    (lambda: Series(0, [1, 2, 3], 2, 0), ValueError, "more coefficients"),
+    (lambda: Series(0, [1], 2, 0, 0) + Series(0, [1], 2, 0, 1), ValueError,
+     "different points"),
+    (lambda: Series(0, [1], 2, 0).truncate(3), TruncationTooShort,
+     "cannot extend"),
+])
+def test_exactmath_refuses(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
 
 
 def test_polys_in_different_variables_are_unequal():

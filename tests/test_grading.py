@@ -94,6 +94,16 @@ def test_nonhomogeneous_curve_takes_the_tower_path():
                                      2).to_json()
 
 
+def test_curve_without_t_over_qt_takes_the_tower_path():
+    # Airy built over Q(t): no coefficient of x(z) or y(z) holds t, so no
+    # weight of t can be solved, and the tower run gives the tables over Q
+    U = curve_U("x", Qt)
+    assert grading.specialization(U) is None
+    got = toprec.eo_differentials(U, 1, 2).to_json()
+    assert got["omegas"] == toprec.eo_differentials(
+        curve_U("x"), 1, 2).to_json()["omegas"]
+
+
 # --- the determinantal side ------------------------------------------------------
 
 def test_p1_m_series_runs_over_q(p1_order3):

@@ -78,6 +78,13 @@ def test_leading_order_no_critical_point():
         leading_order(parse_element("p", F))
 
 
+def test_leading_order_refuses_a_momentum_with_a_pole_at_the_point():
+    # dH/dp = q^2 p + q gives p = -1/q, and dH/dq there is 2q: q0 = 0
+    H = parse_element("q^2*p^2/2 + q*p + q^2", pq_field())
+    with pytest.raises(UnsolvableInTower, match="momentum has a pole"):
+        leading_order(H)
+
+
 def test_leading_order_refuses_higher_degree():
     F = pq_field()
     with pytest.raises(UnsolvableInTower):
@@ -210,6 +217,14 @@ def test_energy_conserved_without_explicit_time():
     # autonomous Hamiltonian, critical point in Q: the whole flow is constant
     for k in range(1, 5):
         assert not flow.q.coeff(k) and not flow.p.coeff(k)
+    assert not energy_drift(H, flow)
+
+
+def test_energy_conserved_with_no_time_variable():
+    # H over Q(q)(p): the flow runs over Q, and H has no t to differentiate
+    H = parse_element("p^2 + q^2 + q^3", tower("q", "p"))
+    flow = extend_flow(H, leading_order(H), 4)
+    assert flow.field is QQ
     assert not energy_drift(H, flow)
 
 

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from isorec import isodeform
 from isorec.detcheck import beta_factor
 from isorec.errors import (CasePreconditionViolated, IdentityFailed,
-                           NoDeformation, OrderMismatch)
+                           NoDeformation, OrderMismatch, PlanMismatch)
 from isorec.exactmath import (QQ, FunctionField, HbarSeries,
                               QuadraticExtension, RatFn, parse_element)
 from isorec.hamflow import extend_flow, leading_order
 from isorec.isodeform import (CASE_HIGHER_POLE, CASE_INFINITY,
-                              CASE_SIMPLE_POLE, DeformCase,
+                              CASE_SIMPLE_POLE, DeformCase, ScalingPlan,
                               build_isosystem, compatibility_residual,
                               explicit_time_residual, scaling_plan,
                               select_case)
@@ -82,6 +82,22 @@ def test_case_precondition_errors():
         DeformCase(CASE_INFINITY).validate(pd)
     with pytest.raises(CasePreconditionViolated):
         DeformCase(CASE_HIGHER_POLE, 2).validate(pd)
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: DeformCase(CASE_HIGHER_POLE, 1).validate(
+        PoleData((Fraction(0),), (1,), 0, SIGMA3)),
+     CasePreconditionViolated, "weighted-pole case needs >= 2"),
+    (lambda: ScalingPlan(1, 1, {(0, 0): 1}, 0, 1, 1, (0, 1),
+                         DeformCase(CASE_INFINITY)),
+     PlanMismatch, "has no degree"),
+    (lambda: ScalingPlan(1, 1, {(0, 0): 2}, 0, 1, 1, (0, 0),
+                         DeformCase(CASE_INFINITY)),
+     PlanMismatch, "pairing needs 2"),
+])
+def test_isodeform_refuses(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
 
 
 @pytest.mark.parametrize("kind, nu", [

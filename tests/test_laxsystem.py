@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isorec import laxsystem
 from isorec.errors import (DegenerateOrbit, IndexOutOfRange,
                            InvalidPoleStructure, PoleCollision)
-from isorec.exactmath import (FunctionField, HbarSeries, QQ, RatFn,
+from isorec.exactmath import (FunctionField, HbarSeries, Poly, QQ, RatFn,
                               parse_element)
-from isorec.laxsystem import (Mat2, PoleData, SIGMA3, SIGMA_PLUS, Sl2Lax,
-                              assemble, auxiliary_matrix, darboux,
-                              hamiltonians)
+from isorec.laxsystem import (HamiltonianSet, Mat2, PoleData, SIGMA3,
+                              SIGMA_PLUS, Sl2Lax, assemble, auxiliary_matrix,
+                              darboux, hamiltonians)
 
 
 def tower(*names):
@@ -178,6 +179,14 @@ def test_classify_simple_finite_pole():
     assert flags == {(1, 1): "dynamical", (1, 2): "casimir"}
 
 
+def test_classify_flags_an_entry_outside_the_windows_dynamical():
+    # no finite pole is declared, so no window holds the key (1, 1)
+    pd = PoleData((), (), 1, SIGMA3)
+    flags = HamiltonianSet(QQ, pd, {(0, 2): 1, (1, 1): 1}).classify()
+    assert flags == {(0, 0): "dynamical", (0, 1): "casimir",
+                     (0, 2): "casimir", (1, 1): "dynamical"}
+
+
 def test_classify_fuchsian_four_poles_dynamical_count():
     F = QQ
     mats = [mat(F, (("1", "2"), ("3", "-1"))),
@@ -283,6 +292,59 @@ def test_darboux_degenerate():
                  {(0, 1): Mat2.sigma3(F.one(), F.zero())})
     with pytest.raises(DegenerateOrbit):
         darboux(sys)
+
+
+def test_darboux_skips_a_zero_on_a_pole_and_counts_the_rest():
+    # the (2,1) entries 0, 1, -4, 3 at x = 0, 1, 2, 3 give
+    # L21 = 2x / ((x-1)(x-2)(x-3)): its one zero sits on the pole at 0, and
+    # the structure demands r0 + 4 - 1 = 2 chart points
+    F = QQ
+    mats = [mat(F, rows) for rows in ((("1", "2"), ("0", "-1")),
+                                      (("0", "1"), ("1", "0")),
+                                      (("0", "1"), ("-4", "0")))]
+    last = -(Mat2.sigma3(F.one(), F.zero()) + mats[0] + mats[1] + mats[2])
+    pd = PoleData(tuple(Fraction(k) for k in range(4)), (1,) * 4, -1, SIGMA3)
+    sys = Sl2Lax(F, pd, {(1, 1): mats[0], (2, 1): mats[1], (3, 1): mats[2],
+                         (4, 1): last})
+    assert assemble(sys).c.num == Poly(QQ, [0, 2])
+    with pytest.raises(DegenerateOrbit, match="found 0 chart points"):
+        darboux(sys)
+
+
+def hamiltonians_of_a_matrix_with_a_tail(monkeypatch):
+    # the assembled matrix, and so Tr L^2, picks up a pole at x = 5
+    def assemble_with_tail(system):
+        L = assemble(system)
+        x = RatFn.gen(system.field, system.var)
+        return Mat2(L.a + 1 / (x - 5), L.b, L.c, L.d - 1 / (x - 5))
+    monkeypatch.setattr(laxsystem, "assemble", assemble_with_tail)
+    return hamiltonians(fuchsian3())
+
+
+def quadratic_c_entry():
+    # L21 = (x - 1)^2: its zero x = 1 is double
+    F = QQ
+    coeffs = {(0, 3): mat(F, (("0", "1"), ("0", "0"))),
+              (0, 2): mat(F, (("0", "0"), ("1", "0"))),
+              (0, 1): mat(F, (("0", "0"), ("-2", "0"))),
+              (0, 0): mat(F, (("0", "0"), ("1", "0")))}
+    return Sl2Lax(F, PoleData((), (), 3, SIGMA_PLUS), coeffs)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda mp: painleve1().coeff(0, 3), IndexOutOfRange,
+     "no polynomial coefficient"),
+    (lambda mp: fuchsian3().coeff(4, 1), IndexOutOfRange, "no finite pole"),
+    (lambda mp: fuchsian3().coeff(1, 2), IndexOutOfRange, "has order 1"),
+    (lambda mp: auxiliary_matrix(fuchsian3(), 1, 2), IndexOutOfRange,
+     "flow index"),
+    (hamiltonians_of_a_matrix_with_a_tail, InvalidPoleStructure,
+     "outside the declared structure"),
+    (lambda mp: darboux(quadratic_c_entry()), DegenerateOrbit, "multiple zero"),
+])
+def test_laxsystem_refuses(monkeypatch, call, error, match):
+    with pytest.raises(error, match=match):
+        call(monkeypatch)
 
 
 def test_darboux_chart_identities():

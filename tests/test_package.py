@@ -3,10 +3,11 @@ src/ or tests/ imports a name it never uses, no function in src/isorec goes
 unnamed by the package and the bench, no module in src/ reads the
 environment or runs text as code, only exactmath.adjoin_roots grows a
 scalar field, the pipeline stages raise named errors, not bare builtin
-ones, and every named error is named in some test module."""
+ones, every named error is named in some test module, and the line trace
+of tools/linetrace.py sees the statements that have code."""
 
 import ast
-import importlib
+import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
@@ -124,9 +125,6 @@ def unnamed_functions(defining, readers):
 
 # functions that no stage calls yet, each kept for a stated next step
 UNCALLED = {
-    "MSeries.projector_defect": "ROADMAP item 4: m_series checks it",
-    "MSeries.trace_defect": "ROADMAP item 4: m_series checks it",
-    "MSeries.sheet_defect": "ROADMAP item 4: m_series checks it",
     "hamiltonians": "ROADMAP item 6: a stage of the runner",
     "darboux": "ROADMAP item 6: a stage of the runner",
     "HamiltonianSet.reassemble": "ROADMAP item 6: with hamiltonians",
@@ -394,3 +392,36 @@ def test_extension_scan_sees_scopes_aliases_and_attributes(tmp_path):
                    "def h(ext=QE):\n"
                    "    return ext\n")
     assert quadratic_extension_calls(src) == [(3, ""), (7, "C.f.g")]
+
+
+def load_linetrace():
+    spec = importlib.util.spec_from_file_location(
+        "linetrace", ROOT / "tools" / "linetrace.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_line_trace_lists_statements_with_code_and_marks_refusals(tmp_path):
+    linetrace = load_linetrace()
+    src = tmp_path / "mod.py"
+    src.write_text("def f(x):\n"
+                   "    \"\"\"A docstring has no code.\"\"\"\n"
+                   "    if x:\n"
+                   "        raise ValueError(x)\n"
+                   "    def g():\n"
+                   "        return 1\n"
+                   "    try:\n"
+                   "        x = g()\n"
+                   "    except KeyError:\n"
+                   "        x = 2\n"
+                   "        raise\n"
+                   "    return x\n")
+    got = linetrace.unreached(str(src), set())
+    assert [(line, refusal) for line, refusal, _ in got] == [
+        (1, False), (3, False), (4, True), (5, False), (6, False),
+        (7, False), (8, False), (10, True), (11, True), (12, False)]
+    assert got[2][2] == "raise ValueError(x)"
+    assert linetrace.unreached(str(src), {1, 3, 5, 6, 7, 8, 12}) == [
+        (4, True, "raise ValueError(x)"), (10, True, "x = 2"),
+        (11, True, "raise")]

@@ -90,6 +90,18 @@ def test_not_proportional_rejected():
         classical_curve(L0, A0)
 
 
+@pytest.mark.parametrize("L0, A0, error, match", [
+    (("0", "0", "0", "0"), None, NilpotentLeading, "vanishes identically"),
+    # L0 + I commutes with L0 and is no multiple of it
+    (("0", "x", "1", "0"), ("1", "x", "1", "1"), NotProportional,
+     "not a rational multiple"),
+    (("0", "1/x", "1", "0"), None, HigherGenus, "odd-order pole"),
+])
+def test_classical_curve_refuses(L0, A0, error, match):
+    with pytest.raises(error, match=match):
+        classical_curve(xmat(QQ, L0), A0 and xmat(QQ, A0))
+
+
 def test_proportional_aux_extracts_alpha():
     L0 = xmat(QQ, ("0", "x", "1", "0"))
     A0 = xmat(QQ, ("0", "2*x", "2", "0"))

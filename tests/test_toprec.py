@@ -646,6 +646,16 @@ def test_verify_form_checks_anti_invariance_once():
         _verify_form(even, ONE_BRANCH, 0, 2)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: _verify_form(PoleBasisForm(QQ, 1, {((0, 1),): Fraction(1)}),
+                          ONE_BRANCH, 1, 1), "first-order pole"),
+    (lambda: PoleBasisForm(QQ, 2, {((0, 2),): Fraction(1)}), "1 slots"),
+])
+def test_pole_basis_forms_refuse(make, match):
+    with pytest.raises(InvalidPoleStructure, match=match):
+        make()
+
+
 def canonical(form):
     """The keys of form whose slots 1..n-1 are sorted, as the recursion
     keeps them, with their values."""
