@@ -13,37 +13,24 @@ functions over powers of x(z_i) - x(z_j)), whose exact zero test runs on
 integers over Q.  Whatever depends on the uniformization kind (the
 involution, the branch z-points) is read off the Uniformization.
 
-m_series expands L, A-hat and beta along the flow on the tower.  When they
-are homogeneous over Q(t) or Q(t)[u] in the weights of scaling_plan, hbar
-of weight 1 (flow_grading), it maps them to the time t0 where u = 1
-(grading.time_point) first, and builds the curve and U once, over Q.
-M^(k)_ij has weight s_ij delta - k, with s = 0 on the diagonal, +1 above
-and -1 below it, and delta read off L; the one time derivative, in m_next,
-comes from the Euler relation d_t t0 dt f = w f - d_x x dx f of a
-homogeneous f of weight w.  On the tower it is d/dt at fixed x, which is
-d/dt at fixed z minus (d_t x(z) / x'(z)) d/dz.  correlators and verify_tt
-then run over Q unchanged.  This is exact for the reason the recursion at
-t0 is (see toprec and grading): every zero test, pole location and degree
-bound is one of a homogeneous element, and a nonzero c t^a u^b stays
-nonzero at t0.  flow_grading also checks d_x + w_L = 1: hbar d/dx has the
-weight of L.  As d_x and w_L are the curve's w_x and w_y in these units
-(flow_grading says why), a pole-basis coefficient of W_n^(k),
-k = 2g - 2 + n, and the same one of omega_{g,n} differ in weight by
-k (d_x + w_L - 1) for n >= 2 and by 2g (d_x + w_L - 1) for n = 1, so rows
-equal at t0 are equal on the tower.
+m_series expands L, A-hat and beta along the flow on the tower.  When
+grading.flow_grading finds them homogeneous, it maps them to the time t0
+where u = 1 first, builds the curve and U once, over Q, and takes M's one
+time derivative, in m_next, from that Grading.  On the tower it is d/dt at
+fixed x, which is d/dt at fixed z minus (d_t x(z) / x'(z)) d/dz.
+correlators and verify_tt then run over Q unchanged; the grading module
+says why this is exact, and why rows equal at t0 are equal on the tower.
 """
 
 import itertools
-from fractions import Fraction
 
 from . import grading
 from .errors import (CasePreconditionViolated, DegenerateAZero,
-                     IdentityFailed, IndexOutOfRange, PlanMismatch,
-                     TruncationTooShort, UnexpectedPole, UnsolvableInTower)
+                     IdentityFailed, IndexOutOfRange, TruncationTooShort,
+                     UnexpectedPole, UnsolvableInTower)
 from .exactmath import (Poly, RatFn, partial_derivation, poly_gcd,
                         split_linear_factors)
 from .hamflow import hbar_matrix_series, hbar_series
-from .isodeform import scaling_plan
 from .laxsystem import Mat2, assemble
 from .separated import ProductForm
 from .spectralcurve import (ONE_BRANCH, TWO_BRANCH, classical_curve, pullback,
@@ -134,84 +121,6 @@ def m_next(k, history, ahat, beta, root, dt):
     return m.map(lambda e: e * dinv)
 
 
-# the sign s_ij of delta in the weight of entry a, b, c, d of a Mat2
-ENTRY_SIGNS = (0, 1, -1, 0)
-
-
-class FlowGrading:
-    """Weights of the determinantal side, in scaling_plan's units.
-
-    x has weight d_x, t weight d_t and hbar weight 1; entry ij of M^(k) has
-    weight s_ij delta - k.  `time` is the grading.TimePoint it runs at, and
-    time_derivative gives m_series the one time derivative of M there.
-    """
-
-    __slots__ = ("time", "d_x", "d_t", "delta")
-
-    def __init__(self, time, d_x, d_t, delta):
-        self.time = time
-        self.d_x = d_x
-        self.d_t = d_t
-        self.delta = delta
-
-    def time_derivative(self, U):
-        """dt(m, k) for m = M^(k) on the z-line of U at t0, from the Euler
-        relation d_t t0 dt f = w f - d_x x dx f, entry by entry, with
-        dx = (1/x'(z)) d/dz."""
-        inv = 1 / (self.d_t * self.time.t0)
-        xdx = U.x / U.dx * (self.d_x * inv)
-
-        def dt(m, k):
-            return Mat2(*(e * ((s * self.delta - k) * inv)
-                          - xdx * e.deriv() if e else e
-                          for s, e in zip(ENTRY_SIGNS, m.entries())))
-        return dt
-
-
-def flow_grading(iso, lax, ahat, beta):
-    """Check L^(k), A-hat^(k) and beta against scaling_plan's weights.
-
-    Every nonzero coefficient of every entry must be a monomial c t^a u^b
-    over the field of beta, Q(t) or Q(t)[u] (grading.time_point), whose
-    weight, with hbar of weight 1, gives the entry the weight
-    w_L + s_ij delta - k (w_A for A-hat); w_L, w_A, delta and beta's weight
-    are solved from the coefficients.  Returns a FlowGrading, or None when
-    the field has no time point or the coefficients are not homogeneous in
-    these weights.  Weights with d_x + w_L != 1 raise PlanMismatch.
-
-    The rows give the curve its weights too: they fix x at d_x, and each
-    entry of L^(0) is homogeneous, so y^2 = -det L^(0) has weight 2 w_L;
-    weights are unique (grading.solve_weights), so the curve's x and y
-    have the weights d_x and w_L.
-    """
-    plan = scaling_plan(iso.lax.poles, iso.case)
-    if not plan.d_t:
-        return None
-    E = beta.field
-    time = grading.time_point(E)
-    if time is None:
-        return None
-    rows = [({"t": Fraction(1)}, plan.d_t), ({"x": Fraction(1)}, plan.d_x)]
-    checks = [(e, ((name, 1), ("delta", s)), -k)
-              for name, series in (("L", lax), ("A", ahat))
-              for k, m in enumerate(series)
-              for s, e in zip(ENTRY_SIGNS, m.entries())]
-    checks.append((beta, (("beta", 1),), 0))
-    for e, target, const in checks:
-        more = grading.term_rows(E, e, "x", target, const)
-        if more is None:
-            return None
-        rows += more
-    w = grading.solve_weights(rows)
-    if w is None:
-        return None
-    if plan.d_x + w["L"] != 1:
-        raise PlanMismatch(
-            "weights along the flow (x %s, L %s) give hbar d/dx a weight "
-            "other than L's" % (plan.d_x, w["L"]))
-    return FlowGrading(time, plan.d_x, plan.d_t, w["delta"])
-
-
 class MSeries:
     """Truncated hbar-expansion of the projector-valued solution M.
 
@@ -219,8 +128,8 @@ class MSeries:
     and beta are L^(k), the cleared auxiliary coefficients A-hat^(k) and
     their denominator, pulled back to the same z-line once, so correlators
     and the checks never leave it.  `curve` is the classical curve of L^(0)
-    and A-hat^(0) in x.  `grading` is the FlowGrading of a series run at one
-    time (U.point), else None.
+    and A-hat^(0) in x.  `grading` is the grading.Grading of a series run
+    at one time (U.point), else None.
     """
 
     __slots__ = ("curve", "U", "order", "mats", "lax", "ahat", "beta",
@@ -292,15 +201,15 @@ def m_series(iso, flow, order):
     verified: poles of every M^(k) only over branchpoints (and over
     x = infinity when the growth case allows it), with the entry-wise
     degree bounds in the two classified growth cases.  Homogeneous
-    expansions (flow_grading) are mapped to Q at their field's time point
-    first, and the curve, U and M are built there, once; a U past the
-    expansions' field is refused.
+    expansions (grading.flow_grading) are mapped to Q at their field's time
+    point first, and the curve, U and M are built there, once; a U past
+    the expansions' field is refused.
     """
     lser = hbar_matrix_series(assemble(iso.lax), flow, order)
     beta_t, ahat_t = beta_factor(iso.aux)
     aser = hbar_matrix_series(ahat_t, flow, order)
     beta_E = _constant_in_hbar(hbar_series(RatFn(beta_t), flow, order))
-    graded = flow_grading(iso, lser, aser, beta_E)
+    graded = grading.flow_grading(iso, lser, aser, beta_E)
     if graded is not None:
         at = graded.time.ratfn_at
         lser = [m.map(at) for m in lser]
@@ -602,10 +511,7 @@ def verify_tt(mser, cors):
     compared with the recursion on the sheet-flipped curve; relabelling the
     sheets multiplies omega_{g,n} by (-1)^n, so the recursion runs on U
     and its tables are scaled by that sign.  For a series run at one time
-    (mser.grading) equal rows at t0 are equal on the tower: flow_grading
-    has checked d_x + w_L = 1, which gives each coefficient the same weight
-    on both sides, and row (0,1) compares -y dx, where y has the weight of
-    L (flow_grading says why).
+    (mser.grading) rows equal at t0 are equal on the tower (see grading).
     """
     U = mser.U
     E = U.field

@@ -300,9 +300,10 @@ def hamiltonians(system):
     for i, c in enumerate(polypart.coeffs):
         if c:
             entries[(0, i)] = c
-    by_point = {}
-    for nu in range(1, system.poles.n + 1):
-        by_point[system.poles.points[nu - 1]] = nu
+    # keyed in the field: a point given as a Fraction hashes unlike the
+    # field element partial_fractions returns for it
+    by_point = {system.field.coerce(a): nu
+                for nu, a in enumerate(system.poles.points, 1)}
     for pole, order, c in terms:
         nu = by_point.get(pole)
         if nu is None:

@@ -71,23 +71,16 @@ the canonical table: (k0, R) must hold the value of (v, sorted(R - v + k0))
 for every distinct v in R.  The involution in slot 0 keeps a key
 canonical, so anti-invariance is checked there as well.  Each verified
 form (restored, on a graded curve) is then expanded once into the full
-table, each distinct ordering of R written once.  The coefficients are the ones the full recursion gives;
-a table's keys may come in another order, which no output shows (to_json
-sorts them).
+table, each distinct ordering of R written once.  The coefficients are the
+ones the full recursion gives; a table's keys may come in another order,
+which no output shows (to_json sorts them).
 
 A curve over Q(t) or Q(t)[u], u^2 = c t, whose x(z) and y(z) are weighted-
 homogeneous (Painleve I is) is run over Q instead, at the time t0 where
-u = 1 (grading.specialization).  The coefficient of prod dz_i/(z_i-s_i)^k_i
-in omega_{g,n} has weight (w_x + w_y)(2 - 2g - n) + sum w_z (k_i - 1), so it
-is c t^a u^b with (a, b) read off that weight, and its value at t0 gives c.
-The run at t0 is exact: every quantity the recursion divides by or tests
-for zero is homogeneous, and a nonzero c t^a u^b stays nonzero at t0, so
-the specialized run takes the same branches, finds the same pole orders and
-the same vanishing terms, and its tables are the tower's tables at t0 (the
-grading module gives the argument in full).  The symmetry and involution
-checks run on the tables at t0; a key permutation or the involution keeps
-the weight of a coefficient, so they hold at t0 exactly when they hold on
-the tower.  symplectic_invariants reads the restored tables on the tower.
+u = 1 (grading.specialization), checks included, and each coefficient is
+restored from its weight (Grading.omega_weight); the grading module says
+why this is exact.  symplectic_invariants reads the restored tables on the
+tower.
 
 The residue rows and the contraction are one kernel on every field.  Each
 window a row reads (the factors on either sheet, 1/(4 y x'), sigma', wt^m

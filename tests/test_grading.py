@@ -94,14 +94,36 @@ def test_nonhomogeneous_curve_takes_the_tower_path():
                                      2).to_json()
 
 
-def test_curve_without_t_over_qt_takes_the_tower_path():
-    # Airy built over Q(t): no coefficient of x(z) or y(z) holds t, so no
-    # weight of t can be solved, and the tower run gives the tables over Q
+def test_curve_without_t_over_qt_is_graded():
+    # Airy built over Q(t): no coefficient of x(z) or y(z) holds t, so t
+    # takes weight 1, every nonzero coefficient has weight 0, and the run at
+    # t0 = 1 gives the tables of the tower run and of the curve over Q
     U = curve_U("x", Qt)
-    assert grading.specialization(U) is None
+    spec = grading.specialization(U)
+    assert spec.weights == {"z": 1, "x": 2, "y": 1, "t": 1}
+    assert spec.time.t0 == 1 and spec.curve.field is QQ
     got = toprec.eo_differentials(U, 1, 2).to_json()
+    assert got == on_tower(toprec.eo_differentials, U, 1, 2).to_json()
     assert got["omegas"] == toprec.eo_differentials(
         curve_U("x"), 1, 2).to_json()["omegas"]
+
+
+@pytest.mark.parametrize("q_text", [
+    "x*(x-1)^2",  # y(z) = z^3 - z, no t: y cannot have weights 3 and 1
+    "t*x",        # y(z) = u z: the weights of t and y leave one free
+])
+def test_curve_whose_weights_have_no_solution_is_not_graded(q_text):
+    assert grading.specialization(curve_U(q_text, Qt)) is None
+
+
+def test_solve_weights_declines_rows_that_contradict_or_leave_one_free():
+    one = Fraction(1)
+    assert grading.solve_weights([({"x": one}, one),
+                                  ({"x": one, "y": one}, 3 * one)]) == {
+        "x": 1, "y": 2}
+    assert grading.solve_weights([({"x": one}, one),
+                                  ({"x": 2 * one}, one)]) is None
+    assert grading.solve_weights([({"x": one, "y": one}, one)]) is None
 
 
 # --- the determinantal side ------------------------------------------------------
@@ -122,6 +144,21 @@ def test_p1_m_series_curve_is_the_specialized_tower_curve(p1_order3):
     assert (got.kind, got.a, got.b, got.x, got.y) == (
         want.kind, want.a, want.b, want.x, want.y)
     assert got.point == want.point
+
+
+def test_p1_flow_and_curve_weights_agree(p1_order3):
+    # hbar has weight 1 along the flow and w_x + w_y on the curve, so each
+    # curve weight is w_x + w_y times the flow's, with y <-> L: verify_tt
+    # compares rows at t0 on this relation
+    (mser, _, _), _ = p1_order3
+    flow = mser.grading.weights
+    curve = grading.specialization(p1_curve()).weights
+    assert (flow["x"], flow["L"], flow["t"]) == (
+        Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
+    assert (curve["x"], curve["y"], curve["t"]) == (2, 3, 4)
+    hbar = curve["x"] + curve["y"]
+    for f, c in (("x", "x"), ("L", "y"), ("t", "t")):
+        assert flow[f] * hbar == curve[c]
 
 
 def test_p1_m_series_is_the_tower_series_at_t0(p1_order3):
@@ -211,12 +248,12 @@ def p1_grading_args():
     system, L^(k), A-hat^(k) and beta."""
     iso, H = p1_system()
     seen = []
-    grade = detcheck.flow_grading
+    grade = grading.flow_grading
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(detcheck, "flow_grading",
+        mp.setattr(grading, "flow_grading",
                    lambda *args: seen.append(args) or grade(*args))
         detcheck.m_series(iso, extend_flow(H, leading_order(H), 2), 2)
-    assert detcheck.flow_grading(*seen[0]) is not None
+    assert grading.flow_grading(*seen[0]) is not None
     return seen[0]
 
 
@@ -242,7 +279,7 @@ def test_flow_grading_declines_a_plan_without_time_weight(p1_grading_args):
                                          (3, 1): m3}))
     assert not scaling_plan(iso.lax.poles, iso.case).d_t
     _, lax, ahat, beta = p1_grading_args
-    assert detcheck.flow_grading(iso, lax, ahat, beta) is None
+    assert grading.flow_grading(iso, lax, ahat, beta) is None
 
 
 def test_flow_grading_declines_a_coefficient_that_is_no_monomial(
@@ -253,7 +290,7 @@ def test_flow_grading_declines_a_coefficient_that_is_no_monomial(
     lax = [lax[0], Mat2(a + parse_element("1 + t", beta.field), b, c, d),
            lax[2]]
     rows = _spy(monkeypatch, "term_rows")
-    assert detcheck.flow_grading(iso, lax, ahat, beta) is None
+    assert grading.flow_grading(iso, lax, ahat, beta) is None
     assert rows[-1] is None
 
 
@@ -266,5 +303,5 @@ def test_flow_grading_declines_weights_that_contradict(p1_grading_args,
     lax = [lax[0], lax[1], Mat2(a, b * parse_element("t", beta.field), c, d)]
     rows = _spy(monkeypatch, "term_rows")
     weights = _spy(monkeypatch, "solve_weights")
-    assert detcheck.flow_grading(iso, lax, ahat, beta) is None
+    assert grading.flow_grading(iso, lax, ahat, beta) is None
     assert None not in rows and weights == [None]

@@ -158,6 +158,32 @@ def test_reassembly_invariant():
         assert H.reassemble() == (L * L).trace()
 
 
+def test_hamiltonians_and_darboux_take_fraction_points_over_a_function_field():
+    # partial_fractions and roots_in_field return the poles as field
+    # elements, which hash unlike the Fractions they equal
+    F = tower("t", "q")
+    L1 = mat(F, (("q", "1"), ("t", "-q")))
+    L2 = -(Mat2.sigma3(F.one(), F.zero()) + L1)
+    got = []
+    for points in ((Fraction(0), Fraction(1)), (F.coerce(0), F.coerce(1))):
+        pd = PoleData(points, (1, 1), -1, SIGMA3)
+        got.append(hamiltonians(Sl2Lax(F, pd, {(1, 1): L1, (2, 1): L2})))
+    assert sorted(got[0].entries) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert got[0].entries == got[1].entries
+    # the (2,1) zero of test_darboux_skips_a_zero_on_a_pole_and_counts_the_rest
+    # sits on the pole Fraction(0) over Q(t) too
+    F = tower("t")
+    mats = [mat(F, rows) for rows in ((("1", "2"), ("0", "-1")),
+                                      (("0", "1"), ("1", "0")),
+                                      (("0", "1"), ("-4", "0")))]
+    last = -(Mat2.sigma3(F.one(), F.zero()) + mats[0] + mats[1] + mats[2])
+    pd = PoleData(tuple(Fraction(k) for k in range(4)), (1,) * 4, -1, SIGMA3)
+    sys = Sl2Lax(F, pd, {(1, 1): mats[0], (2, 1): mats[1], (3, 1): mats[2],
+                         (4, 1): last})
+    with pytest.raises(DegenerateOrbit, match="found 0 chart points"):
+        darboux(sys)
+
+
 # --- casimir classification --------------------------------------------------
 
 
