@@ -14,16 +14,18 @@ Q(t)[u] with u^2 = c t, where t0 = 1/c (t0 = 1 over Q(t)).  A Grading is
 such a time and the weights solved from the coefficients of a stage's
 inputs; two entry points build one, each in its own units:
 - `specialization(U)` grades a curve for the recursion: z has weight 1
-  with one branch point, and z weight 0 and t weight 1 with two.  Its
-  weights are "z", "x", "y" and "t" (u has half the weight of t), and its
-  `curve` is U over Q at t0.  A curve whose x(z) and y(z) hold no t takes
-  t of weight 1; every nonzero coefficient then has weight 0.
+  with one branch point and 0 with two.  Its weights are "z", "x", "y"
+  and "t" (u has half the weight of t), and its `curve` is U over Q at t0.
 - `flow_grading(iso, lax, ahat, beta)` grades the flow for m_series in
   scaling_plan's units, with hbar of weight 1: "t" and "x" are the plan's
   d_t and d_x, and "L", "A", "delta" and "beta" are solved.
-Other fields, and inputs that are not homogeneous or whose weights
-contradict or leave one free, get None, and their stages run on the tower
-as given.
+The rows fix the weights up to a unit, and one rule picks it: rows whose
+solution leaves w_t absent, free or 0 are solved again with w_t = 1.  So
+a curve with no t in x(z) and y(z), or y^2 = t x over Q(t)[u] (y = u z,
+w_y = 3/2), is graded, and a w_t of 0, which leaves t's exponent unread,
+becomes a contradiction.  Other fields, and inputs that are not
+homogeneous or whose weights contradict or leave another weight free, get
+None, and their stages run on the tower as given.
 
 Why a stage run at t0 is exact.  A ring map commutes with sums, products
 and quotients, and the stages divide by, and test for zero, only
@@ -184,7 +186,8 @@ def _solve(E, var, rows, terms):
     """(time_point(E), weights) with the weights solved from `rows` and the
     term_rows in `var` of each (f, target, const) of `terms`; None when E
     has no time point, some coefficient is no monomial, or the weights
-    contradict or leave one free.  Rows that never read t fix it at 1."""
+    contradict or leave one free.  The unit: rows whose solution leaves
+    w_t absent, free or 0 are solved again with w_t = 1."""
     time = time_point(E)
     if time is None:
         return None
@@ -193,9 +196,9 @@ def _solve(E, var, rows, terms):
         if more is None:
             return None
         rows += more
-    if not any(row.get("t") for row, _ in rows):
-        rows.append(({"t": Fraction(1)}, Fraction(1)))
     weights = solve_weights(rows)
+    if not (weights and weights.get("t")):
+        weights = solve_weights(rows + [({"t": Fraction(1)}, Fraction(1))])
     return None if weights is None else (time, weights)
 
 
@@ -231,16 +234,11 @@ class Grading:
             raise PlanMismatch(
                 "a nonzero coefficient has weight %s, which no monomial in "
                 "%s has" % (weight, E))
-        n = n.numerator
-        b = n % 2 if time.quad else 0
-        a = (n - b) // 2 if time.quad else n
+        a, b = divmod(n.numerator, 2) if time.quad else (n.numerator, 0)
         T = E.base if time.quad else E
         c = value / time.t0 ** a
-        if a >= 0:
-            part = RatFn(Poly(QQ, [0] * a + [c], T.var))
-        else:
-            part = RatFn(Poly(QQ, [c], T.var),
-                         Poly(QQ, [0] * -a + [1], T.var))
+        num, den = ([0] * a + [c], [1]) if a >= 0 else ([c], [0] * -a + [1])
+        part = RatFn(Poly(QQ, num, T.var), Poly(QQ, den, T.var))
         if not time.quad:
             return part
         zero = T.zero()
@@ -267,12 +265,8 @@ def specialization(U):
     Q(t)[u] with u^2 = c t, with its `curve` over Q at t0; None for every
     other curve.  The weights of t, x and y are solved from the
     coefficients of x(z) and y(z)."""
-    if U.kind == ONE_BRANCH:
-        rows = [({"z": Fraction(1)}, Fraction(1))]
-    else:
-        rows = [({"z": Fraction(1)}, Fraction(0)),
-                ({"t": Fraction(1)}, Fraction(1))]
-    found = _solve(U.field, "z", rows,
+    wz = Fraction(1 if U.kind == ONE_BRANCH else 0)
+    found = _solve(U.field, "z", [({"z": Fraction(1)}, wz)],
                    [(U.x, (("x", 1),), 0), (U.y, (("y", 1),), 0)])
     if found is None:
         return None
@@ -288,13 +282,11 @@ def flow_grading(iso, lax, ahat, beta):
 
     Every nonzero coefficient of every entry must be a monomial c t^a u^b
     over the field of beta whose weight gives the entry the weight
-    w_L + s_ij delta - k (w_A for A-hat).  Returns None when the plan gives
-    t no weight, or as the shared solve does; weights with d_x + w_L != 1
-    raise PlanMismatch.
+    w_L + s_ij delta - k (w_A for A-hat).  Returns None as the shared solve
+    does, so also when the plan gives t weight 0, which the unit w_t = 1
+    contradicts; weights with d_x + w_L != 1 raise PlanMismatch.
     """
     plan = scaling_plan(iso.lax.poles, iso.case)
-    if not plan.d_t:
-        return None
     terms = [(e, ((name, 1), ("delta", s)), -k)
              for name, series in (("L", lax), ("A", ahat))
              for k, m in enumerate(series)

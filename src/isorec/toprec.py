@@ -70,10 +70,11 @@ slots 0 and i generate every permutation, so _verify_form checks those on
 the canonical table: (k0, R) must hold the value of (v, sorted(R - v + k0))
 for every distinct v in R.  The involution in slot 0 keeps a key
 canonical, so anti-invariance is checked there as well.  Each verified
-form (restored, on a graded curve) is then expanded once into the full
-table, each distinct ordering of R written once.  The coefficients are the
-ones the full recursion gives; a table's keys may come in another order,
-which no output shows (to_json sorts them).
+form (restored, on a graded curve) is kept canonical, and expanded once
+into the full table when read (RecursionResult.omega), each distinct
+ordering of R written once.  The coefficients are the ones the full
+recursion gives; a table's keys may come in another order, which no output
+shows (to_json sorts them).
 
 A curve over Q(t) or Q(t)[u], u^2 = c t, whose x(z) and y(z) are weighted-
 homogeneous (Painleve I is) is run over Q instead, at the time t0 where
@@ -452,10 +453,11 @@ class BranchWindow:
 
 
 class RecursionResult:
-    """All omega_{g,n} with 2g-2+n <= 2*gmax-2+nmax and g <= gmax, as full
-    tables: the canonical ones the recursion computed, expanded."""
+    """All omega_{g,n} with 2g-2+n <= 2*gmax-2+nmax and g <= gmax, as the
+    canonical tables the recursion computed; omega(g, n) is the full one,
+    expanded at the first read and the same form at every later one."""
 
-    __slots__ = ("U", "gmax", "nmax", "prec", "omegas", "F")
+    __slots__ = ("U", "gmax", "nmax", "prec", "omegas", "_full", "F")
 
     def __init__(self, U, gmax, nmax, prec, omegas):
         self.U = U
@@ -463,15 +465,19 @@ class RecursionResult:
         self.nmax = nmax
         self.prec = prec
         self.omegas = omegas
+        self._full = {}
         self.F = {}
 
     def omega(self, g, n):
-        return self.omegas[(g, n)]
+        if (g, n) not in self._full:
+            form = self.omegas[(g, n)]
+            self._full[(g, n)] = form._like(_expanded(form.table))
+        return self._full[(g, n)]
 
     def to_json(self):
         out = {"omegas": {}, "F": {}}
         for (g, n) in sorted(self.omegas):
-            out["omegas"]["%d,%d" % (g, n)] = self.omegas[(g, n)].to_json()
+            out["omegas"]["%d,%d" % (g, n)] = self.omega(g, n).to_json()
         for g in sorted(self.F):
             out["F"][str(g)] = self.U.field.to_str(self.F[g])
         return out
@@ -642,7 +648,7 @@ def eo_differentials(U, gmax, nmax):
         if spec is not None:  # the weight is the same at every ordering
             table = {key: spec.restore(c, spec.omega_weight(g, n, key))
                      for key, c in table.items()}
-        omegas[(g, n)] = PoleBasisForm(U.field, n)._like(_expanded(table))
+        omegas[(g, n)] = PoleBasisForm(U.field, n)._like(table)
     return RecursionResult(U, gmax, nmax, prec, omegas)
 
 

@@ -73,13 +73,19 @@ def test_p1_recursion_matches_tower(gmax, nmax):
                                      nmax).to_json()
 
 
+# the rows of "x - t" fix w_t; those of "(x-t)*(x-3*t)" leave it free, and
+# it takes the unit 1
+QT_WEIGHTS = {"x - t": {"z": 1, "x": 2, "y": 1, "t": 2},
+              "(x-t)*(x-3*t)": {"z": 0, "x": 1, "y": 1, "t": 1}}
+
+
 @pytest.mark.parametrize("q_text,gmax,nmax", [
     ("x - t", 1, 2),               # Q(t) without u, z of weight 1
     ("(x-t)*(x-3*t)", 1, 2),       # two branch points, z of weight 0
 ])
 def test_homogeneous_qt_curves_match_tower(q_text, gmax, nmax):
     U = curve_U(q_text, Qt)
-    assert grading.specialization(U) is not None
+    assert grading.specialization(U).weights == QT_WEIGHTS[q_text]
     got = toprec.eo_differentials(U, gmax, nmax)
     assert got.to_json() == on_tower(toprec.eo_differentials, U, gmax,
                                      nmax).to_json()
@@ -110,10 +116,24 @@ def test_curve_without_t_over_qt_is_graded():
 
 @pytest.mark.parametrize("q_text", [
     "x*(x-1)^2",  # y(z) = z^3 - z, no t: y cannot have weights 3 and 1
-    "t*x",        # y(z) = u z: the weights of t and y leave one free
+    # x(z) = t^2 - (z + 1/z)/2: w_x is 2 w_t and 0, so the rows force
+    # w_t = 0, which the unit row w_t = 1 contradicts
+    "(x-t^2+1)*(x-t^2-1)",
 ])
 def test_curve_whose_weights_have_no_solution_is_not_graded(q_text):
     assert grading.specialization(curve_U(q_text, Qt)) is None
+
+
+def test_curve_whose_weights_leave_t_free_is_graded():
+    # y^2 = t x over Q(t)[u], u^2 = t: y(z) = u z, so the rows fix only
+    # w_y - w_t/2; the unit w_t = 1 grades it, and the run at t0 = 1 gives
+    # the tables of the tower run
+    U = curve_U("t*x", Qt)
+    spec = grading.specialization(U)
+    assert spec.weights == {"z": 1, "x": 2, "y": Fraction(3, 2), "t": 1}
+    assert spec.time.t0 == 1 and spec.curve.field is QQ
+    assert toprec.eo_differentials(U, 2, 1).to_json() == on_tower(
+        toprec.eo_differentials, U, 2, 1).to_json()
 
 
 def test_solve_weights_declines_rows_that_contradict_or_leave_one_free():
@@ -304,4 +324,5 @@ def test_flow_grading_declines_weights_that_contradict(p1_grading_args,
     rows = _spy(monkeypatch, "term_rows")
     weights = _spy(monkeypatch, "solve_weights")
     assert grading.flow_grading(iso, lax, ahat, beta) is None
-    assert None not in rows and weights == [None]
+    # the rows contradict, and so do they with the unit row w_t = 1
+    assert None not in rows and weights == [None, None]

@@ -178,7 +178,7 @@ def test_windows_four_orders_longer_give_the_same_tables(make, g, n):
     assert res.prec == 10
     longer = _recursion(U, g, n, res.prec + 4)
     assert {gn: _expanded(table) for gn, table in longer.items()} == {
-        gn: form.table for gn, form in res.omegas.items()}
+        gn: res.omega(*gn).table for gn in res.omegas}
 
 
 @pytest.mark.parametrize("make, g, n, least", [
@@ -411,7 +411,7 @@ def test_airy_matches_dvv_intersection_numbers():
     res = eo_differentials(airy_U(), 3, 2)
     assert set(res.omegas) == {(g, n) for g in range(4) for n in range(1, 9)
                                if 0 < 2 * g - 2 + n <= 6}
-    forms = dict(res.omegas)
+    forms = {gn: res.omega(*gn) for gn in res.omegas}
     forms[(0, 9)] = eo_differentials(airy_U(), 0, 9).omega(0, 9)
     for (g, n), form in forms.items():
         c = Fraction(-1, 2) ** (2 * g - 2 + n)
@@ -483,6 +483,26 @@ def test_tower_gaussian_F2_with_a_moving_branch_point():
     assert res.U.field is Qt
     assert symplectic_invariants(res) == {
         2: parse_element("-4/(15*(2+t)^4)", Qt)}
+
+
+def test_square_part_curve_translation_and_scaling_identities():
+    # y^2 = (x-2)^2 (x-1)(x-3), a two-branch curve with a square part:
+    # x -> x + 1 leaves every table unchanged, and y -> 2y (Q -> 4Q) scales
+    # omega_{g,n} by 2^(2-2g-n) and F_2 by 2^-2
+    def run(q_text):
+        res = eo_differentials(curve_U(q_text), 2, 1)
+        return res, symplectic_invariants(res)
+
+    res, F = run("(x-2)^2*(x-1)*(x-3)")
+    assert F == {2: Fraction(-3, 32)}
+    moved, F_moved = run("(x-1)^2*x*(x-2)")
+    assert F_moved == F and moved.to_json() == res.to_json()
+    scaled, F_scaled = run("4*(x-2)^2*(x-1)*(x-3)")
+    assert F_scaled == {2: Fraction(-3, 128)}
+    assert set(scaled.omegas) == set(res.omegas)
+    for g, n in res.omegas:
+        assert scaled.omega(g, n) == res.omega(g, n).scaled(
+            Fraction(2) ** (2 - 2 * g - n)), (g, n)
 
 
 # --- independent single-point samples ----------------------------------------
